@@ -1,7 +1,7 @@
 """Semi-supervised node classification with node mixup and reachability diagnostics.
 
-A self-contained numpy implementation: dataset I/O and synthesis, CSR graph
-algorithms, a two-layer GCN with hand-written backprop and Adam, the mixup
+A numpy and scipy.sparse implementation: dataset I/O and synthesis, CSR graph
+operators, a two-layer GCN with hand-written backprop and Adam, the mixup
 training engine (pseudo-labels, neighborhood-label-distribution sampling,
 intra/inter-class batches), reachability diagnostics, and a CLI.
 """

@@ -319,8 +319,8 @@ def cmd_gradcheck(args) -> int:
 def _convert_planetoid(raw_dir: str, name: str):
     """Read the pickled Planetoid dump (ind.<name>.*) into arrays.
 
-    Best-effort convenience: requires scipy to densify the sparse feature
-    blocks. Follows the standard split: first 20*C nodes train, next 500
+    Best-effort convenience: the pickles hold scipy sparse feature blocks,
+    which are densified here. Follows the standard split: first 20*C nodes train, next 500
     validation, the test index file as test.
     """
     import pickle
@@ -366,10 +366,6 @@ def _convert_planetoid(raw_dir: str, name: str):
 
 
 def cmd_convert_cora(args) -> int:
-    try:
-        import scipy  # noqa: F401
-    except ImportError:
-        raise RuntimeError("convert-cora needs scipy (pip install 'reachmix[convert]')") from None
     num_nodes, features, labels, edges, split = _convert_planetoid(args.raw, args.name)
     if args.row_normalize:
         sums = features.sum(axis=1, keepdims=True)

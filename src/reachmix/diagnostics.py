@@ -25,9 +25,9 @@ import numpy as np
 from reachmix.graphalg import (
     CsrGraph,
     add_self_loops,
-    bfs_distances,
     diameter_and_components,
     from_edges,
+    hop_distances,
     structural_degrees,
     sym_normalize,
 )
@@ -63,11 +63,12 @@ class DegreeSPReport:
 
 
 def _distances_to_labeled(g: CsrGraph, labeled_ids: np.ndarray) -> np.ndarray:
-    """(|labeled|, N) hop-distance matrix, one BFS per labeled node."""
-    labeled_ids = np.asarray(sorted(labeled_ids), dtype=np.int64)
+    """(|labeled|, N) hop-distance matrix, one row per labeled node in
+    ascending id order."""
+    labeled_ids = np.asarray(labeled_ids, dtype=np.int64)
     if labeled_ids.size == 0:
         raise ValueError("labeled set must be non-empty")
-    return np.stack([bfs_distances(g, [int(j)]) for j in labeled_ids], axis=0)
+    return hop_distances(g, labeled_ids)
 
 
 def _unlabeled(g: CsrGraph, labeled_ids) -> np.ndarray:

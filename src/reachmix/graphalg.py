@@ -1,5 +1,6 @@
-"""CSR graph algorithms: self-loops, symmetric normalization, BFS, diameter,
-and the pairwise adjacency-mixing operator.
+"""Graph operators on ``scipy.sparse`` CSR: self-loops, symmetric
+normalization, hop distances, diameter, and the pairwise adjacency-mixing
+operator.
 
 All graphs are symmetric weighted CSR. Functions are pure: they never mutate
 their inputs and always return new graphs.
@@ -11,102 +12,73 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_array, csr_array
+from scipy.sparse import csgraph
 
 EXACT_DIAMETER_LIMIT = 20_000  # above this, fall back to a double-sweep lower bound
 
 
 @dataclass(frozen=True)
 class CsrGraph:
-    """Symmetric sparse adjacency in CSR form.
+    """Symmetric sparse adjacency: a read-only ``scipy.sparse.csr_array``.
 
-    Invariants: column indices sorted within each row, weights strictly
-    positive, and entry (i, j) present iff (j, i) is present with the same
-    weight.
+    Invariants: column indices sorted within each row without duplicates,
+    weights strictly positive, and entry (i, j) present iff (j, i) is present
+    with the same weight. The constructor sorts the indices; ``validate``
+    checks the rest.
     """
 
-    indptr: np.ndarray  # int64, length num_nodes + 1
-    indices: np.ndarray  # int64, length nnz
-    weights: np.ndarray  # float64, length nnz
-    num_nodes: int
+    matrix: csr_array
 
     def __post_init__(self):
-        object.__setattr__(self, "indptr", np.asarray(self.indptr, dtype=np.int64))
-        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.int64))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
-        for arr in (self.indptr, self.indices, self.weights):
+        m = self.matrix
+        if not m.has_canonical_format:
+            m = m.copy()
+            m.sum_duplicates()  # sorts indices; the operators never produce duplicates
+            object.__setattr__(self, "matrix", m)
+        for arr in (m.indptr, m.indices, m.data):
             arr.setflags(write=False)
 
     @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
+    def num_nodes(self) -> int:
+        return self.matrix.shape[0]
 
-    def row(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        s, e = self.indptr[u], self.indptr[u + 1]
-        return self.indices[s:e], self.weights[s:e]
+    @property
+    def nnz(self) -> int:
+        return self.matrix.nnz
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self.matrix.indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self.matrix.indices
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.matrix.data
 
     def row_ids(self) -> np.ndarray:
         """Row index of every stored entry (COO expansion of indptr)."""
         return np.repeat(np.arange(self.num_nodes, dtype=np.int64), np.diff(self.indptr))
 
     def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.num_nodes, self.num_nodes))
-        dense[self.row_ids(), self.indices] = self.weights
-        return dense
+        return self.matrix.toarray()
 
     def validate(self) -> None:
         """Full invariant check; O(nnz). Used by constructors and tests."""
-        n = self.num_nodes
-        if n < 1:
-            raise ValueError("graph must have at least one node")
-        if self.indptr.shape != (n + 1,) or self.indptr[0] != 0 or self.indptr[-1] != self.indices.size:
-            raise ValueError("malformed indptr")
-        if np.any(np.diff(self.indptr) < 0):
-            raise ValueError("indptr must be non-decreasing")
-        if self.indices.size:
-            if self.indices.min() < 0 or self.indices.max() >= n:
-                raise ValueError("column index out of range")
-        if self.weights.shape != self.indices.shape:
-            raise ValueError("weights and indices length mismatch")
+        m = self.matrix
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+            raise ValueError("graph must be a square matrix with at least one node")
+        m.check_format(full_check=True)
         if np.any(self.weights <= 0) or not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite and > 0")
         rows = self.row_ids()
-        order = np.lexsort((self.indices, rows))
-        if not np.array_equal(order, np.arange(self.indices.size)):
-            raise ValueError("columns must be sorted within each row")
-        both = np.stack([rows, self.indices], axis=1)
-        if np.unique(both, axis=0).shape[0] != both.shape[0]:
-            raise ValueError("duplicate entry in a row")
-        t = transpose(self)
-        if not (
-            np.array_equal(t.indptr, self.indptr)
-            and np.array_equal(t.indices, self.indices)
-            and np.array_equal(t.weights, self.weights)
-        ):
+        if np.any((rows[1:] == rows[:-1]) & (self.indices[1:] <= self.indices[:-1])):
+            raise ValueError("columns must be sorted and distinct within each row")
+        if (m != m.T).nnz:
             raise ValueError("graph is not symmetric")
-
-
-def from_coo(num_nodes: int, rows, cols, weights) -> CsrGraph:
-    """Assemble CSR from COO triplets; duplicate (row, col) entries are summed.
-
-    Duplicates are accumulated in input order, so the result is deterministic
-    for a fixed input ordering.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.float64)
-    order = np.lexsort((cols, rows))  # stable: preserves input order within duplicates
-    rows, cols, weights = rows[order], cols[order], weights[order]
-    if rows.size:
-        boundary = np.empty(rows.size, dtype=bool)
-        boundary[0] = True
-        boundary[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        starts = np.nonzero(boundary)[0]
-        weights = np.add.reduceat(weights, starts)
-        rows, cols = rows[starts], cols[starts]
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.add.at(indptr, rows + 1, 1)
-    indptr = np.cumsum(indptr)
-    return CsrGraph(indptr, cols, weights, num_nodes)
 
 
 def from_edges(num_nodes: int, edges: np.ndarray) -> CsrGraph:
@@ -114,48 +86,25 @@ def from_edges(num_nodes: int, edges: np.ndarray) -> CsrGraph:
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    g = from_coo(num_nodes, rows, cols, np.ones(rows.size))
+    g = CsrGraph(coo_array((np.ones(rows.size), (rows, cols)), shape=(num_nodes, num_nodes)).tocsr())
     g.validate()
     return g
 
 
 def transpose(g: CsrGraph) -> CsrGraph:
-    rows = g.row_ids()
-    order = np.argsort(g.indices, kind="stable")  # stable keeps rows sorted within a column
-    new_rows = g.indices[order]
-    indptr = np.zeros(g.num_nodes + 1, dtype=np.int64)
-    np.add.at(indptr, new_rows + 1, 1)
-    return CsrGraph(np.cumsum(indptr), rows[order], g.weights[order], g.num_nodes)
-
-
-def _row_sums(g: CsrGraph) -> np.ndarray:
-    sums = np.zeros(g.num_nodes)
-    if g.nnz:
-        counts = np.diff(g.indptr)
-        nonempty = counts > 0
-        starts = g.indptr[:-1][nonempty]
-        sums[nonempty] = np.add.reduceat(g.weights, starts)
-    return sums
+    return CsrGraph(g.matrix.T.tocsr())
 
 
 def matmul_dense(g: CsrGraph, x: np.ndarray) -> np.ndarray:
-    """Sparse-dense product g @ x with row-major accumulation (deterministic)."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.zeros((g.num_nodes, x.shape[1]))
-    if g.nnz:
-        contrib = g.weights[:, None] * x[g.indices]
-        counts = np.diff(g.indptr)
-        nonempty = counts > 0
-        starts = g.indptr[:-1][nonempty]
-        out[nonempty] = np.add.reduceat(contrib, starts, axis=0)
-    return out
+    """Sparse-dense product g @ x (row-major accumulation, deterministic)."""
+    return g.matrix @ np.asarray(x, dtype=np.float64)
 
 
 def identity_adjacency(n: int) -> CsrGraph:
     if n < 1:
         raise ValueError("n must be >= 1")
-    idx = np.arange(n, dtype=np.int64)
-    return CsrGraph(np.arange(n + 1, dtype=np.int64), idx, np.ones(n), n)
+    idx = np.arange(n)
+    return CsrGraph(csr_array((np.ones(n), idx, np.arange(n + 1)), shape=(n, n)))
 
 
 def add_self_loops(g: CsrGraph) -> CsrGraph:
@@ -164,17 +113,11 @@ def add_self_loops(g: CsrGraph) -> CsrGraph:
     Existing diagonal entries are kept as they are, so the operation is
     idempotent.
     """
-    rows = g.row_ids()
-    has_loop = np.zeros(g.num_nodes, dtype=bool)
-    diag = rows == g.indices
-    has_loop[rows[diag]] = True
-    missing = np.nonzero(~has_loop)[0]
+    missing = np.flatnonzero(g.matrix.diagonal() == 0)
     if missing.size == 0:
         return g
-    new_rows = np.concatenate([rows, missing])
-    new_cols = np.concatenate([g.indices, missing])
-    new_w = np.concatenate([g.weights, np.ones(missing.size)])
-    return from_coo(g.num_nodes, new_rows, new_cols, new_w)
+    loops = coo_array((np.ones(missing.size), (missing, missing)), shape=g.matrix.shape)
+    return CsrGraph((g.matrix + loops).tocsr())
 
 
 def sym_normalize(g: CsrGraph) -> CsrGraph:
@@ -183,22 +126,27 @@ def sym_normalize(g: CsrGraph) -> CsrGraph:
     The per-entry scale is computed as s_i * s_j before multiplying the
     weight, which keeps the result exactly symmetric entry-for-entry.
     """
-    deg = _row_sums(g)
+    deg = np.ravel(g.matrix.sum(axis=1))
     if np.any(deg <= 0):
         bad = int(np.nonzero(deg <= 0)[0][0])
         raise ValueError(f"node {bad} has non-positive weighted degree; add self-loops first")
     s = 1.0 / np.sqrt(deg)
     scale = s[g.row_ids()] * s[g.indices]
-    return CsrGraph(g.indptr, g.indices, g.weights * scale, g.num_nodes)
+    return CsrGraph(csr_array((g.weights * scale, g.indices, g.indptr), shape=g.matrix.shape))
 
 
 def structural_degrees(g: CsrGraph) -> np.ndarray:
     """Per-node neighbor count, self-loops excluded."""
-    rows = g.row_ids()
-    deg = np.zeros(g.num_nodes, dtype=np.int64)
-    off_diag = rows != g.indices
-    np.add.at(deg, rows[off_diag], 1)
-    return deg
+    return (np.diff(g.indptr) - (g.matrix.diagonal() != 0)).astype(np.int64)
+
+
+def _sources(g: CsrGraph, sources) -> np.ndarray:
+    sources = np.unique(np.asarray(sources, dtype=np.int64))
+    if sources.size == 0:
+        raise ValueError("sources must be non-empty")
+    if sources[0] < 0 or sources[-1] >= g.num_nodes:
+        raise ValueError("source id out of range")
+    return sources
 
 
 def bfs_distances(g: CsrGraph, sources) -> np.ndarray:
@@ -207,44 +155,19 @@ def bfs_distances(g: CsrGraph, sources) -> np.ndarray:
     Returns float64 with ``np.inf`` for unreachable nodes. Self-loops never
     shorten a path, so they are effectively ignored.
     """
-    sources = np.asarray(sorted(set(int(s) for s in np.atleast_1d(sources))), dtype=np.int64)
-    if sources.size == 0:
-        raise ValueError("sources must be non-empty")
-    if sources.min() < 0 or sources.max() >= g.num_nodes:
-        raise ValueError("source id out of range")
-    dist = np.full(g.num_nodes, np.inf)
-    dist[sources] = 0.0
-    frontier = sources
-    level = 0
-    while frontier.size:
-        level += 1
-        counts = np.diff(g.indptr)[frontier]
-        total = int(counts.sum())
-        if total == 0:
-            break
-        # Flatten the CSR slices of the whole frontier in one shot.
-        offsets = np.repeat(g.indptr[frontier], counts)
-        within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        neighbors = g.indices[offsets + within]
-        fresh = neighbors[np.isinf(dist[neighbors])]
-        if fresh.size == 0:
-            break
-        frontier = np.unique(fresh)
-        dist[frontier] = level
-    return dist
+    return csgraph.dijkstra(g.matrix, indices=_sources(g, sources), unweighted=True, min_only=True)
+
+
+def hop_distances(g: CsrGraph, sources) -> np.ndarray:
+    """(|sources|, N) hop distances, one row per distinct source in ascending
+    order; ``np.inf`` where unreachable."""
+    return csgraph.dijkstra(g.matrix, indices=_sources(g, sources), unweighted=True)
 
 
 def connected_components(g: CsrGraph) -> np.ndarray:
     """Component id per node; ids are assigned in order of smallest member."""
-    comp = np.full(g.num_nodes, -1, dtype=np.int64)
-    next_id = 0
-    for start in range(g.num_nodes):
-        if comp[start] >= 0:
-            continue
-        reach = np.isfinite(bfs_distances(g, [start]))
-        comp[reach] = next_id
-        next_id += 1
-    return comp
+    _, comp = csgraph.connected_components(g.matrix, directed=False)
+    return comp.astype(np.int64)
 
 
 def _double_sweep_lower_bound(g: CsrGraph, comp: np.ndarray) -> int:
@@ -260,11 +183,38 @@ def _double_sweep_lower_bound(g: CsrGraph, comp: np.ndarray) -> int:
     return best
 
 
+def _exact_diameter(g: CsrGraph) -> int:
+    """Max eccentricity over all components, from eccentricity bounds.
+
+    A BFS from v with eccentricity e bounds every w it reaches by
+    max(d(v, w), e - d(v, w)) <= ecc(w) <= e + d(v, w). The diameter is the
+    largest lower bound once no upper bound exceeds it. Sources alternate
+    between the largest upper and the smallest lower bound (Takes & Kosters,
+    CIKM 2011); each BFS settles its source, so the loop ends after at most N
+    of them and usually after far fewer.
+    """
+    lower = np.zeros(g.num_nodes)
+    upper = np.full(g.num_nodes, np.inf)
+    take_upper = True
+    while True:
+        open_ids = np.flatnonzero(upper > lower.max())
+        if open_ids.size == 0:
+            return int(lower.max())
+        pick = np.argmax(upper[open_ids]) if take_upper else np.argmin(lower[open_ids])
+        take_upper = not take_upper
+        d = bfs_distances(g, [open_ids[pick]])
+        reach = np.isfinite(d)
+        dr = d[reach]
+        ecc = dr.max()
+        lower[reach] = np.maximum(lower[reach], np.maximum(dr, ecc - dr))
+        upper[reach] = np.minimum(upper[reach], ecc + dr)
+
+
 def diameter_and_components(g: CsrGraph) -> tuple[int, np.ndarray]:
     """Exact diameter (max eccentricity over components) and component ids.
 
-    Exact all-sources BFS up to ``EXACT_DIAMETER_LIMIT`` nodes; beyond that a
-    double-sweep lower bound is returned with a warning.
+    Exact up to ``EXACT_DIAMETER_LIMIT`` nodes; beyond that a double-sweep
+    lower bound is returned with a warning.
     """
     comp = connected_components(g)
     if g.num_nodes > EXACT_DIAMETER_LIMIT:
@@ -273,12 +223,7 @@ def diameter_and_components(g: CsrGraph) -> tuple[int, np.ndarray]:
             RuntimeWarning,
         )
         return _double_sweep_lower_bound(g, comp), comp
-    diameter = 0
-    for u in range(g.num_nodes):
-        d = bfs_distances(g, [u])
-        finite = d[np.isfinite(d)]
-        diameter = max(diameter, int(finite.max()))
-    return diameter, comp
+    return _exact_diameter(g), comp
 
 
 @dataclass(frozen=True)
@@ -308,80 +253,32 @@ class MixSelector:
     def __len__(self) -> int:
         return int(self.targets.size)
 
-
-def _mix_rows(g: CsrGraph, sel: MixSelector) -> CsrGraph:
-    """Row transform S @ g where S is identity with target rows replaced by
-    lam * e_t + (1 - lam) * e_p."""
-    order = np.argsort(sel.targets)
-    targets = sel.targets[order]
-    partners = sel.partners[order]
-    lams = sel.lams[order]
-
-    pieces_cols, pieces_w, counts = [], [], np.diff(g.indptr).copy()
-    prev = 0
-    for t, p, lam in zip(targets, partners, lams):
-        t = int(t)
-        if prev < t:  # untouched run [prev, t)
-            pieces_cols.append(g.indices[g.indptr[prev]:g.indptr[t]])
-            pieces_w.append(g.weights[g.indptr[prev]:g.indptr[t]])
-        ct, wt = g.row(t)
-        cp, wp = g.row(int(p))
-        cols = np.concatenate([ct, cp])
-        w = np.concatenate([lam * wt, (1.0 - lam) * wp])
-        uniq, inv = np.unique(cols, return_inverse=True)
-        merged = np.zeros(uniq.size)
-        np.add.at(merged, inv, w)
-        pieces_cols.append(uniq)
-        pieces_w.append(merged)
-        counts[t] = uniq.size
-        prev = t + 1
-    if prev < g.num_nodes:
-        pieces_cols.append(g.indices[g.indptr[prev]:])
-        pieces_w.append(g.weights[g.indptr[prev]:])
-
-    indices = np.concatenate(pieces_cols) if pieces_cols else np.zeros(0, dtype=np.int64)
-    weights = np.concatenate(pieces_w) if pieces_w else np.zeros(0)
-    indptr = np.zeros(g.num_nodes + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return CsrGraph(indptr, indices.astype(np.int64), weights, g.num_nodes)
-
-
-def _symmetrize_average(m: CsrGraph) -> CsrGraph:
-    """(M + M^T) / 2 with an exactly symmetric result; drops exact zeros."""
-    t = transpose(m)
-    rows = np.concatenate([m.row_ids(), t.row_ids()])
-    cols = np.concatenate([m.indices, t.indices])
-    w = np.concatenate([0.5 * m.weights, 0.5 * t.weights])
-    order = np.lexsort((cols, rows))  # stable: M entry precedes its mirrored twin
-    rows, cols, w = rows[order], cols[order], w[order]
-    boundary = np.empty(rows.size, dtype=bool)
-    if rows.size:
-        boundary[0] = True
-        boundary[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        starts = np.nonzero(boundary)[0]
-        w = np.add.reduceat(w, starts)
-        rows, cols = rows[starts], cols[starts]
-    keep = w != 0.0
-    rows, cols, w = rows[keep], cols[keep], w[keep]
-    indptr = np.zeros(m.num_nodes + 1, dtype=np.int64)
-    np.add.at(indptr, rows + 1, 1)
-    return CsrGraph(np.cumsum(indptr), cols, w, m.num_nodes)
+    def matrix(self, n: int) -> csr_array:
+        """The n x n selector S: the identity with row t replaced by
+        lam * e_t + (1 - lam) * e_p for every (t, p, lam). ``S[targets]`` is
+        the k x n matrix of the mixes alone."""
+        rest = np.setdiff1d(np.arange(n), self.targets)
+        rows = np.concatenate([rest, self.targets, self.targets])
+        cols = np.concatenate([rest, self.targets, self.partners])
+        vals = np.concatenate([np.ones(rest.size), self.lams, 1.0 - self.lams])
+        return coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def mix_adjacency(a: CsrGraph, sel: MixSelector) -> CsrGraph:
     """Apply the batched pair mix: returns S A S^T for the selector's S.
 
-    S is the identity with row i replaced by lam * e_i + (1 - lam) * e_p(i)
-    for every (i, p(i), lam) pair. All pairs are applied in one shot from the
-    original A, which is order-independent and, for a single pair, coincides
-    with mixing row i then column i. ``a`` must be symmetric (with whatever
-    self-loops the caller wants mixed); the result is exactly symmetric.
+    All pairs are applied in one shot from the original A, which is
+    order-independent and, for a single pair, coincides with mixing row i
+    then column i. ``a`` must be symmetric (with whatever self-loops the
+    caller wants mixed). The result is averaged with its transpose, which is
+    exactly symmetric because float addition commutes; sparse products and
+    sums store no zeros, so the weights stay strictly positive.
     """
     if len(sel) == 0:
         return a
     hi = max(int(sel.targets.max()), int(sel.partners.max()))
     if hi >= a.num_nodes or min(int(sel.targets.min()), int(sel.partners.min())) < 0:
         raise ValueError("selector refers to node ids outside the graph")
-    b = _mix_rows(a, sel)  # S A
-    c = _mix_rows(transpose(b), sel)  # S (S A)^T = S A^T S^T ... transposed below
-    return _symmetrize_average(transpose(c))
+    s = sel.matrix(a.num_nodes)
+    m = s @ a.matrix @ s.T
+    return CsrGraph((m + m.T) * 0.5)

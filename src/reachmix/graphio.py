@@ -6,7 +6,8 @@ A dataset is a directory of four text files:
                   '#' starts a comment; duplicates and reversed copies of an
                   edge are merged on load; self-loop lines are rejected
                   (self-loops are added later by the graph pipeline)
-    features.tsv  line i = tab-separated real features of node i
+    features.tsv  line i = tab-separated real features of node i; blank
+                  lines are skipped, '#' is not a comment
     labels.tsv    line i = integer class label of node i
     split.json    {"labeled": [...], "valid": [...], "test": [...]}
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -149,6 +151,21 @@ def _read_lines(path):
         raise DatasetFormatError(path, None, "required file is missing") from None
 
 
+def _read_features(path) -> np.ndarray:
+    """The feature table in one vectorised parse."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            features = np.loadtxt(path, dtype=np.float64, comments=None, ndmin=2, encoding="utf-8")
+    except FileNotFoundError:
+        raise DatasetFormatError(path, None, "required file is missing") from None
+    except ValueError as exc:  # ragged rows or non-numeric tokens; numpy names the row
+        raise DatasetFormatError(path, None, str(exc)) from None
+    if features.shape[0] == 0:
+        raise DatasetFormatError(path, None, "no feature rows")
+    return features
+
+
 def load_dataset(directory) -> Dataset:
     """Load and validate a dataset directory (see module docstring for formats)."""
     directory = os.fspath(directory)
@@ -175,24 +192,7 @@ def load_dataset(directory) -> Dataset:
             raise DatasetFormatError(edges_path, line_no, "negative node id")
         raw_edges.append((u, v))
 
-    feature_rows = []
-    width = None
-    for line_no, line in enumerate(_read_lines(features_path), start=1):
-        text = line.rstrip("\n")
-        if not text.strip():
-            continue
-        parts = text.split()
-        if width is None:
-            width = len(parts)
-        elif len(parts) != width:
-            raise DatasetFormatError(features_path, line_no, f"expected {width} columns, got {len(parts)}")
-        try:
-            feature_rows.append([float(p) for p in parts])
-        except ValueError:
-            raise DatasetFormatError(features_path, line_no, "non-numeric feature value") from None
-    if not feature_rows:
-        raise DatasetFormatError(features_path, None, "no feature rows")
-    features = np.asarray(feature_rows, dtype=np.float64)
+    features = _read_features(features_path)
     num_nodes = features.shape[0]
 
     labels = []
@@ -257,7 +257,7 @@ def save_dataset(dataset: Dataset, directory) -> None:
             fh.write(f"{u}\t{v}\n")
     with open(os.path.join(directory, FEATURES_FILE), "w", encoding="utf-8") as fh:
         for row in dataset.features:
-            fh.write("\t".join(repr(float(x)) for x in row) + "\n")
+            fh.write("\t".join(map(repr, row.tolist())) + "\n")
     with open(os.path.join(directory, LABELS_FILE), "w", encoding="utf-8") as fh:
         for lab in dataset.labels:
             fh.write(f"{lab}\n")

@@ -20,15 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from reachmix.graphalg import CsrGraph, MixSelector, mix_adjacency, sym_normalize
+from reachmix.graphio import Dataset
 from reachmix.nn import (
     ModelParams,
+    as_csr,
     backward,
     gcn_forward,
     mlp_forward,
     soft_cross_entropy_with_grad,
-    softmax,
 )
 
 
@@ -105,6 +107,27 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class TrainInputs:
+    """A dataset in the form every epoch reads it, built once per run by
+    ``train_inputs``: CSR features, one-hot labels, and the row weights that
+    restrict the supervised loss to labeled nodes."""
+
+    dataset: Dataset
+    features: csr_array
+    y_hot: np.ndarray  # (N, C)
+    labeled_weights: np.ndarray  # (N,): 1 on labeled rows, 0 elsewhere
+
+
+def train_inputs(dataset: Dataset) -> TrainInputs:
+    y_hot = one_hot(dataset.labels, dataset.num_classes)
+    weights = np.zeros(dataset.num_nodes)
+    weights[dataset.split.labeled_ids] = 1.0
+    for arr in (y_hot, weights):
+        arr.setflags(write=False)
+    return TrainInputs(dataset, as_csr(dataset.features), y_hot, weights)
+
+
+@dataclass(frozen=True)
 class PseudoLabelSet:
     """Confident unlabeled nodes: ids, argmax pseudo-labels, max-prob confidences."""
 
@@ -160,9 +183,11 @@ def compute_nld(a: CsrGraph, ybar: np.ndarray, include_self: bool = True) -> NLD
     if not include_self:
         off = rows != cols
         rows, cols = rows[off], cols[off]
-    counts = np.bincount(rows, minlength=a.num_nodes).astype(np.float64)
-    sums = np.zeros((a.num_nodes, ybar.shape[1]))
-    np.add.at(sums, rows, ybar[cols])
+    counts = np.bincount(rows, minlength=a.num_nodes)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    neighbors = csr_array((np.ones(cols.size), cols, indptr), shape=(a.num_nodes, a.num_nodes))
+    sums = neighbors @ ybar  # sums of 0/1 values: exact in any order
+    counts = counts.astype(np.float64)
     q = np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=counts[:, None] > 0)
     return NLDTable(q, ybar)
 
@@ -324,19 +349,19 @@ def sample_pairs(
 class MixupBatches:
     """Materialized training inputs for one refresh period.
 
-    The same-class branch is full-graph: features with labeled target rows
-    replaced by their mixes, soft targets for every labeled row, and the mixed
-    adjacency (plus its normalized form, cached for the forward pass). The
-    different-class branch is row-per-pair and runs through the MLP path.
+    The same-class branch is full-graph: CSR features with labeled target
+    rows replaced by their mixes, soft targets for every labeled row, and the
+    mixed adjacency (plus its normalized form, cached for the forward pass).
+    The different-class branch is row-per-pair and runs through the MLP path.
     Either branch may be absent (None / empty) when its pool was empty.
     """
 
     pairs: PairAssignment
-    intra_features: np.ndarray | None
+    intra_features: csr_array | None
     intra_targets: np.ndarray | None  # aligned with sorted labeled_ids
     adjacency_mixed: CsrGraph | None
     adjacency_mixed_norm: CsrGraph | None
-    inter_features: np.ndarray
+    inter_features: csr_array
     inter_targets: np.ndarray
 
     @property
@@ -372,57 +397,53 @@ def _validate_pairs(dataset, pairs: PairAssignment) -> None:
             raise ValueError("inter pair with matching classes")
 
 
-def build_batches(dataset, pairs: PairAssignment, a: CsrGraph) -> MixupBatches:
+def _mixed_targets(inputs: TrainInputs, sel: MixSelector, partner_labels) -> np.ndarray:
+    """lam * one_hot(target's label) + (1 - lam) * one_hot(partner's pseudo-label)."""
+    lam = sel.lams[:, None]
+    other = one_hot(partner_labels, inputs.dataset.num_classes)
+    return lam * inputs.y_hot[sel.targets] + (1.0 - lam) * other
+
+
+def build_batches(inputs: TrainInputs, pairs: PairAssignment, a: CsrGraph) -> MixupBatches:
     """Materialize mixed inputs from a pair assignment.
 
-    ``a`` is the unnormalized adjacency with self-loops; row/column mixing
-    happens on it, and the result is renormalized here so the training loop
-    can reuse it for every step of the refresh period.
+    ``a`` is the unnormalized adjacency with self-loops. Each branch mixes
+    with one selector S (see ``MixSelector.matrix``): the same-class branch
+    takes S X and S A S^T, renormalized here so the training loop can reuse
+    it for every step of the refresh period; the different-class branch takes
+    the pair rows S[targets] X.
     """
+    dataset = inputs.dataset
     _validate_pairs(dataset, pairs)
+    n = dataset.num_nodes
     labeled = dataset.split.labeled_ids
-    y_hot = one_hot(dataset.labels, dataset.num_classes)
 
     intra_x = intra_t = a_mixed = a_mixed_norm = None
     if pairs.intra_targets.size:
-        intra_x = dataset.features.copy()
-        lam = pairs.intra_lams[:, None]
-        intra_x[pairs.intra_targets] = (
-            lam * dataset.features[pairs.intra_targets]
-            + (1.0 - lam) * dataset.features[pairs.intra_partners]
-        )
-        intra_t = y_hot[labeled].copy()
-        pos = np.searchsorted(labeled, pairs.intra_targets)
-        intra_t[pos] = (
-            lam * y_hot[pairs.intra_targets]
-            + (1.0 - lam) * one_hot(pairs.intra_partner_labels, dataset.num_classes)
-        )
         sel = MixSelector(pairs.intra_targets, pairs.intra_partners, pairs.intra_lams)
+        intra_x = sel.matrix(n) @ inputs.features
+        intra_t = inputs.y_hot[labeled].copy()
+        pos = np.searchsorted(labeled, pairs.intra_targets)
+        intra_t[pos] = _mixed_targets(inputs, sel, pairs.intra_partner_labels)
         a_mixed = mix_adjacency(a, sel)
         a_mixed_norm = sym_normalize(a_mixed)
 
     if pairs.inter_targets.size:
-        lam = pairs.inter_lams[:, None]
-        inter_x = (
-            lam * dataset.features[pairs.inter_targets]
-            + (1.0 - lam) * dataset.features[pairs.inter_partners]
-        )
-        inter_t = (
-            lam * y_hot[pairs.inter_targets]
-            + (1.0 - lam) * one_hot(pairs.inter_partner_labels, dataset.num_classes)
-        )
+        sel = MixSelector(pairs.inter_targets, pairs.inter_partners, pairs.inter_lams)
+        inter_x = sel.matrix(n)[sel.targets] @ inputs.features
+        inter_t = _mixed_targets(inputs, sel, pairs.inter_partner_labels)
     else:
-        inter_x = np.zeros((0, dataset.num_features))
+        inter_x = csr_array((0, dataset.num_features))
         inter_t = np.zeros((0, dataset.num_classes))
 
     batches = MixupBatches(pairs, intra_x, intra_t, a_mixed, a_mixed_norm, inter_x, inter_t)
-    check_batch_invariants(dataset, batches)
+    check_batch_invariants(batches)
     return batches
 
 
-def check_batch_invariants(dataset, batches: MixupBatches) -> None:
-    """Assert the structural guarantees every batch must satisfy."""
-    _validate_pairs(dataset, batches.pairs)
+def check_batch_invariants(batches: MixupBatches) -> None:
+    """Assert the structural guarantees every batch must satisfy beyond the
+    pair checks ``build_batches`` runs first."""
     if batches.has_intra:
         rows = batches.intra_targets
         if np.any(rows < 0) or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-9):
@@ -445,7 +466,7 @@ class LossParts:
 
 def loss_and_grads(
     params: ModelParams,
-    dataset,
+    inputs: TrainInputs,
     a_norm: CsrGraph,
     batches: MixupBatches | None,
     cfg: MixupConfig,
@@ -461,21 +482,19 @@ def loss_and_grads(
     never perturbs the others.
     """
     rngs = rngs or {}
-    labeled = dataset.split.labeled_ids
-    y_hot = one_hot(dataset.labels, dataset.num_classes)
-    w_labeled = np.zeros(dataset.num_nodes)
-    w_labeled[labeled] = 1.0
+    labeled = inputs.dataset.split.labeled_ids
+    w_labeled = inputs.labeled_weights
 
     logits, trace = gcn_forward(
-        dataset.features, a_norm, params, dropout, train, rngs.get("gnn")
+        inputs.features, a_norm, params, dropout, train, rngs.get("gnn")
     )
-    sup, dlogits = soft_cross_entropy_with_grad(logits, y_hot, w_labeled)
+    sup, dlogits = soft_cross_entropy_with_grad(logits, inputs.y_hot, w_labeled)
     grads = backward(trace, dlogits)
 
     intra_loss = 0.0
     inter_loss = 0.0
     if batches is not None and cfg.lambda_intra > 0.0 and batches.has_intra:
-        targets = y_hot.copy()
+        targets = inputs.y_hot.copy()
         targets[labeled] = batches.intra_targets
         logits_i, trace_i = gcn_forward(
             batches.intra_features, batches.adjacency_mixed_norm, params, dropout, train, rngs.get("intra")
@@ -495,12 +514,6 @@ def loss_and_grads(
 
     total = sup + cfg.lambda_intra * intra_loss + cfg.lambda_inter * inter_loss
     return LossParts(total, sup, intra_loss, inter_loss), grads
-
-
-def predict_probs(params: ModelParams, features: np.ndarray, a_norm: CsrGraph) -> np.ndarray:
-    """Eval-mode class probabilities for every node."""
-    logits, _ = gcn_forward(features, a_norm, params)
-    return softmax(logits)
 
 
 def prediction_label_matrix(probs: np.ndarray, labels: np.ndarray, labeled_ids: np.ndarray) -> np.ndarray:

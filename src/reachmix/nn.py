@@ -1,9 +1,12 @@
-"""Two-layer GCN in plain numpy: forward, exact reverse-mode gradients,
-masked soft-target cross-entropy, inverted dropout, Adam, gradient checking.
+"""Two-layer GCN in numpy and scipy.sparse: forward, exact reverse-mode
+gradients, masked soft-target cross-entropy, inverted dropout, Adam, gradient
+checking.
 
-Everything runs in float64. The MLP path is the same network with the
-propagation step omitted; feeding the GCN an identity adjacency produces
-bit-identical output to the MLP.
+Everything runs in float64. The input features are a CSR matrix (dense input
+is converted), so input dropout, ``X @ W1`` and ``X^T @ dXW`` touch the stored
+entries only. The MLP path is the same network with the propagation step
+omitted; feeding the GCN an identity adjacency produces bit-identical output
+to the MLP.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array, issparse
 
 from reachmix.graphalg import CsrGraph, matmul_dense
 
@@ -55,29 +59,44 @@ def init_params(num_features: int, hidden: int, num_classes: int, rng: np.random
 class ForwardTrace:
     """Intermediates cached by a forward pass, consumed exactly once by backward."""
 
-    x_in: np.ndarray  # input after dropout
+    x_in: csr_array  # input after dropout
     pre1: np.ndarray  # first-layer pre-activation (after propagation)
     hidden: np.ndarray  # post-ReLU, post-dropout hidden
     adjacency: CsrGraph | None  # None for the MLP path
     w2: np.ndarray
-    mask1: np.ndarray | None  # inverted-dropout masks (None when not applied)
-    mask2: np.ndarray | None
+    mask1: np.ndarray | None  # inverted-dropout scale per stored input entry
+    mask2: np.ndarray | None  # ... and per hidden unit; None when not applied
     consumed: bool = field(default=False)
 
 
-def _dropout(x: np.ndarray, rate: float, train: bool, rng: np.random.Generator | None):
+def as_csr(x) -> csr_array:
+    """Features as a float64 CSR matrix; a float64 ``csr_array`` passes through."""
+    if isinstance(x, csr_array) and x.dtype == np.float64:
+        return x
+    return csr_array(x, dtype=np.float64)
+
+
+def _dropout(x, rate: float, train: bool, rng: np.random.Generator | None):
+    """Inverted dropout. On a CSR matrix it draws one uniform per stored entry
+    and scales the stored entries only, so zeros stay zero (the reference
+    GCN's ``sparse_dropout``)."""
     if not train or rate == 0.0:
         return x, None
     if rng is None:
         raise ValueError("train-mode dropout needs an rng")
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    values = x.data if issparse(x) else x
+    mask = (rng.random(values.shape) >= rate) / (1.0 - rate)
+    if issparse(x):
+        return csr_array((x.data * mask, x.indices, x.indptr), shape=x.shape), mask
     return x * mask, mask
 
 
 def _forward(x, adjacency, params, dropout_rate, train, rng):
-    x = np.asarray(x, dtype=np.float64)
+    x = as_csr(x)
     if x.ndim != 2 or x.shape[1] != params.w1.shape[0]:
         raise ValueError(f"input shape {x.shape} does not match w1 {params.w1.shape}")
+    if adjacency is not None and adjacency.num_nodes != x.shape[0]:
+        raise ValueError("adjacency size does not match feature rows")
     if not (0.0 <= dropout_rate < 1.0):
         raise ValueError("dropout_rate must be in [0, 1)")
     x0, mask1 = _dropout(x, dropout_rate, train, rng)
@@ -96,11 +115,10 @@ def _forward(x, adjacency, params, dropout_rate, train, rng):
 def gcn_forward(x, a_hat: CsrGraph, params: ModelParams, dropout_rate=0.0, train=False, rng=None):
     """logits = A_hat . drop(ReLU(A_hat . drop(X) W1 + b1)) W2 + b2.
 
-    ``a_hat`` is the normalized adjacency. Eval mode (train=False) applies no
-    dropout and is deterministic.
+    ``x`` is CSR or dense (converted to CSR); ``a_hat`` is the normalized
+    adjacency. Eval mode (train=False) applies no dropout and is
+    deterministic.
     """
-    if a_hat.num_nodes != np.asarray(x).shape[0]:
-        raise ValueError("adjacency size does not match feature rows")
     return _forward(x, a_hat, params, dropout_rate, train, rng)
 
 
@@ -284,7 +302,7 @@ def gradient_check(dataset, params: ModelParams, eps: float = 1e-5):
     from reachmix.graphalg import add_self_loops, from_edges, sym_normalize
 
     a_hat = sym_normalize(add_self_loops(from_edges(dataset.num_nodes, dataset.edges)))
-    x = dataset.features
+    x = as_csr(dataset.features)
     labeled = dataset.split.labeled_ids
     targets = np.zeros((dataset.num_nodes, dataset.num_classes))
     targets[np.arange(dataset.num_nodes), dataset.labels] = 1.0

@@ -20,15 +20,16 @@ from reachmix.graphalg import add_self_loops, from_edges, structural_degrees, sy
 from reachmix.graphio import Dataset
 from reachmix.mixup import (
     MixupConfig,
+    TrainInputs,
     build_batches,
     build_pseudo_labels,
     compute_nld,
     loss_and_grads,
-    predict_probs,
     prediction_label_matrix,
     sample_pairs,
+    train_inputs,
 )
-from reachmix.nn import ModelParams, accuracy, adam_init, adam_step, gcn_forward, init_params
+from reachmix.nn import ModelParams, accuracy, adam_init, adam_step, gcn_forward, init_params, softmax
 from reachmix.seeding import substream
 
 
@@ -127,9 +128,10 @@ def build_operators(dataset: Dataset):
     return a, sym_normalize(a), structural_degrees(a)
 
 
-def evaluate(params: ModelParams, dataset: Dataset, a_norm, ids) -> float:
-    logits, _ = gcn_forward(dataset.features, a_norm, params)
-    return accuracy(logits, dataset.labels, ids)
+def evaluate(params: ModelParams, inputs: TrainInputs, a_norm, ids) -> tuple[float, np.ndarray]:
+    """Eval-mode accuracy on ``ids``, and the logits of every node."""
+    logits, _ = gcn_forward(inputs.features, a_norm, params)
+    return accuracy(logits, inputs.dataset.labels, ids), logits
 
 
 def _due(epoch: int, warmup: int, every: int) -> bool:
@@ -148,9 +150,12 @@ def train_one(
     The mixup path refreshes pseudo-labels / NLD every ``refresh_every``
     epochs after warm-up and resamples pairs every ``pair_resample_every``
     (default: together with the refresh). ``on_refresh(epoch, dpl, pairs,
-    batches)`` is invoked after each resample, for inspection hooks.
+    batches)`` is invoked after each resample, for inspection hooks. A
+    refresh reads the eval-mode logits of the previous epoch's validation
+    pass, which were computed from the same parameters.
     """
     a_loops, a_norm, degrees = build_operators(dataset)
+    inputs = train_inputs(dataset)
     params = init_params(dataset.num_features, cfg.hidden, dataset.num_classes, substream(seed, "init"))
     state = adam_init(params, cfg.lr, weight_decay={"w1": cfg.weight_decay})
     rngs = {
@@ -175,13 +180,16 @@ def train_one(
     batches = None
     dpl = None
     nld = None
+    logits = None  # eval-mode logits of the current params
     stopped = cfg.max_epochs - 1
 
     for epoch in range(cfg.max_epochs):
         t0 = time.perf_counter()
         if cfg.mixup_enabled:
             if _due(epoch, mix_cfg.warmup_epochs, mix_cfg.refresh_every):
-                probs = predict_probs(params, dataset.features, a_norm)
+                if logits is None:
+                    logits, _ = gcn_forward(inputs.features, a_norm, params)
+                probs = softmax(logits)
                 dpl = build_pseudo_labels(probs, dataset.split.labeled_ids, mix_cfg.gamma)
                 ybar = prediction_label_matrix(probs, dataset.labels, dataset.split.labeled_ids)
                 nld = compute_nld(a_loops, ybar, include_self=mix_cfg.nld_include_self)
@@ -189,13 +197,13 @@ def train_one(
                 pairs = sample_pairs(
                     dataset.split.labeled_ids, dpl, nld, mix_cfg, degrees, rng_pairs, rng_lam
                 )
-                batches = build_batches(dataset, pairs, a_loops)
+                batches = build_batches(inputs, pairs, a_loops)
                 if on_refresh is not None:
                     on_refresh(epoch, dpl, pairs, batches)
 
         try:
             parts, grads = loss_and_grads(
-                params, dataset, a_norm, batches, mix_cfg,
+                params, inputs, a_norm, batches, mix_cfg,
                 dropout=cfg.dropout, train=True, rngs=rngs,
             )
         except FloatingPointError as exc:
@@ -204,7 +212,7 @@ def train_one(
             raise TrainingDiverged(f"epoch {epoch}: loss is {parts.total}")
         adam_step(params, grads, state)
 
-        val_acc = evaluate(params, dataset, a_norm, valid_ids)
+        val_acc, logits = evaluate(params, inputs, a_norm, valid_ids)
         history.append(
             EpochRecord(epoch, parts.total, parts.supervised, parts.intra, parts.inter,
                         val_acc, time.perf_counter() - t0)
@@ -222,7 +230,7 @@ def train_one(
     else:
         stopped = cfg.max_epochs - 1
 
-    test_acc = evaluate(best_params, dataset, a_norm, dataset.split.test_ids) if eval_test else None
+    test_acc = evaluate(best_params, inputs, a_norm, dataset.split.test_ids)[0] if eval_test else None
     return TrainOutcome(best_params, history, best_val, best_epoch, test_acc, stopped)
 
 

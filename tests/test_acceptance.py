@@ -38,6 +38,7 @@ from reachmix.mixup import (
     mix,
     one_hot,
     sample_pairs,
+    train_inputs,
 )
 from reachmix.nn import gradient_check, init_params
 from reachmix.seeding import substream
@@ -99,10 +100,11 @@ def test_criterion_2_mixup_algebra(capsys):
     nld = compute_nld(a_loops, one_hot(ds.labels, 3))
     cfg0 = MixupConfig(lambda_intra=0.0, lambda_inter=0.0)
     pairs = sample_pairs(ds.split.labeled_ids, dpl, nld, cfg0, degrees, substream(0, "pairs"))
-    batches = build_batches(ds, pairs, a_loops)
+    inputs = train_inputs(ds)
+    batches = build_batches(inputs, pairs, a_loops)
     params = init_params(ds.num_features, 8, 3, substream(0, "init"))
-    parts, grads = loss_and_grads(params, ds, a_norm, batches, cfg0)
-    base_parts, base_grads = loss_and_grads(params, ds, a_norm, None, cfg0)
+    parts, grads = loss_and_grads(params, inputs, a_norm, batches, cfg0)
+    base_parts, base_grads = loss_and_grads(params, inputs, a_norm, None, cfg0)
     ok &= parts.total == parts.supervised == base_parts.total
     ok &= all(np.array_equal(grads[k], base_grads[k]) for k in grads)
     with capsys.disabled():

@@ -9,8 +9,10 @@ from reachmix.graphalg import (
     MixSelector,
     add_self_loops,
     bfs_distances,
+    connected_components,
     diameter_and_components,
     from_edges,
+    hop_distances,
     identity_adjacency,
     matmul_dense,
     mix_adjacency,
@@ -121,6 +123,7 @@ def test_bfs_matches_dense_oracle_and_triangle_inequality(rng):
         dist = {u: bfs_distances(g, [u]) for u in range(n)}
         for u in range(n):
             np.testing.assert_array_equal(dist[u], dense_bfs(dense, [u]))
+        np.testing.assert_array_equal(hop_distances(g, np.arange(n)[::-1]), np.stack([dist[u] for u in range(n)]))
         for _ in range(20):
             a, b, c = rng.integers(0, n, 3)
             assert dist[a][c] <= dist[a][b] + dist[b][c]
@@ -140,17 +143,37 @@ def test_diameter_two_disjoint_edges():
     assert np.unique(comp).size == 2
 
 
+def test_component_ids_follow_smallest_member():
+    g = from_edges(6, np.array([[1, 4], [0, 5], [2, 3]]))
+    np.testing.assert_array_equal(connected_components(g), [0, 1, 2, 2, 1, 0])
+
+
 def test_diameter_five_cycle():
     g = from_edges(5, np.array([[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]))
     diameter, _ = diameter_and_components(g)
     assert diameter == 2
 
 
+def cycle_and_path_edges(rng, n):
+    """A cycle, a path and some isolated nodes, relabelled at random: graphs
+    on which eccentricity bounds prune little."""
+    cycle = int(rng.integers(3, n - 2))
+    path = int(rng.integers(1, n - cycle))
+    ring = [(i, (i + 1) % cycle) for i in range(cycle)]
+    line = [(cycle + i, cycle + i + 1) for i in range(path - 1)]
+    perm = rng.permutation(n)
+    pairs = np.sort(perm[np.array(ring + line, dtype=np.int64).reshape(-1, 2)], axis=1)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
 def test_diameter_matches_brute_force(rng):
     # Oracle: max finite pairwise distance from an independent dense BFS.
-    for _ in range(15):
-        n = int(rng.integers(3, 50))
-        edges = random_graph_edges(rng, n, p=0.15)
+    for trial in range(45):
+        n = int(rng.integers(6, 50))
+        if trial % 3 == 2:
+            edges = cycle_and_path_edges(rng, n)
+        else:
+            edges = random_graph_edges(rng, n, p=[0.15, 0.05][trial % 3])
         g = from_edges(n, edges)
         diameter, _ = diameter_and_components(g)
         dense = g.to_dense()
@@ -209,6 +232,7 @@ def test_mix_adjacency_lambda_one_is_identity_transform():
     sel = MixSelector([0, 1], [3, 2], [1.0, 1.0])
     mixed = mix_adjacency(g, sel)
     np.testing.assert_array_equal(mixed.to_dense(), g.to_dense())
+    mixed.validate()  # the zero-weight partner terms leave no stored zeros
 
 
 def test_mix_adjacency_hand_case_three_node_path():

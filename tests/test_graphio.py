@@ -99,6 +99,44 @@ def test_dimension_mismatch(tmp_path):
         load_dataset(d)
 
 
+@pytest.mark.parametrize(
+    "features_text, message",
+    [
+        ("1.0\t2.0\n3.0\n", "columns"),  # ragged row
+        ("1.0\t2.0\n3.0\tabc\n", "abc"),  # non-numeric token
+        ("1.0\t2.0 # note\n3.0\t4.0\n", "#"),  # '#' is a token, not a comment
+        ("", "no feature rows"),
+        ("\n  \t\n", "no feature rows"),
+    ],
+)
+def test_malformed_features_name_the_file(tmp_path, features_text, message):
+    d = write_dataset_dir(
+        tmp_path, "0\t1\n", features_text, "0\n1\n", {"labeled": [0], "valid": [], "test": [1]},
+    )
+    with pytest.raises(DatasetFormatError, match="features.tsv") as err:
+        load_dataset(d)
+    assert message in str(err.value)
+
+
+def test_features_blank_lines_are_skipped(tmp_path):
+    d = write_dataset_dir(
+        tmp_path, "0\t1\n", "\n1.0\t2.0\n\n  \n3.0\t4.0\n\n", "0\n1\n",
+        {"labeled": [0], "valid": [], "test": [1]},
+    )
+    np.testing.assert_array_equal(load_dataset(d).features, [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_save_features_bytes_are_shortest_repr(tmp_path):
+    # -0.0 keeps its sign, the smallest subnormal and a value that needs all
+    # 17 significant digits are written exactly and read back bit for bit.
+    features = np.array([[-0.0, 5e-324, 0.1 + 0.2], [1.0, 0.0, 1e300]])
+    ds = Dataset(2, 2, np.array([[0, 1]]), features, np.array([0, 1]), SplitSpec([0], [], [1]))
+    save_dataset(ds, tmp_path)
+    assert (tmp_path / "features.tsv").read_bytes() == b"-0.0\t5e-324\t0.30000000000000004\n1.0\t0.0\t1e+300\n"
+    back = load_dataset(tmp_path).features
+    assert back.tobytes() == features.tobytes()
+
+
 def test_round_trip_identity(tmp_path, rng):
     for trial in range(10):
         n = int(rng.integers(3, 20))

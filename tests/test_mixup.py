@@ -21,6 +21,7 @@ from reachmix.mixup import (
     sample_pairs,
     sampling_weight,
     sharpen,
+    train_inputs,
 )
 from reachmix.nn import init_params
 from reachmix.seeding import substream
@@ -309,7 +310,7 @@ def sbm_with_pairs(seed=0):
 
 def test_build_batches_class_consistency_and_simplex():
     ds, a_loops, _, _, pairs = sbm_with_pairs()
-    batches = build_batches(ds, pairs, a_loops)
+    batches = build_batches(train_inputs(ds), pairs, a_loops)
     assert np.all(ds.labels[pairs.intra_targets] == pairs.intra_partner_labels)
     assert np.all(ds.labels[pairs.inter_targets] != pairs.inter_partner_labels)
     np.testing.assert_allclose(batches.intra_targets.sum(axis=1), 1.0, atol=1e-12)
@@ -324,8 +325,8 @@ def test_build_batches_lambda_one_degenerates_to_originals():
         pairs.inter_targets, pairs.inter_partners, pairs.inter_partner_labels,
         np.ones_like(pairs.inter_lams),
     )
-    batches = build_batches(ds, ones, a_loops)
-    np.testing.assert_array_equal(batches.intra_features, ds.features)
+    batches = build_batches(train_inputs(ds), ones, a_loops)
+    np.testing.assert_array_equal(batches.intra_features.toarray(), ds.features)
     np.testing.assert_array_equal(
         batches.intra_targets, one_hot(ds.labels[ds.split.labeled_ids], 3)
     )
@@ -340,9 +341,9 @@ def test_build_batches_identical_rows_fixed_point():
     from dataclasses import replace
 
     ds2 = replace(ds, features=features)
-    batches = build_batches(ds2, pairs, a_loops)
+    batches = build_batches(train_inputs(ds2), pairs, a_loops)
     # lam*x + (1-lam)*x re-rounds each product, so equality holds to ~1 ulp.
-    np.testing.assert_allclose(batches.intra_features[t], features[t], rtol=1e-14, atol=0)
+    np.testing.assert_allclose(batches.intra_features.toarray()[t], features[t], rtol=1e-14, atol=0)
 
 
 def test_build_batches_single_pair_matches_dense_oracle():
@@ -359,8 +360,8 @@ def test_build_batches_single_pair_matches_dense_oracle():
         np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
         np.zeros(0, dtype=np.int64), np.zeros(0),
     )
-    batches = build_batches(ds, pairs, a_loops)
-    np.testing.assert_allclose(batches.intra_features[0], [2.5, 1.0], atol=1e-15)
+    batches = build_batches(train_inputs(ds), pairs, a_loops)
+    np.testing.assert_allclose(batches.intra_features.toarray()[0], [2.5, 1.0], atol=1e-15)
     expected = dense_mix(a_loops.to_dense(), [0], [2], [0.5])
     np.testing.assert_allclose(batches.adjacency_mixed.to_dense(), expected, atol=1e-12)
 
@@ -373,16 +374,17 @@ def test_build_batches_rejects_mismatched_intra_pair():
         pairs.inter_targets, pairs.inter_partners, pairs.inter_partner_labels, pairs.inter_lams,
     )
     with pytest.raises(ValueError, match="intra"):
-        build_batches(ds, bad, a_loops)
+        build_batches(train_inputs(ds), bad, a_loops)
 
 
 def test_loss_zero_lambdas_equals_supervised_bitwise():
     ds, a_loops, a_norm, _, pairs = sbm_with_pairs()
     cfg0 = MixupConfig(lambda_intra=0.0, lambda_inter=0.0)
-    batches = build_batches(ds, pairs, a_loops)
+    inputs = train_inputs(ds)
+    batches = build_batches(inputs, pairs, a_loops)
     params = init_params(ds.num_features, 8, 3, substream(0, "init"))
-    parts, grads = loss_and_grads(params, ds, a_norm, batches, cfg0)
-    base_parts, base_grads = loss_and_grads(params, ds, a_norm, None, cfg0)
+    parts, grads = loss_and_grads(params, inputs, a_norm, batches, cfg0)
+    base_parts, base_grads = loss_and_grads(params, inputs, a_norm, None, cfg0)
     assert parts.total == base_parts.supervised == parts.supervised
     for name in grads:
         np.testing.assert_array_equal(grads[name], base_grads[name])
@@ -390,8 +392,9 @@ def test_loss_zero_lambdas_equals_supervised_bitwise():
 
 def test_loss_empty_batches_equals_supervised():
     ds, _, a_norm, cfg, _ = sbm_with_pairs()
+    inputs = train_inputs(ds)
     params = init_params(ds.num_features, 8, 3, substream(0, "init"))
-    parts, _ = loss_and_grads(params, ds, a_norm, None, cfg)
+    parts, _ = loss_and_grads(params, inputs, a_norm, None, cfg)
     assert parts.total == parts.supervised
     assert parts.intra == 0.0 and parts.inter == 0.0
 
@@ -404,18 +407,20 @@ def test_loss_lambda_one_draws_reproduce_supervised_value():
         np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
         np.zeros(0, dtype=np.int64), np.zeros(0),
     )
-    batches = build_batches(ds, ones, a_loops)
+    inputs = train_inputs(ds)
+    batches = build_batches(inputs, ones, a_loops)
     params = init_params(ds.num_features, 8, 3, substream(1, "init"))
-    parts, _ = loss_and_grads(params, ds, a_norm, batches, cfg)
+    parts, _ = loss_and_grads(params, inputs, a_norm, batches, cfg)
     # Same inputs, same adjacency, same mask: the intra term IS the supervised term.
     assert parts.intra == parts.supervised
 
 
 def test_total_loss_gradient_matches_finite_differences():
     ds, a_loops, a_norm, cfg, pairs = sbm_with_pairs(seed=4)
-    batches = build_batches(ds, pairs, a_loops)
+    inputs = train_inputs(ds)
+    batches = build_batches(inputs, pairs, a_loops)
     params = init_params(ds.num_features, 5, 3, substream(2, "init"))
-    _, grads = loss_and_grads(params, ds, a_norm, batches, cfg)
+    _, grads = loss_and_grads(params, inputs, a_norm, batches, cfg)
     eps = 1e-6
     max_rel = 0.0
     for name, arr in params.as_dict().items():
@@ -424,9 +429,9 @@ def test_total_loss_gradient_matches_finite_differences():
         for j in idx:
             orig = flat[j]
             flat[j] = orig + eps
-            up, _ = loss_and_grads(params, ds, a_norm, batches, cfg)
+            up, _ = loss_and_grads(params, inputs, a_norm, batches, cfg)
             flat[j] = orig - eps
-            down, _ = loss_and_grads(params, ds, a_norm, batches, cfg)
+            down, _ = loss_and_grads(params, inputs, a_norm, batches, cfg)
             flat[j] = orig
             numeric = (up.total - down.total) / (2 * eps)
             a = grads[name].reshape(-1)[j]

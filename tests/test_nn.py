@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from reachmix.graphalg import add_self_loops, from_edges, identity_adjacency, sym_normalize
 from reachmix.graphio import generate_sbm
@@ -26,12 +27,61 @@ def small_params(rng, f=5, h=4, c=3):
     return init_params(f, h, c, rng)
 
 
+def sparse_features(rng, n=9, f=5, density=0.3):
+    x = rng.standard_normal((n, f)) * (rng.random((n, f)) < density)
+    return csr_array(x)
+
+
 def test_gcn_identity_equals_mlp_bitwise(rng):
-    x = rng.standard_normal((9, 5))
+    x = sparse_features(rng)
     params = small_params(np.random.default_rng(0))
-    gcn_logits, _ = gcn_forward(x, identity_adjacency(9), params)
-    mlp_logits, _ = mlp_forward(x, params)
-    assert np.array_equal(gcn_logits, mlp_logits)
+    dlogits = rng.standard_normal((9, 3))
+    for train in (False, True):
+        gcn_logits, gcn_trace = gcn_forward(x, identity_adjacency(9), params, 0.5, train, np.random.default_rng(1))
+        mlp_logits, mlp_trace = mlp_forward(x, params, 0.5, train, np.random.default_rng(1))
+        assert np.array_equal(gcn_logits, mlp_logits)
+        gcn_grads, mlp_grads = backward(gcn_trace, dlogits), backward(mlp_trace, dlogits)
+        for name in gcn_grads:
+            assert np.array_equal(gcn_grads[name], mlp_grads[name])
+
+
+def test_dense_and_csr_input_agree_bitwise(rng):
+    x = sparse_features(rng)
+    params = small_params(np.random.default_rng(0))
+    a = sym_normalize(add_self_loops(from_edges(9, np.array([[0, 1], [1, 2], [3, 4], [5, 8]]))))
+    dense_logits, _ = gcn_forward(x.toarray(), a, params, 0.5, True, np.random.default_rng(2))
+    csr_logits, _ = gcn_forward(x, a, params, 0.5, True, np.random.default_rng(2))
+    assert np.array_equal(dense_logits, csr_logits)
+
+
+def test_input_dropout_acts_on_stored_entries_only(rng):
+    x = sparse_features(rng, n=40, f=30, density=0.1)
+    params = small_params(np.random.default_rng(0), f=30)
+    rate = 0.4
+    _, trace = mlp_forward(x, params, rate, True, np.random.default_rng(5))
+    dropped = trace.x_in
+    # Zeros stay zero: the stored pattern is unchanged and nothing is added.
+    assert np.array_equal(dropped.indptr, x.indptr) and np.array_equal(dropped.indices, x.indices)
+    # Each stored entry is either dropped or scaled by exactly 1 / (1 - p).
+    kept = dropped.data != 0.0
+    assert 0 < kept.sum() < x.nnz
+    np.testing.assert_array_equal(dropped.data[kept], x.data[kept] / (1.0 - rate))
+    # The stream advances by exactly nnz draws for the input layer: the next
+    # N x H draws are the hidden-layer mask.
+    ref = np.random.default_rng(5)
+    np.testing.assert_array_equal(trace.mask1, (ref.random(x.nnz) >= rate) / (1.0 - rate))
+    np.testing.assert_array_equal(trace.mask2, (ref.random((40, 4)) >= rate) / (1.0 - rate))
+
+
+def test_train_mode_same_seed_same_output(rng):
+    x = sparse_features(rng, n=20, f=5)
+    params = small_params(np.random.default_rng(0))
+    a = sym_normalize(add_self_loops(from_edges(20, np.array([[i, i + 1] for i in range(19)]))))
+    first, _ = gcn_forward(x, a, params, 0.5, True, np.random.default_rng(9))
+    again, _ = gcn_forward(x, a, params, 0.5, True, np.random.default_rng(9))
+    other, _ = gcn_forward(x, a, params, 0.5, True, np.random.default_rng(10))
+    assert np.array_equal(first, again)
+    assert not np.array_equal(first, other)
 
 
 def test_zero_weights_give_zero_logits(rng):
@@ -253,6 +303,19 @@ def test_adam_decoupled_weight_decay_exact_shrink():
 
 def test_gradient_check_small_graph():
     ds = generate_sbm(2, 4, 0.9, 0.3, 5, 0.5, seed=0, labels_per_class=2, valid_per_class=1)
+    params = init_params(ds.num_features, 6, ds.num_classes, substream(0, "gradcheck"))
+    max_rel, checked, _ = gradient_check(ds, params, eps=1e-5)
+    assert checked > 0
+    assert max_rel < 1e-5
+
+
+def test_gradient_check_sparse_features():
+    # Most features zero, so the CSR input stores a minority of the entries.
+    from dataclasses import replace
+
+    ds = generate_sbm(2, 4, 0.9, 0.3, 5, 0.5, seed=0, labels_per_class=2, valid_per_class=1)
+    keep = np.random.default_rng(3).random(ds.features.shape) < 0.3
+    ds = replace(ds, features=ds.features * keep)
     params = init_params(ds.num_features, 6, ds.num_classes, substream(0, "gradcheck"))
     max_rel, checked, _ = gradient_check(ds, params, eps=1e-5)
     assert checked > 0
