@@ -10,8 +10,7 @@ Representation similarity between node sets uses linear CKA with column
 centering:
     CKA(A, B) = ||B^T A||_F^2 / (||A^T A||_F ||B^T B||_F)
 which is 1 on identical inputs and invariant to orthogonal transforms and
-nonzero isotropic scaling. A raw Gram-ratio variant (no squaring, sample-Gram
-norms) is kept for comparison but does not have those properties.
+nonzero isotropic scaling.
 """
 
 from __future__ import annotations
@@ -62,32 +61,29 @@ class DegreeSPReport:
     node_degrees: np.ndarray
 
 
-def _distances_to_labeled(g: CsrGraph, labeled_ids: np.ndarray) -> np.ndarray:
-    """(|labeled|, N) hop-distance matrix, one row per labeled node in
-    ascending id order."""
+def _labeled_distances(g: CsrGraph, labeled_ids) -> tuple[int, np.ndarray, np.ndarray]:
+    """(diameter, unlabeled ids ascending, (|labeled|, |unlabeled|) hop
+    distances) with unreachable pairs counted as the diameter; labeled rows
+    in ascending id order."""
     labeled_ids = np.asarray(labeled_ids, dtype=np.int64)
     if labeled_ids.size == 0:
         raise ValueError("labeled set must be non-empty")
-    return hop_distances(g, labeled_ids)
-
-
-def _unlabeled(g: CsrGraph, labeled_ids) -> np.ndarray:
+    diameter, _ = diameter_and_components(g)
+    dists = hop_distances(g, labeled_ids)
     mask = np.ones(g.num_nodes, dtype=bool)
-    mask[np.asarray(labeled_ids, dtype=np.int64)] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    mask[labeled_ids] = False
+    unlabeled = np.flatnonzero(mask)
+    if unlabeled.size == 0:
+        raise ValueError("no unlabeled nodes")
+    dists = dists[:, unlabeled]
+    return diameter, unlabeled, np.where(np.isfinite(dists), dists, float(diameter))
 
 
 def reaching_coefficient(g: CsrGraph, labeled_ids) -> RCReport:
     """RC per unlabeled node (see module docstring)."""
-    diameter, _ = diameter_and_components(g)
+    diameter, unlabeled, d = _labeled_distances(g, labeled_ids)
     if diameter < 2:
         raise ValueError(f"diameter {diameter} < 2: the log-ratio in RC is degenerate")
-    dists = _distances_to_labeled(g, labeled_ids)
-    dists = np.where(np.isfinite(dists), dists, float(diameter))
-    unlabeled = _unlabeled(g, labeled_ids)
-    if unlabeled.size == 0:
-        raise ValueError("no unlabeled nodes")
-    d = dists[:, unlabeled]
     terms = 1.0 - np.log(d) / np.log(float(diameter))
     rc = terms.mean(axis=0)
     return RCReport(
@@ -137,19 +133,6 @@ def cka(zl: np.ndarray, zu: np.ndarray) -> float:
     return float(cross / (norm_l * norm_u))
 
 
-def gram_ratio(zl: np.ndarray, zu: np.ndarray) -> float:
-    """Unsquared cross-norm over sample-Gram norms. Not self-normalizing
-    (gram_ratio(Z, Z) != 1 in general); provided for comparison only."""
-    zl = _center_columns(zl)
-    zu = _center_columns(zu)
-    if zl.shape[0] != zu.shape[0]:
-        raise ValueError("matrices must have the same number of rows")
-    denom = np.linalg.norm(zl @ zl.T) * np.linalg.norm(zu @ zu.T)
-    if denom == 0.0:
-        raise ValueError("zero-variance input: all rows identical after centering")
-    return float(np.linalg.norm(zu.T @ zl) / denom)
-
-
 def representations(params: ModelParams, dataset) -> np.ndarray:
     """Final-layer pre-softmax output in eval mode, one row per node."""
     a_norm = sym_normalize(add_self_loops(from_edges(dataset.num_nodes, dataset.edges)))
@@ -162,7 +145,6 @@ def cka_by_bucket(
     dataset,
     buckets: list[np.ndarray],
     sample_seed: int,
-    method: str = "cka",
 ) -> CKAReport:
     """CKA between labeled representations and each RC bucket's.
 
@@ -173,7 +155,6 @@ def cka_by_bucket(
     set then scores exactly 1. Buckets with fewer than 2 nodes are reported
     as absent.
     """
-    score = {"cka": cka, "gram_ratio": gram_ratio}[method]
     z = representations(params, dataset)
     labeled = dataset.split.labeled_ids
     rng = np.random.default_rng(sample_seed)
@@ -186,7 +167,7 @@ def cka_by_bucket(
             continue
         sample_l = np.sort(rng.choice(labeled, size=m, replace=False))
         sample_b = np.sort(rng.choice(bucket, size=m, replace=False))
-        values.append(score(z[sample_l], z[sample_b]))
+        values.append(cka(z[sample_l], z[sample_b]))
         sizes.append(m)
     return CKAReport(values, sizes, sample_seed)
 
@@ -198,11 +179,8 @@ def avg_sp_by_degree(g: CsrGraph, labeled_ids) -> DegreeSPReport:
     unreachable pairs counted as the diameter (same convention as RC); then
     averaged within groups of equal self-loop-free degree.
     """
-    diameter, _ = diameter_and_components(g)
-    dists = _distances_to_labeled(g, labeled_ids)
-    dists = np.where(np.isfinite(dists), dists, float(diameter))
-    unlabeled = _unlabeled(g, labeled_ids)
-    node_avg = dists[:, unlabeled].mean(axis=0)
+    _, unlabeled, dists = _labeled_distances(g, labeled_ids)
+    node_avg = dists.mean(axis=0)
     node_deg = structural_degrees(g)[unlabeled]
     degrees = np.unique(node_deg)
     avg = np.array([node_avg[node_deg == d].mean() for d in degrees])

@@ -8,14 +8,11 @@ their inputs and always return new graphs.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_array, csr_array
 from scipy.sparse import csgraph
-
-EXACT_DIAMETER_LIMIT = 20_000  # above this, fall back to a double-sweep lower bound
 
 
 @dataclass(frozen=True)
@@ -89,10 +86,6 @@ def from_edges(num_nodes: int, edges: np.ndarray) -> CsrGraph:
     g = CsrGraph(coo_array((np.ones(rows.size), (rows, cols)), shape=(num_nodes, num_nodes)).tocsr())
     g.validate()
     return g
-
-
-def transpose(g: CsrGraph) -> CsrGraph:
-    return CsrGraph(g.matrix.T.tocsr())
 
 
 def matmul_dense(g: CsrGraph, x: np.ndarray) -> np.ndarray:
@@ -170,23 +163,12 @@ def connected_components(g: CsrGraph) -> np.ndarray:
     return comp.astype(np.int64)
 
 
-def _double_sweep_lower_bound(g: CsrGraph, comp: np.ndarray) -> int:
-    best = 0
-    for c in range(comp.max() + 1):
-        members = np.nonzero(comp == c)[0]
-        d0 = bfs_distances(g, [members[0]])
-        d0[~np.isfinite(d0)] = -1
-        far = int(np.argmax(d0))
-        d1 = bfs_distances(g, [far])
-        d1 = d1[np.isfinite(d1)]
-        best = max(best, int(d1.max()))
-    return best
-
-
-def _exact_diameter(g: CsrGraph) -> int:
+def _exact_diameter(g: CsrGraph, comp: np.ndarray) -> int:
     """Max eccentricity over all components, from eccentricity bounds.
 
-    A BFS from v with eccentricity e bounds every w it reaches by
+    A node's eccentricity is at most its component's size - 1, which settles
+    small components (isolated nodes above all) without a BFS. A BFS from v
+    with eccentricity e bounds every w it reaches by
     max(d(v, w), e - d(v, w)) <= ecc(w) <= e + d(v, w). The diameter is the
     largest lower bound once no upper bound exceeds it. Sources alternate
     between the largest upper and the smallest lower bound (Takes & Kosters,
@@ -194,7 +176,7 @@ def _exact_diameter(g: CsrGraph) -> int:
     of them and usually after far fewer.
     """
     lower = np.zeros(g.num_nodes)
-    upper = np.full(g.num_nodes, np.inf)
+    upper = (np.bincount(comp)[comp] - 1).astype(np.float64)
     take_upper = True
     while True:
         open_ids = np.flatnonzero(upper > lower.max())
@@ -213,17 +195,12 @@ def _exact_diameter(g: CsrGraph) -> int:
 def diameter_and_components(g: CsrGraph) -> tuple[int, np.ndarray]:
     """Exact diameter (max eccentricity over components) and component ids.
 
-    Exact up to ``EXACT_DIAMETER_LIMIT`` nodes; beyond that a double-sweep
-    lower bound is returned with a warning.
+    The ids come from ``connected_components``; the diameter from
+    ``_exact_diameter``'s eccentricity-bound loop of ``bfs_distances`` runs,
+    at any graph size.
     """
     comp = connected_components(g)
-    if g.num_nodes > EXACT_DIAMETER_LIMIT:
-        warnings.warn(
-            f"graph has {g.num_nodes} nodes; diameter is a double-sweep lower bound",
-            RuntimeWarning,
-        )
-        return _double_sweep_lower_bound(g, comp), comp
-    return _exact_diameter(g), comp
+    return _exact_diameter(g, comp), comp
 
 
 @dataclass(frozen=True)

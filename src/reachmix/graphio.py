@@ -72,11 +72,6 @@ class SplitSpec:
             if arr.size and (arr.min() < 0 or arr.max() >= num_nodes):
                 raise ValueError(f"{name} split contains node id outside [0, {num_nodes})")
 
-    def unlabeled_ids(self, num_nodes: int) -> np.ndarray:
-        mask = np.ones(num_nodes, dtype=bool)
-        mask[self.labeled_ids] = False
-        return np.nonzero(mask)[0].astype(np.int64)
-
 
 @dataclass(frozen=True)
 class Dataset:

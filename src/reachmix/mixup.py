@@ -17,7 +17,7 @@ where L_sup is the ordinary masked cross-entropy on labeled nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -86,17 +86,6 @@ class MixupConfig:
         if unknown:
             raise ValueError(f"unknown mixup config keys: {sorted(unknown)}")
         return cls(**blob)
-
-
-def mix(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
-    """Convex interpolation lam * a + (1 - lam) * b."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"cannot mix shapes {a.shape} and {b.shape}")
-    if not (0.0 <= lam <= 1.0):
-        raise ValueError("lambda must lie in [0, 1]")
-    return lam * a + (1.0 - lam) * b
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -212,30 +201,31 @@ def sharpen(q: np.ndarray, tau: float) -> np.ndarray:
     return out[0] if single else out
 
 
-def nld_similarity(qa: np.ndarray, qb: np.ndarray) -> float:
-    """Cosine similarity of two (sharpened) distributions; in [0, 1] for
-    nonnegative inputs."""
-    qa = np.asarray(qa, dtype=np.float64)
-    qb = np.asarray(qb, dtype=np.float64)
-    na, nb = np.linalg.norm(qa), np.linalg.norm(qb)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cannot compare a zero distribution")
-    return float(np.clip(qa @ qb / (na * nb), 0.0, 1.0))
+def nld_similarity(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """Cosine similarity of every row of ``qa`` with every row of ``qb``
+    (sharpened NLD rows); in [0, 1] for nonnegative inputs."""
+    na = np.linalg.norm(qa, axis=1)
+    nb = np.linalg.norm(qb, axis=1)
+    if np.any(na == 0) or np.any(nb == 0):
+        raise ValueError("zero NLD row encountered; cannot compute similarities")
+    sims = (qa / na[:, None]) @ (qb / nb[:, None]).T
+    return np.clip(sims, 0.0, 1.0)
 
 
-def sampling_weight(same_class: bool, s: float, degree_j: int, beta_s: float, beta_d: float) -> float:
-    """Selection weight of candidate j: exp(+-beta_s * s) / (1 + beta_d * d_j).
+def sampling_weights(
+    same_class: bool, s: np.ndarray, degrees: np.ndarray, beta_s: float, beta_d: float
+) -> np.ndarray:
+    """Selection weights exp(+-beta_s * s) * (1 / (1 + beta_d * d)) of
+    candidates with structural degrees ``degrees`` (the last axis of ``s``).
 
     The sign of the exponent flips with class agreement: same-class mixing
     prefers similar neighbor patterns, different-class mixing dissimilar
-    ones. Low-degree candidates are favored in both branches.
+    ones. Low-degree candidates are favored in both branches. The reciprocal
+    is multiplied in rather than divided by: the pairs drawn depend on the
+    exact bits of the weights.
     """
-    if not (0.0 <= s <= 1.0):
-        raise ValueError("similarity must lie in [0, 1]")
-    if degree_j < 0:
-        raise ValueError("degree must be >= 0")
-    expo = beta_s * s if same_class else -beta_s * s
-    return float(np.exp(expo) / (1.0 + beta_d * degree_j))
+    sign = 1.0 if same_class else -1.0
+    return np.exp(sign * beta_s * s) * (1.0 / (1.0 + beta_d * degrees))
 
 
 @dataclass(frozen=True)
@@ -256,15 +246,6 @@ class PairAssignment:
     def empty(cls) -> "PairAssignment":
         z = np.zeros(0, dtype=np.int64)
         return cls(z, z, z, np.zeros(0), z.copy(), z.copy(), z.copy(), np.zeros(0))
-
-
-def _cosine_matrix(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
-    na = np.linalg.norm(qa, axis=1)
-    nb = np.linalg.norm(qb, axis=1)
-    if np.any(na == 0) or np.any(nb == 0):
-        raise ValueError("zero NLD row encountered; cannot compute similarities")
-    sims = (qa / na[:, None]) @ (qb / nb[:, None]).T
-    return np.clip(sims, 0.0, 1.0)
 
 
 def _choose_rows(weight_matrix: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -294,9 +275,10 @@ def sample_pairs(
     """Sample one same-class and one different-class partner per labeled node.
 
     Candidates come from the pseudo-labeled set only; the draw over a pool is
-    proportional to ``sampling_weight``. Labeled classes are processed in
-    ascending order and labeled ids ascending within a class, so the stream
-    consumption (and hence the result) is reproducible. Interpolation
+    proportional to ``sampling_weights`` of the ``nld_similarity`` between
+    sharpened NLD rows. Labeled classes are processed in ascending order and
+    labeled ids ascending within a class, so the stream consumption (and
+    hence the result) is reproducible. Interpolation
     coefficients are Beta(alpha, alpha), drawn for all same-class pairs first,
     then all different-class pairs.
     """
@@ -310,7 +292,6 @@ def sample_pairs(
 
     q_sharp = sharpen(nld.q, cfg.tau)
     labeled_classes = np.argmax(nld.ybar[labeled_ids], axis=1)
-    degree_factor = 1.0 / (1.0 + cfg.beta_d * degrees[dpl.ids])
 
     intra_t, intra_p, intra_y = [], [], []
     inter_t, inter_p, inter_y = [], [], []
@@ -319,15 +300,15 @@ def sample_pairs(
         same = np.nonzero(dpl.labels == c)[0]
         diff = np.nonzero(dpl.labels != c)[0]
         if same.size:
-            s = _cosine_matrix(q_sharp[group], q_sharp[dpl.ids[same]])
-            w = np.exp(cfg.beta_s * s) * degree_factor[same]
+            s = nld_similarity(q_sharp[group], q_sharp[dpl.ids[same]])
+            w = sampling_weights(True, s, degrees[dpl.ids[same]], cfg.beta_s, cfg.beta_d)
             picks = same[_choose_rows(w, rng)]
             intra_t.extend(group.tolist())
             intra_p.extend(dpl.ids[picks].tolist())
             intra_y.extend(dpl.labels[picks].tolist())
         if diff.size:
-            s = _cosine_matrix(q_sharp[group], q_sharp[dpl.ids[diff]])
-            w = np.exp(-cfg.beta_s * s) * degree_factor[diff]
+            s = nld_similarity(q_sharp[group], q_sharp[dpl.ids[diff]])
+            w = sampling_weights(False, s, degrees[dpl.ids[diff]], cfg.beta_s, cfg.beta_d)
             picks = diff[_choose_rows(w, rng)]
             inter_t.extend(group.tolist())
             inter_p.extend(dpl.ids[picks].tolist())
@@ -356,7 +337,6 @@ class MixupBatches:
     Either branch may be absent (None / empty) when its pool was empty.
     """
 
-    pairs: PairAssignment
     intra_features: csr_array | None
     intra_targets: np.ndarray | None  # aligned with sorted labeled_ids
     adjacency_mixed: CsrGraph | None
@@ -436,7 +416,7 @@ def build_batches(inputs: TrainInputs, pairs: PairAssignment, a: CsrGraph) -> Mi
         inter_x = csr_array((0, dataset.num_features))
         inter_t = np.zeros((0, dataset.num_classes))
 
-    batches = MixupBatches(pairs, intra_x, intra_t, a_mixed, a_mixed_norm, inter_x, inter_t)
+    batches = MixupBatches(intra_x, intra_t, a_mixed, a_mixed_norm, inter_x, inter_t)
     check_batch_invariants(batches)
     return batches
 

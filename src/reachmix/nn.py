@@ -205,9 +205,8 @@ def accuracy(logits: np.ndarray, labels: np.ndarray, ids: np.ndarray) -> float:
 class AdamState:
     """Adam moments and hyperparameters.
 
-    ``weight_decay`` maps parameter names to decay coefficients. Coupled mode
-    adds wd * theta to the gradient before the moment update (classic L2);
-    decoupled mode shrinks the parameter directly by lr * wd * theta.
+    ``weight_decay`` maps parameter names to decay coefficients; wd * theta
+    is added to the gradient before the moment update (classic L2).
     """
 
     m: dict[str, np.ndarray]
@@ -218,10 +217,9 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: dict[str, float] = field(default_factory=dict)
-    decoupled: bool = False
 
 
-def adam_init(params: ModelParams, lr: float, weight_decay=None, decoupled=False) -> AdamState:
+def adam_init(params: ModelParams, lr: float, weight_decay=None) -> AdamState:
     zeros = {k: np.zeros_like(p) for k, p in params.as_dict().items()}
     return AdamState(
         m=zeros,
@@ -229,7 +227,6 @@ def adam_init(params: ModelParams, lr: float, weight_decay=None, decoupled=False
         step=0,
         lr=lr,
         weight_decay=dict(weight_decay or {}),
-        decoupled=decoupled,
     )
 
 
@@ -242,7 +239,7 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
         if g.shape != p.shape:
             raise ValueError(f"gradient shape mismatch for {name}")
         wd = state.weight_decay.get(name, 0.0)
-        if wd and not state.decoupled:
+        if wd:
             g = g + wd * p
         m = state.m[name]
         v = state.v[name]
@@ -252,8 +249,6 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
         v += (1.0 - state.beta2) * g * g
         m_hat = m / (1.0 - state.beta1**t)
         v_hat = v / (1.0 - state.beta2**t)
-        if wd and state.decoupled:
-            p -= state.lr * wd * p
         p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
     return params, state
 
@@ -264,11 +259,12 @@ def save_params(path, params: ModelParams) -> None:
         for name, arr in params.as_dict().items():
             dims = " ".join(str(d) for d in arr.shape)
             fh.write(f"param {name} {arr.ndim} {dims}\n")
-            flat = arr.reshape(-1)
-            fh.write(" ".join(repr(float(x)) for x in flat) + "\n")
+            fh.write(" ".join(map(repr, arr.reshape(-1).tolist())) + "\n")
 
 
 def load_params(path) -> ModelParams:
+    """Read a ``save_params`` checkpoint. Malformed content raises a
+    ``ValueError`` that starts with ``<path>:<line>:``."""
     values: dict[str, np.ndarray] = {}
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
@@ -278,11 +274,22 @@ def load_params(path) -> ModelParams:
             i += 1
             continue
         head = lines[i].split()
-        if head[0] != "param" or len(head) < 3:
-            raise ValueError(f"{path}: malformed checkpoint header {lines[i]!r}")
-        name, ndim = head[1], int(head[2])
-        shape = tuple(int(d) for d in head[3:3 + ndim])
-        flat = np.array([float(x) for x in lines[i + 1].split()])
+        try:
+            if head[0] != "param":
+                raise ValueError
+            name, ndim, shape = head[1], int(head[2]), tuple(int(d) for d in head[3:])
+            if ndim != len(shape) or any(d < 0 for d in shape):
+                raise ValueError
+        except (IndexError, ValueError):
+            raise ValueError(f"{path}:{i + 1}: malformed checkpoint header {lines[i]!r}") from None
+        if i + 1 == len(lines):
+            raise ValueError(f"{path}:{i + 1}: parameter {name} has no value line")
+        try:
+            flat = np.array([float(x) for x in lines[i + 1].split()])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{i + 2}: {exc}") from None
+        if flat.size != np.prod(shape, dtype=np.int64):
+            raise ValueError(f"{path}:{i + 2}: {flat.size} values for parameter {name} of shape {shape}")
         values[name] = flat.reshape(shape)
         i += 2
     missing = [n for n in PARAM_NAMES if n not in values]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -306,6 +306,3 @@ def grid_search(dataset: Dataset, base_cfg: TrainConfig, grids: dict[str, list],
     best_cfg = apply_grid_point(base_cfg, points[best_idx])
     return best_cfg, rows
 
-
-def with_seeds(cfg: TrainConfig, seeds) -> TrainConfig:
-    return replace(cfg, seeds=tuple(int(s) for s in seeds))

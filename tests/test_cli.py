@@ -187,6 +187,23 @@ def test_diagnose_pearson_degenerate_model_fails_cleanly(tmp_path, dataset_dir, 
     assert "variance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, line", [
+    pytest.param("param w1 2 6 4\n", 1, id="cut-after-header"),
+    pytest.param("param b1 1 2\n0.5 x\n", 2, id="non-numeric"),
+    pytest.param("param b1 2 2\n0.5 0.5\n", 1, id="ndim-mismatch"),
+    pytest.param("param b1 1 3\n0.5 0.5\n", 2, id="value-count"),
+])
+def test_diagnose_bad_checkpoint_names_file_and_line(tmp_path, dataset_dir, capsys, text, line):
+    ckpt = tmp_path / "bad.txt"
+    ckpt.write_text(text, encoding="utf-8")
+    code = run_cli([
+        "diagnose", "cka", "--data", str(dataset_dir),
+        "--checkpoint", str(ckpt), "--out", str(tmp_path / "cka"),
+    ])
+    assert code == 1
+    assert f"{ckpt}:{line}: " in capsys.readouterr().err
+
+
 def test_gradcheck_passes(capsys):
     assert run_cli(["gradcheck"]) == 0
     out = capsys.readouterr().out

@@ -6,7 +6,6 @@ from reachmix.diagnostics import (
     avg_sp_by_degree,
     cka,
     cka_by_bucket,
-    gram_ratio,
     pearson,
     pearson_rc_vs_score,
     rc_buckets,
@@ -164,12 +163,6 @@ def test_cka_zero_variance_errors():
 def test_cka_row_count_mismatch():
     with pytest.raises(ValueError, match="rows"):
         cka(np.zeros((4, 2)) + np.eye(4, 2), np.eye(5, 2))
-
-
-def test_gram_ratio_differs_from_cka(rng):
-    z = rng.standard_normal((10, 4))
-    # The raw ratio is not self-normalizing.
-    assert abs(gram_ratio(z, z) - 1.0) > 1e-3
 
 
 def sbm_dataset():

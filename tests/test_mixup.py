@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_mix
-from reachmix.graphalg import add_self_loops, from_edges, structural_degrees, sym_normalize
+from reachmix.graphalg import MixSelector, add_self_loops, from_edges
 from reachmix.graphio import Dataset, SplitSpec, generate_sbm
 from reachmix.mixup import (
     MixupConfig,
@@ -15,17 +15,23 @@ from reachmix.mixup import (
     build_pseudo_labels,
     compute_nld,
     loss_and_grads,
-    mix,
     nld_similarity,
     one_hot,
     sample_pairs,
-    sampling_weight,
+    sampling_weights,
     sharpen,
     train_inputs,
 )
 from reachmix.nn import init_params
 from reachmix.seeding import substream
 from reachmix.trainer import build_operators
+
+
+def mix(a, b, lam):
+    """Row 0 of S Z for the selector that mixes node 0 with partner node 1,
+    where Z stacks the rows a and b: the production mix of ``build_batches``."""
+    z = np.stack([np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)])
+    return (MixSelector([0], [1], [lam]).matrix(2) @ z)[0]
 
 
 def test_mix_lambda_one_returns_a_bitwise():
@@ -43,8 +49,8 @@ def test_mix_direct_value():
 
 
 def test_mix_rejects_length_mismatch():
-    with pytest.raises(ValueError, match="mix"):
-        mix(np.zeros(2), np.zeros(3), 0.5)
+    with pytest.raises(ValueError, match="equal length"):
+        MixSelector([0], [1, 2], [0.5])
 
 
 @settings(max_examples=100, deadline=None)
@@ -164,39 +170,49 @@ def test_sharpen_zero_row_unchanged():
 
 
 def test_nld_similarity_identical_is_one():
-    q = np.array([0.3, 0.7])
-    assert nld_similarity(q, q) == pytest.approx(1.0, abs=1e-12)
+    q = np.array([[0.3, 0.7]])
+    assert nld_similarity(q, q)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_nld_similarity_disjoint_supports_zero():
-    assert nld_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+    assert nld_similarity(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))[0, 0] == 0.0
 
 
 def test_nld_similarity_hand_value():
-    s = nld_similarity(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
-    assert s == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+    s = nld_similarity(np.array([[1.0, 0.0]]), np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]))
+    np.testing.assert_allclose(s, [[1.0 / np.sqrt(2.0), 1.0, 0.0]], atol=1e-12, rtol=0)
 
 
 def test_nld_similarity_zero_norm_errors():
     with pytest.raises(ValueError, match="zero"):
-        nld_similarity(np.zeros(2), np.array([1.0, 0.0]))
+        nld_similarity(np.zeros((1, 2)), np.array([[1.0, 0.0]]))
 
 
 def test_sampling_weight_hand_value():
-    assert sampling_weight(True, 1.0, 1, 1.0, 1.0) == pytest.approx(np.e / 2.0, abs=1e-12)
+    for same, expected in ((True, np.e / 2.0), (False, np.exp(-1.0) / 2.0)):
+        w = sampling_weights(same, np.array([1.0]), np.array([1]), 1.0, 1.0)[0]
+        assert w == pytest.approx(expected, abs=1e-12)
 
 
 def test_sampling_weight_zero_similarity_both_branches():
     for same in (True, False):
-        assert sampling_weight(same, 0.0, 3, 2.0, 0.5) == pytest.approx(1.0 / 2.5, abs=1e-12)
+        w = sampling_weights(same, np.zeros(1), np.array([3]), 2.0, 0.5)[0]
+        assert w == pytest.approx(1.0 / 2.5, abs=1e-12)
+
+
+def test_sampling_weights_multiply_by_degree_reciprocal():
+    # The pairs drawn depend on the exact bits of the weights; dividing by
+    # 1 + beta_d * d instead rounds differently on over a quarter of them.
+    rng = np.random.default_rng(0)
+    s, d = rng.random((4, 250)), rng.integers(0, 50, 250)
+    for same, sign in ((True, 1.0), (False, -1.0)):
+        expected = np.exp(sign * 0.7 * s) * (1.0 / (1.0 + 1.3 * d))
+        assert np.array_equal(sampling_weights(same, s, d, 0.7, 1.3), expected)
 
 
 def test_sampling_weight_decreases_with_degree():
-    prev = np.inf
-    for d in range(5):
-        w = sampling_weight(True, 0.7, d, 1.0, 1.0)
-        assert w < prev
-        prev = w
+    w = sampling_weights(True, np.full(5, 0.7), np.arange(5), 1.0, 1.0)
+    assert np.all(np.diff(w) < 0)
 
 
 def fixed_pools():

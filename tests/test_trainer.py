@@ -11,7 +11,6 @@ from reachmix.trainer import (
     grid_search,
     train_multi,
     train_one,
-    with_seeds,
 )
 
 
@@ -181,11 +180,6 @@ def test_config_round_trip_and_validation():
         TrainConfig(seeds=())
     with pytest.raises(ValueError, match="unknown"):
         TrainConfig.from_dict({"nope": 1})
-
-
-def test_with_seeds():
-    cfg = quick_cfg()
-    assert with_seeds(cfg, [5, 6]).seeds == (5, 6)
 
 
 def test_training_requires_validation_set():
