@@ -80,10 +80,13 @@ def dataset_fingerprint(directory) -> str:
 
 
 def _git_describe() -> str | None:
+    """The checkout the running package comes from, whatever the caller's
+    working directory; None outside a git checkout."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
             capture_output=True, text=True, timeout=5,
+            cwd=os.path.dirname(os.path.abspath(reachmix.__file__)),
         )
         return out.stdout.strip() or None
     except (OSError, subprocess.SubprocessError):
@@ -191,8 +194,8 @@ def cmd_train(args) -> int:
     cfg = _config_with_overrides(args)
     args.data = resolve_data_dir(args.data)
     dataset = load_dataset(args.data)
-    result = train_multi(dataset, cfg)
     prepare_outdir(args.out, args.force)
+    result = train_multi(dataset, cfg)
     for seed, outcome in zip(cfg.seeds, result.outcomes):
         _write_history_tsv(os.path.join(args.out, f"metrics_seed{seed}.tsv"), outcome.history)
         nn.save_params(os.path.join(args.out, f"checkpoint_seed{seed}.txt"), outcome.params)
@@ -242,8 +245,8 @@ def cmd_sweep(args) -> int:
     args.data = resolve_data_dir(args.data)
     dataset = load_dataset(args.data)
     grids = _parse_grid(args.grid)
-    best_cfg, rows = trainer.grid_search(dataset, cfg, grids, jobs=args.jobs)
     prepare_outdir(args.out, args.force)
+    best_cfg, rows = trainer.grid_search(dataset, cfg, grids, jobs=args.jobs)
     keys = list(grids.keys())
     ranked = sorted(rows, key=lambda r: -r["mean_val_acc"])
     with open(os.path.join(args.out, "sweep.tsv"), "w", encoding="utf-8") as fh:

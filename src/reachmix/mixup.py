@@ -1,7 +1,8 @@
 """The node-mixup training engine.
 
-Pipeline per refresh: predict class probabilities in eval mode, keep
-confident unlabeled nodes as pseudo-labeled candidates, compute each node's
+Pipeline per refresh: read class probabilities off the eval-mode logits of
+the previous epoch's validation pass (no new prediction), keep confident
+unlabeled nodes as pseudo-labeled candidates, compute each node's
 neighborhood label distribution (NLD), then for every labeled node sample one
 same-class and one different-class partner with probability proportional to a
 weight that favors similar neighbor patterns (same class), dissimilar ones
@@ -55,7 +56,6 @@ class MixupConfig:
     alpha: float = 1.0
     warmup_epochs: int = 10
     refresh_every: int = 1
-    pair_resample_every: int | None = None  # None: resample when pseudo-labels refresh
     nld_include_self: bool = True
 
     def __post_init__(self):
@@ -73,8 +73,6 @@ class MixupConfig:
             raise ValueError("warmup_epochs must be >= 0")
         if self.refresh_every < 1:
             raise ValueError("refresh_every must be >= 1")
-        if self.pair_resample_every is not None and self.pair_resample_every < 1:
-            raise ValueError("pair_resample_every must be >= 1")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -118,11 +116,10 @@ def train_inputs(dataset: Dataset) -> TrainInputs:
 
 @dataclass(frozen=True)
 class PseudoLabelSet:
-    """Confident unlabeled nodes: ids, argmax pseudo-labels, max-prob confidences."""
+    """Confident unlabeled nodes: ids and their argmax pseudo-labels."""
 
     ids: np.ndarray
     labels: np.ndarray
-    confidences: np.ndarray
 
     def __len__(self) -> int:
         return int(self.ids.size)
@@ -144,7 +141,7 @@ def build_pseudo_labels(probs: np.ndarray, labeled_ids: np.ndarray, gamma: float
     conf = probs.max(axis=1)
     keep = mask & (conf >= gamma)
     ids = np.nonzero(keep)[0].astype(np.int64)
-    return PseudoLabelSet(ids, np.argmax(probs[ids], axis=1).astype(np.int64), conf[ids])
+    return PseudoLabelSet(ids, np.argmax(probs[ids], axis=1).astype(np.int64))
 
 
 @dataclass(frozen=True)
@@ -182,23 +179,20 @@ def compute_nld(a: CsrGraph, ybar: np.ndarray, include_self: bool = True) -> NLD
 
 
 def sharpen(q: np.ndarray, tau: float) -> np.ndarray:
-    """Temperature sharpening q_c^{1/tau} / sum_k q_k^{1/tau}; zeros stay zero.
+    """Temperature sharpening q_c^{1/tau} / sum_k q_k^{1/tau} of each row of
+    ``q``; zeros stay zero.
 
-    Accepts a single distribution or a matrix of row distributions. Rows that
-    are entirely zero (nodes without neighbors under an ablation) are returned
-    unchanged.
+    Rows that are entirely zero (nodes without neighbors under an ablation)
+    are returned unchanged.
     """
     if not (0.0 < tau <= 1.0):
         raise ValueError("tau must lie in (0, 1]")
     q = np.asarray(q, dtype=np.float64)
     if np.any(q < 0):
         raise ValueError("q must be nonnegative")
-    single = q.ndim == 1
-    rows = q[None, :] if single else q
-    powered = rows ** (1.0 / tau)
+    powered = q ** (1.0 / tau)
     norm = powered.sum(axis=1, keepdims=True)
-    out = np.divide(powered, norm, out=np.zeros_like(powered), where=norm > 0)
-    return out[0] if single else out
+    return np.divide(powered, norm, out=np.zeros_like(powered), where=norm > 0)
 
 
 def nld_similarity(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
@@ -242,11 +236,6 @@ class PairAssignment:
     inter_partner_labels: np.ndarray
     inter_lams: np.ndarray
 
-    @classmethod
-    def empty(cls) -> "PairAssignment":
-        z = np.zeros(0, dtype=np.int64)
-        return cls(z, z, z, np.zeros(0), z.copy(), z.copy(), z.copy(), np.zeros(0))
-
 
 def _choose_rows(weight_matrix: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One weighted draw per row via inverse-CDF; deterministic given rng."""
@@ -277,53 +266,38 @@ def sample_pairs(
     Candidates come from the pseudo-labeled set only; the draw over a pool is
     proportional to ``sampling_weights`` of the ``nld_similarity`` between
     sharpened NLD rows. Labeled classes are processed in ascending order and
-    labeled ids ascending within a class, so the stream consumption (and
-    hence the result) is reproducible. Interpolation
-    coefficients are Beta(alpha, alpha), drawn for all same-class pairs first,
-    then all different-class pairs.
+    labeled ids ascending within a class, the same-class pick before the
+    different-class one, so the stream consumption (and hence the result) is
+    reproducible. Interpolation coefficients are Beta(alpha, alpha), drawn
+    for all same-class pairs first, then all different-class pairs.
     """
     if lam_rng is None:
         lam_rng = rng
     labeled_ids = np.asarray(sorted(labeled_ids), dtype=np.int64)
-    if len(dpl) == 0:
-        return PairAssignment.empty()
     if np.intersect1d(dpl.ids, labeled_ids).size:
         raise ValueError("pseudo-labeled candidates must be unlabeled nodes")
 
     q_sharp = sharpen(nld.q, cfg.tau)
     labeled_classes = np.argmax(nld.ybar[labeled_ids], axis=1)
 
-    intra_t, intra_p, intra_y = [], [], []
-    inter_t, inter_p, inter_y = [], [], []
+    chosen = {True: ([], []), False: ([], [])}  # per branch: targets, pool positions
     for c in np.unique(labeled_classes):
         group = labeled_ids[labeled_classes == c]
-        same = np.nonzero(dpl.labels == c)[0]
-        diff = np.nonzero(dpl.labels != c)[0]
-        if same.size:
-            s = nld_similarity(q_sharp[group], q_sharp[dpl.ids[same]])
-            w = sampling_weights(True, s, degrees[dpl.ids[same]], cfg.beta_s, cfg.beta_d)
-            picks = same[_choose_rows(w, rng)]
-            intra_t.extend(group.tolist())
-            intra_p.extend(dpl.ids[picks].tolist())
-            intra_y.extend(dpl.labels[picks].tolist())
-        if diff.size:
-            s = nld_similarity(q_sharp[group], q_sharp[dpl.ids[diff]])
-            w = sampling_weights(False, s, degrees[dpl.ids[diff]], cfg.beta_s, cfg.beta_d)
-            picks = diff[_choose_rows(w, rng)]
-            inter_t.extend(group.tolist())
-            inter_p.extend(dpl.ids[picks].tolist())
-            inter_y.extend(dpl.labels[picks].tolist())
+        for same_class in (True, False):
+            pool = np.nonzero((dpl.labels == c) == same_class)[0]
+            if pool.size:
+                s = nld_similarity(q_sharp[group], q_sharp[dpl.ids[pool]])
+                w = sampling_weights(same_class, s, degrees[dpl.ids[pool]], cfg.beta_s, cfg.beta_d)
+                targets, positions = chosen[same_class]
+                targets.extend(group.tolist())
+                positions.extend(pool[_choose_rows(w, rng)].tolist())
 
-    return PairAssignment(
-        intra_targets=np.asarray(intra_t, dtype=np.int64),
-        intra_partners=np.asarray(intra_p, dtype=np.int64),
-        intra_partner_labels=np.asarray(intra_y, dtype=np.int64),
-        intra_lams=_draw_lams(lam_rng, cfg.alpha, len(intra_t)),
-        inter_targets=np.asarray(inter_t, dtype=np.int64),
-        inter_partners=np.asarray(inter_p, dtype=np.int64),
-        inter_partner_labels=np.asarray(inter_y, dtype=np.int64),
-        inter_lams=_draw_lams(lam_rng, cfg.alpha, len(inter_t)),
-    )
+    branches = []
+    for same_class in (True, False):
+        targets, positions = (np.asarray(v, dtype=np.int64) for v in chosen[same_class])
+        branches += [targets, dpl.ids[positions], dpl.labels[positions],
+                     _draw_lams(lam_rng, cfg.alpha, targets.size)]
+    return PairAssignment(*branches)
 
 
 @dataclass(frozen=True)
@@ -331,15 +305,15 @@ class MixupBatches:
     """Materialized training inputs for one refresh period.
 
     The same-class branch is full-graph: CSR features with labeled target
-    rows replaced by their mixes, soft targets for every labeled row, and the
-    mixed adjacency (plus its normalized form, cached for the forward pass).
-    The different-class branch is row-per-pair and runs through the MLP path.
-    Either branch may be absent (None / empty) when its pool was empty.
+    rows replaced by their mixes, the N x C soft targets (one-hot labels with
+    the target rows mixed; the loss reads the labeled rows only) and the
+    normalized mixed adjacency. The different-class branch is row-per-pair
+    and runs through the MLP path. Either branch may be absent (None / empty)
+    when its pool was empty.
     """
 
     intra_features: csr_array | None
-    intra_targets: np.ndarray | None  # aligned with sorted labeled_ids
-    adjacency_mixed: CsrGraph | None
+    intra_targets: np.ndarray | None  # (N, C)
     adjacency_mixed_norm: CsrGraph | None
     inter_features: csr_array
     inter_targets: np.ndarray
@@ -353,35 +327,29 @@ class MixupBatches:
         return self.inter_features.shape[0] > 0
 
 
-def _validate_pairs(dataset, pairs: PairAssignment) -> None:
-    labeled = set(dataset.split.labeled_ids.tolist())
-    for branch, same in (("intra", True), ("inter", False)):
-        targets = getattr(pairs, f"{branch}_targets")
-        partners = getattr(pairs, f"{branch}_partners")
-        plabels = getattr(pairs, f"{branch}_partner_labels")
-        lams = getattr(pairs, f"{branch}_lams")
-        if not (targets.size == partners.size == plabels.size == lams.size):
-            raise ValueError(f"{branch} pair arrays have inconsistent lengths")
-        if targets.size == 0:
-            continue
-        if not all(t in labeled for t in targets.tolist()):
-            raise ValueError(f"{branch} targets must be labeled nodes")
-        if any(p in labeled for p in partners.tolist()):
-            raise ValueError(f"{branch} partners must be unlabeled nodes")
-        if lams.min() < 0.0 or lams.max() > 1.0:
-            raise ValueError(f"{branch} lambda outside [0, 1]")
-        agree = dataset.labels[targets] == plabels
-        if same and not np.all(agree):
-            raise ValueError("intra pair with mismatched classes")
-        if not same and np.any(agree):
-            raise ValueError("inter pair with matching classes")
+def _branch(inputs: TrainInputs, same_class: bool, targets, partners, partner_labels, lams):
+    """One branch's checked selector and the soft targets of its pairs,
+    lam * one_hot(target's label) + (1 - lam) * one_hot(partner's pseudo-label).
 
-
-def _mixed_targets(inputs: TrainInputs, sel: MixSelector, partner_labels) -> np.ndarray:
-    """lam * one_hot(target's label) + (1 - lam) * one_hot(partner's pseudo-label)."""
+    ``MixSelector`` checks the lengths, the lambda range, distinct targets
+    and partner != target; this adds the checks it cannot make: labeled
+    targets, unlabeled partners, and class agreement (same-class branch) or
+    disagreement (different-class branch).
+    """
+    branch = "intra" if same_class else "inter"
+    sel = MixSelector(targets, partners, lams)
+    labeled = inputs.labeled_weights > 0.0
+    if partner_labels.size != len(sel):
+        raise ValueError(f"{branch} pair arrays have inconsistent lengths")
+    if not np.all(labeled[sel.targets]):
+        raise ValueError(f"{branch} targets must be labeled nodes")
+    if np.any(labeled[sel.partners]):
+        raise ValueError(f"{branch} partners must be unlabeled nodes")
+    if np.any((inputs.dataset.labels[sel.targets] == partner_labels) != same_class):
+        raise ValueError(f"{branch} pair with {'mismatched' if same_class else 'matching'} classes")
     lam = sel.lams[:, None]
     other = one_hot(partner_labels, inputs.dataset.num_classes)
-    return lam * inputs.y_hot[sel.targets] + (1.0 - lam) * other
+    return sel, lam * inputs.y_hot[sel.targets] + (1.0 - lam) * other
 
 
 def build_batches(inputs: TrainInputs, pairs: PairAssignment, a: CsrGraph) -> MixupBatches:
@@ -393,47 +361,22 @@ def build_batches(inputs: TrainInputs, pairs: PairAssignment, a: CsrGraph) -> Mi
     it for every step of the refresh period; the different-class branch takes
     the pair rows S[targets] X.
     """
-    dataset = inputs.dataset
-    _validate_pairs(dataset, pairs)
-    n = dataset.num_nodes
-    labeled = dataset.split.labeled_ids
-
-    intra_x = intra_t = a_mixed = a_mixed_norm = None
-    if pairs.intra_targets.size:
-        sel = MixSelector(pairs.intra_targets, pairs.intra_partners, pairs.intra_lams)
-        intra_x = sel.matrix(n) @ inputs.features
-        intra_t = inputs.y_hot[labeled].copy()
-        pos = np.searchsorted(labeled, pairs.intra_targets)
-        intra_t[pos] = _mixed_targets(inputs, sel, pairs.intra_partner_labels)
-        a_mixed = mix_adjacency(a, sel)
-        a_mixed_norm = sym_normalize(a_mixed)
-
-    if pairs.inter_targets.size:
-        sel = MixSelector(pairs.inter_targets, pairs.inter_partners, pairs.inter_lams)
-        inter_x = sel.matrix(n)[sel.targets] @ inputs.features
-        inter_t = _mixed_targets(inputs, sel, pairs.inter_partner_labels)
+    n = inputs.dataset.num_nodes
+    intra, intra_mixed = _branch(inputs, True, pairs.intra_targets, pairs.intra_partners,
+                                 pairs.intra_partner_labels, pairs.intra_lams)
+    inter, inter_t = _branch(inputs, False, pairs.inter_targets, pairs.inter_partners,
+                             pairs.inter_partner_labels, pairs.inter_lams)
+    intra_x = intra_t = a_mixed_norm = None
+    if len(intra):
+        intra_x = intra.matrix(n) @ inputs.features
+        intra_t = inputs.y_hot.copy()
+        intra_t[intra.targets] = intra_mixed
+        a_mixed_norm = sym_normalize(mix_adjacency(a, intra))
+    if len(inter):
+        inter_x = inter.matrix(n)[inter.targets] @ inputs.features
     else:
-        inter_x = csr_array((0, dataset.num_features))
-        inter_t = np.zeros((0, dataset.num_classes))
-
-    batches = MixupBatches(intra_x, intra_t, a_mixed, a_mixed_norm, inter_x, inter_t)
-    check_batch_invariants(batches)
-    return batches
-
-
-def check_batch_invariants(batches: MixupBatches) -> None:
-    """Assert the structural guarantees every batch must satisfy beyond the
-    pair checks ``build_batches`` runs first."""
-    if batches.has_intra:
-        rows = batches.intra_targets
-        if np.any(rows < 0) or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-9):
-            raise AssertionError("intra soft-label row off the simplex")
-        if batches.adjacency_mixed is None or batches.adjacency_mixed_norm is None:
-            raise AssertionError("intra branch present without mixed adjacency")
-    if batches.has_inter:
-        rows = batches.inter_targets
-        if np.any(rows < 0) or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-9):
-            raise AssertionError("inter soft-label row off the simplex")
+        inter_x = csr_array((0, inputs.dataset.num_features))
+    return MixupBatches(intra_x, intra_t, a_mixed_norm, inter_x, inter_t)
 
 
 @dataclass(frozen=True)
@@ -462,35 +405,34 @@ def loss_and_grads(
     never perturbs the others.
     """
     rngs = rngs or {}
-    labeled = inputs.dataset.split.labeled_ids
-    w_labeled = inputs.labeled_weights
+    grads: dict[str, np.ndarray] = {}
 
-    logits, trace = gcn_forward(
-        inputs.features, a_norm, params, dropout, train, rngs.get("gnn")
-    )
-    sup, dlogits = soft_cross_entropy_with_grad(logits, inputs.y_hot, w_labeled)
-    grads = backward(trace, dlogits)
+    def term(scale, forward_out, targets, weights) -> float:
+        """Soft cross-entropy of one branch; backpropagates it and adds its
+        gradients, times ``scale``, to those of the terms before it."""
+        logits, trace = forward_out
+        loss, dlogits = soft_cross_entropy_with_grad(logits, targets, weights)
+        for name, g in backward(trace, dlogits).items():
+            grads[name] = grads[name] + scale * g if name in grads else g
+        return loss
 
+    sup = term(1.0, gcn_forward(inputs.features, a_norm, params, dropout, train, rngs.get("gnn")),
+               inputs.y_hot, inputs.labeled_weights)
     intra_loss = 0.0
     inter_loss = 0.0
     if batches is not None and cfg.lambda_intra > 0.0 and batches.has_intra:
-        targets = inputs.y_hot.copy()
-        targets[labeled] = batches.intra_targets
-        logits_i, trace_i = gcn_forward(
-            batches.intra_features, batches.adjacency_mixed_norm, params, dropout, train, rngs.get("intra")
+        intra_loss = term(
+            cfg.lambda_intra,
+            gcn_forward(batches.intra_features, batches.adjacency_mixed_norm, params, dropout, train,
+                        rngs.get("intra")),
+            batches.intra_targets, inputs.labeled_weights,
         )
-        intra_loss, dlogits_i = soft_cross_entropy_with_grad(logits_i, targets, w_labeled)
-        for name, g in backward(trace_i, dlogits_i).items():
-            grads[name] = grads[name] + cfg.lambda_intra * g
     if batches is not None and cfg.lambda_inter > 0.0 and batches.has_inter:
-        logits_e, trace_e = mlp_forward(
-            batches.inter_features, params, dropout, train, rngs.get("inter")
+        inter_loss = term(
+            cfg.lambda_inter,
+            mlp_forward(batches.inter_features, params, dropout, train, rngs.get("inter")),
+            batches.inter_targets, np.ones(batches.inter_targets.shape[0]),
         )
-        inter_loss, dlogits_e = soft_cross_entropy_with_grad(
-            logits_e, batches.inter_targets, np.ones(batches.inter_targets.shape[0])
-        )
-        for name, g in backward(trace_e, dlogits_e).items():
-            grads[name] = grads[name] + cfg.lambda_inter * g
 
     total = sup + cfg.lambda_intra * intra_loss + cfg.lambda_inter * inter_loss
     return LossParts(total, sup, intra_loss, inter_loss), grads

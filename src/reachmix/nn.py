@@ -34,11 +34,6 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
 
-    def check_finite(self) -> None:
-        for name, arr in self.as_dict().items():
-            if not np.all(np.isfinite(arr)):
-                raise FloatingPointError(f"non-finite values in parameter {name}")
-
 
 def init_params(num_features: int, hidden: int, num_classes: int, rng: np.random.Generator) -> ModelParams:
     """Glorot-uniform weights, zero biases."""
@@ -201,9 +196,15 @@ def accuracy(logits: np.ndarray, labels: np.ndarray, ids: np.ndarray) -> float:
     return float(np.mean(pred == labels[ids]))
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam moments and hyperparameters.
+    """Adam moments, step count and learning rate (the betas and eps are the
+    module constants ``ADAM_*``).
 
     ``weight_decay`` maps parameter names to decay coefficients; wd * theta
     is added to the gradient before the moment update (classic L2).
@@ -213,9 +214,6 @@ class AdamState:
     v: dict[str, np.ndarray]
     step: int
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: dict[str, float] = field(default_factory=dict)
 
 
@@ -230,8 +228,8 @@ def adam_init(params: ModelParams, lr: float, weight_decay=None) -> AdamState:
     )
 
 
-def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState):
-    """One bias-corrected Adam update, in place. Returns (params, state)."""
+def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState) -> None:
+    """One bias-corrected Adam update of ``params`` and ``state``, in place."""
     state.step += 1
     t = state.step
     for name, p in params.as_dict().items():
@@ -243,14 +241,13 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
             g = g + wd * p
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return params, state
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        p -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def save_params(path, params: ModelParams) -> None:

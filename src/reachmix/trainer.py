@@ -147,12 +147,13 @@ def train_one(
 ) -> TrainOutcome:
     """Train a single model; returns the best-validation checkpoint and metrics.
 
-    The mixup path refreshes pseudo-labels / NLD every ``refresh_every``
-    epochs after warm-up and resamples pairs every ``pair_resample_every``
-    (default: together with the refresh). ``on_refresh(epoch, dpl, pairs,
-    batches)`` is invoked after each resample, for inspection hooks. A
-    refresh reads the eval-mode logits of the previous epoch's validation
-    pass, which were computed from the same parameters.
+    With mixup enabled, every ``refresh_every`` epochs after warm-up one
+    refresh runs the whole chain: pseudo-labels, NLD, pair sampling and the
+    mixed batches, which the following epochs train on until the next
+    refresh. ``on_refresh(epoch, dpl, pairs, batches)`` is invoked after each
+    refresh, for inspection hooks. A refresh reads the eval-mode logits of
+    the previous epoch's validation pass, which were computed from the same
+    parameters.
     """
     a_loops, a_norm, degrees = build_operators(dataset)
     inputs = train_inputs(dataset)
@@ -167,7 +168,7 @@ def train_one(
     rng_lam = substream(seed, "lambda")
 
     mix_cfg = cfg.mixup
-    resample_every = mix_cfg.pair_resample_every or mix_cfg.refresh_every
+    labeled_ids = dataset.split.labeled_ids
     valid_ids = dataset.split.valid_ids
     if valid_ids.size == 0:
         raise ValueError("training requires a non-empty validation set")
@@ -178,28 +179,22 @@ def train_one(
     since_best = 0
     history: list[EpochRecord] = []
     batches = None
-    dpl = None
-    nld = None
     logits = None  # eval-mode logits of the current params
     stopped = cfg.max_epochs - 1
 
     for epoch in range(cfg.max_epochs):
         t0 = time.perf_counter()
-        if cfg.mixup_enabled:
-            if _due(epoch, mix_cfg.warmup_epochs, mix_cfg.refresh_every):
-                if logits is None:
-                    logits, _ = gcn_forward(inputs.features, a_norm, params)
-                probs = softmax(logits)
-                dpl = build_pseudo_labels(probs, dataset.split.labeled_ids, mix_cfg.gamma)
-                ybar = prediction_label_matrix(probs, dataset.labels, dataset.split.labeled_ids)
-                nld = compute_nld(a_loops, ybar, include_self=mix_cfg.nld_include_self)
-            if dpl is not None and _due(epoch, mix_cfg.warmup_epochs, resample_every):
-                pairs = sample_pairs(
-                    dataset.split.labeled_ids, dpl, nld, mix_cfg, degrees, rng_pairs, rng_lam
-                )
-                batches = build_batches(inputs, pairs, a_loops)
-                if on_refresh is not None:
-                    on_refresh(epoch, dpl, pairs, batches)
+        if cfg.mixup_enabled and _due(epoch, mix_cfg.warmup_epochs, mix_cfg.refresh_every):
+            if logits is None:
+                logits, _ = gcn_forward(inputs.features, a_norm, params)
+            probs = softmax(logits)
+            dpl = build_pseudo_labels(probs, labeled_ids, mix_cfg.gamma)
+            ybar = prediction_label_matrix(probs, dataset.labels, labeled_ids)
+            nld = compute_nld(a_loops, ybar, include_self=mix_cfg.nld_include_self)
+            pairs = sample_pairs(labeled_ids, dpl, nld, mix_cfg, degrees, rng_pairs, rng_lam)
+            batches = build_batches(inputs, pairs, a_loops)
+            if on_refresh is not None:
+                on_refresh(epoch, dpl, pairs, batches)
 
         try:
             parts, grads = loss_and_grads(

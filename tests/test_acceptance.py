@@ -156,7 +156,7 @@ def test_criterion_4_sampling_distribution_chi_squared(capsys):
         [0.5, 0.5],
     ])
     nld = NLDTable(q, one_hot(np.array([0, 0, 0, 1, 1, 1]), 2))
-    dpl = PseudoLabelSet(np.array([1, 2, 3, 4, 5]), np.array([0, 0, 1, 1, 1]), np.ones(5))
+    dpl = PseudoLabelSet(np.array([1, 2, 3, 4, 5]), np.array([0, 0, 1, 1, 1]))
     labeled = np.array([0])
     degrees = np.ones(6, dtype=np.int64)
     cfg = MixupConfig(beta_s=1.0, beta_d=1.0, tau=0.5, gamma=0.5)

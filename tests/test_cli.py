@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
 
 import numpy as np
 import pytest
 
+import reachmix
+from reachmix import cli
 from reachmix.cli import main, parse_seeds
 from reachmix.graphio import load_dataset
 from reachmix.nn import load_params
@@ -257,6 +260,35 @@ def test_sweep_empty_grid_usage_error(tmp_path, dataset_dir):
     with pytest.raises(SystemExit) as exc:
         run_cli(["sweep", "--data", str(dataset_dir), "--grid", "lr=", "--out", str(tmp_path / "s")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_existing_out_fails_before_training(tmp_path, dataset_dir, monkeypatch, capsys, command):
+    def never(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli, "train_multi", never)
+    monkeypatch.setattr(cli.trainer, "grid_search", never)
+    out = tmp_path / "taken"
+    out.mkdir()
+    argv = [command, "--data", str(dataset_dir), "--out", str(out)]
+    if command == "sweep":
+        argv += ["--grid", "lr=0.01"]
+    assert run_cli(argv) == 1
+    assert "exists" in capsys.readouterr().err
+
+
+def test_git_describe_runs_in_package_directory(tmp_path, monkeypatch):
+    seen = {}
+
+    def fake_run(argv, **kwargs):
+        seen.update(kwargs)
+        return subprocess.CompletedProcess(argv, 0, stdout="abc1234\n", stderr="")
+
+    monkeypatch.setattr(cli.subprocess, "run", fake_run)
+    monkeypatch.chdir(tmp_path)
+    assert cli._git_describe() == "abc1234"
+    assert seen["cwd"] == os.path.dirname(os.path.abspath(reachmix.__file__))
 
 
 def test_data_root_environment_fallback(tmp_path, monkeypatch, capsys):

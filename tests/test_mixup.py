@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_mix
-from reachmix.graphalg import MixSelector, add_self_loops, from_edges
+from reachmix.graphalg import MixSelector, add_self_loops, from_edges, sym_normalize
 from reachmix.graphio import Dataset, SplitSpec, generate_sbm
 from reachmix.mixup import (
     MixupConfig,
@@ -102,7 +102,6 @@ def test_build_pseudo_labels_threshold_inclusive_tie_low_class():
     dpl = build_pseudo_labels(probs, np.zeros(0, dtype=np.int64), gamma=0.5)
     assert len(dpl) == 1
     assert dpl.labels[0] == 0  # exact tie resolves to the lowest class index
-    assert dpl.confidences[0] == 0.5
 
 
 def test_build_pseudo_labels_empty_result_allowed():
@@ -143,25 +142,25 @@ def test_compute_nld_exclude_self_option():
 
 
 def test_sharpen_tau_one_identity():
-    q = np.array([0.3, 0.2, 0.5])
+    q = np.array([[0.3, 0.2, 0.5]])
     np.testing.assert_allclose(sharpen(q, 1.0), q, atol=1e-15)
 
 
 def test_sharpen_uniform_fixed_point():
-    q = np.full(4, 0.25)
+    q = np.full((1, 4), 0.25)
     for tau in (1.0, 0.5, 0.1):
         np.testing.assert_allclose(sharpen(q, tau), q, atol=1e-15)
 
 
 def test_sharpen_hand_value():
     # (0.8, 0.2) at tau = 1/2: squares (0.64, 0.04) normalized by 0.68.
-    out = sharpen(np.array([0.8, 0.2]), 0.5)
-    np.testing.assert_allclose(out, [0.64 / 0.68, 0.04 / 0.68], atol=1e-12)
+    out = sharpen(np.array([[0.8, 0.2]]), 0.5)
+    np.testing.assert_allclose(out, [[0.64 / 0.68, 0.04 / 0.68]], atol=1e-12)
 
 
 def test_sharpen_keeps_zeros_zero():
-    out = sharpen(np.array([0.0, 1.0]), 0.5)
-    np.testing.assert_array_equal(out, [0.0, 1.0])
+    out = sharpen(np.array([[0.0, 1.0]]), 0.5)
+    np.testing.assert_array_equal(out, [[0.0, 1.0]])
 
 
 def test_sharpen_zero_row_unchanged():
@@ -233,11 +232,7 @@ def fixed_pools():
     ])
     ybar = one_hot(np.array([0, 0, 0, 1, 1, 1]), 2)
     nld = NLDTable(q, ybar)
-    dpl = PseudoLabelSet(
-        ids=np.array([1, 2, 3, 4, 5]),
-        labels=np.array([0, 0, 1, 1, 1]),
-        confidences=np.ones(5),
-    )
+    dpl = PseudoLabelSet(ids=np.array([1, 2, 3, 4, 5]), labels=np.array([0, 0, 1, 1, 1]))
     labeled = np.array([0])
     degrees = np.ones(6, dtype=np.int64)
     cfg = MixupConfig(beta_s=1.0, beta_d=1.0, tau=0.5, gamma=0.5, alpha=1.0)
@@ -246,14 +241,14 @@ def fixed_pools():
 
 def test_sample_pairs_empty_dpl_gives_empty_assignment():
     labeled, _, nld, cfg, degrees = fixed_pools()
-    empty = PseudoLabelSet(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
+    empty = PseudoLabelSet(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
     pairs = sample_pairs(labeled, empty, nld, cfg, degrees, np.random.default_rng(0))
     assert pairs.intra_targets.size == 0 and pairs.inter_targets.size == 0
 
 
 def test_sample_pairs_single_candidate_always_chosen():
     labeled, _, nld, cfg, degrees = fixed_pools()
-    dpl = PseudoLabelSet(np.array([1]), np.array([0]), np.ones(1))
+    dpl = PseudoLabelSet(np.array([1]), np.array([0]))
     pairs = sample_pairs(labeled, dpl, nld, cfg, degrees, np.random.default_rng(0))
     np.testing.assert_array_equal(pairs.intra_partners, [1])
     assert pairs.inter_targets.size == 0  # no different-class candidates
@@ -281,7 +276,7 @@ def test_sample_pairs_never_picks_labeled_partner():
 
 def test_sample_pairs_rejects_labeled_candidates():
     labeled, dpl, nld, cfg, degrees = fixed_pools()
-    bad = PseudoLabelSet(np.array([0, 1]), np.array([0, 0]), np.ones(2))
+    bad = PseudoLabelSet(np.array([0, 1]), np.array([0, 0]))
     with pytest.raises(ValueError, match="unlabeled"):
         sample_pairs(labeled, bad, nld, cfg, degrees, np.random.default_rng(0))
 
@@ -343,10 +338,8 @@ def test_build_batches_lambda_one_degenerates_to_originals():
     )
     batches = build_batches(train_inputs(ds), ones, a_loops)
     np.testing.assert_array_equal(batches.intra_features.toarray(), ds.features)
-    np.testing.assert_array_equal(
-        batches.intra_targets, one_hot(ds.labels[ds.split.labeled_ids], 3)
-    )
-    np.testing.assert_array_equal(batches.adjacency_mixed.to_dense(), a_loops.to_dense())
+    np.testing.assert_array_equal(batches.intra_targets, one_hot(ds.labels, 3))
+    np.testing.assert_array_equal(batches.adjacency_mixed_norm.to_dense(), sym_normalize(a_loops).to_dense())
 
 
 def test_build_batches_identical_rows_fixed_point():
@@ -379,7 +372,8 @@ def test_build_batches_single_pair_matches_dense_oracle():
     batches = build_batches(train_inputs(ds), pairs, a_loops)
     np.testing.assert_allclose(batches.intra_features.toarray()[0], [2.5, 1.0], atol=1e-15)
     expected = dense_mix(a_loops.to_dense(), [0], [2], [0.5])
-    np.testing.assert_allclose(batches.adjacency_mixed.to_dense(), expected, atol=1e-12)
+    d = expected.sum(axis=1) ** -0.5
+    np.testing.assert_allclose(batches.adjacency_mixed_norm.to_dense(), d[:, None] * expected * d, atol=1e-12)
 
 
 def test_build_batches_rejects_mismatched_intra_pair():
@@ -390,6 +384,39 @@ def test_build_batches_rejects_mismatched_intra_pair():
         pairs.inter_targets, pairs.inter_partners, pairs.inter_partner_labels, pairs.inter_lams,
     )
     with pytest.raises(ValueError, match="intra"):
+        build_batches(train_inputs(ds), bad, a_loops)
+
+
+@pytest.mark.parametrize("branch, fault, message", [
+    ("intra", "unlabeled target", "intra targets must be labeled"),
+    ("inter", "unlabeled target", "inter targets must be labeled"),
+    ("intra", "labeled partner", "intra partners must be unlabeled"),
+    ("inter", "labeled partner", "inter partners must be unlabeled"),
+    ("inter", "matching classes", "inter pair with matching classes"),
+    ("intra", "partner-label length", "intra pair arrays have inconsistent lengths"),
+    ("inter", "partner-label length", "inter pair arrays have inconsistent lengths"),
+])
+def test_build_batches_rejects_each_broken_pair(branch, fault, message):
+    from dataclasses import replace
+
+    ds, a_loops, _, _, pairs = sbm_with_pairs()
+    names = [f"{branch}_{f}" for f in ("targets", "partners", "partner_labels", "lams")]
+    t, p, y, lam = (getattr(pairs, name).copy() for name in names)
+    assert t.size >= 2
+    if fault == "unlabeled target":
+        t[0] = np.setdiff1d(np.arange(ds.num_nodes), np.concatenate([ds.split.labeled_ids, p]))[0]
+    elif fault == "labeled partner":
+        # Drop the first pair so its target is labeled but no longer a target
+        # (the selector itself rejects a partner that is also a target).
+        dropped = t[0]
+        t, p, y, lam = t[1:], p[1:], y[1:], lam[1:]
+        p[0] = dropped
+    elif fault == "matching classes":
+        y[0] = ds.labels[t[0]]
+    else:
+        y = y[:-1]
+    bad = replace(pairs, **dict(zip(names, (t, p, y, lam))))
+    with pytest.raises(ValueError, match=message):
         build_batches(train_inputs(ds), bad, a_loops)
 
 

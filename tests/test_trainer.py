@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -187,3 +190,10 @@ def test_training_requires_validation_set():
     bare = with_split(ds, type(ds.split)(list(range(4)), [], list(range(4, 12))))
     with pytest.raises(ValueError, match="validation"):
         train_one(bare, quick_cfg(), seed=0)
+
+
+def test_readme_config_schema_matches_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config schema", 1)[1]
+    block = section.split("```json", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == TrainConfig().to_dict()
