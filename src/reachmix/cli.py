@@ -11,7 +11,9 @@ Config is JSON (schema = TrainConfig.to_dict()); flags override config
 fields, config overrides defaults. Exit codes: 0 success, 1 runtime failure,
 2 usage error. Every output directory gets exactly one manifest.json; all
 other outputs are deterministic for fixed seeds (wall-clock timings go to a
-separate timings file).
+separate timings file). Every run table and JSON output is written by
+write_tsv or write_json; dataset files and checkpoints are written by the
+modules that read them.
 """
 
 from __future__ import annotations
@@ -93,13 +95,35 @@ def _git_describe() -> str | None:
         return None
 
 
-def prepare_outdir(path: str, force: bool) -> str:
+def prepare_outdir(path: str, force: bool) -> None:
     if os.path.exists(path):
         if not force:
             raise RuntimeError(f"output directory {path!r} exists; pass --force to overwrite")
     else:
         os.makedirs(path)
-    return path
+
+
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    return repr(value.item() if isinstance(value, np.generic) else value)
+
+
+def write_tsv(path, header, rows) -> None:
+    """A run table: a header line, then one tab-separated line per row. A
+    string cell is written verbatim, a number as the repr of its Python
+    scalar (numpy scalars via ``.item()``), so it reads back with int() or
+    float() exactly."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\t".join(header) + "\n")
+        for row in rows:
+            fh.write("\t".join(map(_cell, row)) + "\n")
+
+
+def write_json(path, blob) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(blob, fh, indent=1)
+        fh.write("\n")
 
 
 def write_manifest(outdir, command: str, config: dict, data_dir=None) -> None:
@@ -113,30 +137,27 @@ def write_manifest(outdir, command: str, config: dict, data_dir=None) -> None:
     if data_dir is not None:
         manifest["dataset_fingerprint"] = dataset_fingerprint(data_dir)
         manifest["dataset_dir"] = os.path.abspath(data_dir)
-    with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
+    write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
 def load_config(path: str | None) -> TrainConfig:
     if path is None:
         return TrainConfig()
     with open(path, "r", encoding="utf-8") as fh:
-        blob = json.load(fh)
-    return TrainConfig.from_dict(blob)
+        return TrainConfig.from_dict(json.load(fh))
 
 
 def _config_with_overrides(args) -> TrainConfig:
     cfg = load_config(args.config)
-    blob = cfg.to_dict()
-    if getattr(args, "seeds", None):
-        blob["seeds"] = parse_seeds(args.seeds)
-    if getattr(args, "mixup", None):
-        blob["mixup_enabled"] = args.mixup == "on"
-    if getattr(args, "max_epochs", None):
-        blob["max_epochs"] = args.max_epochs
-        blob["patience"] = min(blob["patience"], args.max_epochs)
-    return TrainConfig.from_dict(blob)
+    overrides = {}
+    if args.seeds is not None:
+        overrides["seeds"] = parse_seeds(args.seeds)
+    if args.mixup is not None:
+        overrides["mixup_enabled"] = args.mixup == "on"
+    if args.max_epochs is not None:
+        overrides["max_epochs"] = args.max_epochs
+        overrides["patience"] = min(cfg.patience, args.max_epochs)
+    return trainer.apply_grid_point(cfg, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -172,24 +193,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _write_history_tsv(path, history) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch\ttotal\tsupervised\tintra\tinter\tval_acc\n")
-        for rec in history:
-            fh.write(
-                f"{rec.epoch}\t{rec.total!r}\t{rec.supervised!r}\t"
-                f"{rec.intra!r}\t{rec.inter!r}\t{rec.val_acc!r}\n"
-            )
-
-
-def _write_timings_tsv(path, outcomes, seeds) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("seed\tepoch\tseconds\n")
-        for seed, outcome in zip(seeds, outcomes):
-            for rec in outcome.history:
-                fh.write(f"{seed}\t{rec.epoch}\t{rec.seconds!r}\n")
-
-
 def cmd_train(args) -> int:
     cfg = _config_with_overrides(args)
     args.data = resolve_data_dir(args.data)
@@ -197,9 +200,12 @@ def cmd_train(args) -> int:
     prepare_outdir(args.out, args.force)
     result = train_multi(dataset, cfg)
     for seed, outcome in zip(cfg.seeds, result.outcomes):
-        _write_history_tsv(os.path.join(args.out, f"metrics_seed{seed}.tsv"), outcome.history)
+        write_tsv(os.path.join(args.out, f"metrics_seed{seed}.tsv"),
+                  ["epoch", "total", "supervised", "intra", "inter", "val_acc"],
+                  [(r.epoch, r.total, r.supervised, r.intra, r.inter, r.val_acc) for r in outcome.history])
         nn.save_params(os.path.join(args.out, f"checkpoint_seed{seed}.txt"), outcome.params)
-    _write_timings_tsv(os.path.join(args.out, "timings.tsv"), result.outcomes, cfg.seeds)
+    write_tsv(os.path.join(args.out, "timings.tsv"), ["seed", "epoch", "seconds"],
+              [(seed, r.epoch, r.seconds) for seed, o in zip(cfg.seeds, result.outcomes) for r in o.history])
     summary = {
         "seeds": list(cfg.seeds),
         "test_acc": {str(s): float(a) for s, a in zip(cfg.seeds, result.test_accs)},
@@ -209,9 +215,7 @@ def cmd_train(args) -> int:
         "std": result.std,
         "sem": result.sem,
     }
-    with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
+    write_json(os.path.join(args.out, "summary.json"), summary)
     write_manifest(args.out, "train", cfg.to_dict(), data_dir=args.data)
     print(f"test_acc mean={result.mean:.4f} std={result.std:.4f} sem={result.sem:.4f} over {len(cfg.seeds)} seeds")
     return 0
@@ -245,17 +249,13 @@ def cmd_sweep(args) -> int:
     args.data = resolve_data_dir(args.data)
     dataset = load_dataset(args.data)
     grids = _parse_grid(args.grid)
+    trainer.grid_points(cfg, grids)  # every point's config is valid before --out is claimed
     prepare_outdir(args.out, args.force)
     best_cfg, rows = trainer.grid_search(dataset, cfg, grids, jobs=args.jobs)
-    keys = list(grids.keys())
+    columns = list(grids) + ["mean_val_acc", "std_val_acc"]
     ranked = sorted(rows, key=lambda r: -r["mean_val_acc"])
-    with open(os.path.join(args.out, "sweep.tsv"), "w", encoding="utf-8") as fh:
-        fh.write("\t".join(keys + ["mean_val_acc", "std_val_acc"]) + "\n")
-        for row in ranked:
-            fh.write("\t".join(repr(row[k]) for k in keys + ["mean_val_acc", "std_val_acc"]) + "\n")
-    with open(os.path.join(args.out, "best.json"), "w", encoding="utf-8") as fh:
-        json.dump(best_cfg.to_dict(), fh, indent=1)
-        fh.write("\n")
+    write_tsv(os.path.join(args.out, "sweep.tsv"), columns, [[row[k] for k in columns] for row in ranked])
+    write_json(os.path.join(args.out, "best.json"), best_cfg.to_dict())
     write_manifest(args.out, "sweep", {"base": cfg.to_dict(), "grids": grids}, data_dir=args.data)
     best = ranked[0]
     print(f"swept {len(rows)} configurations; best mean_val_acc={best['mean_val_acc']:.4f}")
@@ -270,31 +270,46 @@ def cmd_diagnose(args) -> int:
     labeled = dataset.split.labeled_ids
     prepare_outdir(args.out, args.force)
 
+    # Each kind yields its table (header, rows), its JSON summary and the
+    # line printed on success.
     if args.kind == "rc":
         report = diagnostics.reaching_coefficient(g, labeled)
-        diagnostics.save_rc_report(report, args.out)
-        print(f"rc: {report.node_ids.size} unlabeled nodes, diameter {report.diameter}")
+        header = ["node", "rc", "min_dist", "mean_dist"]
+        rows = zip(report.node_ids, report.rc, report.min_dist, report.mean_dist)
+        summary = {
+            "diameter": report.diameter,
+            "num_unlabeled": int(report.node_ids.size),
+            "rc_mean": float(report.rc.mean()),
+            "rc_max": float(report.rc.max()),
+        }
+        line = f"rc: {report.node_ids.size} unlabeled nodes, diameter {report.diameter}"
     elif args.kind == "avgsp":
         report = diagnostics.avg_sp_by_degree(g, labeled)
-        diagnostics.save_avgsp_report(report, args.out)
-        print(f"avgsp: {report.degrees.size} degree groups")
+        header = ["degree", "avg_sp", "count"]
+        rows = zip(report.degrees, report.avg_sp, report.counts)
+        summary = {"num_degrees": int(report.degrees.size), "global_mean_sp": float(report.node_avg_sp.mean())}
+        line = f"avgsp: {report.degrees.size} degree groups"
     elif args.kind == "cka":
         params = _load_checkpoint_arg(args)
-        rc = diagnostics.reaching_coefficient(g, labeled)
-        buckets = diagnostics.rc_buckets(rc)
+        buckets = diagnostics.rc_buckets(diagnostics.reaching_coefficient(g, labeled))
         report = diagnostics.cka_by_bucket(params, dataset, buckets, args.seed)
-        diagnostics.save_cka_report(report, args.out)
-        shown = ["absent" if v is None else f"{v:.4f}" for v in report.values]
-        print("cka by bucket: " + " ".join(shown))
-    elif args.kind == "pearson":
+        values = ["absent" if v is None else v for v in report.values]
+        header = ["bucket", "cka", "sample_size"]
+        rows = zip(range(1, len(values) + 1), values, report.sample_sizes)
+        summary = {"seed": report.seed, "values": report.values, "sample_sizes": report.sample_sizes}
+        line = "cka by bucket: " + " ".join(v if isinstance(v, str) else f"{v:.4f}" for v in values)
+    else:  # pearson; argparse restricts the choices
         params = _load_checkpoint_arg(args)
         rc = diagnostics.reaching_coefficient(g, labeled)
         r, pairs = diagnostics.pearson_rc_vs_score(params, dataset, rc)
-        diagnostics.save_pearson_report(r, pairs, args.out)
-        print(f"pearson r={r:.4f} over {pairs.shape[0]} unlabeled nodes")
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown diagnostic {args.kind!r}")
+        header = ["node", "rc", "true_class_score"]
+        rows = zip(rc.node_ids, pairs[:, 1], pairs[:, 2])
+        summary = {"pearson_r": float(r), "n": int(pairs.shape[0])}
+        line = f"pearson r={r:.4f} over {pairs.shape[0]} unlabeled nodes"
+    write_tsv(os.path.join(args.out, f"{args.kind}.tsv"), header, rows)
+    write_json(os.path.join(args.out, f"{args.kind}_summary.json"), summary)
     write_manifest(args.out, f"diagnose {args.kind}", _args_blob(args), data_dir=args.data)
+    print(line)
     return 0
 
 

@@ -15,8 +15,6 @@ nonzero isotropic scaling.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,69 +213,3 @@ def pearson_rc_vs_score(params: ModelParams, dataset, report: RCReport):
     r = pearson(report.rc, scores)
     pairs = np.stack([report.node_ids.astype(np.float64), report.rc, scores], axis=1)
     return r, pairs
-
-
-# ---------------------------------------------------------------------------
-# Report serialization: TSV tables plus a JSON scalar summary.
-
-def save_rc_report(report: RCReport, outdir) -> None:
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "rc.tsv"), "w", encoding="utf-8") as fh:
-        fh.write("node\trc\tmin_dist\tmean_dist\n")
-        for i in range(report.node_ids.size):
-            fh.write(
-                f"{report.node_ids[i]}\t{report.rc[i]!r}\t"
-                f"{report.min_dist[i]!r}\t{report.mean_dist[i]!r}\n"
-            )
-    summary = {
-        "diameter": report.diameter,
-        "num_unlabeled": int(report.node_ids.size),
-        "rc_mean": float(report.rc.mean()),
-        "rc_max": float(report.rc.max()),
-    }
-    with open(os.path.join(outdir, "rc_summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
-
-
-def save_cka_report(report: CKAReport, outdir) -> None:
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "cka.tsv"), "w", encoding="utf-8") as fh:
-        fh.write("bucket\tcka\tsample_size\n")
-        for k, (value, size) in enumerate(zip(report.values, report.sample_sizes), start=1):
-            text = "absent" if value is None else repr(value)
-            fh.write(f"{k}\t{text}\t{size}\n")
-    summary = {
-        "seed": report.seed,
-        "values": [None if v is None else float(v) for v in report.values],
-        "sample_sizes": [int(s) for s in report.sample_sizes],
-    }
-    with open(os.path.join(outdir, "cka_summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
-
-
-def save_avgsp_report(report: DegreeSPReport, outdir) -> None:
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "avgsp.tsv"), "w", encoding="utf-8") as fh:
-        fh.write("degree\tavg_sp\tcount\n")
-        for d, sp, c in zip(report.degrees, report.avg_sp, report.counts):
-            fh.write(f"{d}\t{sp!r}\t{c}\n")
-    summary = {
-        "num_degrees": int(report.degrees.size),
-        "global_mean_sp": float(report.node_avg_sp.mean()),
-    }
-    with open(os.path.join(outdir, "avgsp_summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
-
-
-def save_pearson_report(r: float, pairs: np.ndarray, outdir) -> None:
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "pearson.tsv"), "w", encoding="utf-8") as fh:
-        fh.write("node\trc\ttrue_class_score\n")
-        for node, rc_value, score in pairs:
-            fh.write(f"{int(node)}\t{rc_value!r}\t{score!r}\n")
-    with open(os.path.join(outdir, "pearson_summary.json"), "w", encoding="utf-8") as fh:
-        json.dump({"pearson_r": float(r), "n": int(pairs.shape[0])}, fh, indent=1)
-        fh.write("\n")

@@ -35,6 +35,41 @@ from reachmix.nn import (
 )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# For each annotated field type of a config dataclass: the test a JSON value
+# must pass, and how a mismatch is described.
+_FIELD_TYPES = {
+    "bool": (lambda v: isinstance(v, bool), "a bool"),
+    "int": (_is_int, "an int"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "tuple[int, ...]": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)), "a list of ints"),
+    "MixupConfig": (lambda v: isinstance(v, dict), "an object"),
+}
+
+
+def config_kwargs(cls, blob, prefix: str = "") -> dict:
+    """Keyword arguments for the config dataclass ``cls`` from a JSON object.
+
+    An unknown key or a value of the wrong type raises ValueError naming the
+    key (after ``prefix``): a bool field takes a bool, an int field an int
+    that is not a bool, a float field an int or a float.
+    """
+    if not isinstance(blob, dict):
+        raise ValueError(f"config must be a JSON object, got {blob!r}")
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(prefix + key for key in set(blob) - set(types))
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
+    for key, value in blob.items():
+        accepts, wanted = _FIELD_TYPES[types[key]]
+        if not accepts(value):
+            raise ValueError(f"config field {prefix}{key} must be {wanted}, got {value!r}")
+    return dict(blob)
+
+
 @dataclass(frozen=True)
 class MixupConfig:
     """All mixup hyperparameters.
@@ -79,11 +114,7 @@ class MixupConfig:
 
     @classmethod
     def from_dict(cls, blob: dict) -> "MixupConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(blob) - known
-        if unknown:
-            raise ValueError(f"unknown mixup config keys: {sorted(unknown)}")
-        return cls(**blob)
+        return cls(**config_kwargs(cls, blob, "mixup."))
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:

@@ -24,6 +24,7 @@ from reachmix.mixup import (
     build_batches,
     build_pseudo_labels,
     compute_nld,
+    config_kwargs,
     loss_and_grads,
     prediction_label_matrix,
     sample_pairs,
@@ -67,25 +68,13 @@ class TrainConfig:
             raise ValueError("need at least one seed")
 
     def to_dict(self) -> dict:
-        blob = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "mixup":
-                blob[f.name] = value.to_dict()
-            elif f.name == "seeds":
-                blob[f.name] = list(value)
-            else:
-                blob[f.name] = value
-        return blob
+        blob = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**blob, "mixup": self.mixup.to_dict(), "seeds": list(self.seeds)}
 
     @classmethod
     def from_dict(cls, blob: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(blob) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(blob)
-        if "mixup" in kwargs and isinstance(kwargs["mixup"], dict):
+        kwargs = config_kwargs(cls, blob)
+        if "mixup" in kwargs:
             kwargs["mixup"] = MixupConfig.from_dict(kwargs["mixup"])
         return cls(**kwargs)
 
@@ -108,12 +97,10 @@ class TrainOutcome:
     best_val_acc: float
     best_epoch: int
     test_acc: float | None
-    stopped_epoch: int
 
 
 @dataclass(frozen=True)
 class RunResult:
-    seeds: tuple[int, ...]
     test_accs: np.ndarray
     mean: float
     std: float  # population std over seeds, matching mean +- std reporting
@@ -180,7 +167,6 @@ def train_one(
     history: list[EpochRecord] = []
     batches = None
     logits = None  # eval-mode logits of the current params
-    stopped = cfg.max_epochs - 1
 
     for epoch in range(cfg.max_epochs):
         t0 = time.perf_counter()
@@ -220,42 +206,34 @@ def train_one(
         else:
             since_best += 1
             if since_best >= cfg.patience:
-                stopped = epoch
                 break
-    else:
-        stopped = cfg.max_epochs - 1
 
     test_acc = evaluate(best_params, inputs, a_norm, dataset.split.test_ids)[0] if eval_test else None
-    return TrainOutcome(best_params, history, best_val, best_epoch, test_acc, stopped)
+    return TrainOutcome(best_params, history, best_val, best_epoch, test_acc)
 
 
-def train_multi(dataset: Dataset, cfg: TrainConfig, eval_test: bool = True) -> RunResult:
+def train_multi(dataset: Dataset, cfg: TrainConfig) -> RunResult:
     """Independent run per seed; aggregates test accuracy as mean / std / sem."""
-    outcomes = [train_one(dataset, cfg, seed, eval_test=eval_test) for seed in cfg.seeds]
+    outcomes = [train_one(dataset, cfg, seed) for seed in cfg.seeds]
+    accs = np.array([o.test_acc for o in outcomes])
+    std = float(accs.std())  # population std (ddof=0)
     best_vals = np.array([o.best_val_acc for o in outcomes])
-    if eval_test:
-        accs = np.array([o.test_acc for o in outcomes])
-        mean = float(accs.mean())
-        std = float(accs.std())  # population std (ddof=0)
-        sem = float(std / np.sqrt(accs.size))
-    else:
-        accs = np.zeros(0)
-        mean = std = sem = float("nan")
-    return RunResult(cfg.seeds, accs, mean, std, sem, best_vals, outcomes)
+    return RunResult(accs, float(accs.mean()), std, float(std / np.sqrt(accs.size)), best_vals, outcomes)
 
 
 def _set_config_field(blob: dict, dotted: str, value):
-    parts = dotted.split(".")
+    *path, last = dotted.split(".")
     node = blob
-    for key in parts[:-1]:
-        node = node[key]
-    if parts[-1] not in node:
-        raise KeyError(f"unknown config field {dotted!r}")
-    node[parts[-1]] = value
+    for key in path:
+        node = node.get(key) if isinstance(node, dict) else None
+    if not isinstance(node, dict) or last not in node:
+        raise ValueError(f"unknown config field {dotted!r}")
+    node[last] = value
 
 
 def apply_grid_point(cfg: TrainConfig, assignment: dict) -> TrainConfig:
-    """New config with dotted fields (e.g. "mixup.gamma") overridden."""
+    """New config with dotted fields (e.g. "mixup.gamma") overridden; an
+    unknown field or a value of the wrong type raises ValueError."""
     blob = cfg.to_dict()
     for dotted, value in assignment.items():
         _set_config_field(blob, dotted, value)
@@ -263,10 +241,9 @@ def apply_grid_point(cfg: TrainConfig, assignment: dict) -> TrainConfig:
 
 
 def _sweep_point(args):
-    dataset, cfg_blob, assignment = args
-    cfg = apply_grid_point(TrainConfig.from_dict(cfg_blob), assignment)
-    result = train_multi(dataset, cfg, eval_test=False)
-    vals = result.best_val_accs
+    dataset, base_cfg, assignment = args
+    cfg = apply_grid_point(base_cfg, assignment)
+    vals = np.array([train_one(dataset, cfg, seed, eval_test=False).best_val_acc for seed in cfg.seeds])
     return {
         **assignment,
         "mean_val_acc": float(vals.mean()),
@@ -274,30 +251,35 @@ def _sweep_point(args):
     }
 
 
+def grid_points(base_cfg: TrainConfig, grids: dict[str, list]) -> list[dict]:
+    """Every assignment of the grid in product order (grids iterate in insertion
+    order); a bad field or value in any point raises ValueError here."""
+    if not grids or any(len(v) == 0 for v in grids.values()):
+        raise ValueError("grids must be non-empty")
+    points = [dict(zip(grids, combo)) for combo in itertools.product(*grids.values())]
+    for point in points:
+        apply_grid_point(base_cfg, point)
+    return points
+
+
 def grid_search(dataset: Dataset, base_cfg: TrainConfig, grids: dict[str, list], jobs: int = 1):
     """Exhaustive Cartesian sweep; selects by mean validation accuracy.
 
     ``grids`` maps dotted config fields to candidate values. Ties break to the
-    first point in product order (grids iterate in insertion order), so the
-    result is deterministic. Model selection never touches test labels; run
+    first point in product order (see ``grid_points``), so the result is
+    deterministic. Model selection never touches test labels; run
     ``train_multi`` on the returned config for the one test evaluation.
 
     Returns (best_config, sweep_rows) with one row dict per grid point.
     """
-    if not grids or any(len(v) == 0 for v in grids.values()):
-        raise ValueError("grids must be non-empty")
-    names = list(grids.keys())
-    points = [dict(zip(names, combo)) for combo in itertools.product(*grids.values())]
-    work = [(dataset, base_cfg.to_dict(), pt) for pt in points]
+    points = grid_points(base_cfg, grids)
+    work = [(dataset, base_cfg, pt) for pt in points]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_point, work))  # map preserves submission order
     else:
         rows = [_sweep_point(w) for w in work]
-    best_idx = 0
-    for i, row in enumerate(rows):
-        if row["mean_val_acc"] > rows[best_idx]["mean_val_acc"]:
-            best_idx = i
+    best_idx = max(range(len(rows)), key=lambda i: rows[i]["mean_val_acc"])  # the first of equals
     best_cfg = apply_grid_point(base_cfg, points[best_idx])
     return best_cfg, rows
 

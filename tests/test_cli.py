@@ -278,6 +278,93 @@ def test_existing_out_fails_before_training(tmp_path, dataset_dir, monkeypatch, 
     assert "exists" in capsys.readouterr().err
 
 
+def never_train(*args, **kwargs):
+    raise AssertionError("training started")
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_max_epochs_zero_is_rejected(tmp_path, dataset_dir, monkeypatch, capsys, command):
+    monkeypatch.setattr(cli.trainer, "train_one", never_train)
+    out = tmp_path / "run"
+    argv = [command, "--data", str(dataset_dir), "--max-epochs", "0", "--out", str(out)]
+    if command == "sweep":
+        argv += ["--grid", "lr=0.01"]
+    assert run_cli(argv) == 1
+    assert "error: max_epochs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("blob, key", [
+    ({"hidden": "64"}, "hidden"),
+    ({"hidden": 64.0}, "hidden"),
+    ({"hidden": True}, "hidden"),
+    ({"mixup_enabled": "no"}, "mixup_enabled"),
+    ({"lr": "0.01"}, "lr"),
+    ({"seeds": [0, "1"]}, "seeds"),
+    ({"mixup": 5}, "mixup"),
+    ({"mixup": {"gamma": "0.7"}}, "mixup.gamma"),
+    ({"mixup": {"nld_include_self": 1}}, "mixup.nld_include_self"),
+    ({"mixup": {"nosuch": 1}}, "mixup.nosuch"),
+], ids=["hidden-str", "hidden-float", "hidden-bool", "mixup_enabled-str", "lr-str", "seeds-str",
+        "mixup-int", "gamma-str", "nld_include_self-int", "mixup-unknown-key"])
+def test_train_bad_config_value_exits_one(tmp_path, dataset_dir, monkeypatch, capsys, blob, key):
+    monkeypatch.setattr(cli.trainer, "train_one", never_train)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(blob))
+    out = tmp_path / "run"
+    assert run_cli(["train", "--data", str(dataset_dir), "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, key", [
+    ("nosuch=1", "nosuch"),
+    ("mixup.gamma=0.7,abc", "mixup.gamma"),  # the bad value is in the last point
+], ids=["field", "value"])
+def test_sweep_bad_grid_fails_before_training(tmp_path, dataset_dir, monkeypatch, capsys, grid, key):
+    monkeypatch.setattr(cli.trainer, "train_one", never_train)
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--data", str(dataset_dir), "--grid", "hidden=8,16", "--grid", grid, "--out", str(out)]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def train_run(tmp_path_factory, dataset_dir, quick_config):
+    out = tmp_path_factory.mktemp("train") / "run"
+    assert run_cli(["train", "--data", str(dataset_dir), "--config", str(quick_config), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("command", ["train", "sweep", "rc", "avgsp", "cka", "pearson"])
+def test_every_run_table_reads_back(tmp_path, dataset_dir, quick_config, train_run, command):
+    out = train_run
+    if command == "sweep":
+        out = tmp_path / command
+        assert run_cli(["sweep", "--data", str(dataset_dir), "--config", str(quick_config),
+                        "--seeds", "0", "--grid", "hidden=8,16", "--out", str(out)]) == 0
+    elif command != "train":
+        out = tmp_path / command
+        argv = ["diagnose", command, "--data", str(dataset_dir), "--out", str(out)]
+        if command in ("cka", "pearson"):
+            argv += ["--checkpoint", str(train_run / "checkpoint_seed0.txt")]
+        assert run_cli(argv) == 0
+    tables = sorted(out.glob("*.tsv"))
+    assert tables
+    for table in tables:
+        header, *rows = table.read_text(encoding="utf-8").splitlines()
+        assert rows, table.name
+        for row in rows:
+            cells = row.split("\t")
+            assert len(cells) == len(header.split("\t")), (table.name, row)
+            for cell in cells:
+                if not (table.name == "cka.tsv" and cell == "absent"):
+                    float(cell)  # raises on a cell that does not read back
+
+
 def test_git_describe_runs_in_package_directory(tmp_path, monkeypatch):
     seen = {}
 

@@ -91,13 +91,13 @@ def test_early_stopping_restores_best_params():
     _, a_norm, _ = build_operators(ds)
     acc, _ = evaluate(outcome.params, train_inputs(ds), a_norm, ds.split.valid_ids)
     assert acc == outcome.best_val_acc
-    assert outcome.best_epoch <= outcome.stopped_epoch
+    assert outcome.best_epoch <= outcome.history[-1].epoch
 
 
 def test_patience_stops_before_max_epochs():
     ds = small_dataset()
     outcome = train_one(ds, quick_cfg(max_epochs=200, patience=3), seed=0)
-    assert outcome.stopped_epoch < 199
+    assert outcome.history[-1].epoch < 199
 
 
 def test_train_multi_single_seed_zero_std():
@@ -169,7 +169,7 @@ def test_apply_grid_point_dotted_paths():
     cfg = quick_cfg()
     out = apply_grid_point(cfg, {"mixup.gamma": 0.5, "lr": 0.1})
     assert out.mixup.gamma == 0.5 and out.lr == 0.1
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="mixup.nonsense"):
         apply_grid_point(cfg, {"mixup.nonsense": 1})
 
 
@@ -183,6 +183,12 @@ def test_config_round_trip_and_validation():
         TrainConfig(seeds=())
     with pytest.raises(ValueError, match="unknown"):
         TrainConfig.from_dict({"nope": 1})
+
+
+def test_config_accepts_ints_for_float_fields():
+    cfg = TrainConfig.from_dict({"lr": 1, "mixup": {"lambda_intra": 1, "gamma": 1}})
+    assert cfg.lr == 1 and cfg.mixup.lambda_intra == 1 and cfg.mixup.gamma == 1
+    assert apply_grid_point(cfg, {"mixup.beta_s": 2}).mixup.beta_s == 2
 
 
 def test_training_requires_validation_set():
