@@ -106,14 +106,16 @@ def prepare_outdir(path: str, force: bool) -> None:
 def _cell(value) -> str:
     if isinstance(value, str):
         return value
-    return repr(value.item() if isinstance(value, np.generic) else value)
+    value = value.item() if isinstance(value, np.generic) else value
+    return json.dumps(value) if isinstance(value, bool) else repr(value)
 
 
 def write_tsv(path, header, rows) -> None:
     """A run table: a header line, then one tab-separated line per row. A
-    string cell is written verbatim, a number as the repr of its Python
-    scalar (numpy scalars via ``.item()``), so it reads back with int() or
-    float() exactly."""
+    string cell is written verbatim, a bool as JSON ``true``/``false`` (the
+    form ``--grid`` reads), and a number as the repr of its Python scalar
+    (numpy scalars via ``.item()``), so it reads back with int() or float()
+    exactly."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(header) + "\n")
         for row in rows:
@@ -264,11 +266,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    needs_model = args.kind in ("cka", "pearson")
+    if needs_model and not args.checkpoint:
+        raise UsageError(f"diagnose {args.kind} needs --checkpoint")
+    params = nn.load_params(args.checkpoint) if needs_model else None
     args.data = resolve_data_dir(args.data)
     dataset = load_dataset(args.data)
     g = add_self_loops(from_edges(dataset.num_nodes, dataset.edges))
     labeled = dataset.split.labeled_ids
-    prepare_outdir(args.out, args.force)
+    prepare_outdir(args.out, args.force)  # after every input is read and checked
 
     # Each kind yields its table (header, rows), its JSON summary and the
     # line printed on success.
@@ -290,7 +296,6 @@ def cmd_diagnose(args) -> int:
         summary = {"num_degrees": int(report.degrees.size), "global_mean_sp": float(report.node_avg_sp.mean())}
         line = f"avgsp: {report.degrees.size} degree groups"
     elif args.kind == "cka":
-        params = _load_checkpoint_arg(args)
         buckets = diagnostics.rc_buckets(diagnostics.reaching_coefficient(g, labeled))
         report = diagnostics.cka_by_bucket(params, dataset, buckets, args.seed)
         values = ["absent" if v is None else v for v in report.values]
@@ -299,7 +304,6 @@ def cmd_diagnose(args) -> int:
         summary = {"seed": report.seed, "values": report.values, "sample_sizes": report.sample_sizes}
         line = "cka by bucket: " + " ".join(v if isinstance(v, str) else f"{v:.4f}" for v in values)
     else:  # pearson; argparse restricts the choices
-        params = _load_checkpoint_arg(args)
         rc = diagnostics.reaching_coefficient(g, labeled)
         r, pairs = diagnostics.pearson_rc_vs_score(params, dataset, rc)
         header = ["node", "rc", "true_class_score"]
@@ -311,12 +315,6 @@ def cmd_diagnose(args) -> int:
     write_manifest(args.out, f"diagnose {args.kind}", _args_blob(args), data_dir=args.data)
     print(line)
     return 0
-
-
-def _load_checkpoint_arg(args):
-    if not args.checkpoint:
-        raise UsageError(f"diagnose {args.kind} needs --checkpoint")
-    return nn.load_params(args.checkpoint)
 
 
 def cmd_gradcheck(args) -> int:

@@ -54,9 +54,7 @@ class DegreeSPReport:
     degrees: np.ndarray  # structural degree values with >= 1 unlabeled node
     avg_sp: np.ndarray  # mean over those nodes of mean distance to labeled set
     counts: np.ndarray
-    node_ids: np.ndarray  # per-unlabeled-node backing data
-    node_avg_sp: np.ndarray
-    node_degrees: np.ndarray
+    node_avg_sp: np.ndarray  # per unlabeled node, ascending id
 
 
 def _labeled_distances(g: CsrGraph, labeled_ids) -> tuple[int, np.ndarray, np.ndarray]:
@@ -183,7 +181,7 @@ def avg_sp_by_degree(g: CsrGraph, labeled_ids) -> DegreeSPReport:
     degrees = np.unique(node_deg)
     avg = np.array([node_avg[node_deg == d].mean() for d in degrees])
     counts = np.array([int((node_deg == d).sum()) for d in degrees])
-    return DegreeSPReport(degrees, avg, counts, unlabeled, node_avg, node_deg)
+    return DegreeSPReport(degrees, avg, counts, node_avg)
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:

@@ -205,18 +205,20 @@ def diameter_and_components(g: CsrGraph) -> tuple[int, np.ndarray]:
 
 @dataclass(frozen=True)
 class MixSelector:
-    """A batch of simultaneous pair mixes: row/column i of the adjacency is
-    replaced by the convex combination lam * row_i + (1 - lam) * row_partner.
+    """A batch of simultaneous pair mixes on a graph of ``num_nodes`` nodes:
+    node t becomes lam * t + (1 - lam) * partner for every (t, partner, lam).
+    The one place pair ids are checked: equal lengths, lambda in [0, 1],
+    distinct targets, no partner that is also a target, ids in [0, n).
     """
 
+    num_nodes: int
     targets: np.ndarray  # int64
     partners: np.ndarray  # int64
     lams: np.ndarray  # float64 in [0, 1]
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", np.asarray(self.targets, dtype=np.int64))
-        object.__setattr__(self, "partners", np.asarray(self.partners, dtype=np.int64))
-        object.__setattr__(self, "lams", np.asarray(self.lams, dtype=np.float64))
+        for name, dtype in (("targets", np.int64), ("partners", np.int64), ("lams", np.float64)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         k = self.targets.size
         if self.partners.size != k or self.lams.size != k:
             raise ValueError("targets, partners, lams must have equal length")
@@ -224,38 +226,43 @@ class MixSelector:
             raise ValueError("targets must be distinct")
         if np.intersect1d(self.targets, self.partners).size:
             raise ValueError("a partner may not also be a target")
-        if k and (self.lams.min() < 0.0 or self.lams.max() > 1.0):
+        if not np.all((self.lams >= 0.0) & (self.lams <= 1.0)):  # NaN fails too
             raise ValueError("lambda values must lie in [0, 1]")
+        ids = np.concatenate([self.targets, self.partners])
+        if np.any((ids < 0) | (ids >= self.num_nodes)):
+            raise ValueError("selector refers to node ids outside the graph")
 
     def __len__(self) -> int:
         return int(self.targets.size)
 
-    def matrix(self, n: int) -> csr_array:
+    def matrix(self) -> csr_array:
         """The n x n selector S: the identity with row t replaced by
-        lam * e_t + (1 - lam) * e_p for every (t, p, lam). ``S[targets]`` is
-        the k x n matrix of the mixes alone."""
-        rest = np.setdiff1d(np.arange(n), self.targets)
-        rows = np.concatenate([rest, self.targets, self.targets])
-        cols = np.concatenate([rest, self.targets, self.partners])
-        vals = np.concatenate([np.ones(rest.size), self.lams, 1.0 - self.lams])
+        lam * e_t + (1 - lam) * e_p for every (t, p, lam)."""
+        n = self.num_nodes
+        diag = np.ones(n)
+        diag[self.targets] = self.lams
+        rows = np.concatenate([np.arange(n), self.targets])
+        cols = np.concatenate([np.arange(n), self.partners])
+        vals = np.concatenate([diag, 1.0 - self.lams])
         return coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
 
+    def pair_rows(self) -> csr_array:
+        """The k x n matrix of the mixes alone, row i = row targets[i] of S,
+        built from the 2k pair entries (0 x n for an empty batch)."""
+        rows = np.tile(np.arange(len(self)), 2)
+        cols = np.concatenate([self.targets, self.partners])
+        vals = np.concatenate([self.lams, 1.0 - self.lams])
+        return coo_array((vals, (rows, cols)), shape=(len(self), self.num_nodes)).tocsr()
 
-def mix_adjacency(a: CsrGraph, sel: MixSelector) -> CsrGraph:
-    """Apply the batched pair mix: returns S A S^T for the selector's S.
 
-    All pairs are applied in one shot from the original A, which is
-    order-independent and, for a single pair, coincides with mixing row i
-    then column i. ``a`` must be symmetric (with whatever self-loops the
-    caller wants mixed). The result is averaged with its transpose, which is
-    exactly symmetric because float addition commutes; sparse products and
-    sums store no zeros, so the weights stay strictly positive.
+def mix_adjacency(a: CsrGraph, s: csr_array) -> CsrGraph:
+    """S A S^T for a selector matrix ``s`` (``MixSelector.matrix``), averaged
+    with its transpose.
+
+    All pairs apply at once to the original A: order-independent, and for a
+    single pair the same as mixing row i then column i. For a symmetric ``a``
+    (with the self-loops to mix) the average is exactly symmetric, as float
+    addition commutes; sparse products store no zeros, so weights stay > 0.
     """
-    if len(sel) == 0:
-        return a
-    hi = max(int(sel.targets.max()), int(sel.partners.max()))
-    if hi >= a.num_nodes or min(int(sel.targets.min()), int(sel.partners.min())) < 0:
-        raise ValueError("selector refers to node ids outside the graph")
-    s = sel.matrix(a.num_nodes)
     m = s @ a.matrix @ s.T
     return CsrGraph((m + m.T) * 0.5)

@@ -338,9 +338,9 @@ class MixupBatches:
     The same-class branch is full-graph: CSR features with labeled target
     rows replaced by their mixes, the N x C soft targets (one-hot labels with
     the target rows mixed; the loss reads the labeled rows only) and the
-    normalized mixed adjacency. The different-class branch is row-per-pair
-    and runs through the MLP path. Either branch may be absent (None / empty)
-    when its pool was empty.
+    normalized mixed adjacency; all three are None when the branch has no
+    pairs. The different-class branch is row-per-pair (k x F features, k x C
+    targets, k = 0 without pairs) and runs through the MLP path.
     """
 
     intra_features: csr_array | None
@@ -362,13 +362,12 @@ def _branch(inputs: TrainInputs, same_class: bool, targets, partners, partner_la
     """One branch's checked selector and the soft targets of its pairs,
     lam * one_hot(target's label) + (1 - lam) * one_hot(partner's pseudo-label).
 
-    ``MixSelector`` checks the lengths, the lambda range, distinct targets
-    and partner != target; this adds the checks it cannot make: labeled
-    targets, unlabeled partners, and class agreement (same-class branch) or
-    disagreement (different-class branch).
+    ``MixSelector`` checks the pair ids; this adds the checks it cannot
+    make: labeled targets, unlabeled partners, and class agreement
+    (same-class branch) or disagreement (different-class branch).
     """
     branch = "intra" if same_class else "inter"
-    sel = MixSelector(targets, partners, lams)
+    sel = MixSelector(inputs.dataset.num_nodes, targets, partners, lams)
     labeled = inputs.labeled_weights > 0.0
     if partner_labels.size != len(sel):
         raise ValueError(f"{branch} pair arrays have inconsistent lengths")
@@ -386,28 +385,25 @@ def _branch(inputs: TrainInputs, same_class: bool, targets, partners, partner_la
 def build_batches(inputs: TrainInputs, pairs: PairAssignment, a: CsrGraph) -> MixupBatches:
     """Materialize mixed inputs from a pair assignment.
 
-    ``a`` is the unnormalized adjacency with self-loops. Each branch mixes
-    with one selector S (see ``MixSelector.matrix``): the same-class branch
+    ``a`` is the unnormalized adjacency with self-loops. A same-class branch
+    with pairs builds its n x n selector S once (``MixSelector.matrix``) and
     takes S X and S A S^T, renormalized here so the training loop can reuse
-    it for every step of the refresh period; the different-class branch takes
-    the pair rows S[targets] X.
+    it for every step of the refresh period. The different-class branch
+    builds only its k x n pair rows (``MixSelector.pair_rows``) and takes
+    their product with X.
     """
-    n = inputs.dataset.num_nodes
     intra, intra_mixed = _branch(inputs, True, pairs.intra_targets, pairs.intra_partners,
                                  pairs.intra_partner_labels, pairs.intra_lams)
     inter, inter_t = _branch(inputs, False, pairs.inter_targets, pairs.inter_partners,
                              pairs.inter_partner_labels, pairs.inter_lams)
     intra_x = intra_t = a_mixed_norm = None
     if len(intra):
-        intra_x = intra.matrix(n) @ inputs.features
+        s = intra.matrix()
+        intra_x = s @ inputs.features
         intra_t = inputs.y_hot.copy()
         intra_t[intra.targets] = intra_mixed
-        a_mixed_norm = sym_normalize(mix_adjacency(a, intra))
-    if len(inter):
-        inter_x = inter.matrix(n)[inter.targets] @ inputs.features
-    else:
-        inter_x = csr_array((0, inputs.dataset.num_features))
-    return MixupBatches(intra_x, intra_t, a_mixed_norm, inter_x, inter_t)
+        a_mixed_norm = sym_normalize(mix_adjacency(a, s))
+    return MixupBatches(intra_x, intra_t, a_mixed_norm, inter.pair_rows() @ inputs.features, inter_t)
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,7 @@ def test_criterion_1_gradient_correctness(capsys):
 def test_criterion_2_mixup_algebra(capsys):
     def mix(z, lam, target=0, partner=1):
         # The production mix: row ``target`` of S Z for a one-pair selector.
-        return (MixSelector([target], [partner], [lam]).matrix(z.shape[0]) @ z)[target]
+        return (MixSelector(z.shape[0], [target], [partner], [lam]).matrix() @ z)[target]
 
     rng = np.random.default_rng(0)
     ok = True
@@ -128,7 +128,7 @@ def test_criterion_3_adjacency_mixing_oracle(capsys):
         if partners.size < k:
             continue
         lams = rng.random(k)
-        mixed = mix_adjacency(g, MixSelector(targets, partners, lams))
+        mixed = mix_adjacency(g, MixSelector(n, targets, partners, lams).matrix())
         expected = dense_mix(g.to_dense(), targets, partners, lams)
         worst = max(worst, float(np.max(np.abs(mixed.to_dense() - expected))))
         try:

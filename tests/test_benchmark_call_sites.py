@@ -1,5 +1,8 @@
 import importlib.util
+import json
 from pathlib import Path
+
+from reachmix import cli
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -12,12 +15,40 @@ KNOWN_MISSING = {
 }
 
 
-def test_benchmark_call_sites_exist():
-    """A traced name that is deleted or renamed fails here instead of
-    silently zeroing a per-layer benchmark metric."""
+def load_tracer():
+    """The benchmark's tracer module, loaded from its file without writing to it."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    missing = {(module.__name__, attr) for module, attr, _, _ in tracer.CALL_SITES
+    return tracer
+
+
+def test_benchmark_call_sites_exist():
+    """A traced name that is deleted or renamed fails here instead of
+    silently zeroing a per-layer benchmark metric."""
+    missing = {(module.__name__, attr) for module, attr, _, _ in load_tracer().CALL_SITES
                if not hasattr(module, attr)}
     assert missing == KNOWN_MISSING
+
+
+def test_tracer_reads_counts_off_a_mixup_run(tmp_path):
+    """The tracer's info readers (pair counts, pseudo-label counts, flops)
+    read fields of the program's arguments and results; a renamed field
+    fails here instead of in a ``--trace 1`` benchmark run."""
+    tracer_module = load_tracer()
+    data, config = tmp_path / "data", tmp_path / "config.json"
+    assert cli.main(["synth", "--classes", "3", "--per-class", "30", "--p-in", "0.3", "--p-out", "0.02",
+                     "--feature-dim", "8", "--noise", "0.5", "--seed", "1", "--labels-per-class", "4",
+                     "--valid-per-class", "4", "--out", str(data)]) == 0
+    config.write_text(json.dumps({"lr": 0.05, "max_epochs": 15, "patience": 15, "seeds": [0],
+                                  "mixup_enabled": True, "mixup": {"warmup_epochs": 2}}))
+    tracer = tracer_module.Tracer()
+    with tracer.installed():
+        assert cli.main(["train", "--data", str(data), "--config", str(config),
+                         "--out", str(tmp_path / "train")]) == 0
+        assert cli.main(["diagnose", "rc", "--data", str(data), "--out", str(tmp_path / "rc")]) == 0
+    metrics = tracer_module.layer_metrics(tracer, 0.0)
+    for name in ("mixup.refreshes", "mixup.pseudo_label_frac", "mixup.intra_pairs", "mixup.inter_pairs",
+                 "graphalg.matmul_dense_flops", "graphio.features_bytes", "nn.eval_forward_s",
+                 "graphalg.bfs_distances_calls"):
+        assert metrics[name] > 0, name

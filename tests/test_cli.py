@@ -153,11 +153,14 @@ def test_diagnose_avgsp(tmp_path, dataset_dir):
     assert (out / "avgsp.tsv").read_text().startswith("degree\t")
 
 
-def test_diagnose_cka_needs_checkpoint(tmp_path, dataset_dir, capsys):
+def test_diagnose_cka_needs_checkpoint(tmp_path, dataset_dir, train_run, capsys):
     out = tmp_path / "cka"
+    argv = ["diagnose", "cka", "--data", str(dataset_dir), "--out", str(out)]
     with pytest.raises(SystemExit) as exc:
-        run_cli(["diagnose", "cka", "--data", str(dataset_dir), "--out", str(out)])
+        run_cli(argv)
     assert exc.value.code == 2
+    assert not out.exists()  # so the corrected command needs no --force
+    assert run_cli(argv + ["--checkpoint", str(train_run / "checkpoint_seed0.txt")]) == 0
 
 
 def test_diagnose_cka_with_checkpoint(tmp_path, dataset_dir, quick_config, capsys):
@@ -196,15 +199,15 @@ def test_diagnose_pearson_degenerate_model_fails_cleanly(tmp_path, dataset_dir, 
     pytest.param("param b1 2 2\n0.5 0.5\n", 1, id="ndim-mismatch"),
     pytest.param("param b1 1 3\n0.5 0.5\n", 2, id="value-count"),
 ])
-def test_diagnose_bad_checkpoint_names_file_and_line(tmp_path, dataset_dir, capsys, text, line):
+def test_diagnose_bad_checkpoint_names_file_and_line(tmp_path, dataset_dir, train_run, capsys, text, line):
     ckpt = tmp_path / "bad.txt"
     ckpt.write_text(text, encoding="utf-8")
-    code = run_cli([
-        "diagnose", "cka", "--data", str(dataset_dir),
-        "--checkpoint", str(ckpt), "--out", str(tmp_path / "cka"),
-    ])
-    assert code == 1
+    out = tmp_path / "cka"
+    argv = ["diagnose", "cka", "--data", str(dataset_dir), "--out", str(out), "--checkpoint"]
+    assert run_cli(argv + [str(ckpt)]) == 1
     assert f"{ckpt}:{line}: " in capsys.readouterr().err
+    assert not out.exists()  # so the corrected command needs no --force
+    assert run_cli(argv + [str(train_run / "checkpoint_seed0.txt")]) == 0
 
 
 def test_gradcheck_passes(capsys):
@@ -342,10 +345,12 @@ def train_run(tmp_path_factory, dataset_dir, quick_config):
 @pytest.mark.parametrize("command", ["train", "sweep", "rc", "avgsp", "cka", "pearson"])
 def test_every_run_table_reads_back(tmp_path, dataset_dir, quick_config, train_run, command):
     out = train_run
+    grids = {}
     if command == "sweep":
         out = tmp_path / command
-        assert run_cli(["sweep", "--data", str(dataset_dir), "--config", str(quick_config),
-                        "--seeds", "0", "--grid", "hidden=8,16", "--out", str(out)]) == 0
+        grids = {"hidden": [8, 16], "mixup_enabled": [False, True]}
+        assert run_cli(["sweep", "--data", str(dataset_dir), "--config", str(quick_config), "--seeds", "0",
+                        "--grid", "hidden=8,16", "--grid", "mixup_enabled=false,true", "--out", str(out)]) == 0
     elif command != "train":
         out = tmp_path / command
         argv = ["diagnose", command, "--data", str(dataset_dir), "--out", str(out)]
@@ -356,12 +361,16 @@ def test_every_run_table_reads_back(tmp_path, dataset_dir, quick_config, train_r
     assert tables
     for table in tables:
         header, *rows = table.read_text(encoding="utf-8").splitlines()
+        columns = header.split("\t")
         assert rows, table.name
         for row in rows:
             cells = row.split("\t")
-            assert len(cells) == len(header.split("\t")), (table.name, row)
-            for cell in cells:
-                if not (table.name == "cka.tsv" and cell == "absent"):
+            assert len(cells) == len(columns), (table.name, row)
+            for column, cell in zip(columns, cells):
+                if column in grids:  # reads back as --grid reads it, with its type
+                    value = json.loads(cell)
+                    assert any(value == v and type(value) is type(v) for v in grids[column]), (column, cell)
+                elif not (table.name == "cka.tsv" and cell == "absent"):
                     float(cell)  # raises on a cell that does not read back
 
 

@@ -231,23 +231,40 @@ def test_structural_degrees_exclude_self_loops():
 
 def test_mix_selector_validation():
     with pytest.raises(ValueError, match="distinct"):
-        MixSelector([0, 0], [1, 2], [0.5, 0.5])
+        MixSelector(3, [0, 0], [1, 2], [0.5, 0.5])
     with pytest.raises(ValueError, match="partner"):
-        MixSelector([0, 1], [1, 2], [0.5, 0.5])
-    with pytest.raises(ValueError, match="lambda"):
-        MixSelector([0], [1], [1.5])
+        MixSelector(3, [0, 1], [1, 2], [0.5, 0.5])
+    for lam in (1.5, -0.1, np.nan):
+        with pytest.raises(ValueError, match="lambda"):
+            MixSelector(3, [0], [1], [lam])
+    with pytest.raises(ValueError, match="outside"):
+        MixSelector(3, [-1], [1], [0.5])
+
+
+def test_mix_selector_pair_rows_are_the_target_rows_of_matrix(rng):
+    for _ in range(20):
+        n = int(rng.integers(2, 30))
+        k = int(rng.integers(0, n // 2 + 1))
+        perm = rng.permutation(n)
+        lams = rng.random(k)
+        lams[: k // 3] = 1.0  # a zero partner weight stays a stored entry in both
+        sel = MixSelector(n, perm[:k], perm[k:2 * k], lams)
+        rows, full = sel.pair_rows(), sel.matrix()[sel.targets]
+        assert rows.shape == (k, n)
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(rows, attr), getattr(full, attr))
 
 
 def test_mix_adjacency_empty_selector_is_input():
     g = add_self_loops(from_edges(3, np.array([[0, 1], [1, 2]])))
-    sel = MixSelector(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
-    assert mix_adjacency(g, sel) is g
+    sel = MixSelector(3, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
+    np.testing.assert_array_equal(mix_adjacency(g, sel.matrix()).to_dense(), g.to_dense())
 
 
 def test_mix_adjacency_lambda_one_is_identity_transform():
     g = add_self_loops(from_edges(4, np.array([[0, 1], [1, 2], [2, 3]])))
-    sel = MixSelector([0, 1], [3, 2], [1.0, 1.0])
-    mixed = mix_adjacency(g, sel)
+    sel = MixSelector(4, [0, 1], [3, 2], [1.0, 1.0])
+    mixed = mix_adjacency(g, sel.matrix())
     np.testing.assert_array_equal(mixed.to_dense(), g.to_dense())
     mixed.validate()  # the zero-weight partner terms leave no stored zeros
 
@@ -255,8 +272,8 @@ def test_mix_adjacency_lambda_one_is_identity_transform():
 def test_mix_adjacency_hand_case_three_node_path():
     # Path 0-1-2 with self-loops, mix target 0 with partner 2 at lambda 0.5.
     g = add_self_loops(from_edges(3, np.array([[0, 1], [1, 2]])))
-    sel = MixSelector([0], [2], [0.5])
-    mixed = mix_adjacency(g, sel)
+    sel = MixSelector(3, [0], [2], [0.5])
+    mixed = mix_adjacency(g, sel.matrix())
     expected = dense_mix(g.to_dense(), [0], [2], [0.5])
     np.testing.assert_allclose(mixed.to_dense(), expected, atol=1e-15)
 
@@ -274,7 +291,7 @@ def test_mix_adjacency_matches_dense_oracle(rng):
         if partners.size < k:
             continue
         lams = rng.random(k)
-        mixed = mix_adjacency(g, MixSelector(targets, partners, lams))
+        mixed = mix_adjacency(g, MixSelector(n, targets, partners, lams).matrix())
         expected = dense_mix(g.to_dense(), targets, partners, lams)
         np.testing.assert_allclose(mixed.to_dense(), expected, atol=1e-12)
         mixed.validate()  # compares A with A^T entry by entry
@@ -283,7 +300,7 @@ def test_mix_adjacency_matches_dense_oracle(rng):
 def test_mix_adjacency_rejects_out_of_range():
     g = add_self_loops(from_edges(3, np.array([[0, 1], [1, 2]])))
     with pytest.raises(ValueError, match="outside"):
-        mix_adjacency(g, MixSelector([0], [5], [0.5]))
+        mix_adjacency(g, MixSelector(g.num_nodes, [0], [5], [0.5]).matrix())
 
 
 @settings(max_examples=50, deadline=None)

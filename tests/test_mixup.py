@@ -31,7 +31,7 @@ def mix(a, b, lam):
     """Row 0 of S Z for the selector that mixes node 0 with partner node 1,
     where Z stacks the rows a and b: the production mix of ``build_batches``."""
     z = np.stack([np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)])
-    return (MixSelector([0], [1], [lam]).matrix(2) @ z)[0]
+    return (MixSelector(2, [0], [1], [lam]).matrix() @ z)[0]
 
 
 def test_mix_lambda_one_returns_a_bitwise():
@@ -50,7 +50,7 @@ def test_mix_direct_value():
 
 def test_mix_rejects_length_mismatch():
     with pytest.raises(ValueError, match="equal length"):
-        MixSelector([0], [1, 2], [0.5])
+        MixSelector(3, [0], [1, 2], [0.5])
 
 
 @settings(max_examples=100, deadline=None)
@@ -374,6 +374,30 @@ def test_build_batches_single_pair_matches_dense_oracle():
     expected = dense_mix(a_loops.to_dense(), [0], [2], [0.5])
     d = expected.sum(axis=1) ** -0.5
     np.testing.assert_allclose(batches.adjacency_mixed_norm.to_dense(), d[:, None] * expected * d, atol=1e-12)
+
+
+@pytest.mark.parametrize("empty", [None, "intra", "inter"])
+def test_build_batches_builds_each_selector_once(monkeypatch, empty):
+    """One refresh builds the n x n selector once, and only for a same-class
+    branch with pairs; the different-class branch builds its k pair rows
+    alone, a 0 x n matrix when it has no pairs."""
+    from dataclasses import replace
+
+    ds, a_loops, _, _, pairs = sbm_with_pairs()
+    if empty:
+        names = [f"{empty}_{f}" for f in ("targets", "partners", "partner_labels", "lams")]
+        pairs = replace(pairs, **{name: getattr(pairs, name)[:0] for name in names})
+    built = {"matrix": 0, "pair_rows": 0}
+    for name in built:
+        def counted(self, build=getattr(MixSelector, name), name=name):
+            built[name] += 1
+            return build(self)
+        monkeypatch.setattr(MixSelector, name, counted)
+    batches = build_batches(train_inputs(ds), pairs, a_loops)
+    assert built == {"matrix": int(empty != "intra"), "pair_rows": 1}
+    assert batches.has_intra == (empty != "intra")
+    assert batches.has_inter == (empty != "inter")
+    assert batches.inter_features.shape == (pairs.inter_targets.size, ds.num_features)
 
 
 def test_build_batches_rejects_mismatched_intra_pair():
