@@ -325,7 +325,7 @@ def cmd_gradcheck(args) -> int:
         labels_per_class=2, valid_per_class=1,
     )
     params = nn.init_params(dataset.num_features, 6, dataset.num_classes, rng)
-    max_rel, checked, skipped = nn.gradient_check(dataset, params, eps=args.eps)
+    max_rel, checked, skipped = nn.gradient_check(trainer.build_operators(dataset), params, eps=args.eps)
     ok = max_rel < args.threshold
     status = "PASS" if ok else "FAIL"
     print(f"{status} max_rel_err={max_rel:.3e} checked={checked} skipped={skipped} eps={args.eps:g}")

@@ -44,7 +44,7 @@ class RCReport:
 
 @dataclass(frozen=True)
 class CKAReport:
-    values: list  # one entry per bucket I..V; None where the bucket was empty
+    values: list  # one entry per bucket I..V; None where fewer than 3 nodes could be compared
     sample_sizes: list
     seed: int
 
@@ -95,14 +95,11 @@ def rc_buckets(report: RCReport) -> list[np.ndarray]:
     """Partition unlabeled nodes into five RC ranges.
 
     With m = max RC, bucket I is [0, m/5] and bucket k is ((k-1)m/5, km/5].
-    If m == 0 every node lands in bucket I.
+    If m == 0 every edge is 0, so every node lands in bucket I.
     """
     if report.node_ids.size == 0:
         raise ValueError("need at least one unlabeled node")
     m = float(report.rc.max())
-    if m == 0.0:
-        buckets = [report.node_ids] + [np.zeros(0, dtype=np.int64) for _ in range(NUM_BUCKETS - 1)]
-        return buckets
     edges = np.array([k * m / NUM_BUCKETS for k in range(1, NUM_BUCKETS)])
     idx = np.searchsorted(edges, report.rc, side="left")
     return [report.node_ids[idx == k] for k in range(NUM_BUCKETS)]
@@ -148,8 +145,9 @@ def cka_by_bucket(
     without replacement (one seeded stream, buckets in order). The score
     pairs row i of one matrix with row i of the other, so sampled ids are
     sorted to make the pairing canonical; a bucket identical to the labeled
-    set then scores exactly 1. Buckets with fewer than 2 nodes are reported
-    as absent.
+    set then scores exactly 1. A comparison of fewer than 3 nodes is reported
+    as absent and draws no sample: with 2 nodes the centred rows are +-v, so
+    the CKA is 1 for any input.
     """
     z = representations(params, dataset)
     labeled = dataset.split.labeled_ids
@@ -157,7 +155,7 @@ def cka_by_bucket(
     values, sizes = [], []
     for bucket in buckets:
         m = int(min(labeled.size, bucket.size))
-        if m < 2:
+        if m < 3:
             values.append(None)
             sizes.append(m)
             continue

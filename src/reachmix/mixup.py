@@ -27,7 +27,6 @@ from reachmix.graphalg import CsrGraph, MixSelector, mix_adjacency, sym_normaliz
 from reachmix.graphio import Dataset
 from reachmix.nn import (
     ModelParams,
-    as_csr,
     backward,
     gcn_forward,
     mlp_forward,
@@ -91,7 +90,6 @@ class MixupConfig:
     alpha: float = 1.0
     warmup_epochs: int = 10
     refresh_every: int = 1
-    nld_include_self: bool = True
 
     def __post_init__(self):
         if not (0.0 <= self.lambda_intra <= 1.5) or not (0.0 <= self.lambda_inter <= 1.5):
@@ -127,22 +125,18 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 @dataclass(frozen=True)
 class TrainInputs:
     """A dataset in the form every epoch reads it, built once per run by
-    ``train_inputs``: CSR features, one-hot labels, and the row weights that
-    restrict the supervised loss to labeled nodes."""
+    ``trainer.build_operators``: CSR features, one-hot labels, the row
+    weights that restrict the supervised loss to labeled nodes, and the
+    graph as the refresh (A + I, degrees) and the forward pass (A_hat) read
+    it. The arrays are read-only."""
 
     dataset: Dataset
     features: csr_array
     y_hot: np.ndarray  # (N, C)
     labeled_weights: np.ndarray  # (N,): 1 on labeled rows, 0 elsewhere
-
-
-def train_inputs(dataset: Dataset) -> TrainInputs:
-    y_hot = one_hot(dataset.labels, dataset.num_classes)
-    weights = np.zeros(dataset.num_nodes)
-    weights[dataset.split.labeled_ids] = 1.0
-    for arr in (y_hot, weights):
-        arr.setflags(write=False)
-    return TrainInputs(dataset, as_csr(dataset.features), y_hot, weights)
+    adjacency: CsrGraph  # A + I, unnormalized
+    a_norm: CsrGraph  # D^-1/2 (A + I) D^-1/2
+    degrees: np.ndarray  # (N,) structural degrees, self-loops excluded
 
 
 @dataclass(frozen=True)
@@ -183,39 +177,28 @@ class NLDTable:
     ybar: np.ndarray  # (N, C) one-hot: true labels for labeled, predictions elsewhere
 
 
-def compute_nld(a: CsrGraph, ybar: np.ndarray, include_self: bool = True) -> NLDTable:
+def compute_nld(a: CsrGraph, ybar: np.ndarray) -> NLDTable:
     """Mean of neighbor label rows, with the neighbor set read directly off ``a``.
 
-    ``a`` is expected to carry self-loops, so by default a node's own label
-    participates; ``include_self=False`` masks the diagonal for ablations.
-    Edge weights are ignored: any stored entry counts as one neighbor.
+    ``a`` carries self-loops (``TrainInputs.adjacency``), so a node's own
+    label participates and every row, an isolated node's too, has at least
+    one entry. Edge weights are ignored: any stored entry counts as one
+    neighbor.
     """
     ybar = np.asarray(ybar, dtype=np.float64)
     if ybar.shape[0] != a.num_nodes:
         raise ValueError("ybar must have one row per node")
     if np.any((ybar != 0.0) & (ybar != 1.0)) or np.any(ybar.sum(axis=1) != 1.0):
         raise ValueError("ybar rows must be one-hot")
-    rows = a.row_ids()
-    cols = a.indices
-    if not include_self:
-        off = rows != cols
-        rows, cols = rows[off], cols[off]
-    counts = np.bincount(rows, minlength=a.num_nodes)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    neighbors = csr_array((np.ones(cols.size), cols, indptr), shape=(a.num_nodes, a.num_nodes))
+    neighbors = csr_array((np.ones(a.nnz), a.indices, a.indptr), shape=a.matrix.shape)
     sums = neighbors @ ybar  # sums of 0/1 values: exact in any order
-    counts = counts.astype(np.float64)
-    q = np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=counts[:, None] > 0)
-    return NLDTable(q, ybar)
+    return NLDTable(sums / np.diff(a.indptr)[:, None], ybar)
 
 
 def sharpen(q: np.ndarray, tau: float) -> np.ndarray:
     """Temperature sharpening q_c^{1/tau} / sum_k q_k^{1/tau} of each row of
-    ``q``; zeros stay zero.
-
-    Rows that are entirely zero (nodes without neighbors under an ablation)
-    are returned unchanged.
-    """
+    ``q``; zeros stay zero, and a row that is entirely zero is returned
+    unchanged (``compute_nld`` makes none)."""
     if not (0.0 < tau <= 1.0):
         raise ValueError("tau must lie in (0, 1]")
     q = np.asarray(q, dtype=np.float64)
@@ -290,7 +273,7 @@ def sample_pairs(
     cfg: MixupConfig,
     degrees: np.ndarray,
     rng: np.random.Generator,
-    lam_rng: np.random.Generator | None = None,
+    lam_rng: np.random.Generator,
 ) -> PairAssignment:
     """Sample one same-class and one different-class partner per labeled node.
 
@@ -300,10 +283,9 @@ def sample_pairs(
     labeled ids ascending within a class, the same-class pick before the
     different-class one, so the stream consumption (and hence the result) is
     reproducible. Interpolation coefficients are Beta(alpha, alpha), drawn
-    for all same-class pairs first, then all different-class pairs.
+    from ``lam_rng`` for all same-class pairs first, then all different-class
+    pairs.
     """
-    if lam_rng is None:
-        lam_rng = rng
     labeled_ids = np.asarray(sorted(labeled_ids), dtype=np.int64)
     if np.intersect1d(dpl.ids, labeled_ids).size:
         raise ValueError("pseudo-labeled candidates must be unlabeled nodes")
@@ -382,12 +364,12 @@ def _branch(inputs: TrainInputs, same_class: bool, targets, partners, partner_la
     return sel, lam * inputs.y_hot[sel.targets] + (1.0 - lam) * other
 
 
-def build_batches(inputs: TrainInputs, pairs: PairAssignment, a: CsrGraph) -> MixupBatches:
+def build_batches(inputs: TrainInputs, pairs: PairAssignment) -> MixupBatches:
     """Materialize mixed inputs from a pair assignment.
 
-    ``a`` is the unnormalized adjacency with self-loops. A same-class branch
-    with pairs builds its n x n selector S once (``MixSelector.matrix``) and
-    takes S X and S A S^T, renormalized here so the training loop can reuse
+    A same-class branch with pairs builds its n x n selector S once
+    (``MixSelector.matrix``) and takes S X and S A S^T, where A is
+    ``inputs.adjacency``, renormalized here so the training loop can reuse
     it for every step of the refresh period. The different-class branch
     builds only its k x n pair rows (``MixSelector.pair_rows``) and takes
     their product with X.
@@ -402,7 +384,7 @@ def build_batches(inputs: TrainInputs, pairs: PairAssignment, a: CsrGraph) -> Mi
         intra_x = s @ inputs.features
         intra_t = inputs.y_hot.copy()
         intra_t[intra.targets] = intra_mixed
-        a_mixed_norm = sym_normalize(mix_adjacency(a, s))
+        a_mixed_norm = sym_normalize(mix_adjacency(inputs.adjacency, s))
     return MixupBatches(intra_x, intra_t, a_mixed_norm, inter.pair_rows() @ inputs.features, inter_t)
 
 
@@ -417,7 +399,6 @@ class LossParts:
 def loss_and_grads(
     params: ModelParams,
     inputs: TrainInputs,
-    a_norm: CsrGraph,
     batches: MixupBatches | None,
     cfg: MixupConfig,
     dropout: float = 0.0,
@@ -426,10 +407,11 @@ def loss_and_grads(
 ) -> tuple[LossParts, dict[str, np.ndarray]]:
     """Combined objective and its parameter gradients.
 
-    With ``batches=None`` (or both branches empty / both lambdas zero) this is
-    exactly the baseline supervised loss. Each branch uses its own dropout
-    stream (``rngs`` keys: "gnn", "intra", "inter") so that disabling a branch
-    never perturbs the others.
+    The supervised term runs the GCN on ``inputs.features`` over
+    ``inputs.a_norm``. With ``batches=None`` (or both branches empty / both
+    lambdas zero) this is exactly the baseline supervised loss. Each branch
+    uses its own dropout stream (``rngs`` keys: "gnn", "intra", "inter") so
+    that disabling a branch never perturbs the others.
     """
     rngs = rngs or {}
     grads: dict[str, np.ndarray] = {}
@@ -443,7 +425,7 @@ def loss_and_grads(
             grads[name] = grads[name] + scale * g if name in grads else g
         return loss
 
-    sup = term(1.0, gcn_forward(inputs.features, a_norm, params, dropout, train, rngs.get("gnn")),
+    sup = term(1.0, gcn_forward(inputs.features, inputs.a_norm, params, dropout, train, rngs.get("gnn")),
                inputs.y_hot, inputs.labeled_weights)
     intra_loss = 0.0
     inter_loss = 0.0

@@ -295,31 +295,25 @@ def load_params(path) -> ModelParams:
     return ModelParams(values["w1"], values["b1"], values["w2"], values["b2"])
 
 
-def gradient_check(dataset, params: ModelParams, eps: float = 1e-5):
+def gradient_check(inputs, params: ModelParams, eps: float = 1e-5):
     """Analytic vs central-difference gradients of the supervised loss.
 
-    Runs the GCN in eval mode (dropout disabled, double precision) on a small
-    graph. Coordinates whose +/- eps perturbation flips a ReLU pre-activation
-    sign are excluded: the loss is not differentiable there. Returns
-    (max_relative_error, n_checked, n_skipped).
+    ``inputs`` is a run's ``TrainInputs`` (``trainer.build_operators``), so
+    the loss is the supervised term training minimizes: its features, A_hat,
+    one-hot targets and labeled weights. Runs the GCN in eval mode (dropout
+    disabled, double precision) on a small graph. Coordinates whose +/- eps
+    perturbation flips a ReLU pre-activation sign are excluded: the loss is
+    not differentiable there. Returns (max_relative_error, n_checked,
+    n_skipped).
     """
-    from reachmix.graphalg import add_self_loops, from_edges, sym_normalize
-
-    a_hat = sym_normalize(add_self_loops(from_edges(dataset.num_nodes, dataset.edges)))
-    x = as_csr(dataset.features)
-    labeled = dataset.split.labeled_ids
-    targets = np.zeros((dataset.num_nodes, dataset.num_classes))
-    targets[np.arange(dataset.num_nodes), dataset.labels] = 1.0
-    w = np.zeros(dataset.num_nodes)
-    w[labeled] = 1.0
 
     def loss_and_signs(p):
-        logits, trace = gcn_forward(x, a_hat, p)
-        return soft_cross_entropy(logits, targets, w), trace.pre1 > 0.0
+        logits, trace = gcn_forward(inputs.features, inputs.a_norm, p)
+        return soft_cross_entropy(logits, inputs.y_hot, inputs.labeled_weights), trace.pre1 > 0.0
 
     _, base_signs = loss_and_signs(params)
-    logits, trace = gcn_forward(x, a_hat, params)
-    _, dlogits = soft_cross_entropy_with_grad(logits, targets, w)
+    logits, trace = gcn_forward(inputs.features, inputs.a_norm, params)
+    _, dlogits = soft_cross_entropy_with_grad(logits, inputs.y_hot, inputs.labeled_weights)
     analytic = backward(trace, dlogits)
 
     max_rel = 0.0

@@ -26,11 +26,11 @@ from reachmix.mixup import (
     compute_nld,
     config_kwargs,
     loss_and_grads,
+    one_hot,
     prediction_label_matrix,
     sample_pairs,
-    train_inputs,
 )
-from reachmix.nn import ModelParams, accuracy, adam_init, adam_step, gcn_forward, init_params, softmax
+from reachmix.nn import ModelParams, accuracy, adam_init, adam_step, as_csr, gcn_forward, init_params, softmax
 from reachmix.seeding import substream
 
 
@@ -109,15 +109,24 @@ class RunResult:
     outcomes: list[TrainOutcome]
 
 
-def build_operators(dataset: Dataset):
-    """(A with self-loops, normalized A, structural degrees) for a dataset."""
+def build_operators(dataset: Dataset) -> TrainInputs:
+    """The run's one ``TrainInputs``: everything an epoch reads of ``dataset``,
+    from the CSR features and one-hot labels to A + I, A_hat and the
+    structural degrees."""
     a = add_self_loops(from_edges(dataset.num_nodes, dataset.edges))
-    return a, sym_normalize(a), structural_degrees(a)
+    y_hot = one_hot(dataset.labels, dataset.num_classes)
+    weights = np.zeros(dataset.num_nodes)
+    weights[dataset.split.labeled_ids] = 1.0
+    degrees = structural_degrees(a)
+    for arr in (y_hot, weights, degrees):
+        arr.setflags(write=False)
+    return TrainInputs(dataset, as_csr(dataset.features), y_hot, weights, a, sym_normalize(a), degrees)
 
 
-def evaluate(params: ModelParams, inputs: TrainInputs, a_norm, ids) -> tuple[float, np.ndarray]:
-    """Eval-mode accuracy on ``ids``, and the logits of every node."""
-    logits, _ = gcn_forward(inputs.features, a_norm, params)
+def evaluate(params: ModelParams, inputs: TrainInputs, ids) -> tuple[float, np.ndarray]:
+    """Eval-mode accuracy on ``ids``, and the logits of every node, from the
+    GCN over ``inputs.a_norm``."""
+    logits, _ = gcn_forward(inputs.features, inputs.a_norm, params)
     return accuracy(logits, inputs.dataset.labels, ids), logits
 
 
@@ -142,8 +151,7 @@ def train_one(
     the previous epoch's validation pass, which were computed from the same
     parameters.
     """
-    a_loops, a_norm, degrees = build_operators(dataset)
-    inputs = train_inputs(dataset)
+    inputs = build_operators(dataset)
     params = init_params(dataset.num_features, cfg.hidden, dataset.num_classes, substream(seed, "init"))
     state = adam_init(params, cfg.lr, weight_decay={"w1": cfg.weight_decay})
     rngs = {
@@ -172,20 +180,19 @@ def train_one(
         t0 = time.perf_counter()
         if cfg.mixup_enabled and _due(epoch, mix_cfg.warmup_epochs, mix_cfg.refresh_every):
             if logits is None:
-                logits, _ = gcn_forward(inputs.features, a_norm, params)
+                logits, _ = gcn_forward(inputs.features, inputs.a_norm, params)
             probs = softmax(logits)
             dpl = build_pseudo_labels(probs, labeled_ids, mix_cfg.gamma)
             ybar = prediction_label_matrix(probs, dataset.labels, labeled_ids)
-            nld = compute_nld(a_loops, ybar, include_self=mix_cfg.nld_include_self)
-            pairs = sample_pairs(labeled_ids, dpl, nld, mix_cfg, degrees, rng_pairs, rng_lam)
-            batches = build_batches(inputs, pairs, a_loops)
+            nld = compute_nld(inputs.adjacency, ybar)
+            pairs = sample_pairs(labeled_ids, dpl, nld, mix_cfg, inputs.degrees, rng_pairs, rng_lam)
+            batches = build_batches(inputs, pairs)
             if on_refresh is not None:
                 on_refresh(epoch, dpl, pairs, batches)
 
         try:
             parts, grads = loss_and_grads(
-                params, inputs, a_norm, batches, mix_cfg,
-                dropout=cfg.dropout, train=True, rngs=rngs,
+                params, inputs, batches, mix_cfg, dropout=cfg.dropout, train=True, rngs=rngs,
             )
         except FloatingPointError as exc:
             raise TrainingDiverged(f"epoch {epoch}: {exc}") from exc
@@ -193,7 +200,7 @@ def train_one(
             raise TrainingDiverged(f"epoch {epoch}: loss is {parts.total}")
         adam_step(params, grads, state)
 
-        val_acc, logits = evaluate(params, inputs, a_norm, valid_ids)
+        val_acc, logits = evaluate(params, inputs, valid_ids)
         history.append(
             EpochRecord(epoch, parts.total, parts.supervised, parts.intra, parts.inter,
                         val_acc, time.perf_counter() - t0)
@@ -208,7 +215,7 @@ def train_one(
             if since_best >= cfg.patience:
                 break
 
-    test_acc = evaluate(best_params, inputs, a_norm, dataset.split.test_ids)[0] if eval_test else None
+    test_acc = evaluate(best_params, inputs, dataset.split.test_ids)[0] if eval_test else None
     return TrainOutcome(best_params, history, best_val, best_epoch, test_acc)
 
 

@@ -37,11 +37,10 @@ from reachmix.mixup import (
     loss_and_grads,
     one_hot,
     sample_pairs,
-    train_inputs,
 )
 from reachmix.nn import gradient_check, init_params
 from reachmix.seeding import substream
-from reachmix.trainer import TrainConfig, train_multi, train_one
+from reachmix.trainer import TrainConfig, build_operators, train_multi, train_one
 
 CORA_DIR = cora_directory()
 requires_cora = pytest.mark.skipif(
@@ -62,7 +61,7 @@ def test_criterion_1_gradient_correctness(capsys):
     ds = generate_sbm(2, 4, 0.9, 0.3, 5, 0.5, seed=0, labels_per_class=2, valid_per_class=1)
     assert ds.num_nodes == 8
     params = init_params(ds.num_features, 6, ds.num_classes, substream(0, "gradcheck"))
-    max_rel, checked, skipped = gradient_check(ds, params, eps=1e-5)
+    max_rel, checked, skipped = gradient_check(build_operators(ds), params, eps=1e-5)
     cli_code = cli_main(["gradcheck", "--eps", "1e-5", "--threshold", "1e-5"])
     elapsed = time.monotonic() - start
     with capsys.disabled():
@@ -91,20 +90,18 @@ def test_criterion_2_mixup_algebra(capsys):
     # Objective degeneration: zero lambdas reduce the total to the supervised
     # term bitwise, gradients included.
     ds = generate_sbm(3, 15, 0.3, 0.05, 6, 0.5, seed=1, labels_per_class=3, valid_per_class=3)
-    from reachmix.trainer import build_operators
-
-    a_loops, a_norm, degrees = build_operators(ds)
+    inputs = build_operators(ds)
     probs = np.full((ds.num_nodes, 3), 0.05)
     probs[np.arange(ds.num_nodes), ds.labels] = 0.9
     dpl = build_pseudo_labels(probs, ds.split.labeled_ids, gamma=0.5)
-    nld = compute_nld(a_loops, one_hot(ds.labels, 3))
+    nld = compute_nld(inputs.adjacency, one_hot(ds.labels, 3))
     cfg0 = MixupConfig(lambda_intra=0.0, lambda_inter=0.0)
-    pairs = sample_pairs(ds.split.labeled_ids, dpl, nld, cfg0, degrees, substream(0, "pairs"))
-    inputs = train_inputs(ds)
-    batches = build_batches(inputs, pairs, a_loops)
+    pair_rng = substream(0, "pairs")
+    pairs = sample_pairs(ds.split.labeled_ids, dpl, nld, cfg0, inputs.degrees, pair_rng, pair_rng)
+    batches = build_batches(inputs, pairs)
     params = init_params(ds.num_features, 8, 3, substream(0, "init"))
-    parts, grads = loss_and_grads(params, inputs, a_norm, batches, cfg0)
-    base_parts, base_grads = loss_and_grads(params, inputs, a_norm, None, cfg0)
+    parts, grads = loss_and_grads(params, inputs, batches, cfg0)
+    base_parts, base_grads = loss_and_grads(params, inputs, None, cfg0)
     ok &= parts.total == parts.supervised == base_parts.total
     ok &= all(np.array_equal(grads[k], base_grads[k]) for k in grads)
     with capsys.disabled():
@@ -166,7 +163,7 @@ def test_criterion_4_sampling_distribution_chi_squared(capsys):
     intra_counts = np.zeros(2)
     inter_counts = np.zeros(3)
     for _ in range(draws):
-        pairs = sample_pairs(labeled, dpl, nld, cfg, degrees, rng)
+        pairs = sample_pairs(labeled, dpl, nld, cfg, degrees, rng, rng)
         intra_counts[int(pairs.intra_partners[0]) - 1] += 1
         inter_counts[int(pairs.inter_partners[0]) - 3] += 1
 

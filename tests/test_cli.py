@@ -1,6 +1,8 @@
 import json
 import os
 import subprocess
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ import pytest
 import reachmix
 from reachmix import cli
 from reachmix.cli import main, parse_seeds
-from reachmix.graphio import load_dataset
+from reachmix.graphio import generate_sbm, load_dataset, save_dataset
 from reachmix.nn import load_params
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def run_cli(argv):
@@ -129,6 +133,29 @@ def test_train_metrics_deterministic_across_invocations(tmp_path, dataset_dir, q
     run_cli(["train", "--data", str(dataset_dir), "--config", str(quick_config), "--out", str(out2)])
     for name in ("metrics_seed0.tsv", "metrics_seed1.tsv", "summary.json"):
         assert read_bytes(out1 / name) == read_bytes(out2 / name), name
+
+
+def test_train_mixup_with_isolated_labeled_node_and_candidate(tmp_path):
+    """An isolated node's NLD is its own label (its self-loop is its one
+    neighbour), so a labeled node and a pseudo-label candidate without
+    neighbours get sampling weights like any other. With two classes and
+    gamma 0.5, every unlabeled node is a candidate at every refresh."""
+    ds = generate_sbm(2, 15, 0.4, 0.05, 6, 0.5, seed=3, labels_per_class=3, valid_per_class=3)
+    isolated = [ds.split.labeled_ids[0], ds.split.test_ids[0]]
+    data = tmp_path / "data"
+    save_dataset(replace(ds, edges=ds.edges[~np.isin(ds.edges, isolated).any(axis=1)]), data)
+    assert set(isolated).isdisjoint(load_dataset(data).edges.ravel())
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"hidden": 8, "max_epochs": 8, "patience": 8, "mixup_enabled": True,
+                                  "mixup": {"gamma": 0.5, "warmup_epochs": 1}}))
+    assert run_cli(["train", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+
+
+def test_every_config_file_loads():
+    paths = sorted(CONFIGS.glob("*.json"))
+    assert paths
+    for path in paths:
+        cli.load_config(str(path))
 
 
 def test_train_bad_dataset_exits_one(tmp_path, capsys):
@@ -306,7 +333,7 @@ def test_max_epochs_zero_is_rejected(tmp_path, dataset_dir, monkeypatch, capsys,
     ({"seeds": [0, "1"]}, "seeds"),
     ({"mixup": 5}, "mixup"),
     ({"mixup": {"gamma": "0.7"}}, "mixup.gamma"),
-    ({"mixup": {"nld_include_self": 1}}, "mixup.nld_include_self"),
+    ({"mixup": {"nld_include_self": 1}}, "unknown config keys: ['mixup.nld_include_self']"),  # a former field
     ({"mixup": {"nosuch": 1}}, "mixup.nosuch"),
 ], ids=["hidden-str", "hidden-float", "hidden-bool", "mixup_enabled-str", "lr-str", "seeds-str",
         "mixup-int", "gamma-str", "nld_include_self-int", "mixup-unknown-key"])
@@ -448,7 +475,6 @@ def make_planetoid_dump(tmp_path, name="cora"):
 
 
 def test_convert_planetoid_dump_round_trip(tmp_path):
-    pytest.importorskip("scipy")
     raw, allx, ally, tx, ty, test_idx = make_planetoid_dump(tmp_path)
     out = tmp_path / "converted"
     code = run_cli([
@@ -473,7 +499,6 @@ def test_convert_planetoid_dump_round_trip(tmp_path):
 
 
 def test_convert_row_normalize_default(tmp_path):
-    pytest.importorskip("scipy")
     raw, *_ = make_planetoid_dump(tmp_path)
     out = tmp_path / "converted"
     assert run_cli(["convert-cora", "--raw", str(raw), "--out", str(out)]) == 0

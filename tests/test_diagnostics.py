@@ -180,6 +180,27 @@ def test_cka_by_bucket_degenerate_labeled_bucket_is_one():
     assert report.sample_sizes[0] == ds.split.labeled_ids.size
 
 
+def test_cka_of_two_rows_is_constant_and_of_three_is_not(rng):
+    # Two centred rows are v and -v, so linear CKA is 1 whatever the input.
+    two = [cka(rng.standard_normal((2, 4)), rng.standard_normal((2, 4))) for _ in range(50)]
+    three = [cka(rng.standard_normal((3, 4)), rng.standard_normal((3, 4))) for _ in range(50)]
+    np.testing.assert_allclose(two, 1.0, atol=1e-12, rtol=0)
+    assert min(three) < 0.9
+
+
+def test_cka_by_bucket_two_node_bucket_is_absent_and_draws_no_sample():
+    ds = sbm_dataset()
+    params = init_params(ds.num_features, 8, ds.num_classes, substream(0, "init"))
+    unlabeled = np.setdiff1d(np.arange(ds.num_nodes), ds.split.labeled_ids)
+    empty = np.zeros(0, dtype=np.int64)
+    small, large = unlabeled[:2], unlabeled[2:20]
+    report = cka_by_bucket(params, ds, [large, small, large, empty, empty], sample_seed=4)
+    assert report.values[1] is None and report.sample_sizes[1] == 2
+    # The later bucket sees the stream it would see without the small one.
+    without = cka_by_bucket(params, ds, [large, empty, large, empty, empty], sample_seed=4)
+    assert report.values[2] == without.values[2] is not None
+
+
 def test_cka_by_bucket_seed_stability_regression_bound():
     # Cross-set CKA pairs unordered samples, so resampling moves the value;
     # the bound below was measured once on this fixed dataset/model (max

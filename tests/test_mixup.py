@@ -20,7 +20,6 @@ from reachmix.mixup import (
     sample_pairs,
     sampling_weights,
     sharpen,
-    train_inputs,
 )
 from reachmix.nn import init_params
 from reachmix.seeding import substream
@@ -132,13 +131,13 @@ def test_compute_nld_rows_sum_to_one(rng):
     np.testing.assert_allclose(nld.q.sum(axis=1), np.ones(ds.num_nodes), atol=1e-9)
 
 
-def test_compute_nld_exclude_self_option():
-    g = add_self_loops(from_edges(2, np.array([[0, 1]])))
-    ybar = one_hot(np.array([0, 1]), 2)
-    with_self = compute_nld(g, ybar, include_self=True)
-    without = compute_nld(g, ybar, include_self=False)
-    np.testing.assert_allclose(with_self.q[0], [0.5, 0.5])
-    np.testing.assert_allclose(without.q[0], [0.0, 1.0])
+def test_compute_nld_counts_the_self_loop():
+    # Node 2 is isolated: its self-loop is its one neighbor, so its row is
+    # its own label rather than a zero row.
+    g = add_self_loops(from_edges(3, np.array([[0, 1]])))
+    ybar = one_hot(np.array([0, 1, 1]), 2)
+    q = compute_nld(g, ybar).q
+    np.testing.assert_array_equal(q, [[0.5, 0.5], [0.5, 0.5], [0.0, 1.0]])
 
 
 def test_sharpen_tau_one_identity():
@@ -242,14 +241,16 @@ def fixed_pools():
 def test_sample_pairs_empty_dpl_gives_empty_assignment():
     labeled, _, nld, cfg, degrees = fixed_pools()
     empty = PseudoLabelSet(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    pairs = sample_pairs(labeled, empty, nld, cfg, degrees, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    pairs = sample_pairs(labeled, empty, nld, cfg, degrees, rng, rng)
     assert pairs.intra_targets.size == 0 and pairs.inter_targets.size == 0
 
 
 def test_sample_pairs_single_candidate_always_chosen():
     labeled, _, nld, cfg, degrees = fixed_pools()
     dpl = PseudoLabelSet(np.array([1]), np.array([0]))
-    pairs = sample_pairs(labeled, dpl, nld, cfg, degrees, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    pairs = sample_pairs(labeled, dpl, nld, cfg, degrees, rng, rng)
     np.testing.assert_array_equal(pairs.intra_partners, [1])
     assert pairs.inter_targets.size == 0  # no different-class candidates
 
@@ -269,7 +270,7 @@ def test_sample_pairs_never_picks_labeled_partner():
     labeled, dpl, nld, cfg, degrees = fixed_pools()
     rng = np.random.default_rng(5)
     for _ in range(50):
-        pairs = sample_pairs(labeled, dpl, nld, cfg, degrees, rng)
+        pairs = sample_pairs(labeled, dpl, nld, cfg, degrees, rng, rng)
         assert 0 not in pairs.intra_partners
         assert 0 not in pairs.inter_partners
 
@@ -277,8 +278,9 @@ def test_sample_pairs_never_picks_labeled_partner():
 def test_sample_pairs_rejects_labeled_candidates():
     labeled, dpl, nld, cfg, degrees = fixed_pools()
     bad = PseudoLabelSet(np.array([0, 1]), np.array([0, 0]))
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="unlabeled"):
-        sample_pairs(labeled, bad, nld, cfg, degrees, np.random.default_rng(0))
+        sample_pairs(labeled, bad, nld, cfg, degrees, rng, rng)
 
 
 def test_sample_pairs_empirical_ratio_e_to_one():
@@ -288,7 +290,7 @@ def test_sample_pairs_empirical_ratio_e_to_one():
     draws = 20_000
     picks = np.zeros(2)
     for _ in range(draws):
-        pairs = sample_pairs(labeled, dpl, nld, cfg, degrees, rng)
+        pairs = sample_pairs(labeled, dpl, nld, cfg, degrees, rng, rng)
         picks[int(pairs.intra_partners[0]) - 1] += 1
     p = np.e / (np.e + 1.0)
     sigma = np.sqrt(draws * p * (1 - p))
@@ -301,27 +303,27 @@ def test_alpha_zero_lambda_is_coin_flip():
     rng = np.random.default_rng(1)
     seen = set()
     for _ in range(50):
-        pairs = sample_pairs(labeled, dpl, nld, cfg, degrees, rng)
+        pairs = sample_pairs(labeled, dpl, nld, cfg, degrees, rng, rng)
         seen.update(pairs.intra_lams.tolist())
     assert seen <= {0.0, 1.0} and len(seen) == 2
 
 
 def sbm_with_pairs(seed=0):
     ds = generate_sbm(3, 20, 0.35, 0.03, 8, 0.6, seed=seed, labels_per_class=4, valid_per_class=4)
-    a_loops, a_norm, degrees = build_operators(ds)
+    inputs = build_operators(ds)
     probs = np.full((ds.num_nodes, 3), 1e-9)
     probs[np.arange(ds.num_nodes), ds.labels] = 1.0 - 2e-9
     dpl = build_pseudo_labels(probs, ds.split.labeled_ids, gamma=0.9)
-    nld = compute_nld(a_loops, one_hot(ds.labels, 3))
+    nld = compute_nld(inputs.adjacency, one_hot(ds.labels, 3))
     cfg = MixupConfig()
-    pairs = sample_pairs(ds.split.labeled_ids, dpl, nld, cfg, degrees,
+    pairs = sample_pairs(ds.split.labeled_ids, dpl, nld, cfg, inputs.degrees,
                          substream(seed, "pairs"), substream(seed, "lambda"))
-    return ds, a_loops, a_norm, cfg, pairs
+    return ds, inputs, cfg, pairs
 
 
 def test_build_batches_class_consistency_and_simplex():
-    ds, a_loops, _, _, pairs = sbm_with_pairs()
-    batches = build_batches(train_inputs(ds), pairs, a_loops)
+    ds, inputs, _, pairs = sbm_with_pairs()
+    batches = build_batches(inputs, pairs)
     assert np.all(ds.labels[pairs.intra_targets] == pairs.intra_partner_labels)
     assert np.all(ds.labels[pairs.inter_targets] != pairs.inter_partner_labels)
     np.testing.assert_allclose(batches.intra_targets.sum(axis=1), 1.0, atol=1e-12)
@@ -329,28 +331,29 @@ def test_build_batches_class_consistency_and_simplex():
 
 
 def test_build_batches_lambda_one_degenerates_to_originals():
-    ds, a_loops, _, _, pairs = sbm_with_pairs()
+    ds, inputs, _, pairs = sbm_with_pairs()
     ones = PairAssignment(
         pairs.intra_targets, pairs.intra_partners, pairs.intra_partner_labels,
         np.ones_like(pairs.intra_lams),
         pairs.inter_targets, pairs.inter_partners, pairs.inter_partner_labels,
         np.ones_like(pairs.inter_lams),
     )
-    batches = build_batches(train_inputs(ds), ones, a_loops)
+    batches = build_batches(inputs, ones)
     np.testing.assert_array_equal(batches.intra_features.toarray(), ds.features)
     np.testing.assert_array_equal(batches.intra_targets, one_hot(ds.labels, 3))
-    np.testing.assert_array_equal(batches.adjacency_mixed_norm.to_dense(), sym_normalize(a_loops).to_dense())
+    np.testing.assert_array_equal(batches.adjacency_mixed_norm.to_dense(),
+                                  sym_normalize(inputs.adjacency).to_dense())
 
 
 def test_build_batches_identical_rows_fixed_point():
-    ds, a_loops, _, _, pairs = sbm_with_pairs()
+    ds, _, _, pairs = sbm_with_pairs()
     t, p = int(pairs.intra_targets[0]), int(pairs.intra_partners[0])
     features = ds.features.copy()
     features[p] = features[t]
     from dataclasses import replace
 
     ds2 = replace(ds, features=features)
-    batches = build_batches(train_inputs(ds2), pairs, a_loops)
+    batches = build_batches(build_operators(ds2), pairs)
     # lam*x + (1-lam)*x re-rounds each product, so equality holds to ~1 ulp.
     np.testing.assert_allclose(batches.intra_features.toarray()[t], features[t], rtol=1e-14, atol=0)
 
@@ -369,7 +372,7 @@ def test_build_batches_single_pair_matches_dense_oracle():
         np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
         np.zeros(0, dtype=np.int64), np.zeros(0),
     )
-    batches = build_batches(train_inputs(ds), pairs, a_loops)
+    batches = build_batches(build_operators(ds), pairs)
     np.testing.assert_allclose(batches.intra_features.toarray()[0], [2.5, 1.0], atol=1e-15)
     expected = dense_mix(a_loops.to_dense(), [0], [2], [0.5])
     d = expected.sum(axis=1) ** -0.5
@@ -383,7 +386,7 @@ def test_build_batches_builds_each_selector_once(monkeypatch, empty):
     alone, a 0 x n matrix when it has no pairs."""
     from dataclasses import replace
 
-    ds, a_loops, _, _, pairs = sbm_with_pairs()
+    ds, inputs, _, pairs = sbm_with_pairs()
     if empty:
         names = [f"{empty}_{f}" for f in ("targets", "partners", "partner_labels", "lams")]
         pairs = replace(pairs, **{name: getattr(pairs, name)[:0] for name in names})
@@ -393,7 +396,7 @@ def test_build_batches_builds_each_selector_once(monkeypatch, empty):
             built[name] += 1
             return build(self)
         monkeypatch.setattr(MixSelector, name, counted)
-    batches = build_batches(train_inputs(ds), pairs, a_loops)
+    batches = build_batches(inputs, pairs)
     assert built == {"matrix": int(empty != "intra"), "pair_rows": 1}
     assert batches.has_intra == (empty != "intra")
     assert batches.has_inter == (empty != "inter")
@@ -401,14 +404,14 @@ def test_build_batches_builds_each_selector_once(monkeypatch, empty):
 
 
 def test_build_batches_rejects_mismatched_intra_pair():
-    ds, a_loops, _, _, pairs = sbm_with_pairs()
+    ds, inputs, _, pairs = sbm_with_pairs()
     bad = PairAssignment(
         pairs.intra_targets, pairs.intra_partners,
         (pairs.intra_partner_labels + 1) % 3, pairs.intra_lams,
         pairs.inter_targets, pairs.inter_partners, pairs.inter_partner_labels, pairs.inter_lams,
     )
     with pytest.raises(ValueError, match="intra"):
-        build_batches(train_inputs(ds), bad, a_loops)
+        build_batches(inputs, bad)
 
 
 @pytest.mark.parametrize("branch, fault, message", [
@@ -423,7 +426,7 @@ def test_build_batches_rejects_mismatched_intra_pair():
 def test_build_batches_rejects_each_broken_pair(branch, fault, message):
     from dataclasses import replace
 
-    ds, a_loops, _, _, pairs = sbm_with_pairs()
+    ds, inputs, _, pairs = sbm_with_pairs()
     names = [f"{branch}_{f}" for f in ("targets", "partners", "partner_labels", "lams")]
     t, p, y, lam = (getattr(pairs, name).copy() for name in names)
     assert t.size >= 2
@@ -441,53 +444,49 @@ def test_build_batches_rejects_each_broken_pair(branch, fault, message):
         y = y[:-1]
     bad = replace(pairs, **dict(zip(names, (t, p, y, lam))))
     with pytest.raises(ValueError, match=message):
-        build_batches(train_inputs(ds), bad, a_loops)
+        build_batches(inputs, bad)
 
 
 def test_loss_zero_lambdas_equals_supervised_bitwise():
-    ds, a_loops, a_norm, _, pairs = sbm_with_pairs()
+    ds, inputs, _, pairs = sbm_with_pairs()
     cfg0 = MixupConfig(lambda_intra=0.0, lambda_inter=0.0)
-    inputs = train_inputs(ds)
-    batches = build_batches(inputs, pairs, a_loops)
+    batches = build_batches(inputs, pairs)
     params = init_params(ds.num_features, 8, 3, substream(0, "init"))
-    parts, grads = loss_and_grads(params, inputs, a_norm, batches, cfg0)
-    base_parts, base_grads = loss_and_grads(params, inputs, a_norm, None, cfg0)
+    parts, grads = loss_and_grads(params, inputs, batches, cfg0)
+    base_parts, base_grads = loss_and_grads(params, inputs, None, cfg0)
     assert parts.total == base_parts.supervised == parts.supervised
     for name in grads:
         np.testing.assert_array_equal(grads[name], base_grads[name])
 
 
 def test_loss_empty_batches_equals_supervised():
-    ds, _, a_norm, cfg, _ = sbm_with_pairs()
-    inputs = train_inputs(ds)
+    ds, inputs, cfg, _ = sbm_with_pairs()
     params = init_params(ds.num_features, 8, 3, substream(0, "init"))
-    parts, _ = loss_and_grads(params, inputs, a_norm, None, cfg)
+    parts, _ = loss_and_grads(params, inputs, None, cfg)
     assert parts.total == parts.supervised
     assert parts.intra == 0.0 and parts.inter == 0.0
 
 
 def test_loss_lambda_one_draws_reproduce_supervised_value():
-    ds, a_loops, a_norm, cfg, pairs = sbm_with_pairs()
+    ds, inputs, cfg, pairs = sbm_with_pairs()
     ones = PairAssignment(
         pairs.intra_targets, pairs.intra_partners, pairs.intra_partner_labels,
         np.ones_like(pairs.intra_lams),
         np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
         np.zeros(0, dtype=np.int64), np.zeros(0),
     )
-    inputs = train_inputs(ds)
-    batches = build_batches(inputs, ones, a_loops)
+    batches = build_batches(inputs, ones)
     params = init_params(ds.num_features, 8, 3, substream(1, "init"))
-    parts, _ = loss_and_grads(params, inputs, a_norm, batches, cfg)
+    parts, _ = loss_and_grads(params, inputs, batches, cfg)
     # Same inputs, same adjacency, same mask: the intra term IS the supervised term.
     assert parts.intra == parts.supervised
 
 
 def test_total_loss_gradient_matches_finite_differences():
-    ds, a_loops, a_norm, cfg, pairs = sbm_with_pairs(seed=4)
-    inputs = train_inputs(ds)
-    batches = build_batches(inputs, pairs, a_loops)
+    ds, inputs, cfg, pairs = sbm_with_pairs(seed=4)
+    batches = build_batches(inputs, pairs)
     params = init_params(ds.num_features, 5, 3, substream(2, "init"))
-    _, grads = loss_and_grads(params, inputs, a_norm, batches, cfg)
+    _, grads = loss_and_grads(params, inputs, batches, cfg)
     eps = 1e-6
     max_rel = 0.0
     for name, arr in params.as_dict().items():
@@ -496,9 +495,9 @@ def test_total_loss_gradient_matches_finite_differences():
         for j in idx:
             orig = flat[j]
             flat[j] = orig + eps
-            up, _ = loss_and_grads(params, inputs, a_norm, batches, cfg)
+            up, _ = loss_and_grads(params, inputs, batches, cfg)
             flat[j] = orig - eps
-            down, _ = loss_and_grads(params, inputs, a_norm, batches, cfg)
+            down, _ = loss_and_grads(params, inputs, batches, cfg)
             flat[j] = orig
             numeric = (up.total - down.total) / (2 * eps)
             a = grads[name].reshape(-1)[j]

@@ -21,6 +21,7 @@ from reachmix.nn import (
     softmax,
 )
 from reachmix.seeding import substream
+from reachmix.trainer import build_operators
 
 
 def small_params(rng, f=5, h=4, c=3):
@@ -295,7 +296,7 @@ def test_adam_coupled_weight_decay_shrinks_param():
 def test_gradient_check_small_graph():
     ds = generate_sbm(2, 4, 0.9, 0.3, 5, 0.5, seed=0, labels_per_class=2, valid_per_class=1)
     params = init_params(ds.num_features, 6, ds.num_classes, substream(0, "gradcheck"))
-    max_rel, checked, _ = gradient_check(ds, params, eps=1e-5)
+    max_rel, checked, _ = gradient_check(build_operators(ds), params, eps=1e-5)
     assert checked > 0
     assert max_rel < 1e-5
 
@@ -308,7 +309,7 @@ def test_gradient_check_sparse_features():
     keep = np.random.default_rng(3).random(ds.features.shape) < 0.3
     ds = replace(ds, features=ds.features * keep)
     params = init_params(ds.num_features, 6, ds.num_classes, substream(0, "gradcheck"))
-    max_rel, checked, _ = gradient_check(ds, params, eps=1e-5)
+    max_rel, checked, _ = gradient_check(build_operators(ds), params, eps=1e-5)
     assert checked > 0
     assert max_rel < 1e-5
 
@@ -324,7 +325,7 @@ def test_gradient_check_linear_region_near_floor():
     params = ModelParams(
         np.full((4, 3), 0.4), np.full(3, 0.2), np.full((3, 2), 0.3), np.zeros(2)
     )
-    max_rel, checked, skipped = gradient_check(ds, params, eps=1e-5)
+    max_rel, checked, skipped = gradient_check(build_operators(ds), params, eps=1e-5)
     assert skipped == 0
     assert max_rel < 1e-8
 
@@ -339,7 +340,7 @@ def test_gradient_check_excludes_relu_kink():
         SplitSpec([0], [], [1]),
     )
     params = ModelParams(np.array([[1.0]]), np.array([-1.0]), np.array([[1.0, -1.0]]), np.zeros(2))
-    _, _, skipped = gradient_check(ds, params, eps=1e-5)
+    _, _, skipped = gradient_check(build_operators(ds), params, eps=1e-5)
     assert skipped >= 1
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from reachmix.graphio import generate_sbm, make_split, with_split
-from reachmix.mixup import MixupConfig, train_inputs
+from reachmix.mixup import MixupConfig
 from reachmix.trainer import (
     TrainConfig,
     apply_grid_point,
@@ -88,8 +88,7 @@ def test_early_stopping_restores_best_params():
     ds = small_dataset()
     cfg = quick_cfg(max_epochs=60, patience=5)
     outcome = train_one(ds, cfg, seed=2)
-    _, a_norm, _ = build_operators(ds)
-    acc, _ = evaluate(outcome.params, train_inputs(ds), a_norm, ds.split.valid_ids)
+    acc, _ = evaluate(outcome.params, build_operators(ds), ds.split.valid_ids)
     assert acc == outcome.best_val_acc
     assert outcome.best_epoch <= outcome.history[-1].epoch
 
