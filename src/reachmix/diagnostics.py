@@ -22,9 +22,9 @@ import numpy as np
 from reachmix.graphalg import (
     CsrGraph,
     add_self_loops,
+    bfs_distances,
     diameter_and_components,
     from_edges,
-    hop_distances,
     structural_degrees,
     sym_normalize,
 )
@@ -60,12 +60,16 @@ class DegreeSPReport:
 def _labeled_distances(g: CsrGraph, labeled_ids) -> tuple[int, np.ndarray, np.ndarray]:
     """(diameter, unlabeled ids ascending, (|labeled|, |unlabeled|) hop
     distances) with unreachable pairs counted as the diameter; labeled rows
-    in ascending id order."""
+    in ascending id order.
+
+    The distances are one ``bfs_distances`` call, which runs the labeled
+    sources 64 at a time; the diameter is ``diameter_and_components``'.
+    """
     labeled_ids = np.asarray(labeled_ids, dtype=np.int64)
     if labeled_ids.size == 0:
         raise ValueError("labeled set must be non-empty")
     diameter, _ = diameter_and_components(g)
-    dists = hop_distances(g, labeled_ids)
+    dists = bfs_distances(g, labeled_ids)
     mask = np.ones(g.num_nodes, dtype=bool)
     mask[labeled_ids] = False
     unlabeled = np.flatnonzero(mask)

@@ -3,7 +3,10 @@ normalization, hop distances, diameter, and the pairwise adjacency-mixing
 operator.
 
 All graphs are symmetric weighted CSR. Functions are pure: they never mutate
-their inputs and always return new graphs.
+their inputs and always return new graphs. Every hop distance comes from one
+kernel, ``bfs_distances``: a bit-parallel BFS that runs 64 sources per pass
+over the edges (MS-BFS, Then et al., VLDB 2014). The exact diameter runs it
+on blocks of 64 nodes chosen by eccentricity bounds.
 """
 
 from __future__ import annotations
@@ -133,28 +136,73 @@ def structural_degrees(g: CsrGraph) -> np.ndarray:
     return (np.diff(g.indptr) - (g.matrix.diagonal() != 0)).astype(np.int64)
 
 
-def _sources(g: CsrGraph, sources) -> np.ndarray:
+# Little-endian words, so byte b of a word holds the bits of sources 8b..8b+7.
+_WORD = np.dtype("<u8")
+_BLOCK = 64  # sources per block: the bits of one word
+
+
+def _bits(words: np.ndarray) -> np.ndarray:
+    """(len(words), 64) array of 0/1: entry (v, j) is bit j of words[v]."""
+    return np.unpackbits(words.view(np.uint8), bitorder="little").reshape(words.size, _BLOCK)
+
+
+def _block_distances(g: CsrGraph, rows: np.ndarray, starts: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """(len(block), N) hop distances from up to 64 distinct sources at once.
+
+    Bit j of a node's word stands for source block[j]. One level ORs the
+    frontier words of each node's neighbours (a gather over ``indices``, then
+    ``reduceat`` over the non-empty rows ``rows``, which start at ``starts``)
+    and keeps the bits the node has not seen. The distances are counted in
+    bit-sliced form: before each level adds its nodes, every (source, node)
+    pair not yet seen is one level farther, so the level counter of all those
+    pairs is incremented at once, bit plane by bit plane. Planes are added as
+    the counts grow, so no path length overflows a fixed-width counter.
+    """
+    n, k = g.num_nodes, block.size
+    seen = np.zeros(n, _WORD)
+    seen[block] = np.left_shift(1, np.arange(k, dtype=_WORD))
+    frontier = seen.copy()
+    planes = []  # bit j of planes[p][v] is bit p of d(block[j], v)
+    while True:
+        reached = np.zeros(n, _WORD)
+        reached[rows] = np.bitwise_or.reduceat(frontier[g.indices], starts)
+        reached &= ~seen
+        if not reached.any():
+            break
+        carry = ~seen  # every pair not seen yet is one level farther
+        for p, plane in enumerate(planes):
+            planes[p], carry = plane ^ carry, plane & carry
+        if carry.any():
+            planes.append(carry)
+        seen |= reached
+        frontier = reached
+    levels = np.zeros((n, _BLOCK), np.min_scalar_type((1 << len(planes)) - 1))
+    for p, plane in enumerate(planes):
+        levels |= np.left_shift(_bits(plane), p, dtype=levels.dtype)
+    return np.where(_bits(seen).T[:k], levels.T[:k], np.inf)
+
+
+def bfs_distances(g: CsrGraph, sources) -> np.ndarray:
+    """(|distinct sources|, N) unweighted hop distances, one row per distinct
+    source in ascending order; ``np.inf`` where a node is unreachable.
+
+    The one BFS of the package. Sources run 64 at a time through
+    ``_block_distances``, so one pass over the edges per level serves a whole
+    block. Memory is O(64 N) per block plus the (|sources|, N) result.
+    Self-loops never shorten a path, so they are effectively ignored.
+    """
     sources = np.unique(np.asarray(sources, dtype=np.int64))
     if sources.size == 0:
         raise ValueError("sources must be non-empty")
     if sources[0] < 0 or sources[-1] >= g.num_nodes:
         raise ValueError("source id out of range")
-    return sources
-
-
-def bfs_distances(g: CsrGraph, sources) -> np.ndarray:
-    """Unweighted multi-source BFS: hop distance to the nearest source.
-
-    Returns float64 with ``np.inf`` for unreachable nodes. Self-loops never
-    shorten a path, so they are effectively ignored.
-    """
-    return csgraph.dijkstra(g.matrix, indices=_sources(g, sources), unweighted=True, min_only=True)
-
-
-def hop_distances(g: CsrGraph, sources) -> np.ndarray:
-    """(|sources|, N) hop distances, one row per distinct source in ascending
-    order; ``np.inf`` where unreachable."""
-    return csgraph.dijkstra(g.matrix, indices=_sources(g, sources), unweighted=True)
+    rows = np.flatnonzero(np.diff(g.indptr))  # reduceat needs non-empty segments
+    starts = g.indptr[rows]
+    blocks = [_block_distances(g, rows, starts, sources[lo:lo + _BLOCK])
+              for lo in range(0, sources.size, _BLOCK)]
+    # One block is returned as it is: at 100k nodes its copy cost about as
+    # much as the BFS.
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def connected_components(g: CsrGraph) -> np.ndarray:
@@ -169,35 +217,51 @@ def _exact_diameter(g: CsrGraph, comp: np.ndarray) -> int:
     A node's eccentricity is at most its component's size - 1, which settles
     small components (isolated nodes above all) without a BFS. A BFS from v
     with eccentricity e bounds every w it reaches by
-    max(d(v, w), e - d(v, w)) <= ecc(w) <= e + d(v, w). The diameter is the
-    largest lower bound once no upper bound exceeds it. Sources alternate
-    between the largest upper and the smallest lower bound (Takes & Kosters,
-    CIKM 2011); each BFS settles its source, so the loop ends after at most N
-    of them and usually after far fewer.
+    max(d(v, w), e - d(v, w)) <= ecc(w) <= e + d(v, w). A node is settled,
+    and dropped, once its upper bound is at most the best lower bound; the
+    diameter is that bound when no node is open. Each round runs one
+    ``bfs_distances`` block of up to 64 open nodes, half with the largest
+    upper and half with the smallest lower bound (the two picks of Takes &
+    Kosters, CIKM 2011), and tightens the bounds of the open nodes from all
+    its rows. A block settles its sources, so the loop ends after at most
+    N / 64 rounds and usually after far fewer.
+
+    Distances to settled nodes are not read, so e is taken over the open
+    nodes. That keeps the answer exact. Every settled node has eccentricity
+    at most the best lower bound, so if ecc(w) exceeds it, w's farthest node
+    f (ecc(f) >= d(w, f) = ecc(w)) is open and counted in e, and
+    e + d(v, w) >= d(v, f) + d(v, w) >= ecc(w): a bound can only settle a
+    node whose eccentricity does not exceed the answer.
     """
+    open_ids = np.arange(g.num_nodes)
     lower = np.zeros(g.num_nodes)
     upper = (np.bincount(comp)[comp] - 1).astype(np.float64)
-    take_upper = True
+    best = 0.0
     while True:
-        open_ids = np.flatnonzero(upper > lower.max())
+        keep = upper > best
+        open_ids, lower, upper = open_ids[keep], lower[keep], upper[keep]
         if open_ids.size == 0:
-            return int(lower.max())
-        pick = np.argmax(upper[open_ids]) if take_upper else np.argmin(lower[open_ids])
-        take_upper = not take_upper
-        d = bfs_distances(g, [open_ids[pick]])
+            return int(best)
+        by_upper = np.argsort(-upper, kind="stable")
+        by_lower = np.argsort(lower, kind="stable")
+        interleaved = np.stack([by_upper, by_lower], axis=1).ravel()
+        _, first = np.unique(interleaved, return_index=True)
+        picked = open_ids[interleaved[np.sort(first)[:_BLOCK]]]
+        d = bfs_distances(g, picked)[:, open_ids]
         reach = np.isfinite(d)
-        dr = d[reach]
-        ecc = dr.max()
-        lower[reach] = np.maximum(lower[reach], np.maximum(dr, ecc - dr))
-        upper[reach] = np.minimum(upper[reach], ecc + dr)
+        ecc = np.where(reach, d, 0.0).max(axis=1, keepdims=True)
+        lower = np.maximum(lower, np.where(reach, np.maximum(d, ecc - d), 0.0).max(axis=0))
+        upper = np.minimum(upper, (ecc + d).min(axis=0))
+        best = max(best, lower.max())
 
 
 def diameter_and_components(g: CsrGraph) -> tuple[int, np.ndarray]:
     """Exact diameter (max eccentricity over components) and component ids.
 
     The ids come from ``connected_components``; the diameter from
-    ``_exact_diameter``'s eccentricity-bound loop of ``bfs_distances`` runs,
-    at any graph size.
+    ``_exact_diameter``, which runs ``bfs_distances`` on blocks of 64 sources
+    until the eccentricity bounds meet, at any graph size. No N x N matrix is
+    built.
     """
     comp = connected_components(g)
     return _exact_diameter(g, comp), comp

@@ -169,11 +169,10 @@ def load_dataset(directory) -> Dataset:
     labels_path = os.path.join(directory, LABELS_FILE)
     split_path = os.path.join(directory, SPLIT_FILE)
 
+    edge_lines = [(line_no, text) for line_no, line in enumerate(_read_lines(edges_path), start=1)
+                  if (text := line.split("#", 1)[0].strip())]
     raw_edges = []
-    for line_no, line in enumerate(_read_lines(edges_path), start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
+    for line_no, text in edge_lines:
         parts = text.split()
         if len(parts) != 2:
             raise DatasetFormatError(edges_path, line_no, f"expected 'u<TAB>v', got {text!r}")
@@ -218,9 +217,12 @@ def load_dataset(directory) -> Dataset:
             f"label {labels[line_of - 1]} out of range: class {gap} has no nodes, so labels are not contiguous",
         )
 
-    edges = _canonical_edges(np.asarray(raw_edges, dtype=np.int64).reshape(-1, 2))
-    if edges.size and edges.max() >= num_nodes:
-        raise DatasetFormatError(edges_path, None, f"edge endpoint {edges.max()} >= num_nodes {num_nodes}")
+    raw_edges = np.asarray(raw_edges, dtype=np.int64).reshape(-1, 2)
+    if raw_edges.size and raw_edges.max() >= num_nodes:
+        first = int(np.flatnonzero(raw_edges.max(axis=1) >= num_nodes)[0])
+        raise DatasetFormatError(edges_path, edge_lines[first][0],
+                                 f"edge endpoint {raw_edges[first].max()} >= num_nodes {num_nodes}")
+    edges = _canonical_edges(raw_edges)
 
     try:
         with open(split_path, "r", encoding="utf-8") as fh:

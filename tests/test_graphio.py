@@ -81,6 +81,16 @@ def test_malformed_edge_line(tmp_path):
         load_dataset(d)
 
 
+def test_out_of_range_edge_endpoint_names_its_line(tmp_path):
+    # Line 2 is a comment and line 4 is blank; the first bad edge is on line 5.
+    d = write_dataset_dir(
+        tmp_path, "0\t1\n# comment\n1\t2\n\n2\t5\n7\t0\n", "1.0\n2.0\n3.0\n", "0\n1\n0\n",
+        {"labeled": [0], "valid": [], "test": []},
+    )
+    with pytest.raises(DatasetFormatError, match=r"edges\.tsv:5: edge endpoint 5 >= num_nodes 3$"):
+        load_dataset(d)
+
+
 def test_self_loop_edge_rejected(tmp_path):
     d = write_dataset_dir(
         tmp_path, "1\t1\n", "1.0\n2.0\n", "0\n1\n",
