@@ -7,7 +7,8 @@ A dataset is a directory of four text files:
                   edge are merged on load; self-loop lines are rejected
                   (self-loops are added later by the graph pipeline)
     features.tsv  line i = tab-separated real features of node i; blank
-                  lines are skipped, '#' is not a comment
+                  lines are skipped, '#' is not a comment; every value must
+                  be finite (nan, inf and -inf are rejected, naming the line)
     labels.tsv    line i = integer class label of node i
     split.json    {"labeled": [...], "valid": [...], "test": [...]}
 
@@ -38,6 +39,27 @@ class DatasetFormatError(ValueError):
         self.line_no = line_no
         where = f"{path}:{line_no}" if line_no is not None else str(path)
         super().__init__(f"{where}: {message}")
+
+
+class NonFiniteFeatureError(ValueError):
+    """A feature is nan or infinite; carries the node (row) and column."""
+
+    def __init__(self, node: int, col: int, value: float):
+        self.node = node
+        self.col = col
+        super().__init__(f"non-finite feature {value!r} in column {col + 1} of node {node}")
+
+
+def _check_finite(features: np.ndarray) -> None:
+    """Raise ``NonFiniteFeatureError`` for the first nan or infinite cell."""
+    # min and max propagate nan and show an infinity without an (N, F) mask,
+    # which would raise the peak memory of every load.
+    if features.size == 0 or (np.isfinite(features.min()) and np.isfinite(features.max())):
+        return
+    finite = np.isfinite(features)
+    node = int(np.argmin(finite.all(axis=1)))
+    col = int(np.argmin(finite[node]))
+    raise NonFiniteFeatureError(node, col, float(features[node, col]))
 
 
 def _as_sorted_ids(values, name: str) -> np.ndarray:
@@ -78,7 +100,8 @@ class Dataset:
     """Immutable graph dataset: undirected edge list, features, labels, split.
 
     ``edges`` is deduplicated and canonical (each edge once, u < v, sorted);
-    self-loops are not stored.
+    self-loops are not stored. Every feature is finite, so whatever
+    ``save_dataset`` writes, ``load_dataset`` reads back.
     """
 
     num_nodes: int
@@ -101,6 +124,7 @@ class Dataset:
             raise ValueError("num_nodes must be >= 1")
         if features.ndim != 2 or features.shape[0] != n:
             raise ValueError(f"features must be (num_nodes, F); got {features.shape} for N={n}")
+        _check_finite(features)
         if labels.shape != (n,):
             raise ValueError("labels must have one entry per node")
         if edges.size:
@@ -159,6 +183,12 @@ def _read_features(path) -> np.ndarray:
     if features.shape[0] == 0:
         raise DatasetFormatError(path, None, "no feature rows")
     return features
+
+
+def _line_of_row(path, row: int) -> int:
+    """The 1-based line of feature row ``row``: blank lines hold no row."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [line_no for line_no, line in enumerate(fh, start=1) if line.strip()][row]
 
 
 def load_dataset(directory) -> Dataset:
@@ -241,23 +271,36 @@ def load_dataset(directory) -> Dataset:
 
     try:
         return Dataset(num_nodes, num_classes, edges, features, labels, split)
+    except NonFiniteFeatureError as exc:  # the one finite check is the Dataset's own
+        raise DatasetFormatError(features_path, _line_of_row(features_path, exc.node), str(exc)) from None
     except ValueError as exc:
         raise DatasetFormatError(directory, None, str(exc)) from None
 
 
 def save_dataset(dataset: Dataset, directory) -> None:
-    """Write the four dataset files; floats use shortest exact decimal form."""
+    """Write the four dataset files; a feature is written as the ``repr`` of
+    its float, the shortest decimal that reads back to the same bits.
+
+    Only the cells whose bits are not those of ``+0.0`` are formatted. Every
+    other cell is the literal ``"0.0"``, which is ``repr(0.0)``, so a sparse
+    table costs time in proportion to its stored entries. ``-0.0`` has a set
+    sign bit, so it is formatted and keeps its sign.
+    """
     directory = os.fspath(directory)
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, EDGES_FILE), "w", encoding="utf-8") as fh:
-        for u, v in dataset.edges:
-            fh.write(f"{u}\t{v}\n")
+        fh.write("".join(f"{u}\t{v}\n" for u, v in dataset.edges.tolist()))
+    features = dataset.features
+    zero_row = ["0.0"] * features.shape[1]
     with open(os.path.join(directory, FEATURES_FILE), "w", encoding="utf-8") as fh:
-        for row in dataset.features:
-            fh.write("\t".join(map(repr, row.tolist())) + "\n")
+        for row, bits in zip(features, features.view(np.int64)):
+            cols = np.flatnonzero(bits)
+            cells = zero_row.copy()
+            for col, text in zip(cols.tolist(), map(repr, row[cols].tolist())):
+                cells[col] = text
+            fh.write("\t".join(cells) + "\n")
     with open(os.path.join(directory, LABELS_FILE), "w", encoding="utf-8") as fh:
-        for lab in dataset.labels:
-            fh.write(f"{lab}\n")
+        fh.write("".join(f"{lab}\n" for lab in dataset.labels.tolist()))
     split = {
         "labeled": dataset.split.labeled_ids.tolist(),
         "valid": dataset.split.valid_ids.tolist(),

@@ -348,6 +348,21 @@ def test_train_bad_config_value_exits_one(tmp_path, dataset_dir, monkeypatch, ca
     assert not out.exists()
 
 
+def test_train_non_finite_feature_exits_one(tmp_path, dataset_dir, monkeypatch, capsys):
+    monkeypatch.setattr(cli.trainer, "train_one", never_train)
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("edges.tsv", "labels.tsv", "split.json"):
+        (data / name).write_bytes(read_bytes(dataset_dir / name))
+    rows = read_bytes(dataset_dir / "features.tsv").decode().splitlines()
+    rows[2] = "\t".join(["nan"] + rows[2].split("\t")[1:])
+    (data / "features.tsv").write_text("\n".join(rows) + "\n")
+    out = tmp_path / "run"
+    assert run_cli(["train", "--data", str(data), "--out", str(out)]) == 1
+    assert "features.tsv:3: non-finite feature nan in column 1 of node 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("grid, key", [
     ("nosuch=1", "nosuch"),
     ("mixup.gamma=0.7,abc", "mixup.gamma"),  # the bad value is in the last point
@@ -496,6 +511,22 @@ def test_convert_planetoid_dump_round_trip(tmp_path):
     np.testing.assert_array_equal(ds.split.test_ids, np.sort(test_idx))
     # Self-citation (3, 3) must have been dropped.
     assert not np.any(ds.edges[:, 0] == ds.edges[:, 1])
+
+
+def test_convert_non_finite_feature_exits_one(tmp_path, capsys):
+    import pickle
+
+    import scipy.sparse as sp
+
+    raw, _, _, tx, *_ = make_planetoid_dump(tmp_path)
+    tx = tx.toarray()
+    tx[1, 2] = np.nan  # tx row 1 is node 600, the second line of test.index
+    with open(raw / "ind.cora.tx", "wb") as fh:
+        pickle.dump(sp.csr_matrix(tx), fh)
+    out = tmp_path / "converted"
+    assert run_cli(["convert-cora", "--raw", str(raw), "--out", str(out), "--no-row-normalize"]) == 1
+    assert "non-finite feature nan in column 3 of node 600" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_convert_row_normalize_default(tmp_path):

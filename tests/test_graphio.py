@@ -3,7 +3,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reachmix import graphio
 from reachmix.graphio import (
     Dataset,
     DatasetFormatError,
@@ -128,6 +131,18 @@ def test_malformed_features_name_the_file(tmp_path, features_text, message):
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_non_finite_feature_names_file_and_line(tmp_path, token):
+    # Line 2 is blank, so node 1's row is line 3.
+    d = write_dataset_dir(
+        tmp_path, "0\t1\n", f"1.0\t2.0\n\n3.0\t{token}\n{token}\t4.0\n", "0\n1\n0\n",
+        {"labeled": [0], "valid": [], "test": [1]},
+    )
+    with pytest.raises(DatasetFormatError,
+                       match=rf"features\.tsv:3: non-finite feature {token} in column 2 of node 1$"):
+        load_dataset(d)
+
+
 def test_features_blank_lines_are_skipped(tmp_path):
     d = write_dataset_dir(
         tmp_path, "0\t1\n", "\n1.0\t2.0\n\n  \n3.0\t4.0\n\n", "0\n1\n",
@@ -145,6 +160,70 @@ def test_save_features_bytes_are_shortest_repr(tmp_path):
     assert (tmp_path / "features.tsv").read_bytes() == b"-0.0\t5e-324\t0.30000000000000004\n1.0\t0.0\t1e+300\n"
     back = load_dataset(tmp_path).features
     assert back.tobytes() == features.tobytes()
+
+
+def features_dataset(features):
+    n = features.shape[0]
+    return Dataset(n, 1, np.zeros((0, 2)), features, np.zeros(n), SplitSpec([0], [], []))
+
+
+def repr_oracle(features):
+    """The features.tsv bytes with every cell formatted on its own."""
+    return "".join("\t".join(map(repr, row.tolist())) + "\n" for row in features).encode()
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 0.1 + 0.2, 1 / 3, -2 / 3, 1e300, -1e300]
+CELLS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+STORED_CELLS = CELLS.filter(lambda v: np.float64(v).view(np.int64) != 0)  # anything but +0.0
+
+
+@st.composite
+def feature_matrices(draw):
+    width = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.sampled_from(["zero", "dense", "mixed"]), min_size=1, max_size=6))
+    cells = {"zero": st.just(0.0), "dense": STORED_CELLS, "mixed": CELLS}
+    return np.array([draw(st.lists(cells[kind], min_size=width, max_size=width)) for kind in rows])
+
+
+@settings(max_examples=60, deadline=None)
+@given(feature_matrices())
+def test_save_features_match_per_cell_repr_and_reload_bit_for_bit(tmp_path_factory, features):
+    out = tmp_path_factory.mktemp("oracle")
+    save_dataset(features_dataset(features), out)
+    assert (out / "features.tsv").read_bytes() == repr_oracle(features)
+    assert load_dataset(out).features.tobytes() == features.tobytes()
+
+
+def test_save_formats_only_cells_that_are_not_plus_zero(tmp_path, monkeypatch):
+    formatted = []
+
+    def counting_repr(value):
+        formatted.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(graphio, "repr", counting_repr, raising=False)
+    features = np.zeros((4, 7))
+    features[0, 3] = 0.25
+    features[2] = np.arange(1.0, 8.0)  # a dense row
+    features[3, [0, 6]] = [-0.0, 5e-324]  # bits that are not +0.0's
+    save_dataset(features_dataset(features), tmp_path / "sparse")
+    assert len(formatted) == 1 + 7 + 2
+    assert (tmp_path / "sparse" / "features.tsv").read_bytes() == repr_oracle(features)
+
+    formatted.clear()
+    save_dataset(features_dataset(np.zeros((4, 3))), tmp_path / "zeros")
+    assert formatted == []
+    assert (tmp_path / "zeros" / "features.tsv").read_bytes() == b"0.0\t0.0\t0.0\n" * 4
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_features(value):
+    # Checked where a Dataset is built, so save_dataset never writes a
+    # features.tsv that load_dataset would refuse.
+    features = np.ones((3, 2))
+    features[2, 1] = value
+    with pytest.raises(ValueError, match=rf"^non-finite feature {value!r} in column 2 of node 2$"):
+        features_dataset(features)
 
 
 def test_round_trip_identity(tmp_path, rng):
