@@ -30,7 +30,7 @@ import numpy as np
 
 import reachmix
 from reachmix import diagnostics, graphio, nn, trainer
-from reachmix.graphalg import add_self_loops, from_edges
+from reachmix.graphalg import from_edges
 from reachmix.graphio import generate_sbm, load_dataset, save_dataset
 from reachmix.seeding import substream
 from reachmix.trainer import TrainConfig, train_multi
@@ -213,13 +213,17 @@ def cmd_train(args) -> int:
         "test_acc": {str(s): float(a) for s, a in zip(cfg.seeds, result.test_accs)},
         "best_val_acc": {str(s): float(v) for s, v in zip(cfg.seeds, result.best_val_accs)},
         "best_epoch": {str(s): o.best_epoch for s, o in zip(cfg.seeds, result.outcomes)},
+        # epochs up to the selected one that trained on at least one mixed pair
+        "mixed_epochs_to_best": {str(s): sum(1 for r in o.history[:o.best_epoch + 1] if r.intra or r.inter)
+                                 for s, o in zip(cfg.seeds, result.outcomes)},
         "mean": result.mean,
         "std": result.std,
         "sem": result.sem,
     }
     write_json(os.path.join(args.out, "summary.json"), summary)
     write_manifest(args.out, "train", cfg.to_dict(), data_dir=args.data)
-    print(f"test_acc mean={result.mean:.4f} std={result.std:.4f} sem={result.sem:.4f} over {len(cfg.seeds)} seeds")
+    print(f"test_acc mean={result.mean:.4f} std={result.std:.4f} sem={result.sem:.4f} over {len(cfg.seeds)} seeds; "
+          "mixed_epochs_to_best " + " ".join(map(str, summary["mixed_epochs_to_best"].values())))
     return 0
 
 
@@ -266,13 +270,20 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    """Reach is measured on A: the BFS ignores self-loops and the structural
+    degrees exclude them. Only ``cka`` and ``pearson`` build the model
+    inputs, once, with ``trainer.build_operators``, after checking that the
+    checkpoint's F and C fit the dataset."""
     needs_model = args.kind in ("cka", "pearson")
     if needs_model and not args.checkpoint:
         raise UsageError(f"diagnose {args.kind} needs --checkpoint")
     params = nn.load_params(args.checkpoint) if needs_model else None
     args.data = resolve_data_dir(args.data)
     dataset = load_dataset(args.data)
-    g = add_self_loops(from_edges(dataset.num_nodes, dataset.edges))
+    if needs_model and (params.w1.shape[0], params.w2.shape[1]) != (dataset.num_features, dataset.num_classes):
+        raise ValueError(f"{args.checkpoint}: checkpoint has {params.w1.shape[0]} features and {params.w2.shape[1]} "
+                         f"classes, dataset {args.data} has {dataset.num_features} and {dataset.num_classes}")
+    g = from_edges(dataset.num_nodes, dataset.edges)
     labeled = dataset.split.labeled_ids
     prepare_outdir(args.out, args.force)  # after every input is read and checked
 
@@ -297,7 +308,7 @@ def cmd_diagnose(args) -> int:
         line = f"avgsp: {report.degrees.size} degree groups"
     elif args.kind == "cka":
         buckets = diagnostics.rc_buckets(diagnostics.reaching_coefficient(g, labeled))
-        report = diagnostics.cka_by_bucket(params, dataset, buckets, args.seed)
+        report = diagnostics.cka_by_bucket(params, trainer.build_operators(dataset), buckets, args.seed)
         values = ["absent" if v is None else v for v in report.values]
         header = ["bucket", "cka", "sample_size"]
         rows = zip(range(1, len(values) + 1), values, report.sample_sizes)
@@ -305,7 +316,7 @@ def cmd_diagnose(args) -> int:
         line = "cka by bucket: " + " ".join(v if isinstance(v, str) else f"{v:.4f}" for v in values)
     else:  # pearson; argparse restricts the choices
         rc = diagnostics.reaching_coefficient(g, labeled)
-        r, pairs = diagnostics.pearson_rc_vs_score(params, dataset, rc)
+        r, pairs = diagnostics.pearson_rc_vs_score(params, trainer.build_operators(dataset), rc)
         header = ["node", "rc", "true_class_score"]
         rows = zip(rc.node_ids, pairs[:, 1], pairs[:, 2])
         summary = {"pearson_r": float(r), "n": int(pairs.shape[0])}

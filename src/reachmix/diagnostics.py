@@ -19,15 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from reachmix.graphalg import (
-    CsrGraph,
-    add_self_loops,
-    bfs_distances,
-    diameter_and_components,
-    from_edges,
-    structural_degrees,
-    sym_normalize,
-)
+from reachmix.graphalg import CsrGraph, bfs_distances, diameter_and_components, structural_degrees
+from reachmix.mixup import TrainInputs
 from reachmix.nn import ModelParams, gcn_forward, softmax
 
 NUM_BUCKETS = 5
@@ -130,16 +123,15 @@ def cka(zl: np.ndarray, zu: np.ndarray) -> float:
     return float(cross / (norm_l * norm_u))
 
 
-def representations(params: ModelParams, dataset) -> np.ndarray:
-    """Final-layer pre-softmax output in eval mode, one row per node."""
-    a_norm = sym_normalize(add_self_loops(from_edges(dataset.num_nodes, dataset.edges)))
-    logits, _ = gcn_forward(dataset.features, a_norm, params)
-    return logits
+def representations(params: ModelParams, inputs: TrainInputs) -> np.ndarray:
+    """Final-layer pre-softmax output in eval mode, one row per node, from
+    ``inputs`` (``trainer.build_operators`` of the dataset)."""
+    return gcn_forward(inputs.features, inputs.a_norm, params)[0]
 
 
 def cka_by_bucket(
     params: ModelParams,
-    dataset,
+    inputs: TrainInputs,
     buckets: list[np.ndarray],
     sample_seed: int,
 ) -> CKAReport:
@@ -153,8 +145,8 @@ def cka_by_bucket(
     as absent and draws no sample: with 2 nodes the centred rows are +-v, so
     the CKA is 1 for any input.
     """
-    z = representations(params, dataset)
-    labeled = dataset.split.labeled_ids
+    z = representations(params, inputs)
+    labeled = inputs.dataset.split.labeled_ids
     rng = np.random.default_rng(sample_seed)
     values, sizes = [], []
     for bucket in buckets:
@@ -200,16 +192,15 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float((dx * dy).sum() / (sx * sy))
 
 
-def pearson_rc_vs_score(params: ModelParams, dataset, report: RCReport):
+def pearson_rc_vs_score(params: ModelParams, inputs: TrainInputs, report: RCReport):
     """Correlation between the softmax probability of each unlabeled node's
     true class and its reaching coefficient.
 
     Returns (r, pairs) where pairs is an (n, 3) array of
     (node_id, rc, true_class_score).
     """
-    z = representations(params, dataset)
-    probs = softmax(z)
-    scores = probs[report.node_ids, dataset.labels[report.node_ids]]
+    probs = softmax(representations(params, inputs))
+    scores = probs[report.node_ids, inputs.dataset.labels[report.node_ids]]
     r = pearson(report.rc, scores)
     pairs = np.stack([report.node_ids.astype(np.float64), report.rc, scores], axis=1)
     return r, pairs

@@ -124,11 +124,11 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrainInputs:
-    """A dataset in the form every epoch reads it, built once per run by
-    ``trainer.build_operators``: CSR features, one-hot labels, the row
-    weights that restrict the supervised loss to labeled nodes, and the
-    graph as the refresh (A + I, degrees) and the forward pass (A_hat) read
-    it. The arrays are read-only."""
+    """A dataset in the form every epoch reads it, built once per command by
+    ``trainer.build_operators`` and shared by every seed: CSR features,
+    one-hot labels, the row weights that restrict the supervised loss to
+    labeled nodes, and the graph as the refresh (A + I, degrees) and the
+    forward pass (A_hat) read it. The arrays are read-only."""
 
     dataset: Dataset
     features: csr_array

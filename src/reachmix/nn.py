@@ -261,7 +261,9 @@ def save_params(path, params: ModelParams) -> None:
 
 def load_params(path) -> ModelParams:
     """Read a ``save_params`` checkpoint. Malformed content raises a
-    ``ValueError`` that starts with ``<path>:<line>:``."""
+    ``ValueError`` that starts with ``<path>:<line>:``; shapes other than
+    w1 (F, H), b1 (H,), w2 (H, C), b2 (C,) raise one that starts with
+    ``<path>:``."""
     values: dict[str, np.ndarray] = {}
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
@@ -292,6 +294,10 @@ def load_params(path) -> ModelParams:
     missing = [n for n in PARAM_NAMES if n not in values]
     if missing:
         raise ValueError(f"{path}: checkpoint missing parameters {missing}")
+    w1, b1, w2, b2 = (values[n].shape for n in PARAM_NAMES)
+    if not (len(w1) == len(w2) == 2 and b1 == (w1[1],) == w2[:1] and b2 == w2[1:]):
+        shapes = ", ".join(f"{n} {values[n].shape}" for n in PARAM_NAMES)
+        raise ValueError(f"{path}: parameter shapes {shapes} do not fit w1 (F, H), b1 (H,), w2 (H, C), b2 (C,)")
     return ModelParams(values["w1"], values["b1"], values["w2"], values["b2"])
 
 

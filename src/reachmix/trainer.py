@@ -110,17 +110,18 @@ class RunResult:
 
 
 def build_operators(dataset: Dataset) -> TrainInputs:
-    """The run's one ``TrainInputs``: everything an epoch reads of ``dataset``,
-    from the CSR features and one-hot labels to A + I, A_hat and the
-    structural degrees."""
+    """The command's one ``TrainInputs``: everything an epoch reads of
+    ``dataset``, from the CSR features and one-hot labels to A + I, A_hat and
+    the structural degrees. Read-only, so every seed can share it."""
     a = add_self_loops(from_edges(dataset.num_nodes, dataset.edges))
+    features = as_csr(dataset.features)
     y_hot = one_hot(dataset.labels, dataset.num_classes)
     weights = np.zeros(dataset.num_nodes)
     weights[dataset.split.labeled_ids] = 1.0
     degrees = structural_degrees(a)
-    for arr in (y_hot, weights, degrees):
+    for arr in (features.data, features.indices, features.indptr, y_hot, weights, degrees):
         arr.setflags(write=False)
-    return TrainInputs(dataset, as_csr(dataset.features), y_hot, weights, a, sym_normalize(a), degrees)
+    return TrainInputs(dataset, features, y_hot, weights, a, sym_normalize(a), degrees)
 
 
 def evaluate(params: ModelParams, inputs: TrainInputs, ids) -> tuple[float, np.ndarray]:
@@ -135,13 +136,14 @@ def _due(epoch: int, warmup: int, every: int) -> bool:
 
 
 def train_one(
-    dataset: Dataset,
+    inputs: TrainInputs,
     cfg: TrainConfig,
     seed: int,
     eval_test: bool = True,
     on_refresh=None,
 ) -> TrainOutcome:
-    """Train a single model; returns the best-validation checkpoint and metrics.
+    """Train one model on the command's shared ``build_operators`` inputs;
+    returns the best-validation checkpoint and metrics.
 
     With mixup enabled, every ``refresh_every`` epochs after warm-up one
     refresh runs the whole chain: pseudo-labels, NLD, pair sampling and the
@@ -151,7 +153,7 @@ def train_one(
     the previous epoch's validation pass, which were computed from the same
     parameters.
     """
-    inputs = build_operators(dataset)
+    dataset = inputs.dataset
     params = init_params(dataset.num_features, cfg.hidden, dataset.num_classes, substream(seed, "init"))
     state = adam_init(params, cfg.lr, weight_decay={"w1": cfg.weight_decay})
     rngs = {
@@ -220,8 +222,9 @@ def train_one(
 
 
 def train_multi(dataset: Dataset, cfg: TrainConfig) -> RunResult:
-    """Independent run per seed; aggregates test accuracy as mean / std / sem."""
-    outcomes = [train_one(dataset, cfg, seed) for seed in cfg.seeds]
+    """Independent run per seed, all on one ``build_operators``; aggregates test accuracy as mean / std / sem."""
+    inputs = build_operators(dataset)
+    outcomes = [train_one(inputs, cfg, seed) for seed in cfg.seeds]
     accs = np.array([o.test_acc for o in outcomes])
     std = float(accs.std())  # population std (ddof=0)
     best_vals = np.array([o.best_val_acc for o in outcomes])
@@ -248,9 +251,9 @@ def apply_grid_point(cfg: TrainConfig, assignment: dict) -> TrainConfig:
 
 
 def _sweep_point(args):
-    dataset, base_cfg, assignment = args
+    inputs, base_cfg, assignment = args
     cfg = apply_grid_point(base_cfg, assignment)
-    vals = np.array([train_one(dataset, cfg, seed, eval_test=False).best_val_acc for seed in cfg.seeds])
+    vals = np.array([train_one(inputs, cfg, seed, eval_test=False).best_val_acc for seed in cfg.seeds])
     return {
         **assignment,
         "mean_val_acc": float(vals.mean()),
@@ -280,7 +283,8 @@ def grid_search(dataset: Dataset, base_cfg: TrainConfig, grids: dict[str, list],
     Returns (best_config, sweep_rows) with one row dict per grid point.
     """
     points = grid_points(base_cfg, grids)
-    work = [(dataset, base_cfg, pt) for pt in points]
+    inputs = build_operators(dataset)
+    work = [(inputs, base_cfg, pt) for pt in points]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_point, work))  # map preserves submission order

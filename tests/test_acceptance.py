@@ -279,18 +279,20 @@ def test_criterion_7_cora_figure_trends(capsys):
     positives = 0
     for t in (5, 10, 15):
         resampled = with_split(ds, make_split(ds, t, 30, seed=100 + t))
-        outcome = train_one(resampled, quick, seed=0)
+        inputs = build_operators(resampled)
+        outcome = train_one(inputs, quick, seed=0)
         rc = reaching_coefficient(g, resampled.split.labeled_ids)
-        r, _ = pearson_rc_vs_score(outcome.params, resampled, rc)
+        r, _ = pearson_rc_vs_score(outcome.params, inputs, rc)
         positives += int(r > 0.0)
         detail.append(f"T={t}: r={r:.3f}")
     ok_b = positives >= 2
 
     # (c) representation alignment grows from the least to the most reachable bucket.
-    outcome = train_one(ds, quick, seed=0)
+    inputs = build_operators(ds)
+    outcome = train_one(inputs, quick, seed=0)
     rc = reaching_coefficient(g, ds.split.labeled_ids)
     buckets = rc_buckets(rc)
-    ckar = cka_by_bucket(outcome.params, ds, buckets, sample_seed=0)
+    ckar = cka_by_bucket(outcome.params, inputs, buckets, sample_seed=0)
     lo, hi = ckar.values[0], ckar.values[4]
     ok_c = lo is not None and hi is not None and hi >= lo
     detail.append(f"cka I={lo if lo is None else round(lo, 3)} V={hi if hi is None else round(hi, 3)}")
@@ -329,8 +331,9 @@ def test_criterion_8_synthetic_fallback(capsys):
 
     base = train_multi(ds, base_cfg)
     mix_accs = []
+    inputs = build_operators(ds)
     for seed in seeds:
-        outcome = train_one(ds, mix_cfg, seed, on_refresh=hook)
+        outcome = train_one(inputs, mix_cfg, seed, on_refresh=hook)
         mix_accs.append(outcome.test_acc)
     mix_mean = float(np.mean(mix_accs))
     gain_pts = 100.0 * (mix_mean - base.mean)

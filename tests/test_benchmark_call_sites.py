@@ -6,13 +6,16 @@ from reachmix import cli
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
-# Call sites the program no longer has; the benchmark skips them, so their
-# per-layer metrics read 0. The refresh reuses the previous epoch's eval
-# logits, so nothing calls ``trainer.predict_probs``. Every other traced
-# site is live, ``diagnostics.bfs_distances`` (the labeled-set distances)
-# among them.
+# Call sites the program no longer has; the benchmark skips them. The
+# refresh reuses the previous epoch's eval logits, so nothing calls
+# ``trainer.predict_probs``, and its metric reads 0. ``diagnostics`` reads
+# A_hat off ``trainer.build_operators``, whose ``trainer.sym_normalize`` site
+# still feeds ``graphalg.sym_normalize_s`` on the diagnose workload (see
+# ``test_tracer_reads_layers_off_diagnose_cka``). Every other traced site is
+# live, ``diagnostics.bfs_distances`` (the labeled-set distances) among them.
 KNOWN_MISSING = {
     ("reachmix.trainer", "predict_probs"),
+    ("reachmix.diagnostics", "sym_normalize"),
 }
 
 
@@ -32,17 +35,22 @@ def test_benchmark_call_sites_exist():
     assert missing == KNOWN_MISSING
 
 
-def test_tracer_reads_counts_off_a_mixup_run(tmp_path):
-    """The tracer's info readers (pair counts, pseudo-label counts, flops)
-    read fields of the program's arguments and results; a renamed field
-    fails here instead of in a ``--trace 1`` benchmark run."""
-    tracer_module = load_tracer()
+def write_data_and_config(tmp_path):
     data, config = tmp_path / "data", tmp_path / "config.json"
     assert cli.main(["synth", "--classes", "3", "--per-class", "30", "--p-in", "0.3", "--p-out", "0.02",
                      "--feature-dim", "8", "--noise", "0.5", "--seed", "1", "--labels-per-class", "4",
                      "--valid-per-class", "4", "--out", str(data)]) == 0
     config.write_text(json.dumps({"lr": 0.05, "max_epochs": 15, "patience": 15, "seeds": [0],
                                   "mixup_enabled": True, "mixup": {"warmup_epochs": 2}}))
+    return data, config
+
+
+def test_tracer_reads_counts_off_a_mixup_run(tmp_path):
+    """The tracer's info readers (pair counts, pseudo-label counts, flops)
+    read fields of the program's arguments and results; a renamed field
+    fails here instead of in a ``--trace 1`` benchmark run."""
+    tracer_module = load_tracer()
+    data, config = write_data_and_config(tmp_path)
     tracer = tracer_module.Tracer()
     with tracer.installed():
         assert cli.main(["train", "--data", str(data), "--config", str(config),
@@ -52,4 +60,20 @@ def test_tracer_reads_counts_off_a_mixup_run(tmp_path):
     for name in ("mixup.refreshes", "mixup.pseudo_label_frac", "mixup.intra_pairs", "mixup.inter_pairs",
                  "graphalg.matmul_dense_flops", "graphio.features_bytes", "nn.eval_forward_s",
                  "graphalg.bfs_distances_calls"):
+        assert metrics[name] > 0, name
+
+
+def test_tracer_reads_layers_off_diagnose_cka(tmp_path):
+    """``diagnose cka`` alone feeds the per-layer metrics of the model path
+    it takes: one ``build_operators``, its A_hat normalisation and one eval
+    forward. A call site that moved out of a traced namespace reads 0 here."""
+    tracer_module = load_tracer()
+    data, config = write_data_and_config(tmp_path)
+    assert cli.main(["train", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "train")]) == 0
+    tracer = tracer_module.Tracer()
+    with tracer.installed():
+        assert cli.main(["diagnose", "cka", "--data", str(data), "--out", str(tmp_path / "cka"),
+                         "--checkpoint", str(tmp_path / "train" / "checkpoint_seed0.txt")]) == 0
+    metrics = tracer_module.layer_metrics(tracer, 0.0)
+    for name in ("graphalg.sym_normalize_s", "nn.eval_forward_s", "trainer.build_operators_s"):
         assert metrics[name] > 0, name

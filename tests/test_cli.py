@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import reachmix
-from reachmix import cli
+from reachmix import cli, nn
 from reachmix.cli import main, parse_seeds
 from reachmix.graphio import generate_sbm, load_dataset, save_dataset
 from reachmix.nn import load_params
@@ -537,3 +537,64 @@ def test_convert_row_normalize_default(tmp_path):
     sums = ds.features.sum(axis=1)
     nonzero = sums > 0
     np.testing.assert_allclose(sums[nonzero], 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["rc", "avgsp", "cka", "pearson"])
+def test_diagnose_builds_model_inputs_only_for_a_model(tmp_path, dataset_dir, train_run, monkeypatch, kind):
+    calls = []
+    build = cli.trainer.build_operators
+    monkeypatch.setattr(cli.trainer, "build_operators", lambda ds: calls.append(ds) or build(ds))
+    argv = ["diagnose", kind, "--data", str(dataset_dir), "--out", str(tmp_path / kind)]
+    if kind in ("cka", "pearson"):
+        argv += ["--checkpoint", str(train_run / "checkpoint_seed0.txt")]
+    assert run_cli(argv) == 0
+    assert len(calls) == (kind in ("cka", "pearson"))
+
+
+@pytest.mark.parametrize("kind, shapes, message", [
+    pytest.param("pearson", {"w2": (4, 2), "b2": (2,)}, "has 6 features and 2 classes, dataset", id="pearson-classes"),
+    pytest.param("cka", {"w2": (4, 2), "b2": (2,)}, "has 6 features and 2 classes, dataset", id="cka-classes"),
+    pytest.param("cka", {"w1": (5, 4)}, "has 5 features and 3 classes, dataset", id="cka-features"),
+    pytest.param("cka", {"b1": (10,)}, ": parameter shapes", id="cka-b1-not-hidden"),
+])
+def test_diagnose_checkpoint_that_does_not_fit_exits_one(tmp_path, dataset_dir, capsys, kind, shapes, message):
+    ds = load_dataset(dataset_dir)
+    assert (ds.num_features, ds.num_classes) == (6, 3)
+    fits = {"w1": (6, 4), "b1": (4,), "w2": (4, 3), "b2": (3,)}
+    rng = np.random.default_rng(0)
+    ckpt = tmp_path / "other.txt"
+    nn.save_params(ckpt, nn.ModelParams(**{k: rng.standard_normal(shapes.get(k, v)) for k, v in fits.items()}))
+    out = tmp_path / kind
+    argv = ["diagnose", kind, "--data", str(dataset_dir), "--checkpoint", str(ckpt), "--out", str(out)]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}") and message in err
+    assert not out.exists()
+
+
+def mixed_epochs_to_best(run_dir, seed):
+    """The count read off ``metrics_seed<k>.tsv``: rows up to best_epoch with
+    a nonzero intra or inter loss."""
+    best = json.loads((run_dir / "summary.json").read_text())["best_epoch"][str(seed)]
+    _, *rows = (run_dir / f"metrics_seed{seed}.tsv").read_text().splitlines()
+    cells = [row.split("\t") for row in rows]
+    return sum(1 for c in cells if int(c[0]) <= best and (float(c[3]) or float(c[4])))
+
+
+@pytest.mark.parametrize("overrides, expect_zero", [
+    ({"mixup_enabled": False}, True),
+    ({"mixup": {"warmup_epochs": 30}}, True),  # past max_epochs: no refresh runs
+    ({"mixup": {"warmup_epochs": 2, "gamma": 0.5}, "lr": 0.05}, False),
+    ({"mixup": {"warmup_epochs": 2, "gamma": 0.5, "lambda_intra": 0.0}, "lr": 0.05}, False),
+], ids=["baseline", "warmup-past-max-epochs", "mixup", "inter-branch-only"])
+def test_train_reports_mixed_epochs_to_best(tmp_path, dataset_dir, capsys, overrides, expect_zero):
+    blob = {"hidden": 16, "max_epochs": 25, "patience": 25, "seeds": [0, 1], "mixup_enabled": True,
+            **overrides}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(blob))
+    out = tmp_path / "run"
+    assert run_cli(["train", "--data", str(dataset_dir), "--config", str(config), "--out", str(out)]) == 0
+    counts = json.loads((out / "summary.json").read_text())["mixed_epochs_to_best"]
+    assert counts == {str(s): mixed_epochs_to_best(out, s) for s in (0, 1)}
+    assert (set(counts.values()) == {0}) == expect_zero
+    assert capsys.readouterr().out.rstrip().endswith(f"mixed_epochs_to_best {counts['0']} {counts['1']}")

@@ -15,7 +15,7 @@ from reachmix.graphalg import add_self_loops, from_edges
 from reachmix.graphio import Dataset, SplitSpec, generate_sbm, make_split, with_split
 from reachmix.nn import ModelParams, init_params
 from reachmix.seeding import substream
-from reachmix.trainer import TrainConfig, train_one
+from reachmix.trainer import TrainConfig, build_operators, train_one
 
 
 def path_graph(n):
@@ -174,7 +174,7 @@ def test_cka_by_bucket_degenerate_labeled_bucket_is_one():
     ds = sbm_dataset()
     params = init_params(ds.num_features, 8, ds.num_classes, substream(0, "init"))
     buckets = [ds.split.labeled_ids] + [np.zeros(0, dtype=np.int64)] * 4
-    report = cka_by_bucket(params, ds, buckets, sample_seed=0)
+    report = cka_by_bucket(params, build_operators(ds), buckets, sample_seed=0)
     assert report.values[0] == pytest.approx(1.0, abs=1e-10)
     assert all(v is None for v in report.values[1:])
     assert report.sample_sizes[0] == ds.split.labeled_ids.size
@@ -194,10 +194,11 @@ def test_cka_by_bucket_two_node_bucket_is_absent_and_draws_no_sample():
     unlabeled = np.setdiff1d(np.arange(ds.num_nodes), ds.split.labeled_ids)
     empty = np.zeros(0, dtype=np.int64)
     small, large = unlabeled[:2], unlabeled[2:20]
-    report = cka_by_bucket(params, ds, [large, small, large, empty, empty], sample_seed=4)
+    inputs = build_operators(ds)
+    report = cka_by_bucket(params, inputs, [large, small, large, empty, empty], sample_seed=4)
     assert report.values[1] is None and report.sample_sizes[1] == 2
     # The later bucket sees the stream it would see without the small one.
-    without = cka_by_bucket(params, ds, [large, empty, large, empty, empty], sample_seed=4)
+    without = cka_by_bucket(params, inputs, [large, empty, large, empty, empty], sample_seed=4)
     assert report.values[2] == without.values[2] is not None
 
 
@@ -208,12 +209,13 @@ def test_cka_by_bucket_seed_stability_regression_bound():
     # guard against the sampler getting noisier.
     ds = generate_sbm(3, 80, 0.08, 0.008, 8, 0.8, seed=13)
     ds = with_split(ds, make_split(ds, 10, 10, seed=3))
-    outcome = train_one(ds, TrainConfig(max_epochs=60, patience=60, hidden=16), seed=0)
+    inputs = build_operators(ds)
+    outcome = train_one(inputs, TrainConfig(max_epochs=60, patience=60, hidden=16), seed=0)
     g = add_self_loops(from_edges(ds.num_nodes, ds.edges))
     report = reaching_coefficient(g, ds.split.labeled_ids)
     buckets = rc_buckets(report)
-    r1 = cka_by_bucket(outcome.params, ds, buckets, sample_seed=1)
-    r2 = cka_by_bucket(outcome.params, ds, buckets, sample_seed=2)
+    r1 = cka_by_bucket(outcome.params, inputs, buckets, sample_seed=1)
+    r2 = cka_by_bucket(outcome.params, inputs, buckets, sample_seed=2)
     seen = 0
     for v1, v2 in zip(r1.values, r2.values):
         if v1 is not None and v2 is not None:
@@ -275,15 +277,39 @@ def test_pearson_rc_vs_score_constant_model_errors():
     f = ds.num_features
     zero = ModelParams(np.zeros((f, 4)), np.zeros(4), np.zeros((4, ds.num_classes)), np.zeros(ds.num_classes))
     with pytest.raises(ValueError, match="variance"):
-        pearson_rc_vs_score(zero, ds, report)
+        pearson_rc_vs_score(zero, build_operators(ds), report)
 
 
 def test_pearson_rc_vs_score_returns_pairs():
     ds = sbm_dataset()
-    outcome = train_one(ds, TrainConfig(max_epochs=60, patience=60, hidden=16), seed=1)
+    inputs = build_operators(ds)
+    outcome = train_one(inputs, TrainConfig(max_epochs=60, patience=60, hidden=16), seed=1)
     g = add_self_loops(from_edges(ds.num_nodes, ds.edges))
     report = reaching_coefficient(g, ds.split.labeled_ids)
-    r, pairs = pearson_rc_vs_score(outcome.params, ds, report)
+    r, pairs = pearson_rc_vs_score(outcome.params, inputs, report)
     assert -1.0 <= r <= 1.0
     assert pairs.shape == (report.node_ids.size, 3)
     assert np.all(pairs[:, 2] >= 0.0) and np.all(pairs[:, 2] <= 1.0)
+
+
+def test_reach_reports_ignore_self_loops(rng):
+    # diagnose measures reach on A; training reads A + I. Both graphs must
+    # give the same reports, isolated nodes and split components included.
+    for _ in range(20):
+        n = int(rng.integers(5, 41))
+        g = from_edges(n, random_graph_edges(rng, n, p=0.1))
+        labeled = rng.choice(n, size=int(rng.integers(1, max(2, n // 4))), replace=False)
+        looped = add_self_loops(g)
+        try:
+            plain = reaching_coefficient(g, labeled)
+        except ValueError:
+            with pytest.raises(ValueError):
+                reaching_coefficient(looped, labeled)
+            continue
+        again = reaching_coefficient(looped, labeled)
+        assert plain.diameter == again.diameter
+        for name in ("node_ids", "rc", "min_dist", "mean_dist"):
+            np.testing.assert_array_equal(getattr(plain, name), getattr(again, name))
+        sp, sp_looped = avg_sp_by_degree(g, labeled), avg_sp_by_degree(looped, labeled)
+        for name in ("degrees", "avg_sp", "counts", "node_avg_sp"):
+            np.testing.assert_array_equal(getattr(sp, name), getattr(sp_looped, name))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_array
@@ -363,3 +365,20 @@ def test_accuracy_basic():
     logits = np.array([[2.0, 1.0], [0.0, 3.0], [1.0, 0.0]])
     labels = np.array([0, 1, 1])
     assert accuracy(logits, labels, np.array([0, 1, 2])) == pytest.approx(2.0 / 3.0)
+
+
+@pytest.mark.parametrize("shapes", [
+    pytest.param({"b1": (10,)}, id="b1-not-H"),
+    pytest.param({"w2": (5, 3)}, id="w2-rows-not-H"),
+    pytest.param({"b2": (2,)}, id="b2-not-C"),
+    pytest.param({"w1": (6,)}, id="w1-not-2d"),
+    pytest.param({"w2": (4, 3, 1)}, id="w2-not-2d"),
+])
+def test_load_params_rejects_shapes_of_no_network(tmp_path, shapes):
+    good = {"w1": (6, 4), "b1": (4,), "w2": (4, 3), "b2": (3,)}
+    rng = np.random.default_rng(0)
+    params = ModelParams(**{name: rng.standard_normal(shapes.get(name, shape)) for name, shape in good.items()})
+    path = tmp_path / "ckpt.txt"
+    save_params(path, params)
+    with pytest.raises(ValueError, match="^" + re.escape(str(path)) + r": parameter shapes .*w1 \(F, H\)"):
+        load_params(path)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from reachmix.graphio import generate_sbm, make_split, with_split
+from reachmix import trainer
 from reachmix.mixup import MixupConfig
 from reachmix.trainer import (
     TrainConfig,
@@ -33,39 +34,38 @@ def history_matrix(outcome):
 
 
 def test_baseline_has_no_mixup_loss_terms():
-    ds = small_dataset()
-    outcome = train_one(ds, quick_cfg(), seed=0)
+    outcome = train_one(build_operators(small_dataset()), quick_cfg(), seed=0)
     h = history_matrix(outcome)
     assert np.all(h[:, 2] == 0.0) and np.all(h[:, 3] == 0.0)
     np.testing.assert_array_equal(h[:, 0], h[:, 1])
 
 
 def test_zero_lambdas_bitwise_equal_to_baseline():
-    ds = small_dataset()
-    base = train_one(ds, quick_cfg(), seed=3)
+    inputs = build_operators(small_dataset())
+    base = train_one(inputs, quick_cfg(), seed=3)
     mixup_off = quick_cfg(
         mixup_enabled=True,
         mixup=MixupConfig(lambda_intra=0.0, lambda_inter=0.0, warmup_epochs=5),
     )
-    mixed = train_one(ds, mixup_off, seed=3)
+    mixed = train_one(inputs, mixup_off, seed=3)
     np.testing.assert_array_equal(history_matrix(mixed), history_matrix(base))
     for name, arr in base.params.as_dict().items():
         np.testing.assert_array_equal(mixed.params.as_dict()[name], arr)
 
 
 def test_same_seed_bitwise_reproducible():
-    ds = small_dataset()
+    inputs = build_operators(small_dataset())
     cfg = quick_cfg(mixup_enabled=True, mixup=MixupConfig(warmup_epochs=5))
-    a = train_one(ds, cfg, seed=7)
-    b = train_one(ds, cfg, seed=7)
+    a = train_one(inputs, cfg, seed=7)
+    b = train_one(inputs, cfg, seed=7)
     np.testing.assert_array_equal(history_matrix(a), history_matrix(b))
     assert a.test_acc == b.test_acc
 
 
 def test_different_seeds_differ():
-    ds = small_dataset()
-    a = train_one(ds, quick_cfg(), seed=0)
-    b = train_one(ds, quick_cfg(), seed=1)
+    inputs = build_operators(small_dataset())
+    a = train_one(inputs, quick_cfg(), seed=0)
+    b = train_one(inputs, quick_cfg(), seed=1)
     assert not np.array_equal(history_matrix(a), history_matrix(b))
 
 
@@ -79,23 +79,22 @@ def test_mixup_refresh_hook_fires_and_batches_are_valid():
         assert np.all(ds.labels[pairs.inter_targets] != pairs.inter_partner_labels)
 
     cfg = quick_cfg(mixup_enabled=True, mixup=MixupConfig(warmup_epochs=5, refresh_every=2))
-    train_one(ds, cfg, seed=0, on_refresh=hook)
+    train_one(build_operators(ds), cfg, seed=0, on_refresh=hook)
     assert calls and calls[0] == 5
     assert all(b - a == 2 for a, b in zip(calls, calls[1:]))
 
 
 def test_early_stopping_restores_best_params():
-    ds = small_dataset()
+    inputs = build_operators(small_dataset())
     cfg = quick_cfg(max_epochs=60, patience=5)
-    outcome = train_one(ds, cfg, seed=2)
-    acc, _ = evaluate(outcome.params, build_operators(ds), ds.split.valid_ids)
+    outcome = train_one(inputs, cfg, seed=2)
+    acc, _ = evaluate(outcome.params, inputs, inputs.dataset.split.valid_ids)
     assert acc == outcome.best_val_acc
     assert outcome.best_epoch <= outcome.history[-1].epoch
 
 
 def test_patience_stops_before_max_epochs():
-    ds = small_dataset()
-    outcome = train_one(ds, quick_cfg(max_epochs=200, patience=3), seed=0)
+    outcome = train_one(build_operators(small_dataset()), quick_cfg(max_epochs=200, patience=3), seed=0)
     assert outcome.history[-1].epoch < 199
 
 
@@ -194,7 +193,7 @@ def test_training_requires_validation_set():
     ds = generate_sbm(2, 6, 0.6, 0.1, 4, 0.5, seed=4)
     bare = with_split(ds, type(ds.split)(list(range(4)), [], list(range(4, 12))))
     with pytest.raises(ValueError, match="validation"):
-        train_one(bare, quick_cfg(), seed=0)
+        train_one(build_operators(bare), quick_cfg(), seed=0)
 
 
 def test_readme_config_schema_matches_defaults():
@@ -202,3 +201,46 @@ def test_readme_config_schema_matches_defaults():
     section = readme.split("## Config schema", 1)[1]
     block = section.split("```json", 1)[1].split("```", 1)[0]
     assert json.loads(block) == TrainConfig().to_dict()
+
+
+def test_build_operators_arrays_are_read_only():
+    inputs = build_operators(small_dataset())
+    features = inputs.features
+    for arr in (features.data, features.indices, features.indptr, inputs.y_hot, inputs.labeled_weights,
+                inputs.degrees):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+
+
+def test_shared_inputs_match_fresh_inputs_per_seed():
+    # No seed leaves state in the inputs the next seed reads.
+    ds = small_dataset()
+    cfg = quick_cfg(mixup_enabled=True, mixup=MixupConfig(warmup_epochs=5, gamma=0.5))
+    shared = build_operators(ds)
+    for seed in (0, 1, 2):
+        a, b = train_one(shared, cfg, seed), train_one(build_operators(ds), cfg, seed)
+        np.testing.assert_array_equal(history_matrix(a), history_matrix(b))
+        for name, arr in a.params.as_dict().items():
+            assert arr.tobytes() == b.params.as_dict()[name].tobytes(), name
+
+
+@pytest.fixture
+def build_calls(monkeypatch):
+    calls = []
+
+    def counting(dataset):
+        calls.append(dataset)
+        return build_operators(dataset)
+
+    monkeypatch.setattr(trainer, "build_operators", counting)
+    return calls
+
+
+def test_train_multi_builds_inputs_once(build_calls):
+    train_multi(small_dataset(), quick_cfg(max_epochs=3, patience=3, seeds=(0, 1, 2)))
+    assert len(build_calls) == 1
+
+
+def test_grid_search_builds_inputs_once(build_calls):
+    grid_search(small_dataset(), quick_cfg(max_epochs=3, patience=3, seeds=(0, 1)), {"hidden": [4, 8]}, jobs=1)
+    assert len(build_calls) == 1
