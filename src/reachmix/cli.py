@@ -70,6 +70,17 @@ def parse_seeds(text: str) -> list[int]:
         raise UsageError(f"bad seed list {text!r}") from None
 
 
+def _int_at_least(low: int):
+    """An argparse ``type`` for integers >= ``low``: anything else is a usage
+    error (exit 2) that names the flag."""
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
+
+
 def dataset_fingerprint(directory) -> str:
     """SHA-256 over the four dataset files (names + bytes)."""
     digest = hashlib.sha256()
@@ -244,7 +255,10 @@ def _parse_grid(specs: list[str]) -> dict[str, list]:
                 parsed.append(v)
         if not parsed:
             raise UsageError(f"grid spec {spec!r} has no values")
-        grids[field.strip()] = parsed
+        field = field.strip()
+        if field in grids:
+            raise UsageError(f"--grid gives field {field!r} more than once; list its values in one spec")
+        grids[field] = parsed
     if not grids:
         raise UsageError("no grid specs given")
     return grids
@@ -397,11 +411,7 @@ def cmd_convert_cora(args) -> int:
     if args.row_normalize:
         sums = features.sum(axis=1, keepdims=True)
         features = np.divide(features, sums, out=np.zeros_like(features), where=sums > 0)
-    from reachmix.graphio import Dataset, _canonical_edges
-
-    dataset = Dataset(
-        num_nodes, int(labels.max()) + 1, _canonical_edges(edges), features, labels, split
-    )
+    dataset = graphio.Dataset(num_nodes, int(labels.max()) + 1, edges, features, labels, split)
     prepare_outdir(args.out, args.force)
     save_dataset(dataset, args.out)
     write_manifest(args.out, "convert-cora", _args_blob(args), data_dir=args.out)
@@ -428,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-out", type=float, required=True)
     p.add_argument("--feature-dim", type=int, default=16)
     p.add_argument("--noise", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--labels-per-class", type=int, default=None)
     p.add_argument("--valid-per-class", type=int, default=None)
     p.add_argument("--out", required=True)
@@ -453,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-epochs", type=int, default=None)
     p.add_argument("--grid", action="append", required=True,
                    help="field=v1,v2 (repeatable), e.g. mixup.gamma=0.5,0.7,0.9")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_sweep)
@@ -462,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("rc", "cka", "avgsp", "pearson"))
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--seed", type=int, default=0, help="sampling seed for cka")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="sampling seed for cka")
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_diagnose)
@@ -470,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference check of backprop")
     p.add_argument("--eps", type=float, default=1e-5)
     p.add_argument("--threshold", type=float, default=1e-5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("convert-cora", help="convert a Planetoid-style raw dump (ind.<name>.*)")

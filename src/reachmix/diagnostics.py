@@ -146,7 +146,7 @@ def cka_by_bucket(
     the CKA is 1 for any input.
     """
     z = representations(params, inputs)
-    labeled = inputs.dataset.split.labeled_ids
+    labeled = inputs.split.labeled_ids
     rng = np.random.default_rng(sample_seed)
     values, sizes = [], []
     for bucket in buckets:
@@ -200,7 +200,7 @@ def pearson_rc_vs_score(params: ModelParams, inputs: TrainInputs, report: RCRepo
     (node_id, rc, true_class_score).
     """
     probs = softmax(representations(params, inputs))
-    scores = probs[report.node_ids, inputs.dataset.labels[report.node_ids]]
+    scores = probs[report.node_ids, inputs.labels[report.node_ids]]
     r = pearson(report.rc, scores)
     pairs = np.stack([report.node_ids.astype(np.float64), report.rc, scores], axis=1)
     return r, pairs

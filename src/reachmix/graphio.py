@@ -4,8 +4,8 @@ A dataset is a directory of four text files:
 
     edges.tsv     one undirected edge per line, "u<TAB>v", 0-based node ids;
                   '#' starts a comment; duplicates and reversed copies of an
-                  edge are merged on load; self-loop lines are rejected
-                  (self-loops are added later by the graph pipeline)
+                  edge are merged; self-loop lines are rejected (self-loops
+                  are added later by the graph pipeline)
     features.tsv  line i = tab-separated real features of node i; blank
                   lines are skipped, '#' is not a comment; every value must
                   be finite (nan, inf and -inf are rejected, naming the line)
@@ -14,6 +14,10 @@ A dataset is a directory of four text files:
 
 Class indices must be contiguous: every class in [0, C) has at least one
 node, so C is recoverable from labels.tsv alone and save/load round-trips.
+
+Each fact of a row (an edge's endpoints, a label's class, a feature's
+finiteness) is checked once, where a ``Dataset`` is built; ``load_dataset``
+checks only what needs the file's text and names the line of a row fault.
 """
 
 from __future__ import annotations
@@ -41,17 +45,18 @@ class DatasetFormatError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-class NonFiniteFeatureError(ValueError):
-    """A feature is nan or infinite; carries the node (row) and column."""
+class DatasetRowError(ValueError):
+    """One row of a dataset table breaks a fact; carries the table
+    (``"edges"``, ``"features"`` or ``"labels"``) and its 0-based row."""
 
-    def __init__(self, node: int, col: int, value: float):
-        self.node = node
-        self.col = col
-        super().__init__(f"non-finite feature {value!r} in column {col + 1} of node {node}")
+    def __init__(self, table: str, row: int, message: str):
+        self.table = table
+        self.row = row
+        super().__init__(message)
 
 
 def _check_finite(features: np.ndarray) -> None:
-    """Raise ``NonFiniteFeatureError`` for the first nan or infinite cell."""
+    """Raise ``DatasetRowError`` for the first nan or infinite cell."""
     # min and max propagate nan and show an infinity without an (N, F) mask,
     # which would raise the peak memory of every load.
     if features.size == 0 or (np.isfinite(features.min()) and np.isfinite(features.max())):
@@ -59,7 +64,8 @@ def _check_finite(features: np.ndarray) -> None:
     finite = np.isfinite(features)
     node = int(np.argmin(finite.all(axis=1)))
     col = int(np.argmin(finite[node]))
-    raise NonFiniteFeatureError(node, col, float(features[node, col]))
+    value = float(features[node, col])
+    raise DatasetRowError("features", node, f"non-finite feature {value!r} in column {col + 1} of node {node}")
 
 
 def _as_sorted_ids(values, name: str) -> np.ndarray:
@@ -99,9 +105,12 @@ class SplitSpec:
 class Dataset:
     """Immutable graph dataset: undirected edge list, features, labels, split.
 
-    ``edges`` is deduplicated and canonical (each edge once, u < v, sorted);
-    self-loops are not stored. Every feature is finite, so whatever
-    ``save_dataset`` writes, ``load_dataset`` reads back.
+    ``edges`` may list an edge in either direction and more than once; it is
+    stored canonical (each edge once, u < v, sorted). A self-loop, an
+    endpoint outside [0, N), a label outside [0, C) and a label above a
+    class with no nodes raise ``DatasetRowError`` naming the first bad row,
+    as does a non-finite feature. So whatever ``save_dataset`` writes,
+    ``load_dataset`` reads back.
     """
 
     num_nodes: int
@@ -115,9 +124,6 @@ class Dataset:
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         features = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
         labels = np.asarray(self.labels, dtype=np.int64)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
 
         n = self.num_nodes
         if n < 1:
@@ -127,39 +133,43 @@ class Dataset:
         _check_finite(features)
         if labels.shape != (n,):
             raise ValueError("labels must have one entry per node")
-        if edges.size:
-            if edges.min() < 0 or edges.max() >= n:
-                raise ValueError("edge endpoint outside [0, num_nodes)")
-            if np.any(edges[:, 0] >= edges[:, 1]):
-                raise ValueError("edges must be canonical: u < v (no self-loops)")
-            order = np.lexsort((edges[:, 1], edges[:, 0]))
-            if not np.array_equal(order, np.arange(edges.shape[0])):
-                raise ValueError("edges must be sorted lexicographically")
-            if np.unique(edges, axis=0).shape[0] != edges.shape[0]:
-                raise ValueError("duplicate undirected edge")
-        if labels.min(initial=0) < 0 or labels.max(initial=0) >= self.num_classes:
-            raise ValueError(f"label outside [0, {self.num_classes})")
+
+        lo, hi = edges.min(axis=1), edges.max(axis=1)
+        bad = (lo == hi) | (lo < 0) | (hi >= n)
+        if bad.any():
+            row = int(np.argmax(bad))
+            message = (f"self-loop {lo[row]} not allowed in edge list" if lo[row] == hi[row]
+                       else "negative node id" if lo[row] < 0 else f"edge endpoint {hi[row]} >= num_nodes {n}")
+            raise DatasetRowError("edges", row, message)
+        edges = np.unique(np.stack([lo, hi], axis=1), axis=0)
+
+        bad = (labels < 0) | (labels >= self.num_classes)
+        if bad.any():
+            row = int(np.argmax(bad))
+            label = labels[row]
+            raise DatasetRowError("labels", row, f"negative label {label}" if label < 0
+                                  else f"label {label} >= num_classes {self.num_classes}")
         present = np.unique(labels)
-        if present.size != self.num_classes:
-            missing = sorted(set(range(self.num_classes)) - set(present.tolist()))
-            raise ValueError(f"classes {missing} have no nodes; labels must cover 0..C-1")
+        if present.size < self.num_classes:
+            # present[i] - i classes below present[i] have no nodes, so the
+            # first empty class is the first i where that is positive. The
+            # first label above it is the one that forced the class count.
+            gap = int(np.searchsorted(present - np.arange(present.size), 1))
+            above = np.flatnonzero(labels > gap)
+            if above.size == 0:
+                raise ValueError(f"classes {list(range(gap, self.num_classes))} have no nodes; "
+                                 "labels must cover 0..C-1")
+            row = int(above[0])
+            raise DatasetRowError("labels", row, f"label {labels[row]} out of range: class {gap} has no nodes, "
+                                                 "so labels are not contiguous")
         self.split.check_ids(n)
-        for arr in (edges, features, labels):
+        for name, arr in (("edges", edges), ("features", features), ("labels", labels)):
             arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def num_features(self) -> int:
         return self.features.shape[1]
-
-
-def _canonical_edges(raw: np.ndarray) -> np.ndarray:
-    """Symmetrize and deduplicate an arbitrary (E, 2) edge array (no self-loops)."""
-    if raw.size == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    lo = np.minimum(raw[:, 0], raw[:, 1])
-    hi = np.maximum(raw[:, 0], raw[:, 1])
-    pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    return pairs.astype(np.int64)
 
 
 def _read_lines(path):
@@ -186,13 +196,19 @@ def _read_features(path) -> np.ndarray:
 
 
 def _line_of_row(path, row: int) -> int:
-    """The 1-based line of feature row ``row``: blank lines hold no row."""
+    """The 1-based line of row ``row`` of a features or labels file: blank
+    lines hold no row."""
     with open(path, "r", encoding="utf-8") as fh:
         return [line_no for line_no, line in enumerate(fh, start=1) if line.strip()][row]
 
 
 def load_dataset(directory) -> Dataset:
-    """Load and validate a dataset directory (see module docstring for formats)."""
+    """Load a dataset directory (see module docstring for formats).
+
+    Parses the four files and checks what needs their text; the ``Dataset``
+    checks every row fact, and a ``DatasetRowError`` comes back as a
+    ``DatasetFormatError`` naming that row's file and line.
+    """
     directory = os.fspath(directory)
     edges_path = os.path.join(directory, EDGES_FILE)
     features_path = os.path.join(directory, FEATURES_FILE)
@@ -201,20 +217,15 @@ def load_dataset(directory) -> Dataset:
 
     edge_lines = [(line_no, text) for line_no, line in enumerate(_read_lines(edges_path), start=1)
                   if (text := line.split("#", 1)[0].strip())]
-    raw_edges = []
+    edges = []
     for line_no, text in edge_lines:
         parts = text.split()
         if len(parts) != 2:
             raise DatasetFormatError(edges_path, line_no, f"expected 'u<TAB>v', got {text!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            edges.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise DatasetFormatError(edges_path, line_no, f"non-integer node id in {text!r}") from None
-        if u == v:
-            raise DatasetFormatError(edges_path, line_no, f"self-loop {u} not allowed in edge list")
-        if u < 0 or v < 0:
-            raise DatasetFormatError(edges_path, line_no, "negative node id")
-        raw_edges.append((u, v))
 
     features = _read_features(features_path)
     num_nodes = features.shape[0]
@@ -230,29 +241,6 @@ def load_dataset(directory) -> Dataset:
             raise DatasetFormatError(labels_path, line_no, f"non-integer label {text!r}") from None
     if len(labels) != num_nodes:
         raise DatasetFormatError(labels_path, None, f"{len(labels)} labels for {num_nodes} feature rows")
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.min() < 0:
-        bad = int(np.argmin(labels)) + 1
-        raise DatasetFormatError(labels_path, bad, f"negative label {labels[bad - 1]}")
-    num_classes = int(labels.max()) + 1
-    present = set(np.unique(labels).tolist())
-    missing = sorted(set(range(num_classes)) - present)
-    if missing:
-        # Report the first line whose label sits above the gap: that label is
-        # what forced the (impossible) class count.
-        gap = missing[0]
-        line_of = int(np.nonzero(labels > gap)[0][0]) + 1
-        raise DatasetFormatError(
-            labels_path, line_of,
-            f"label {labels[line_of - 1]} out of range: class {gap} has no nodes, so labels are not contiguous",
-        )
-
-    raw_edges = np.asarray(raw_edges, dtype=np.int64).reshape(-1, 2)
-    if raw_edges.size and raw_edges.max() >= num_nodes:
-        first = int(np.flatnonzero(raw_edges.max(axis=1) >= num_nodes)[0])
-        raise DatasetFormatError(edges_path, edge_lines[first][0],
-                                 f"edge endpoint {raw_edges[first].max()} >= num_nodes {num_nodes}")
-    edges = _canonical_edges(raw_edges)
 
     try:
         with open(split_path, "r", encoding="utf-8") as fh:
@@ -270,9 +258,12 @@ def load_dataset(directory) -> Dataset:
         raise DatasetFormatError(split_path, None, str(exc)) from None
 
     try:
-        return Dataset(num_nodes, num_classes, edges, features, labels, split)
-    except NonFiniteFeatureError as exc:  # the one finite check is the Dataset's own
-        raise DatasetFormatError(features_path, _line_of_row(features_path, exc.node), str(exc)) from None
+        return Dataset(num_nodes, max(labels) + 1, edges, features, labels, split)
+    except DatasetRowError as exc:
+        if exc.table == "edges":
+            raise DatasetFormatError(edges_path, edge_lines[exc.row][0], str(exc)) from None
+        path = features_path if exc.table == "features" else labels_path
+        raise DatasetFormatError(path, _line_of_row(path, exc.row), str(exc)) from None
     except ValueError as exc:
         raise DatasetFormatError(directory, None, str(exc)) from None
 
@@ -392,7 +383,7 @@ def generate_sbm(
                 r = rng.random((n, n))
                 ii, jj = np.nonzero(r < p_out)
                 blocks.append(np.stack([ii + a * n, jj + b * n], axis=1))
-    edges = _canonical_edges(np.concatenate(blocks, axis=0) if blocks else np.zeros((0, 2), dtype=np.int64))
+    edges = np.concatenate(blocks, axis=0)
 
     centroids = np.zeros((num_classes, feature_dim))
     centroids[np.arange(num_classes), np.arange(num_classes)] = 1.0

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from reachmix.graphalg import CsrGraph, MixSelector, mix_adjacency, sym_normalize
-from reachmix.graphio import Dataset
+from reachmix.graphio import SplitSpec
 from reachmix.nn import (
     ModelParams,
     backward,
@@ -125,12 +125,15 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 @dataclass(frozen=True)
 class TrainInputs:
     """A dataset in the form every epoch reads it, built once per command by
-    ``trainer.build_operators`` and shared by every seed: CSR features,
-    one-hot labels, the row weights that restrict the supervised loss to
-    labeled nodes, and the graph as the refresh (A + I, degrees) and the
-    forward pass (A_hat) read it. The arrays are read-only."""
+    ``trainer.build_operators`` and shared by every seed: labels and split,
+    CSR features, one-hot labels, the row weights that restrict the
+    supervised loss to labeled nodes, and the graph as the refresh (A + I,
+    degrees) and the forward pass (A_hat) read it. N, F and C are read off
+    the arrays; no dense feature table is kept, so a sweep worker receives
+    little. The arrays are read-only."""
 
-    dataset: Dataset
+    labels: np.ndarray  # (N,) int64
+    split: SplitSpec
     features: csr_array
     y_hot: np.ndarray  # (N, C)
     labeled_weights: np.ndarray  # (N,): 1 on labeled rows, 0 elsewhere
@@ -349,7 +352,7 @@ def _branch(inputs: TrainInputs, same_class: bool, targets, partners, partner_la
     (same-class branch) or disagreement (different-class branch).
     """
     branch = "intra" if same_class else "inter"
-    sel = MixSelector(inputs.dataset.num_nodes, targets, partners, lams)
+    sel = MixSelector(inputs.labels.size, targets, partners, lams)
     labeled = inputs.labeled_weights > 0.0
     if partner_labels.size != len(sel):
         raise ValueError(f"{branch} pair arrays have inconsistent lengths")
@@ -357,10 +360,10 @@ def _branch(inputs: TrainInputs, same_class: bool, targets, partners, partner_la
         raise ValueError(f"{branch} targets must be labeled nodes")
     if np.any(labeled[sel.partners]):
         raise ValueError(f"{branch} partners must be unlabeled nodes")
-    if np.any((inputs.dataset.labels[sel.targets] == partner_labels) != same_class):
+    if np.any((inputs.labels[sel.targets] == partner_labels) != same_class):
         raise ValueError(f"{branch} pair with {'mismatched' if same_class else 'matching'} classes")
     lam = sel.lams[:, None]
-    other = one_hot(partner_labels, inputs.dataset.num_classes)
+    other = one_hot(partner_labels, inputs.y_hot.shape[1])
     return sel, lam * inputs.y_hot[sel.targets] + (1.0 - lam) * other
 
 

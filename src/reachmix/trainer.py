@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -66,6 +67,9 @@ class TrainConfig:
             raise ValueError("patience must lie in [1, max_epochs]")
         if len(self.seeds) == 0:
             raise ValueError("need at least one seed")
+        repeated = [s for s, count in Counter(self.seeds).items() if count > 1]
+        if repeated:
+            raise ValueError(f"seeds must be distinct; seed {repeated[0]} is listed more than once")
 
     def to_dict(self) -> dict:
         blob = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -121,14 +125,14 @@ def build_operators(dataset: Dataset) -> TrainInputs:
     degrees = structural_degrees(a)
     for arr in (features.data, features.indices, features.indptr, y_hot, weights, degrees):
         arr.setflags(write=False)
-    return TrainInputs(dataset, features, y_hot, weights, a, sym_normalize(a), degrees)
+    return TrainInputs(dataset.labels, dataset.split, features, y_hot, weights, a, sym_normalize(a), degrees)
 
 
 def evaluate(params: ModelParams, inputs: TrainInputs, ids) -> tuple[float, np.ndarray]:
     """Eval-mode accuracy on ``ids``, and the logits of every node, from the
     GCN over ``inputs.a_norm``."""
     logits, _ = gcn_forward(inputs.features, inputs.a_norm, params)
-    return accuracy(logits, inputs.dataset.labels, ids), logits
+    return accuracy(logits, inputs.labels, ids), logits
 
 
 def _due(epoch: int, warmup: int, every: int) -> bool:
@@ -153,8 +157,7 @@ def train_one(
     the previous epoch's validation pass, which were computed from the same
     parameters.
     """
-    dataset = inputs.dataset
-    params = init_params(dataset.num_features, cfg.hidden, dataset.num_classes, substream(seed, "init"))
+    params = init_params(inputs.features.shape[1], cfg.hidden, inputs.y_hot.shape[1], substream(seed, "init"))
     state = adam_init(params, cfg.lr, weight_decay={"w1": cfg.weight_decay})
     rngs = {
         "gnn": substream(seed, "dropout/gnn"),
@@ -165,8 +168,8 @@ def train_one(
     rng_lam = substream(seed, "lambda")
 
     mix_cfg = cfg.mixup
-    labeled_ids = dataset.split.labeled_ids
-    valid_ids = dataset.split.valid_ids
+    labeled_ids = inputs.split.labeled_ids
+    valid_ids = inputs.split.valid_ids
     if valid_ids.size == 0:
         raise ValueError("training requires a non-empty validation set")
 
@@ -185,7 +188,7 @@ def train_one(
                 logits, _ = gcn_forward(inputs.features, inputs.a_norm, params)
             probs = softmax(logits)
             dpl = build_pseudo_labels(probs, labeled_ids, mix_cfg.gamma)
-            ybar = prediction_label_matrix(probs, dataset.labels, labeled_ids)
+            ybar = prediction_label_matrix(probs, inputs.labels, labeled_ids)
             nld = compute_nld(inputs.adjacency, ybar)
             pairs = sample_pairs(labeled_ids, dpl, nld, mix_cfg, inputs.degrees, rng_pairs, rng_lam)
             batches = build_batches(inputs, pairs)
@@ -217,7 +220,7 @@ def train_one(
             if since_best >= cfg.patience:
                 break
 
-    test_acc = evaluate(best_params, inputs, dataset.split.test_ids)[0] if eval_test else None
+    test_acc = evaluate(best_params, inputs, inputs.split.test_ids)[0] if eval_test else None
     return TrainOutcome(best_params, history, best_val, best_epoch, test_acc)
 
 

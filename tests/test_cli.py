@@ -377,6 +377,54 @@ def test_sweep_bad_grid_fails_before_training(tmp_path, dataset_dir, monkeypatch
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_repeated_seed_exits_one_before_out(tmp_path, dataset_dir, monkeypatch, capsys, command, source):
+    monkeypatch.setattr(cli.trainer, "train_one", never_train)
+    out = tmp_path / "run"
+    argv = [command, "--data", str(dataset_dir), "--out", str(out)]
+    if source == "flag":
+        argv += ["--seeds", "0,1,0"]
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"seeds": [1, 1]}))
+        argv += ["--config", str(config)]
+    if command == "sweep":
+        argv += ["--grid", "lr=0.01"]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"seed {0 if source == 'flag' else 1} is listed more than once" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, named", [
+    (["--jobs", "0"], "--jobs"),
+    (["--jobs", "-2"], "--jobs"),
+    (["--grid", "hidden=8"], "'hidden'"),
+], ids=["jobs-0", "jobs-negative", "grid-field-twice"])
+def test_sweep_usage_errors_before_out(tmp_path, dataset_dir, monkeypatch, capsys, extra, named):
+    monkeypatch.setattr(cli.trainer, "train_one", never_train)
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--data", str(dataset_dir), "--grid", "hidden=4", "--out", str(out)] + extra
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_diagnose_negative_seed_is_usage_error(tmp_path, dataset_dir, train_run, capsys):
+    out = tmp_path / "cka"
+    argv = ["diagnose", "cka", "--data", str(dataset_dir), "--out", str(out),
+            "--checkpoint", str(train_run / "checkpoint_seed0.txt"), "--seed"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()  # so the corrected command needs no --force
+    assert run_cli(argv + ["0"]) == 0
+
+
 @pytest.fixture(scope="module")
 def train_run(tmp_path_factory, dataset_dir, quick_config):
     out = tmp_path_factory.mktemp("train") / "run"

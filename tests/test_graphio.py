@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from reachmix import graphio
 from reachmix.graphio import (
     Dataset,
     DatasetFormatError,
+    DatasetRowError,
     SplitSpec,
     generate_sbm,
     load_dataset,
@@ -101,6 +103,80 @@ def test_self_loop_edge_rejected(tmp_path):
     )
     with pytest.raises(DatasetFormatError, match="self-loop"):
         load_dataset(d)
+
+
+PATH_EDGES = "0\t1\n1\t2\n"
+PATH_FEATURES = "1.0\n2.0\n3.0\n"
+PATH_LABELS = "0\n1\n0\n"
+
+
+@pytest.mark.parametrize("file, text, line, message", [
+    # The edge faults follow a comment line and a blank line, which hold no row.
+    ("edges.tsv", "0\t1\n# comment\n\n2\t2\n", 4, "self-loop 2 not allowed in edge list"),
+    ("edges.tsv", "0\t1\n# comment\n\n-1\t2\n", 4, "negative node id"),
+    ("edges.tsv", "0\t1\n# comment\n\n1\t3\n", 4, "edge endpoint 3 >= num_nodes 3"),
+    ("labels.tsv", "0\n-1\n1\n", 2, "negative label -1"),
+    ("labels.tsv", "0\n2\n0\n", 2, "label 2 out of range: class 1 has no nodes, so labels are not contiguous"),
+    ("features.tsv", "1.0\n\nnan\n3.0\n", 3, "non-finite feature nan in column 1 of node 1"),
+], ids=["self-loop", "negative-id", "endpoint", "negative-label", "label-gap", "non-finite"])
+def test_single_fault_names_file_line_and_message(tmp_path, file, text, line, message):
+    texts = {"edges.tsv": PATH_EDGES, "features.tsv": PATH_FEATURES, "labels.tsv": PATH_LABELS, file: text}
+    d = write_dataset_dir(tmp_path, texts["edges.tsv"], texts["features.tsv"], texts["labels.tsv"],
+                          {"labeled": [0], "valid": [1], "test": [2]})
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(d)
+    assert str(err.value) == f"{d / file}:{line}: {message}"
+    assert (err.value.path, err.value.line_no) == (str(d / file), line)
+
+
+def test_label_fault_line_skips_blank_lines(tmp_path):
+    d = write_dataset_dir(tmp_path, PATH_EDGES, PATH_FEATURES, "0\n\n1\n\n-3\n",
+                          {"labeled": [0], "valid": [1], "test": [2]})
+    with pytest.raises(DatasetFormatError, match=r"labels\.tsv:5: negative label -3$"):
+        load_dataset(d)
+
+
+def row_fault(edges=((0, 1),), features=None, labels=(0, 1, 0), num_classes=2):
+    features = np.ones((3, 2)) if features is None else features
+    with pytest.raises(DatasetRowError) as err:
+        Dataset(3, num_classes, np.array(edges), features, np.array(labels), SplitSpec([0], [], []))
+    return err.value.table, err.value.row, str(err.value)
+
+
+def test_dataset_reports_the_first_bad_row_of_each_table():
+    assert row_fault(edges=[(0, 1), (2, 1), (0, 3), (1, 1)]) == ("edges", 2, "edge endpoint 3 >= num_nodes 3")
+    assert row_fault(edges=[(0, 1), (-1, 5)]) == ("edges", 1, "negative node id")
+    assert row_fault(edges=[(2, 1), (-1, -1)]) == ("edges", 1, "self-loop -1 not allowed in edge list")
+    assert row_fault(labels=(0, 2, -1)) == ("labels", 1, "label 2 >= num_classes 2")
+    assert row_fault(labels=(0, 3, 3), num_classes=4) == (
+        "labels", 1, "label 3 out of range: class 1 has no nodes, so labels are not contiguous")
+    assert row_fault(labels=(0, 1, 3), num_classes=4) == (
+        "labels", 2, "label 3 out of range: class 2 has no nodes, so labels are not contiguous")
+    features = np.ones((3, 2))
+    features[1, 0] = -np.inf
+    assert row_fault(features=features) == ("features", 1, "non-finite feature -inf in column 1 of node 1")
+
+
+def test_dataset_with_classes_above_every_label_has_no_bad_row():
+    with pytest.raises(ValueError, match=r"^classes \[2, 3\] have no nodes") as err:
+        Dataset(3, 4, np.zeros((0, 2)), np.ones((3, 1)), np.array([0, 1, 1]), SplitSpec([0], [], []))
+    assert not isinstance(err.value, DatasetRowError)
+
+
+def test_dataset_stores_the_canonical_edge_list(rng):
+    raw = np.array([[2, 0], [0, 2], [1, 0], [2, 0], [0, 1], [3, 1], [1, 3]])
+    ds = Dataset(4, 1, raw, np.ones((4, 1)), np.zeros(4), SplitSpec([0], [], []))
+    assert ds.edges.dtype == np.int64 and not ds.edges.flags.writeable
+    np.testing.assert_array_equal(ds.edges, [[0, 1], [0, 2], [1, 3]])
+    again = replace(ds, split=SplitSpec([1], [2], []))
+    assert again.edges.shape == ds.edges.shape and again.edges.tobytes() == ds.edges.tobytes()
+    for _ in range(20):
+        n = int(rng.integers(2, 30))
+        raw = rng.integers(0, n, size=(int(rng.integers(0, 80)), 2))
+        raw = raw[raw[:, 0] != raw[:, 1]]
+        oracle = sorted({(min(u, v), max(u, v)) for u, v in raw.tolist()})
+        edges = Dataset(n, 1, raw, np.ones((n, 1)), np.zeros(n), SplitSpec([0], [], [])).edges
+        assert edges.tolist() == [list(e) for e in oracle] and edges.shape == (len(oracle), 2)
 
 
 def test_dimension_mismatch(tmp_path):

@@ -1,4 +1,6 @@
 import json
+import pickle
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +90,7 @@ def test_early_stopping_restores_best_params():
     inputs = build_operators(small_dataset())
     cfg = quick_cfg(max_epochs=60, patience=5)
     outcome = train_one(inputs, cfg, seed=2)
-    acc, _ = evaluate(outcome.params, inputs, inputs.dataset.split.valid_ids)
+    acc, _ = evaluate(outcome.params, inputs, inputs.split.valid_ids)
     assert acc == outcome.best_val_acc
     assert outcome.best_epoch <= outcome.history[-1].epoch
 
@@ -183,6 +185,14 @@ def test_config_round_trip_and_validation():
         TrainConfig.from_dict({"nope": 1})
 
 
+@pytest.mark.parametrize("seeds, repeated", [((0, 0, 1), 0), ((3, 1, 2, 1, 3), 3)])
+def test_config_refuses_repeated_seeds(seeds, repeated):
+    with pytest.raises(ValueError, match=rf"seed {repeated} is listed more than once"):
+        TrainConfig(seeds=seeds)
+    with pytest.raises(ValueError, match=rf"seed {repeated} "):
+        TrainConfig.from_dict({"seeds": list(seeds)})
+
+
 def test_config_accepts_ints_for_float_fields():
     cfg = TrainConfig.from_dict({"lr": 1, "mixup": {"lambda_intra": 1, "gamma": 1}})
     assert cfg.lr == 1 and cfg.mixup.lambda_intra == 1 and cfg.mixup.gamma == 1
@@ -244,3 +254,15 @@ def test_train_multi_builds_inputs_once(build_calls):
 def test_grid_search_builds_inputs_once(build_calls):
     grid_search(small_dataset(), quick_cfg(max_epochs=3, patience=3, seeds=(0, 1)), {"hidden": [4, 8]}, jobs=1)
     assert len(build_calls) == 1
+
+
+def test_inputs_leave_the_dense_features_behind(rng):
+    # What ``grid_search`` sends to a worker per grid point: a wide table
+    # with 1 % stored entries pickles to a small fraction of its dense bytes.
+    ds = small_dataset()
+    features = np.where(rng.random((ds.num_nodes, 2000)) < 0.01, 1.0, 0.0)
+    ds = replace(ds, features=features)
+    inputs = build_operators(ds)
+    assert (inputs.features.shape[1], inputs.y_hot.shape[1], inputs.labels.size) == (
+        ds.num_features, ds.num_classes, ds.num_nodes)
+    assert len(pickle.dumps(inputs)) < ds.features.nbytes / 10
