@@ -47,9 +47,10 @@ class DatasetFormatError(ValueError):
 
 class DatasetRowError(ValueError):
     """One row of a dataset table breaks a fact; carries the table
-    (``"edges"``, ``"features"`` or ``"labels"``) and its 0-based row."""
+    (``"edges"``, ``"features"``, ``"labels"`` or ``"split"``) and its 0-based
+    row, None for the split, whose message names the id instead."""
 
-    def __init__(self, table: str, row: int, message: str):
+    def __init__(self, table: str, row: int | None, message: str):
         self.table = table
         self.row = row
         super().__init__(message)
@@ -96,9 +97,11 @@ class SplitSpec:
             arr.setflags(write=False)
 
     def check_ids(self, num_nodes: int) -> None:
+        """Raise ``DatasetRowError`` naming the set and its first id outside [0, N)."""
         for name, arr in (("labeled", self.labeled_ids), ("valid", self.valid_ids), ("test", self.test_ids)):
-            if arr.size and (arr.min() < 0 or arr.max() >= num_nodes):
-                raise ValueError(f"{name} split contains node id outside [0, {num_nodes})")
+            bad = arr[(arr < 0) | (arr >= num_nodes)]
+            if bad.size:
+                raise DatasetRowError("split", None, f"{name} id {bad[0]} outside [0, {num_nodes})")
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,8 @@ class Dataset:
     stored canonical (each edge once, u < v, sorted). A self-loop, an
     endpoint outside [0, N), a label outside [0, C) and a label above a
     class with no nodes raise ``DatasetRowError`` naming the first bad row,
-    as does a non-finite feature. So whatever ``save_dataset`` writes,
+    as does a non-finite feature; a split id outside [0, N) raises one
+    naming the id. So whatever ``save_dataset`` writes,
     ``load_dataset`` reads back.
     """
 
@@ -262,6 +266,8 @@ def load_dataset(directory) -> Dataset:
     except DatasetRowError as exc:
         if exc.table == "edges":
             raise DatasetFormatError(edges_path, edge_lines[exc.row][0], str(exc)) from None
+        if exc.table == "split":
+            raise DatasetFormatError(split_path, None, str(exc)) from None
         path = features_path if exc.table == "features" else labels_path
         raise DatasetFormatError(path, _line_of_row(path, exc.row), str(exc)) from None
     except ValueError as exc:

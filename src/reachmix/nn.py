@@ -11,6 +11,11 @@ to the MLP.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +24,63 @@ from scipy.sparse import csr_array, issparse
 from reachmix.graphalg import CsrGraph, matmul_dense
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2")
+
+
+@functools.cache
+def blas_thread_setter():
+    """OpenBLAS's ``openblas_set_num_threads_local`` (OpenBLAS >= 0.3.27),
+    looked up among the shared objects this process has loaded, or None when
+    none of them exports it. It sets the BLAS thread count and returns the
+    previous one. Despite its name, in OpenBLAS's pthreads build, the one
+    numpy's wheels load, the count it sets holds for every thread."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            mapped = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return None
+    paths = sorted({cols[5].strip() for cols in mapped if len(cols) == 6})
+    for path in paths:
+        if "openblas" not in os.path.basename(path):
+            continue
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = ctypes.c_int
+        return setter
+    return None
+
+
+# The count is one value for the whole process, so the pin is too: the first
+# holder sets the count to 1, and the last to leave restores what it found.
+_BLAS_PIN_LOCK = threading.Lock()
+_blas_pin = {"holders": 0, "saved": 0}
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Runs the block with BLAS on one thread, so a product rounds the same
+    whatever the machine's core count (OpenBLAS splits ``H.T @ D``
+    differently at 2 threads than at 1). Any number of threads may hold it
+    at once; the previous count comes back when the last one leaves. Yields
+    whether the pin holds: False, with nothing changed, when no loaded BLAS
+    exports the setting (``blas_thread_setter``)."""
+    setter = blas_thread_setter()
+    if setter is None:
+        yield False
+        return
+    with _BLAS_PIN_LOCK:
+        if _blas_pin["holders"] == 0:
+            _blas_pin["saved"] = setter(1)
+        _blas_pin["holders"] += 1
+    try:
+        yield True
+    finally:
+        with _BLAS_PIN_LOCK:
+            _blas_pin["holders"] -= 1
+            if _blas_pin["holders"] == 0:
+                setter(_blas_pin["saved"])
 
 
 @dataclass

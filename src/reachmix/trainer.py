@@ -5,14 +5,17 @@ Reproducibility contract: a run is fully determined by (dataset, config,
 seed). Every random decision draws from a named substream of the master seed
 (see seeding.py), each branch of the objective has its own dropout stream,
 and all reductions are sequential, so repeated runs are bitwise identical.
+Each seed trains with BLAS held to one thread (``nn.one_blas_thread``), so
+its bytes do not depend on the machine's core count either.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -31,7 +34,17 @@ from reachmix.mixup import (
     prediction_label_matrix,
     sample_pairs,
 )
-from reachmix.nn import ModelParams, accuracy, adam_init, adam_step, as_csr, gcn_forward, init_params, softmax
+from reachmix.nn import (
+    ModelParams,
+    accuracy,
+    adam_init,
+    adam_step,
+    as_csr,
+    gcn_forward,
+    init_params,
+    one_blas_thread,
+    softmax,
+)
 from reachmix.seeding import substream
 
 
@@ -113,6 +126,13 @@ class RunResult:
     outcomes: list[TrainOutcome]
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        return os.cpu_count() or 1
+
+
 def build_operators(dataset: Dataset) -> TrainInputs:
     """The command's one ``TrainInputs``: everything an epoch reads of
     ``dataset``, from the CSR features and one-hot labels to A + I, A_hat and
@@ -181,53 +201,78 @@ def train_one(
     batches = None
     logits = None  # eval-mode logits of the current params
 
-    for epoch in range(cfg.max_epochs):
-        t0 = time.perf_counter()
-        if cfg.mixup_enabled and _due(epoch, mix_cfg.warmup_epochs, mix_cfg.refresh_every):
-            if logits is None:
-                logits, _ = gcn_forward(inputs.features, inputs.a_norm, params)
-            probs = softmax(logits)
-            dpl = build_pseudo_labels(probs, labeled_ids, mix_cfg.gamma)
-            ybar = prediction_label_matrix(probs, inputs.labels, labeled_ids)
-            nld = compute_nld(inputs.adjacency, ybar)
-            pairs = sample_pairs(labeled_ids, dpl, nld, mix_cfg, inputs.degrees, rng_pairs, rng_lam)
-            batches = build_batches(inputs, pairs)
-            if on_refresh is not None:
-                on_refresh(epoch, dpl, pairs, batches)
+    with one_blas_thread():
+        for epoch in range(cfg.max_epochs):
+            t0 = time.perf_counter()
+            if cfg.mixup_enabled and _due(epoch, mix_cfg.warmup_epochs, mix_cfg.refresh_every):
+                if logits is None:
+                    logits, _ = gcn_forward(inputs.features, inputs.a_norm, params)
+                probs = softmax(logits)
+                dpl = build_pseudo_labels(probs, labeled_ids, mix_cfg.gamma)
+                ybar = prediction_label_matrix(probs, inputs.labels, labeled_ids)
+                nld = compute_nld(inputs.adjacency, ybar)
+                pairs = sample_pairs(labeled_ids, dpl, nld, mix_cfg, inputs.degrees, rng_pairs, rng_lam)
+                batches = build_batches(inputs, pairs)
+                if on_refresh is not None:
+                    on_refresh(epoch, dpl, pairs, batches)
 
-        try:
-            parts, grads = loss_and_grads(
-                params, inputs, batches, mix_cfg, dropout=cfg.dropout, train=True, rngs=rngs,
+            try:
+                # A non-finite value anywhere in the step raises here, naming
+                # the seed and epoch, instead of printing a numpy warning.
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    parts, grads = loss_and_grads(
+                        params, inputs, batches, mix_cfg, dropout=cfg.dropout, train=True, rngs=rngs,
+                    )
+                    if not np.isfinite(parts.total):
+                        raise FloatingPointError(f"loss is {parts.total}")
+                    adam_step(params, grads, state)
+                    val_acc, logits = evaluate(params, inputs, valid_ids)
+            except FloatingPointError as exc:
+                raise TrainingDiverged(f"seed {seed}, epoch {epoch}: training diverged ({exc})") from exc
+            history.append(
+                EpochRecord(epoch, parts.total, parts.supervised, parts.intra, parts.inter,
+                            val_acc, time.perf_counter() - t0)
             )
-        except FloatingPointError as exc:
-            raise TrainingDiverged(f"epoch {epoch}: {exc}") from exc
-        if not np.isfinite(parts.total):
-            raise TrainingDiverged(f"epoch {epoch}: loss is {parts.total}")
-        adam_step(params, grads, state)
+            if val_acc > best_val:
+                best_val = val_acc
+                best_epoch = epoch
+                best_params = params.copy()
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best >= cfg.patience:
+                    break
 
-        val_acc, logits = evaluate(params, inputs, valid_ids)
-        history.append(
-            EpochRecord(epoch, parts.total, parts.supervised, parts.intra, parts.inter,
-                        val_acc, time.perf_counter() - t0)
-        )
-        if val_acc > best_val:
-            best_val = val_acc
-            best_epoch = epoch
-            best_params = params.copy()
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
-                break
-
-    test_acc = evaluate(best_params, inputs, inputs.split.test_ids)[0] if eval_test else None
+        test_acc = evaluate(best_params, inputs, inputs.split.test_ids)[0] if eval_test else None
     return TrainOutcome(best_params, history, best_val, best_epoch, test_acc)
 
 
 def train_multi(dataset: Dataset, cfg: TrainConfig) -> RunResult:
-    """Independent run per seed, all on one ``build_operators``; aggregates test accuracy as mean / std / sem."""
+    """Independent run per seed, all on one ``build_operators``; aggregates
+    test accuracy as mean / std / sem.
+
+    The seeds train concurrently on min(seeds, usable cores) threads while
+    BLAS is held to one thread (``nn.one_blas_thread``). They share only
+    the read-only inputs and each draws from its own substreams, so every
+    outcome is the one a serial run gives. Where BLAS cannot be pinned, the
+    seeds run one after another on one thread. Outcomes come back in seed
+    order; every seed runs to its end, and the first failure in seed order
+    is raised. An interrupt starts no further seed.
+    """
     inputs = build_operators(dataset)
-    outcomes = [train_one(inputs, cfg, seed) for seed in cfg.seeds]
+    with one_blas_thread() as pinned:
+        workers = min(len(cfg.seeds), _usable_cores()) if pinned else 1
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(train_one, inputs, cfg, seed) for seed in cfg.seeds]
+            try:
+                wait(futures)
+            except BaseException:  # an interrupt: start no further seed, let the running ones end
+                pool.shutdown(cancel_futures=True)
+                raise
+    failures = [exc for exc in (f.exception() for f in futures) if exc is not None]
+    if failures:
+        raise failures[0]
+    outcomes = [f.result() for f in futures]
     accs = np.array([o.test_acc for o in outcomes])
     std = float(accs.std())  # population std (ddof=0)
     best_vals = np.array([o.best_val_acc for o in outcomes])

@@ -12,6 +12,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from reachmix import nn
 from reachmix.graphio import Dataset, SplitSpec
 
 
@@ -62,6 +63,20 @@ def dense_mix(dense: np.ndarray, targets, partners, lams) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def blas_count(monkeypatch):
+    """A fake process-wide BLAS thread count, starting at 4, in place of
+    OpenBLAS's setting; read it as ``blas_count[0]``."""
+    count = [4]
+
+    def setter(n):
+        previous, count[0] = count[0], n
+        return previous
+
+    monkeypatch.setattr(nn, "blas_thread_setter", lambda: setter)
+    return count
 
 
 def cora_directory():

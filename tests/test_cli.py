@@ -1,6 +1,8 @@
 import json
 import os
+import re
 import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from reachmix.graphio import generate_sbm, load_dataset, save_dataset
 from reachmix.nn import load_params
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SRC = Path(reachmix.__file__).resolve().parents[1]
 
 
 def run_cli(argv):
@@ -646,3 +649,43 @@ def test_train_reports_mixed_epochs_to_best(tmp_path, dataset_dir, capsys, overr
     assert counts == {str(s): mixed_epochs_to_best(out, s) for s in (0, 1)}
     assert (set(counts.values()) == {0}) == expect_zero
     assert capsys.readouterr().out.rstrip().endswith(f"mixed_epochs_to_best {counts['0']} {counts['1']}")
+
+
+def run_subprocess(argv, **env):
+    """``python -m reachmix.cli argv`` in a fresh interpreter, so that
+    stderr shows what a user sees, warnings included."""
+    environment = {**os.environ, "PYTHONPATH": str(SRC), **env}
+    return subprocess.run([sys.executable, "-m", "reachmix.cli", *argv], capture_output=True, text=True,
+                          env=environment, timeout=300)
+
+
+def test_train_divergence_names_seed_and_epoch(tmp_path, dataset_dir):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"lr": 1e300, "max_epochs": 5, "patience": 5, "seeds": [1, 2]}))
+    proc = run_subprocess(["train", "--data", str(dataset_dir), "--config", str(config), "--out", str(tmp_path / "r")])
+    assert proc.returncode == 1
+    # One line: no traceback and no numpy warning. Both seeds diverge; the
+    # first in seed order is reported.
+    assert re.fullmatch(r"error: seed 1, epoch 0: training diverged \(.+\)\n", proc.stderr), proc.stderr
+
+
+@pytest.mark.skipif(nn.blas_thread_setter() is None or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs openblas_set_num_threads_local and 2 usable cores")
+def test_trained_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # At N >= 2707 and C = 7, OpenBLAS rounds hidden.T @ d_hw differently on
+    # 2 threads than on 1, so an unpinned run's checkpoint moves with them.
+    # Three seeds on two workers: one seed ends while another still trains.
+    data = tmp_path / "data"
+    assert run_subprocess(["synth", "--classes", "7", "--per-class", "400", "--p-in", "0.01", "--p-out", "0.0005",
+                           "--seed", "0", "--out", str(data)]).returncode == 0
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"hidden": 64, "max_epochs": 10, "patience": 10, "seeds": [0, 1, 2]}))
+    runs = {}
+    for threads in ("1", "2"):
+        runs[threads] = tmp_path / f"threads{threads}"
+        proc = run_subprocess(["train", "--data", str(data), "--config", str(config), "--out", str(runs[threads])],
+                              OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+    for seed in (0, 1, 2):
+        for name in (f"checkpoint_seed{seed}.txt", f"metrics_seed{seed}.tsv"):
+            assert read_bytes(runs["1"] / name) == read_bytes(runs["2"] / name), name

@@ -136,6 +136,18 @@ def test_label_fault_line_skips_blank_lines(tmp_path):
         load_dataset(d)
 
 
+@pytest.mark.parametrize("split, message", [
+    ({"labeled": [0], "valid": [1], "test": [7, 2, 5]}, "test id 5 outside [0, 3)"),
+    ({"labeled": [0, -2], "valid": [1], "test": [2]}, "labeled id -2 outside [0, 3)"),
+], ids=["above", "negative"])
+def test_split_id_fault_names_file_and_id(tmp_path, split, message):
+    d = write_dataset_dir(tmp_path, PATH_EDGES, PATH_FEATURES, PATH_LABELS, split)
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(d)
+    assert str(err.value) == f"{d / 'split.json'}: {message}"
+    assert (err.value.path, err.value.line_no) == (str(d / "split.json"), None)
+
+
 def row_fault(edges=((0, 1),), features=None, labels=(0, 1, 0), num_classes=2):
     features = np.ones((3, 2)) if features is None else features
     with pytest.raises(DatasetRowError) as err:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_array
 
+from reachmix import nn
 from reachmix.graphalg import add_self_loops, from_edges, identity_adjacency, sym_normalize
 from reachmix.graphio import generate_sbm
 from reachmix.nn import (
@@ -382,3 +383,18 @@ def test_load_params_rejects_shapes_of_no_network(tmp_path, shapes):
     save_params(path, params)
     with pytest.raises(ValueError, match="^" + re.escape(str(path)) + r": parameter shapes .*w1 \(F, H\)"):
         load_params(path)
+
+
+def test_blas_pin_is_shared_by_overlapping_holders(blas_count):
+    # The BLAS thread count is one value for the whole process, so a holder
+    # that leaves while another trains must not restore it under the other.
+    first, second = nn.one_blas_thread(), nn.one_blas_thread()
+    assert first.__enter__() is True and blas_count == [1]
+    assert second.__enter__() is True and blas_count == [1]
+    first.__exit__(None, None, None)
+    assert blas_count == [1]
+    second.__exit__(None, None, None)
+    assert blas_count == [4]
+    with nn.one_blas_thread():
+        assert blas_count == [1]
+    assert blas_count == [4]

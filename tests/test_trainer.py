@@ -1,5 +1,8 @@
 import json
 import pickle
+import sys
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,7 +10,7 @@ import numpy as np
 import pytest
 
 from reachmix.graphio import generate_sbm, make_split, with_split
-from reachmix import trainer
+from reachmix import nn, trainer
 from reachmix.mixup import MixupConfig
 from reachmix.trainer import (
     TrainConfig,
@@ -113,6 +116,80 @@ def test_train_multi_seed_order_invariant():
     rev = train_multi(ds, quick_cfg(seeds=(2, 1, 0)))
     assert fwd.mean == rev.mean
     assert fwd.std == rev.std
+
+
+def test_concurrent_seeds_match_serial_runs_bitwise():
+    # More seeds than cores, so seeds queue for workers, and a thread switch
+    # after nearly every bytecode: a seed that read another's state, or a
+    # BLAS thread count that leaked between threads, would change some bits.
+    ds = small_dataset()
+    seeds = tuple(range(trainer._usable_cores() + 2))
+    cfg = quick_cfg(max_epochs=12, patience=12, seeds=seeds, mixup_enabled=True,
+                    mixup=MixupConfig(warmup_epochs=3, gamma=0.5))
+    result = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=lambda: result.update(run=train_multi(ds, cfg)), daemon=True)
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive() and "run" in result
+    inputs = build_operators(ds)
+    for seed, outcome in zip(seeds, result["run"].outcomes):
+        serial = train_one(inputs, cfg, seed)
+        np.testing.assert_array_equal(history_matrix(outcome), history_matrix(serial))
+        assert [r.epoch for r in outcome.history] == [r.epoch for r in serial.history]
+        for name, arr in outcome.params.as_dict().items():
+            assert arr.tobytes() == serial.params.as_dict()[name].tobytes(), (seed, name)
+
+
+def test_train_multi_without_a_blas_pin_runs_one_worker(monkeypatch):
+    sizes = []
+
+    class Recording(trainer.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(trainer, "ThreadPoolExecutor", Recording)
+    ds, cfg = small_dataset(), quick_cfg(max_epochs=3, patience=3, seeds=(0, 1, 2))
+    pinned = train_multi(ds, cfg)
+    workers = min(3, trainer._usable_cores()) if nn.blas_thread_setter() is not None else 1
+    monkeypatch.setattr(nn, "blas_thread_setter", lambda: None)
+    with nn.one_blas_thread() as pin:
+        assert pin is False
+    unpinned = train_multi(ds, cfg)
+    assert sizes == [workers, 1]
+    assert unpinned.test_accs.tolist() == pinned.test_accs.tolist()
+
+
+def test_train_one_trains_with_blas_held_to_one_thread(blas_count):
+    # A sweep point calls train_one directly, with no train_multi around it.
+    seen = []
+    cfg = quick_cfg(max_epochs=4, patience=4, mixup_enabled=True, mixup=MixupConfig(warmup_epochs=1))
+    train_one(build_operators(small_dataset()), cfg, seed=0, on_refresh=lambda *args: seen.append(blas_count[0]))
+    assert seen == [1, 1, 1] and blas_count == [4]
+
+
+def test_interrupt_starts_no_further_seed(monkeypatch):
+    # Ctrl-C reaches the main thread while it waits for the seeds.
+    started = []
+
+    def sleeping(inputs, cfg, seed):
+        started.append(seed)
+        time.sleep(0.1)
+
+    def interrupted(futures):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(trainer, "train_one", sleeping)
+    monkeypatch.setattr(trainer, "wait", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        train_multi(small_dataset(), quick_cfg(seeds=tuple(range(8))))
+    time.sleep(1.0)  # longer than the 8 seeds take one after another
+    assert len(started) <= trainer._usable_cores()
 
 
 def test_train_multi_aggregates_match_accs():
