@@ -299,14 +299,15 @@ def cmd_diagnose(args) -> int:
                          f"classes, dataset {args.data} has {dataset.num_features} and {dataset.num_classes}")
     g = from_edges(dataset.num_nodes, dataset.edges)
     labeled = dataset.split.labeled_ids
-    prepare_outdir(args.out, args.force)  # after every input is read and checked
 
     # Each kind yields its table (header, rows), its JSON summary and the
-    # line printed on success.
+    # line printed on success. Array columns go in as lists of Python
+    # scalars, so that write_tsv needs no .item() per cell.
     if args.kind == "rc":
         report = diagnostics.reaching_coefficient(g, labeled)
         header = ["node", "rc", "min_dist", "mean_dist"]
-        rows = zip(report.node_ids, report.rc, report.min_dist, report.mean_dist)
+        rows = zip(report.node_ids.tolist(), report.rc.tolist(), report.min_dist.tolist(),
+                   report.mean_dist.tolist())
         summary = {
             "diameter": report.diameter,
             "num_unlabeled": int(report.node_ids.size),
@@ -317,7 +318,7 @@ def cmd_diagnose(args) -> int:
     elif args.kind == "avgsp":
         report = diagnostics.avg_sp_by_degree(g, labeled)
         header = ["degree", "avg_sp", "count"]
-        rows = zip(report.degrees, report.avg_sp, report.counts)
+        rows = zip(report.degrees.tolist(), report.avg_sp.tolist(), report.counts.tolist())
         summary = {"num_degrees": int(report.degrees.size), "global_mean_sp": float(report.node_avg_sp.mean())}
         line = f"avgsp: {report.degrees.size} degree groups"
     elif args.kind == "cka":
@@ -332,9 +333,10 @@ def cmd_diagnose(args) -> int:
         rc = diagnostics.reaching_coefficient(g, labeled)
         r, pairs = diagnostics.pearson_rc_vs_score(params, trainer.build_operators(dataset), rc)
         header = ["node", "rc", "true_class_score"]
-        rows = zip(rc.node_ids, pairs[:, 1], pairs[:, 2])
+        rows = zip(rc.node_ids.tolist(), pairs[:, 1].tolist(), pairs[:, 2].tolist())
         summary = {"pearson_r": float(r), "n": int(pairs.shape[0])}
         line = f"pearson r={r:.4f} over {pairs.shape[0]} unlabeled nodes"
+    prepare_outdir(args.out, args.force)  # after the report, so a failed one leaves no --out
     write_tsv(os.path.join(args.out, f"{args.kind}.tsv"), header, rows)
     write_json(os.path.join(args.out, f"{args.kind}_summary.json"), summary)
     write_manifest(args.out, f"diagnose {args.kind}", _args_blob(args), data_dir=args.data)

@@ -18,12 +18,26 @@ node, so C is recoverable from labels.tsv alone and save/load round-trips.
 Each fact of a row (an edge's endpoints, a label's class, a feature's
 finiteness) is checked once, where a ``Dataset`` is built; ``load_dataset``
 checks only what needs the file's text and names the line of a row fault.
+
+``load_dataset`` parses features.tsv once per byte content. After a load
+that passes every check, it leaves the parsed table beside the file in
+``.features.cache``, keyed by the SHA-256 of features.tsv; a later load of
+the same bytes reads the table from there instead of parsing the text, and
+runs every check again. The cache is a magic line naming its layout
+version, the hex digest and a newline, then the float64 table in ``.npy``
+format, so every bit of every cell comes back. A cache that is missing,
+stale, of another version or unreadable is ignored and replaced; deleting
+it is always safe. A directory that cannot be written to gets no cache.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
 import os
+import shutil
+import tempfile
 import warnings
 from dataclasses import dataclass, replace
 
@@ -33,6 +47,10 @@ EDGES_FILE = "edges.tsv"
 FEATURES_FILE = "features.tsv"
 LABELS_FILE = "labels.tsv"
 SPLIT_FILE = "split.json"
+CACHE_FILE = ".features.cache"
+# The first line of a cache file; change the number whenever its layout or
+# the meaning of its table changes, so that every older cache is a miss.
+_CACHE_MAGIC = b"reachmix features.tsv cache 1\n"
 
 
 class DatasetFormatError(ValueError):
@@ -184,7 +202,68 @@ def _read_lines(path):
         raise DatasetFormatError(path, None, "required file is missing") from None
 
 
-def _read_features(path) -> np.ndarray:
+def _stamp(path) -> tuple:
+    """What changes whenever a file's bytes do: its inode, size and
+    modification and status-change times."""
+    st = os.stat(path)
+    return st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
+def _file_digest(path) -> tuple[str, tuple]:
+    """The hex SHA-256 of a file, read in 1 MiB chunks, and its ``_stamp``
+    from before the read."""
+    digest = hashlib.sha256()
+    try:
+        stamp = _stamp(path)
+        with open(path, "rb") as fh:
+            while chunk := fh.read(1 << 20):
+                digest.update(chunk)
+    except FileNotFoundError:
+        raise DatasetFormatError(path, None, "required file is missing") from None
+    return digest.hexdigest(), stamp
+
+
+def _cache_header(digest: str) -> bytes:
+    return _CACHE_MAGIC + digest.encode() + b"\n"
+
+
+def _cached_features(directory, digest: str) -> np.ndarray | None:
+    """The table cached under ``digest``, or None if the cache is missing,
+    holds another digest or version, or is not a whole cache file."""
+    header = _cache_header(digest)
+    try:
+        with open(os.path.join(directory, CACHE_FILE), "rb") as fh:
+            if fh.read(len(header)) != header:
+                return None
+            return np.lib.format.read_array(fh, allow_pickle=False)
+    except Exception:  # numpy raises several types for a cut or garbled table; the parse decides instead
+        return None
+
+
+def _write_cache(directory, digest: str, stamp: tuple, features: np.ndarray) -> None:
+    """Caches ``features``, parsed from features.tsv, under ``digest``,
+    unless the file's stamp moved since it was hashed: then the parse may
+    have read other bytes. The cache is written beside its place and renamed
+    over it, so readers see a whole cache or the old one; where it cannot be
+    written, nothing is left behind."""
+    features_path = os.path.join(directory, FEATURES_FILE)
+    tmp = None
+    try:
+        if _stamp(features_path) != stamp:
+            return
+        fd, tmp = tempfile.mkstemp(prefix=CACHE_FILE, suffix=".tmp", dir=directory)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_cache_header(digest))
+            np.lib.format.write_array(fh, features, allow_pickle=False)
+        shutil.copymode(features_path, tmp)  # readable by whoever may read the text
+        os.replace(tmp, os.path.join(directory, CACHE_FILE))
+    except OSError:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+
+
+def _parse_features(path) -> np.ndarray:
     """The feature table in one vectorised parse."""
     try:
         with warnings.catch_warnings():
@@ -212,6 +291,13 @@ def load_dataset(directory) -> Dataset:
     Parses the four files and checks what needs their text; the ``Dataset``
     checks every row fact, and a ``DatasetRowError`` comes back as a
     ``DatasetFormatError`` naming that row's file and line.
+
+    The feature table comes from ``.features.cache`` when that holds the
+    SHA-256 of features.tsv's bytes, and from ``np.loadtxt`` otherwise.
+    After a parse, and only once the ``Dataset`` is built, the table is
+    cached under that digest, unless features.tsv changed while it was
+    read. Either way the same checks run, so the same bytes load to the same
+    dataset, or fail with the same message, as without a cache.
     """
     directory = os.fspath(directory)
     edges_path = os.path.join(directory, EDGES_FILE)
@@ -231,7 +317,11 @@ def load_dataset(directory) -> Dataset:
         except ValueError:
             raise DatasetFormatError(edges_path, line_no, f"non-integer node id in {text!r}") from None
 
-    features = _read_features(features_path)
+    digest, stamp = _file_digest(features_path)
+    features = _cached_features(directory, digest)
+    parsed = features is None
+    if parsed:
+        features = _parse_features(features_path)
     num_nodes = features.shape[0]
 
     labels = []
@@ -262,7 +352,7 @@ def load_dataset(directory) -> Dataset:
         raise DatasetFormatError(split_path, None, str(exc)) from None
 
     try:
-        return Dataset(num_nodes, max(labels) + 1, edges, features, labels, split)
+        dataset = Dataset(num_nodes, max(labels) + 1, edges, features, labels, split)
     except DatasetRowError as exc:
         if exc.table == "edges":
             raise DatasetFormatError(edges_path, edge_lines[exc.row][0], str(exc)) from None
@@ -272,6 +362,9 @@ def load_dataset(directory) -> Dataset:
         raise DatasetFormatError(path, _line_of_row(path, exc.row), str(exc)) from None
     except ValueError as exc:
         raise DatasetFormatError(directory, None, str(exc)) from None
+    if parsed:
+        _write_cache(directory, digest, stamp, dataset.features)
+    return dataset
 
 
 def save_dataset(dataset: Dataset, directory) -> None:

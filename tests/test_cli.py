@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import reachmix
-from reachmix import cli, nn
+from reachmix import cli, graphio, nn
 from reachmix.cli import main, parse_seeds
 from reachmix.graphio import generate_sbm, load_dataset, save_dataset
 from reachmix.nn import load_params
@@ -221,6 +221,17 @@ def test_diagnose_pearson_degenerate_model_fails_cleanly(tmp_path, dataset_dir, 
     ])
     assert code == 1
     assert "variance" in capsys.readouterr().err
+    assert not out.exists()  # so the corrected command needs no --force
+
+
+def test_diagnose_rc_on_diameter_one_fails_cleanly(tmp_path, capsys):
+    ds = generate_sbm(2, 3, 1.0, 0.0, 4, 0.5, seed=0, labels_per_class=1, valid_per_class=1)
+    data = tmp_path / "complete"
+    save_dataset(replace(ds, edges=np.array([(u, v) for u in range(6) for v in range(u + 1, 6)])), data)
+    out = tmp_path / "rc"
+    assert run_cli(["diagnose", "rc", "--data", str(data), "--out", str(out)]) == 1
+    assert "error: diameter 1 < 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text, line", [
@@ -689,3 +700,31 @@ def test_trained_bytes_do_not_depend_on_blas_threads(tmp_path):
     for seed in (0, 1, 2):
         for name in (f"checkpoint_seed{seed}.txt", f"metrics_seed{seed}.tsv"):
             assert read_bytes(runs["1"] / name) == read_bytes(runs["2"] / name), name
+
+
+def test_cold_and_warm_loads_write_the_same_outputs(tmp_path, quick_config):
+    """The first command on a dataset parses features.tsv and caches the
+    table; every later one reads the cache. Both write the same bytes."""
+    data = tmp_path / "data"
+    assert run_cli(synth_args(data)) == 0
+    cache = data / graphio.CACHE_FILE
+    checkpoint = tmp_path / "cold" / "train" / "checkpoint_seed0.txt"
+    commands = {
+        "train": ["train", "--config", str(quick_config)],
+        "rc": ["diagnose", "rc"],
+        "cka": ["diagnose", "cka", "--checkpoint", str(checkpoint)],
+    }
+    for state in ("cold", "warm"):
+        for name, argv in commands.items():
+            if state == "cold":
+                cache.unlink(missing_ok=True)
+            assert cache.exists() == (state == "warm")
+            assert run_cli(argv + ["--data", str(data), "--out", str(tmp_path / state / name)]) == 0
+            assert cache.exists()
+    for name in commands:
+        cold, warm = tmp_path / "cold" / name, tmp_path / "warm" / name
+        names = sorted(set(os.listdir(cold)) - {"manifest.json", "timings.tsv"})
+        assert names == sorted(set(os.listdir(warm)) - {"manifest.json", "timings.tsv"})
+        assert len(names) >= 2
+        for file in names:
+            assert read_bytes(cold / file) == read_bytes(warm / file), (name, file)

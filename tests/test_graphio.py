@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -442,3 +444,151 @@ def test_isolated_nodes_are_allowed(tmp_path):
     )
     ds = load_dataset(d)
     assert ds.num_nodes == 3  # node 2 has no edges
+
+
+# --- the parsed-features cache -------------------------------------------
+
+DATASET_FILES = {"edges.tsv", "features.tsv", "labels.tsv", "split.json"}
+CACHED_FEATURES = np.array([[-0.0, 5e-324, 0.1 + 0.2], [1.0, 0.0, -1e300], [0.0, 0.0, 0.0]])
+
+
+@pytest.fixture
+def loadtxt_calls(monkeypatch):
+    """Counts the text parses; read it as ``len(loadtxt_calls)``."""
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(graphio.np, "loadtxt", counting)
+    return calls
+
+
+def cached_dataset_dir(tmp_path):
+    ds = Dataset(3, 2, np.array([[0, 1], [1, 2]]), CACHED_FEATURES, np.array([0, 1, 0]), SplitSpec([0], [1], [2]))
+    save_dataset(ds, tmp_path)
+    return tmp_path
+
+
+def test_second_load_reads_the_cache_bit_for_bit(tmp_path, loadtxt_calls):
+    d = cached_dataset_dir(tmp_path)
+    first = load_dataset(d)
+    assert len(loadtxt_calls) == 1
+    assert set(os.listdir(d)) == DATASET_FILES | {graphio.CACHE_FILE}
+    second = load_dataset(d)
+    assert len(loadtxt_calls) == 1  # no parse: -0.0 and 5e-324 came from the cache
+    assert second.features.tobytes() == first.features.tobytes() == CACHED_FEATURES.tobytes()
+    assert not second.features.flags.writeable
+    np.testing.assert_array_equal(second.edges, first.edges)
+    np.testing.assert_array_equal(second.labels, first.labels)
+
+
+@pytest.mark.parametrize("mode", [0o644, 0o600, 0o444])
+def test_the_cache_is_as_readable_as_the_features(tmp_path, mode):
+    d = cached_dataset_dir(tmp_path)
+    os.chmod(d / "features.tsv", mode)
+    load_dataset(d)
+    assert os.stat(d / graphio.CACHE_FILE).st_mode & 0o777 == mode
+
+
+def test_edited_features_are_parsed_and_checked_again(tmp_path, loadtxt_calls):
+    d = cached_dataset_dir(tmp_path)
+    load_dataset(d)
+    text = (d / "features.tsv").read_text()
+    (d / "features.tsv").write_text(text.replace("-1e+300", "2.5"))
+    assert load_dataset(d).features[1, 2] == 2.5
+    assert len(loadtxt_calls) == 2
+    cache = (d / graphio.CACHE_FILE).read_bytes()
+
+    (d / "features.tsv").write_text(text.replace("-1e+300", "nan"))
+    with pytest.raises(DatasetFormatError, match=r"features\.tsv:2: non-finite feature nan in column 3 of node 1$"):
+        load_dataset(d)
+    assert (d / graphio.CACHE_FILE).read_bytes() == cache  # a failed load writes nothing
+
+
+def test_a_failed_load_leaves_no_cache(tmp_path):
+    d = write_dataset_dir(tmp_path, "0\t1\n", "1.0\n2.0\n", "0\n-1\n", {"labeled": [0], "valid": [], "test": [1]})
+    with pytest.raises(DatasetFormatError, match="negative label"):
+        load_dataset(d)
+    assert set(os.listdir(d)) == DATASET_FILES
+
+
+def other_digest(blob):
+    """The same cache under another digest: its first hex digit changed."""
+    at = blob.index(b"\n") + 1
+    return blob[:at] + (b"1" if blob[at:at + 1] == b"0" else b"0") + blob[at + 1:]
+
+
+def bump_version(blob):
+    return blob.replace(b"cache 1\n", b"cache 2\n", 1)
+
+
+def numpy_file(save, array):
+    """The bytes ``np.save`` or ``np.savez`` writes: a file np.load would read."""
+    buf = io.BytesIO()
+    save(buf, array)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("spoil", [
+    pytest.param(lambda blob: b"", id="empty"),
+    pytest.param(lambda blob: blob[:20], id="cut-in-magic"),
+    pytest.param(lambda blob: blob[:len(blob) // 2], id="cut-in-table"),
+    pytest.param(lambda blob: blob[:-1], id="last-byte-cut"),
+    pytest.param(lambda blob: blob[:160] + b"\xff" * 16 + blob[176:], id="header-garbled"),
+    pytest.param(lambda blob: np.random.default_rng(0).bytes(len(blob)), id="random-bytes"),
+    pytest.param(other_digest, id="other-digest"),
+    pytest.param(bump_version, id="other-version"),
+    pytest.param(lambda blob: numpy_file(np.savez, CACHED_FEATURES), id="foreign-npz"),
+    pytest.param(lambda blob: numpy_file(np.save, CACHED_FEATURES), id="foreign-npy"),
+])
+def test_a_spoiled_cache_is_a_miss_and_is_replaced(tmp_path, loadtxt_calls, spoil):
+    d = cached_dataset_dir(tmp_path)
+    load_dataset(d)
+    cache = d / graphio.CACHE_FILE
+    good = cache.read_bytes()
+    cache.write_bytes(spoil(good))
+    assert load_dataset(d).features.tobytes() == CACHED_FEATURES.tobytes()
+    assert len(loadtxt_calls) == 2
+    assert cache.read_bytes() == good
+    load_dataset(d)
+    assert len(loadtxt_calls) == 2
+
+
+def test_a_directory_in_the_cache_place_is_a_miss(tmp_path, loadtxt_calls):
+    d = cached_dataset_dir(tmp_path)
+    (d / graphio.CACHE_FILE).mkdir()
+    assert load_dataset(d).features.tobytes() == CACHED_FEATURES.tobytes()
+    assert len(loadtxt_calls) == 1
+    # the rename over the directory failed, and its temp file is gone
+    assert set(os.listdir(d)) == DATASET_FILES | {graphio.CACHE_FILE}
+
+
+@pytest.mark.parametrize("fails", ["mkstemp", "replace"])
+def test_an_unwritable_cache_is_skipped_silently(tmp_path, monkeypatch, fails):
+    def denied(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    d = cached_dataset_dir(tmp_path)
+    monkeypatch.setattr(graphio.tempfile if fails == "mkstemp" else graphio.os, fails, denied)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert load_dataset(d).features.tobytes() == CACHED_FEATURES.tobytes()
+    assert caught == []
+    assert set(os.listdir(d)) == DATASET_FILES
+
+
+def test_features_that_change_during_the_parse_are_not_cached(tmp_path, monkeypatch):
+    d = cached_dataset_dir(tmp_path)
+    loadtxt = np.loadtxt
+
+    def edit_then_parse(path, *args, **kwargs):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n")  # a blank line: the same table, other bytes than were hashed
+        return loadtxt(path, *args, **kwargs)
+
+    monkeypatch.setattr(graphio.np, "loadtxt", edit_then_parse)
+    load_dataset(d)
+    assert set(os.listdir(d)) == DATASET_FILES
