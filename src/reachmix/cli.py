@@ -19,7 +19,6 @@ modules that read them.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import subprocess
@@ -31,7 +30,7 @@ import numpy as np
 import reachmix
 from reachmix import diagnostics, graphio, nn, trainer
 from reachmix.graphalg import from_edges
-from reachmix.graphio import generate_sbm, load_dataset, save_dataset
+from reachmix.graphio import dataset_fingerprint, generate_sbm, load_dataset, save_dataset
 from reachmix.seeding import substream
 from reachmix.trainer import TrainConfig, train_multi
 
@@ -81,17 +80,6 @@ def _int_at_least(low: int):
     return integer
 
 
-def dataset_fingerprint(directory) -> str:
-    """SHA-256 over the four dataset files (names + bytes)."""
-    digest = hashlib.sha256()
-    for name in (graphio.EDGES_FILE, graphio.FEATURES_FILE, graphio.LABELS_FILE, graphio.SPLIT_FILE):
-        path = os.path.join(directory, name)
-        digest.update(name.encode())
-        with open(path, "rb") as fh:
-            digest.update(fh.read())
-    return digest.hexdigest()
-
-
 def _git_describe() -> str | None:
     """The checkout the running package comes from, whatever the caller's
     working directory; None outside a git checkout."""
@@ -139,7 +127,12 @@ def write_json(path, blob) -> None:
         fh.write("\n")
 
 
-def write_manifest(outdir, command: str, config: dict, data_dir=None) -> None:
+def write_manifest(outdir, command: str, config: dict, dataset: tuple[str, str | None] | None = None) -> None:
+    """The run's one manifest.json. ``dataset`` is the pair (directory,
+    fingerprint) of the dataset the command read or wrote: for a command
+    that loaded it, ``Dataset.fingerprint``, the digest of the bytes it
+    loaded (None, written as null, where features.tsv changed while it was
+    read); for one that wrote it, ``dataset_fingerprint`` of the files."""
     manifest = {
         "command": command,
         "config": config,
@@ -147,8 +140,8 @@ def write_manifest(outdir, command: str, config: dict, data_dir=None) -> None:
         "git": _git_describe(),
         "created_unix": time.time(),
     }
-    if data_dir is not None:
-        manifest["dataset_fingerprint"] = dataset_fingerprint(data_dir)
+    if dataset is not None:
+        data_dir, manifest["dataset_fingerprint"] = dataset
         manifest["dataset_dir"] = os.path.abspath(data_dir)
     write_json(os.path.join(outdir, "manifest.json"), manifest)
 
@@ -197,7 +190,7 @@ def cmd_synth(args) -> int:
     )
     prepare_outdir(args.out, args.force)
     save_dataset(dataset, args.out)
-    write_manifest(args.out, "synth", _args_blob(args), data_dir=args.out)
+    write_manifest(args.out, "synth", _args_blob(args), (args.out, dataset_fingerprint(args.out)))
     print(
         f"wrote {args.out}: {dataset.num_nodes} nodes, {dataset.edges.shape[0]} edges, "
         f"{dataset.num_classes} classes, {dataset.num_features} features; "
@@ -232,7 +225,7 @@ def cmd_train(args) -> int:
         "sem": result.sem,
     }
     write_json(os.path.join(args.out, "summary.json"), summary)
-    write_manifest(args.out, "train", cfg.to_dict(), data_dir=args.data)
+    write_manifest(args.out, "train", cfg.to_dict(), (args.data, dataset.fingerprint))
     print(f"test_acc mean={result.mean:.4f} std={result.std:.4f} sem={result.sem:.4f} over {len(cfg.seeds)} seeds; "
           "mixed_epochs_to_best " + " ".join(map(str, summary["mixed_epochs_to_best"].values())))
     return 0
@@ -276,7 +269,7 @@ def cmd_sweep(args) -> int:
     ranked = sorted(rows, key=lambda r: -r["mean_val_acc"])
     write_tsv(os.path.join(args.out, "sweep.tsv"), columns, [[row[k] for k in columns] for row in ranked])
     write_json(os.path.join(args.out, "best.json"), best_cfg.to_dict())
-    write_manifest(args.out, "sweep", {"base": cfg.to_dict(), "grids": grids}, data_dir=args.data)
+    write_manifest(args.out, "sweep", {"base": cfg.to_dict(), "grids": grids}, (args.data, dataset.fingerprint))
     best = ranked[0]
     print(f"swept {len(rows)} configurations; best mean_val_acc={best['mean_val_acc']:.4f}")
     print(f"best config written to {os.path.join(args.out, 'best.json')}")
@@ -339,7 +332,7 @@ def cmd_diagnose(args) -> int:
     prepare_outdir(args.out, args.force)  # after the report, so a failed one leaves no --out
     write_tsv(os.path.join(args.out, f"{args.kind}.tsv"), header, rows)
     write_json(os.path.join(args.out, f"{args.kind}_summary.json"), summary)
-    write_manifest(args.out, f"diagnose {args.kind}", _args_blob(args), data_dir=args.data)
+    write_manifest(args.out, f"diagnose {args.kind}", _args_blob(args), (args.data, dataset.fingerprint))
     print(line)
     return 0
 
@@ -416,7 +409,7 @@ def cmd_convert_cora(args) -> int:
     dataset = graphio.Dataset(num_nodes, int(labels.max()) + 1, edges, features, labels, split)
     prepare_outdir(args.out, args.force)
     save_dataset(dataset, args.out)
-    write_manifest(args.out, "convert-cora", _args_blob(args), data_dir=args.out)
+    write_manifest(args.out, "convert-cora", _args_blob(args), (args.out, dataset_fingerprint(args.out)))
     print(
         f"wrote {args.out}: {dataset.num_nodes} nodes, {dataset.edges.shape[0]} edges, "
         f"{dataset.num_classes} classes; labeled/valid/test = "

@@ -9,8 +9,13 @@ A dataset is a directory of four text files:
     features.tsv  line i = tab-separated real features of node i; blank
                   lines are skipped, '#' is not a comment; every value must
                   be finite (nan, inf and -inf are rejected, naming the line)
-    labels.tsv    line i = integer class label of node i
-    split.json    {"labeled": [...], "valid": [...], "test": [...]}
+    labels.tsv    line i = integer class label of node i; blank lines are
+                  skipped
+    split.json    {"labeled": [...], "valid": [...], "test": [...]}, each a
+                  list of JSON integers
+
+Node ids and labels must fit in int64; a value that does not is rejected,
+naming its file, its line where there is one, and the value.
 
 Class indices must be contiguous: every class in [0, C) has at least one
 node, so C is recoverable from labels.tsv alone and save/load round-trips.
@@ -19,27 +24,33 @@ Each fact of a row (an edge's endpoints, a label's class, a feature's
 finiteness) is checked once, where a ``Dataset`` is built; ``load_dataset``
 checks only what needs the file's text and names the line of a row fault.
 
-``load_dataset`` parses features.tsv once per byte content. After a load
+A dataset's fingerprint is the SHA-256 of the four files in the order
+above, each fed as its name and then its bytes (``dataset_fingerprint``).
+``load_dataset`` computes it from the bytes it reads, hashing each file once,
+and keeps it as ``Dataset.fingerprint``.
+
+``load_dataset`` parses features.tsv once per dataset content. After a load
 that passes every check, it leaves the parsed table beside the file in
-``.features.cache``, keyed by the SHA-256 of features.tsv; a later load of
-the same bytes reads the table from there instead of parsing the text, and
-runs every check again. The cache is a magic line naming its layout
-version, the hex digest and a newline, then the float64 table in ``.npy``
-format, so every bit of every cell comes back. A cache that is missing,
-stale, of another version or unreadable is ignored and replaced; deleting
-it is always safe. A directory that cannot be written to gets no cache.
+``.features.cache``, keyed by the fingerprint; a later load of the same four
+files reads the table from there instead of parsing the text, and runs every
+check again. The cache is a magic line naming its layout version, the hex
+digest and a newline, then the float64 table in ``.npy`` format, so every
+bit of every cell comes back. A cache that is missing, stale, of another
+version or unreadable is ignored and replaced; deleting it is always safe. A
+directory that cannot be written to gets no cache.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
 import tempfile
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,10 +58,13 @@ EDGES_FILE = "edges.tsv"
 FEATURES_FILE = "features.tsv"
 LABELS_FILE = "labels.tsv"
 SPLIT_FILE = "split.json"
+DATASET_FILES = (EDGES_FILE, FEATURES_FILE, LABELS_FILE, SPLIT_FILE)  # in fingerprint order
 CACHE_FILE = ".features.cache"
 # The first line of a cache file; change the number whenever its layout or
-# the meaning of its table changes, so that every older cache is a miss.
-_CACHE_MAGIC = b"reachmix features.tsv cache 1\n"
+# the meaning of its key or table changes, so that every older cache is a
+# miss. Version 2 is keyed by the fingerprint of all four files.
+_CACHE_MAGIC = b"reachmix features.tsv cache 2\n"
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 class DatasetFormatError(ValueError):
@@ -133,6 +147,10 @@ class Dataset:
     as does a non-finite feature; a split id outside [0, N) raises one
     naming the id. So whatever ``save_dataset`` writes,
     ``load_dataset`` reads back.
+
+    ``fingerprint`` is the ``dataset_fingerprint`` of the bytes
+    ``load_dataset`` read, and None for a dataset built any other way,
+    ``with_split`` included.
     """
 
     num_nodes: int
@@ -141,6 +159,7 @@ class Dataset:
     features: np.ndarray  # (N, F) float64
     labels: np.ndarray  # (N,) int64
     split: SplitSpec
+    fingerprint: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
@@ -194,14 +213,6 @@ class Dataset:
         return self.features.shape[1]
 
 
-def _read_lines(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.readlines()
-    except FileNotFoundError:
-        raise DatasetFormatError(path, None, "required file is missing") from None
-
-
 def _stamp(path) -> tuple:
     """What changes whenever a file's bytes do: its inode, size and
     modification and status-change times."""
@@ -209,18 +220,43 @@ def _stamp(path) -> tuple:
     return st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
 
 
-def _file_digest(path) -> tuple[str, tuple]:
-    """The hex SHA-256 of a file, read in 1 MiB chunks, and its ``_stamp``
-    from before the read."""
-    digest = hashlib.sha256()
+def _hash_file(digest, path, keep: bool = False) -> tuple[tuple, list[str] | None]:
+    """Feeds ``digest`` a dataset file's name, then its bytes in 1 MiB
+    chunks, so that no table passes through one read whole. Returns the
+    file's ``_stamp`` from before the read and, with ``keep``, the lines of
+    the bytes read, split as ``open`` splits text (UTF-8, universal
+    newlines), so that what is parsed is what was hashed."""
+    chunks = []
     try:
         stamp = _stamp(path)
         with open(path, "rb") as fh:
+            digest.update(os.path.basename(path).encode())
             while chunk := fh.read(1 << 20):
                 digest.update(chunk)
+                if keep:
+                    chunks.append(chunk)
     except FileNotFoundError:
         raise DatasetFormatError(path, None, "required file is missing") from None
-    return digest.hexdigest(), stamp
+    lines = io.TextIOWrapper(io.BytesIO(b"".join(chunks)), encoding="utf-8").readlines() if keep else None
+    return stamp, lines
+
+
+def _unchanged(path, stamp: tuple) -> bool:
+    """Whether a file still has the ``_stamp`` it had."""
+    try:
+        return _stamp(path) == stamp
+    except OSError:
+        return False
+
+
+def dataset_fingerprint(directory) -> str:
+    """The hex SHA-256 of the four dataset files as they are now, each fed
+    as its name and then its bytes, in ``DATASET_FILES`` order: the digest
+    that ``load_dataset`` takes of the bytes it reads."""
+    digest = hashlib.sha256()
+    for name in DATASET_FILES:
+        _hash_file(digest, os.path.join(directory, name))
+    return digest.hexdigest()
 
 
 def _cache_header(digest: str) -> bytes:
@@ -240,17 +276,14 @@ def _cached_features(directory, digest: str) -> np.ndarray | None:
         return None
 
 
-def _write_cache(directory, digest: str, stamp: tuple, features: np.ndarray) -> None:
-    """Caches ``features``, parsed from features.tsv, under ``digest``,
-    unless the file's stamp moved since it was hashed: then the parse may
-    have read other bytes. The cache is written beside its place and renamed
-    over it, so readers see a whole cache or the old one; where it cannot be
-    written, nothing is left behind."""
+def _write_cache(directory, digest: str, features: np.ndarray) -> None:
+    """Caches ``features``, parsed from features.tsv, under ``digest``. The
+    cache is written beside its place and renamed over it, so readers see a
+    whole cache or the old one; where it cannot be written, nothing is left
+    behind."""
     features_path = os.path.join(directory, FEATURES_FILE)
     tmp = None
     try:
-        if _stamp(features_path) != stamp:
-            return
         fd, tmp = tempfile.mkstemp(prefix=CACHE_FILE, suffix=".tmp", dir=directory)
         with os.fdopen(fd, "wb") as fh:
             fh.write(_cache_header(digest))
@@ -278,34 +311,41 @@ def _parse_features(path) -> np.ndarray:
     return features
 
 
-def _line_of_row(path, row: int) -> int:
-    """The 1-based line of row ``row`` of a features or labels file: blank
-    lines hold no row."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return [line_no for line_no, line in enumerate(fh, start=1) if line.strip()][row]
+def _line_of_row(lines, row: int) -> int:
+    """The 1-based line of row ``row`` of a features or labels file's
+    lines: blank lines hold no row."""
+    return [line_no for line_no, line in enumerate(lines, start=1) if line.strip()][row]
 
 
 def load_dataset(directory) -> Dataset:
     """Load a dataset directory (see module docstring for formats).
 
-    Parses the four files and checks what needs their text; the ``Dataset``
-    checks every row fact, and a ``DatasetRowError`` comes back as a
-    ``DatasetFormatError`` naming that row's file and line.
+    Reads each of the four files once, feeding one SHA-256 its name and
+    bytes in ``DATASET_FILES`` order; the digest is the cache key and the
+    returned ``Dataset.fingerprint``. Edges, labels and the split are parsed
+    from the bytes that were hashed. The loaded files are checked for what
+    needs their text; the ``Dataset`` checks every row fact, and a
+    ``DatasetRowError`` comes back as a ``DatasetFormatError`` naming that
+    row's file and line.
 
     The feature table comes from ``.features.cache`` when that holds the
-    SHA-256 of features.tsv's bytes, and from ``np.loadtxt`` otherwise.
-    After a parse, and only once the ``Dataset`` is built, the table is
-    cached under that digest, unless features.tsv changed while it was
-    read. Either way the same checks run, so the same bytes load to the same
-    dataset, or fail with the same message, as without a cache.
+    fingerprint, and from ``np.loadtxt`` otherwise. After a parse, and only
+    once the ``Dataset`` is built, the table is cached under the
+    fingerprint. If features.tsv changed while it was read, the parse may
+    have read other bytes than were hashed: then nothing is cached and the
+    fingerprint is None. Either way the same checks run, so the same bytes
+    load to the same dataset, or fail with the same message, as without a
+    cache.
     """
     directory = os.fspath(directory)
-    edges_path = os.path.join(directory, EDGES_FILE)
-    features_path = os.path.join(directory, FEATURES_FILE)
-    labels_path = os.path.join(directory, LABELS_FILE)
-    split_path = os.path.join(directory, SPLIT_FILE)
+    paths = [os.path.join(directory, name) for name in DATASET_FILES]
+    edges_path, features_path, labels_path, split_path = paths
+    digest = hashlib.sha256()
+    (_, edge_text), (stamp, _), (_, label_text), (_, split_text) = (
+        _hash_file(digest, path, keep=path != features_path) for path in paths)
+    fingerprint = digest.hexdigest()
 
-    edge_lines = [(line_no, text) for line_no, line in enumerate(_read_lines(edges_path), start=1)
+    edge_lines = [(line_no, text) for line_no, line in enumerate(edge_text, start=1)
                   if (text := line.split("#", 1)[0].strip())]
     edges = []
     for line_no, text in edge_lines:
@@ -316,16 +356,21 @@ def load_dataset(directory) -> Dataset:
             edges.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise DatasetFormatError(edges_path, line_no, f"non-integer node id in {text!r}") from None
+    try:
+        edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # an id outside int64: name the first
+        row, node = next((row, node) for row, edge in enumerate(edges) for node in edge
+                         if not _INT64_MIN <= node <= _INT64_MAX)
+        raise DatasetFormatError(edges_path, edge_lines[row][0], f"node id {node} outside the int64 range") from None
 
-    digest, stamp = _file_digest(features_path)
-    features = _cached_features(directory, digest)
+    features = _cached_features(directory, fingerprint)
     parsed = features is None
     if parsed:
         features = _parse_features(features_path)
     num_nodes = features.shape[0]
 
     labels = []
-    for line_no, line in enumerate(_read_lines(labels_path), start=1):
+    for line_no, line in enumerate(label_text, start=1):
         text = line.strip()
         if not text:
             continue
@@ -335,35 +380,49 @@ def load_dataset(directory) -> Dataset:
             raise DatasetFormatError(labels_path, line_no, f"non-integer label {text!r}") from None
     if len(labels) != num_nodes:
         raise DatasetFormatError(labels_path, None, f"{len(labels)} labels for {num_nodes} feature rows")
+    try:
+        labels = np.array(labels, dtype=np.int64)
+    except OverflowError:  # a label outside int64: name the first
+        row, label = next((row, label) for row, label in enumerate(labels) if not _INT64_MIN <= label <= _INT64_MAX)
+        raise DatasetFormatError(labels_path, _line_of_row(label_text, row),
+                                 f"label {label} outside the int64 range") from None
 
     try:
-        with open(split_path, "r", encoding="utf-8") as fh:
-            blob = json.load(fh)
-    except FileNotFoundError:
-        raise DatasetFormatError(split_path, None, "required file is missing") from None
+        blob = json.loads("".join(split_text))
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(split_path, exc.lineno, f"invalid JSON: {exc.msg}") from None
     for key in ("labeled", "valid", "test"):
-        if key not in blob or not isinstance(blob[key], list):
+        if not isinstance(blob, dict) or not isinstance(blob.get(key), list):
             raise DatasetFormatError(split_path, None, f"missing integer array {key!r}")
+        for value in blob[key]:
+            if type(value) is not int:  # bool is an int subclass, and JSON true is no id
+                raise DatasetFormatError(split_path, None, f"{key} id {json.dumps(value)} is not an integer")
+            if not _INT64_MIN <= value <= _INT64_MAX:
+                raise DatasetFormatError(split_path, None, f"{key} id {value} outside the int64 range")
     try:
         split = SplitSpec(blob["labeled"], blob["valid"], blob["test"])
     except ValueError as exc:
         raise DatasetFormatError(split_path, None, str(exc)) from None
 
     try:
-        dataset = Dataset(num_nodes, max(labels) + 1, edges, features, labels, split)
+        dataset = Dataset(num_nodes, int(labels.max()) + 1, edges, features, labels, split)
     except DatasetRowError as exc:
         if exc.table == "edges":
             raise DatasetFormatError(edges_path, edge_lines[exc.row][0], str(exc)) from None
+        if exc.table == "labels":
+            raise DatasetFormatError(labels_path, _line_of_row(label_text, exc.row), str(exc)) from None
         if exc.table == "split":
             raise DatasetFormatError(split_path, None, str(exc)) from None
-        path = features_path if exc.table == "features" else labels_path
-        raise DatasetFormatError(path, _line_of_row(path, exc.row), str(exc)) from None
+        with open(features_path, "r", encoding="utf-8") as fh:
+            raise DatasetFormatError(features_path, _line_of_row(fh, exc.row), str(exc)) from None
     except ValueError as exc:
         raise DatasetFormatError(directory, None, str(exc)) from None
     if parsed:
-        _write_cache(directory, digest, stamp, dataset.features)
+        if _unchanged(features_path, stamp):
+            _write_cache(directory, fingerprint, dataset.features)
+        else:
+            fingerprint = None
+    object.__setattr__(dataset, "fingerprint", fingerprint)
     return dataset
 
 

@@ -126,11 +126,30 @@ class ForwardTrace:
     consumed: bool = field(default=False)
 
 
+# Cells per block of the zero mask that ``as_csr`` builds; 256 KiB of bools
+# keeps the mask off the peak memory of a load.
+_MASK_CELLS = 1 << 18
+
+
 def as_csr(x) -> csr_array:
-    """Features as a float64 CSR matrix; a float64 ``csr_array`` passes through."""
-    if isinstance(x, csr_array) and x.dtype == np.float64:
-        return x
-    return csr_array(x, dtype=np.float64)
+    """Features as a float64 CSR matrix; a float64 ``csr_array`` passes through.
+
+    A dense 2-D table is converted in one pass over blocks of its rows: the
+    flat positions of the nonzero cells (``-0.0`` counts as zero) give
+    ``data`` and ``indices``, and a binary search for each row's first cell
+    gives ``indptr``. The arrays and their dtypes are those that
+    ``csr_array(x)`` builds through COO (int32 indices where they fit).
+    """
+    if issparse(x) or np.ndim(x) != 2:
+        return x if isinstance(x, csr_array) and x.dtype == np.float64 else csr_array(x, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    n, f = x.shape
+    step = max(1, _MASK_CELLS // max(f, 1))
+    cells = np.concatenate([np.empty(0, dtype=np.intp)]
+                           + [np.flatnonzero(x[start:start + step] != 0) + start * f for start in range(0, n, step)])
+    indptr = np.searchsorted(cells, np.arange(n + 1) * f)
+    index = np.int32 if max(n, f, cells.size) <= np.iinfo(np.int32).max else np.int64
+    return csr_array((x.ravel()[cells], (cells % max(f, 1)).astype(index), indptr.astype(index)), shape=(n, f))
 
 
 def _dropout(x, rate: float, train: bool, rng: np.random.Generator | None):
@@ -325,7 +344,9 @@ def load_params(path) -> ModelParams:
     """Read a ``save_params`` checkpoint. Malformed content raises a
     ``ValueError`` that starts with ``<path>:<line>:``; shapes other than
     w1 (F, H), b1 (H,), w2 (H, C), b2 (C,) raise one that starts with
-    ``<path>:``."""
+    ``<path>:``. Each value is read by ``float``, so every value
+    ``save_params`` writes comes back bit for bit, ``-0.0``, subnormals,
+    nan and the infinities included."""
     values: dict[str, np.ndarray] = {}
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -249,6 +251,73 @@ def test_diagnose_bad_checkpoint_names_file_and_line(tmp_path, dataset_dir, trai
     assert f"{ckpt}:{line}: " in capsys.readouterr().err
     assert not out.exists()  # so the corrected command needs no --force
     assert run_cli(argv + [str(train_run / "checkpoint_seed0.txt")]) == 0
+
+
+PATH_TEXTS = {"edges.tsv": "0\t1\n1\t2\n", "features.tsv": "1.0\n2.0\n3.0\n", "labels.tsv": "0\n1\n0\n",
+              "split.json": '{"labeled": [0], "valid": [1], "test": [2]}'}
+
+
+@pytest.mark.parametrize("name, text, where, message", [
+    ("edges.tsv", "0\t1\n1\t9223372036854775808\n", ":2", "node id 9223372036854775808 outside the int64 range"),
+    ("edges.tsv", "# c\n-9223372036854775809\t1\n", ":2", "node id -9223372036854775809 outside the int64 range"),
+    ("labels.tsv", f"0\n\n1\n{10**30}\n", ":4", f"label {10**30} outside the int64 range"),
+    ("split.json", '{"labeled": [0], "valid": [92233720368547758080], "test": [2]}', "",
+     "valid id 92233720368547758080 outside the int64 range"),
+    ("split.json", '{"labeled": [0], "valid": [1.0], "test": [2]}', "", "valid id 1.0 is not an integer"),
+    ("split.json", '{"labeled": [0], "valid": [], "test": ["2"]}', "", 'test id "2" is not an integer'),
+    ("split.json", '{"labeled": [true], "valid": [], "test": [2]}', "", "labeled id true is not an integer"),
+    ("split.json", '["labeled", "valid", "test"]', "", "missing integer array 'labeled'"),
+], ids=["edge-above", "edge-below", "label", "split-above", "split-float", "split-string", "split-bool",
+        "split-not-an-object"])
+def test_ids_that_are_not_int64_integers_exit_one_naming_file_and_value(tmp_path, capsys, name, text, where, message):
+    data = tmp_path / "data"
+    data.mkdir()
+    for file, content in {**PATH_TEXTS, name: text}.items():
+        (data / file).write_text(content)
+    out = tmp_path / "rc"
+    assert run_cli(["diagnose", "rc", "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {data / name}{where}: {message}\n"
+    assert not out.exists()
+
+
+def test_a_warm_command_hashes_each_dataset_byte_once(tmp_path, dataset_dir, monkeypatch):
+    assert run_cli(["diagnose", "rc", "--data", str(dataset_dir), "--out", str(tmp_path / "cold")]) == 0
+    fed = []
+    sha256 = hashlib.sha256
+
+    class CountingSha256:
+        def __init__(self):
+            self._digest = sha256()
+
+        def update(self, data):
+            fed.append(len(data))
+            self._digest.update(data)
+
+        def hexdigest(self):
+            return self._digest.hexdigest()
+
+    monkeypatch.setattr(hashlib, "sha256", CountingSha256)
+    assert run_cli(["diagnose", "rc", "--data", str(dataset_dir), "--out", str(tmp_path / "warm")]) == 0
+    assert sum(fed) == sum(len(name) + os.path.getsize(dataset_dir / name) for name in graphio.DATASET_FILES)
+
+
+def test_the_manifest_fingerprints_the_bytes_the_command_loaded(tmp_path, dataset_dir, quick_config, monkeypatch):
+    data = tmp_path / "data"
+    shutil.copytree(dataset_dir, data)
+    loaded = cli.dataset_fingerprint(data)
+    train_multi = cli.train_multi
+
+    def edit_then_train(dataset, cfg):
+        with open(data / "labels.tsv", "a", encoding="utf-8") as fh:
+            fh.write("\n")  # the same labels, other bytes
+        return train_multi(dataset, cfg)
+
+    monkeypatch.setattr(cli, "train_multi", edit_then_train)
+    out = tmp_path / "run"
+    argv = ["train", "--data", str(data), "--config", str(quick_config), "--seeds", "0", "--max-epochs", "2"]
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["dataset_fingerprint"] == loaded != cli.dataset_fingerprint(data)
 
 
 def test_gradcheck_passes(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -120,7 +121,11 @@ PATH_LABELS = "0\n1\n0\n"
     ("labels.tsv", "0\n-1\n1\n", 2, "negative label -1"),
     ("labels.tsv", "0\n2\n0\n", 2, "label 2 out of range: class 1 has no nodes, so labels are not contiguous"),
     ("features.tsv", "1.0\n\nnan\n3.0\n", 3, "non-finite feature nan in column 1 of node 1"),
-], ids=["self-loop", "negative-id", "endpoint", "negative-label", "label-gap", "non-finite"])
+    # Tables of whole int64 rows of the wrong width.
+    ("edges.tsv", "# comment\n0 1 2\n1 2 0\n", 2, "expected 'u<TAB>v', got '0 1 2'"),
+    ("labels.tsv", "\n0 1\n1 0\n0 1\n", 2, "non-integer label '0 1'"),
+], ids=["self-loop", "negative-id", "endpoint", "negative-label", "label-gap", "non-finite", "three-columns",
+        "two-label-columns"])
 def test_single_fault_names_file_line_and_message(tmp_path, file, text, line, message):
     texts = {"edges.tsv": PATH_EDGES, "features.tsv": PATH_FEATURES, "labels.tsv": PATH_LABELS, file: text}
     d = write_dataset_dir(tmp_path, texts["edges.tsv"], texts["features.tsv"], texts["labels.tsv"],
@@ -437,6 +442,15 @@ def test_with_split_replaces_only_split():
     np.testing.assert_array_equal(ds2.features, ds.features)
 
 
+def test_only_a_loaded_dataset_carries_the_fingerprint_of_its_files(tmp_path):
+    ds = generate_sbm(2, 6, 0.6, 0.1, 4, 0.5, seed=4)
+    assert ds.fingerprint is None
+    save_dataset(ds, tmp_path)
+    loaded = load_dataset(tmp_path)
+    assert loaded.fingerprint == graphio.dataset_fingerprint(tmp_path)
+    assert with_split(loaded, make_split(loaded, 2, 1, seed=1)).fingerprint is None
+
+
 def test_isolated_nodes_are_allowed(tmp_path):
     d = write_dataset_dir(
         tmp_path, "0\t1\n", "1.0\n2.0\n3.0\n", "0\n1\n0\n",
@@ -522,7 +536,9 @@ def other_digest(blob):
 
 
 def bump_version(blob):
-    return blob.replace(b"cache 1\n", b"cache 2\n", 1)
+    bumped = blob.replace(b"cache 2\n", b"cache 3\n", 1)
+    assert bumped != blob  # the layout version this test was written against
+    return bumped
 
 
 def numpy_file(save, array):
@@ -553,6 +569,34 @@ def test_a_spoiled_cache_is_a_miss_and_is_replaced(tmp_path, loadtxt_calls, spoi
     assert load_dataset(d).features.tobytes() == CACHED_FEATURES.tobytes()
     assert len(loadtxt_calls) == 2
     assert cache.read_bytes() == good
+    load_dataset(d)
+    assert len(loadtxt_calls) == 2
+
+
+def test_a_version_1_cache_is_a_miss(tmp_path, loadtxt_calls):
+    # Version 1 was keyed by the SHA-256 of features.tsv alone.
+    d = cached_dataset_dir(tmp_path)
+    digest = hashlib.sha256((d / "features.tsv").read_bytes()).hexdigest()
+    cache = d / graphio.CACHE_FILE
+    cache.write_bytes(b"reachmix features.tsv cache 1\n" + digest.encode() + b"\n"
+                      + numpy_file(np.save, CACHED_FEATURES))
+    ds = load_dataset(d)
+    assert len(loadtxt_calls) == 1
+    assert cache.read_bytes().startswith(b"reachmix features.tsv cache 2\n" + ds.fingerprint.encode() + b"\n")
+
+
+@pytest.mark.parametrize("name, text", [
+    ("edges.tsv", "1\t0\n1\t2\n"),
+    ("labels.tsv", "0\n1\n1\n"),
+    ("split.json", '{"labeled": [1], "valid": [0], "test": [2]}'),
+])
+def test_the_cache_key_covers_every_dataset_file(tmp_path, loadtxt_calls, name, text):
+    d = cached_dataset_dir(tmp_path)
+    first = load_dataset(d)
+    (d / name).write_text(text)
+    second = load_dataset(d)
+    assert len(loadtxt_calls) == 2
+    assert second.fingerprint == graphio.dataset_fingerprint(d) != first.fingerprint
     load_dataset(d)
     assert len(loadtxt_calls) == 2
 
@@ -590,5 +634,6 @@ def test_features_that_change_during_the_parse_are_not_cached(tmp_path, monkeypa
         return loadtxt(path, *args, **kwargs)
 
     monkeypatch.setattr(graphio.np, "loadtxt", edit_then_parse)
-    load_dataset(d)
+    ds = load_dataset(d)
     assert set(os.listdir(d)) == DATASET_FILES
+    assert ds.fingerprint is None  # no digest of bytes the parse may not have read

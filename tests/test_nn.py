@@ -1,7 +1,10 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
 from reachmix import nn
@@ -347,9 +350,34 @@ def test_gradient_check_excludes_relu_kink():
     assert skipped >= 1
 
 
+@st.composite
+def dense_tables(draw):
+    """Tables with all-zero, fully dense and mixed rows over the cells that
+    tell a conversion apart: +0.0, -0.0 (also a zero) and nan."""
+    width = draw(st.integers(1, 5))
+    cells = {"zero": st.sampled_from([0.0, -0.0]),
+             "dense": st.sampled_from([1.0, -2.5, 5e-324, np.nan]),
+             "mixed": st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324, np.nan])}
+    rows = draw(st.lists(st.sampled_from(sorted(cells)), min_size=0, max_size=7))
+    return np.array([draw(st.lists(cells[kind], min_size=width, max_size=width)) for kind in rows]).reshape(-1, width)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_tables(), st.integers(1, 12))
+def test_as_csr_builds_the_arrays_csr_array_builds(x, mask_cells):
+    expected = csr_array(x)
+    with mock.patch.object(nn, "_MASK_CELLS", mask_cells):  # rows spread over several mask blocks
+        got = nn.as_csr(x)
+    assert got.shape == expected.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 def test_checkpoint_round_trip(tmp_path):
     params = small_params(np.random.default_rng(6))
     params.b1[:] = [-0.0, 5e-324, 0.1 + 0.2, 1e300]
+    params.b2[:] = [np.nan, np.inf, -np.inf]
     path = tmp_path / "ckpt.txt"
     save_params(path, params)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -360,6 +388,23 @@ def test_checkpoint_round_trip(tmp_path):
     for name, arr in params.as_dict().items():
         assert back.as_dict()[name].shape == arr.shape
         assert back.as_dict()[name].tobytes() == arr.tobytes()  # bit-exact, -0.0 included
+
+
+def test_load_params_reads_every_token_as_float_does(tmp_path):
+    # A token is a value if float reads it: 1_000 is, nan(1) is not, and a
+    # blank value line holds no values.
+    path = tmp_path / "ckpt.txt"
+    path.write_text("param w1 2 1 2\n1_000 -0.0\nparam b1 1 2\n2 3\nparam w2 2 2 1\n5e-324 1e300\n"
+                    "param b2 1 1\nnan\n", encoding="utf-8")
+    params = load_params(path)
+    assert params.w1.tobytes() == np.array([[1000.0, -0.0]]).tobytes()
+    assert params.w2.tobytes() == np.array([[5e-324], [1e300]]).tobytes()
+    assert np.isnan(params.b2).all()
+    for line, message in (("nan(1)", "could not convert string to float: 'nan(1)'"),
+                          ("  ", "0 values for parameter b2 of shape (1,)")):
+        path.write_text(f"param b2 1 1\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:2: {message}") + "$"):
+            load_params(path)
 
 
 def test_accuracy_basic():
