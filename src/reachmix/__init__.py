@@ -10,12 +10,10 @@ __version__ = "0.1.0"
 
 from reachmix.graphio import Dataset, SplitSpec, generate_sbm, load_dataset, make_split, save_dataset
 from reachmix.graphalg import (
-    CsrGraph,
     MixSelector,
     add_self_loops,
     bfs_distances,
     diameter_and_components,
-    identity_adjacency,
     mix_adjacency,
     sym_normalize,
 )
@@ -29,14 +27,12 @@ __all__ = [
     "save_dataset",
     "generate_sbm",
     "make_split",
-    "CsrGraph",
     "MixSelector",
     "add_self_loops",
     "sym_normalize",
     "bfs_distances",
     "diameter_and_components",
     "mix_adjacency",
-    "identity_adjacency",
     "MixupConfig",
     "TrainConfig",
     "RunResult",

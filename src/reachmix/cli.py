@@ -80,6 +80,18 @@ def _int_at_least(low: int):
     return integer
 
 
+def _positive_float(text: str) -> float:
+    """An argparse ``type`` for finite floats > 0: anything else is a usage
+    error (exit 2) that names the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not (np.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _git_describe() -> str | None:
     """The checkout the running package comes from, whatever the caller's
     working directory; None outside a git checkout."""
@@ -473,8 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of backprop")
-    p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--threshold", type=float, default=1e-5)
+    p.add_argument("--eps", type=_positive_float, default=1e-5)
+    p.add_argument("--threshold", type=_positive_float, default=1e-5)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -18,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
-from reachmix.graphalg import CsrGraph, bfs_distances, diameter_and_components, structural_degrees
+from reachmix.graphalg import bfs_distances, diameter_and_components, structural_degrees
 from reachmix.mixup import TrainInputs
 from reachmix.nn import ModelParams, gcn_forward, softmax
 
@@ -50,7 +51,7 @@ class DegreeSPReport:
     node_avg_sp: np.ndarray  # per unlabeled node, ascending id
 
 
-def _labeled_distances(g: CsrGraph, labeled_ids) -> tuple[int, np.ndarray, np.ndarray]:
+def _labeled_distances(g: csr_array, labeled_ids) -> tuple[int, np.ndarray, np.ndarray]:
     """(diameter, unlabeled ids ascending, (|labeled|, |unlabeled|) hop
     distances) with unreachable pairs counted as the diameter; labeled rows
     in ascending id order.
@@ -63,7 +64,7 @@ def _labeled_distances(g: CsrGraph, labeled_ids) -> tuple[int, np.ndarray, np.nd
         raise ValueError("labeled set must be non-empty")
     diameter, _ = diameter_and_components(g)
     dists = bfs_distances(g, labeled_ids)
-    mask = np.ones(g.num_nodes, dtype=bool)
+    mask = np.ones(g.shape[0], dtype=bool)
     mask[labeled_ids] = False
     unlabeled = np.flatnonzero(mask)
     if unlabeled.size == 0:
@@ -72,7 +73,7 @@ def _labeled_distances(g: CsrGraph, labeled_ids) -> tuple[int, np.ndarray, np.nd
     return diameter, unlabeled, np.where(np.isfinite(dists), dists, float(diameter))
 
 
-def reaching_coefficient(g: CsrGraph, labeled_ids) -> RCReport:
+def reaching_coefficient(g: csr_array, labeled_ids) -> RCReport:
     """RC per unlabeled node (see module docstring)."""
     diameter, unlabeled, d = _labeled_distances(g, labeled_ids)
     if diameter < 2:
@@ -162,7 +163,7 @@ def cka_by_bucket(
     return CKAReport(values, sizes, sample_seed)
 
 
-def avg_sp_by_degree(g: CsrGraph, labeled_ids) -> DegreeSPReport:
+def avg_sp_by_degree(g: csr_array, labeled_ids) -> DegreeSPReport:
     """Mean distance to the labeled set, grouped by structural degree.
 
     Per unlabeled node: the mean BFS distance to every labeled node, with

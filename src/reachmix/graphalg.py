@@ -2,11 +2,16 @@
 normalization, hop distances, diameter, and the pairwise adjacency-mixing
 operator.
 
-All graphs are symmetric weighted CSR. Functions are pure: they never mutate
-their inputs and always return new graphs. Every hop distance comes from one
-kernel, ``bfs_distances``: a bit-parallel BFS that runs 64 sources per pass
-over the edges (MS-BFS, Then et al., VLDB 2014). The exact diameter runs it
-on blocks of 64 nodes chosen by eccentricity bounds.
+A graph is a plain ``scipy.sparse.csr_array``: square, symmetric, weights
+finite and > 0, column indices sorted and distinct within each row
+(canonical form), with read-only ``indptr``, ``indices`` and ``data``.
+``from_edges``, ``add_self_loops``, ``sym_normalize`` and ``mix_adjacency``
+return graphs in that form; ``validate`` checks all of it. No function
+mutates its input, and ``add_self_loops`` returns it when no self-loop is
+missing. Every hop distance comes from one kernel, ``bfs_distances``: a
+bit-parallel BFS that runs 64 sources per pass over the edges (MS-BFS, Then
+et al., VLDB 2014). The exact diameter runs it on blocks of 64 nodes chosen
+by eccentricity bounds.
 """
 
 from __future__ import annotations
@@ -18,122 +23,82 @@ from scipy.sparse import coo_array, csr_array
 from scipy.sparse import csgraph
 
 
-@dataclass(frozen=True)
-class CsrGraph:
-    """Symmetric sparse adjacency: a read-only ``scipy.sparse.csr_array``.
-
-    Invariants: column indices sorted within each row without duplicates,
-    weights strictly positive, and entry (i, j) present iff (j, i) is present
-    with the same weight. The constructor sorts the indices; ``validate``
-    checks the rest.
-    """
-
-    matrix: csr_array
-
-    def __post_init__(self):
-        m = self.matrix
-        if not m.has_canonical_format:
-            m = m.copy()
-            m.sum_duplicates()  # sorts indices; the operators never produce duplicates
-            object.__setattr__(self, "matrix", m)
-        for arr in (m.indptr, m.indices, m.data):
-            arr.setflags(write=False)
-
-    @property
-    def num_nodes(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def nnz(self) -> int:
-        return self.matrix.nnz
-
-    @property
-    def indptr(self) -> np.ndarray:
-        return self.matrix.indptr
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self.matrix.indices
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.matrix.data
-
-    def row_ids(self) -> np.ndarray:
-        """Row index of every stored entry (COO expansion of indptr)."""
-        return np.repeat(np.arange(self.num_nodes, dtype=np.int64), np.diff(self.indptr))
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def validate(self) -> None:
-        """Full invariant check; O(nnz). Used by constructors and tests."""
-        m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ValueError("graph must be a square matrix with at least one node")
-        m.check_format(full_check=True)
-        if np.any(self.weights <= 0) or not np.all(np.isfinite(self.weights)):
-            raise ValueError("weights must be finite and > 0")
-        rows = self.row_ids()
-        if np.any((rows[1:] == rows[:-1]) & (self.indices[1:] <= self.indices[:-1])):
-            raise ValueError("columns must be sorted and distinct within each row")
-        if (m != m.T).nnz:
-            raise ValueError("graph is not symmetric")
+def _frozen(m: csr_array) -> csr_array:
+    """``m`` in the form of every graph the package returns: canonical
+    (sorted on a copy) and read-only."""
+    if not m.has_canonical_format:
+        m = m.copy()  # m may share its arrays with an input graph
+        m.sum_duplicates()  # sorts indices; the operators never produce duplicates
+    for arr in (m.indptr, m.indices, m.data):
+        arr.setflags(write=False)
+    return m
 
 
-def from_edges(num_nodes: int, edges: np.ndarray) -> CsrGraph:
+def _row_ids(g: csr_array) -> np.ndarray:
+    """Row index of every stored entry (COO expansion of indptr)."""
+    return np.repeat(np.arange(g.shape[0], dtype=np.int64), np.diff(g.indptr))
+
+
+def validate(g: csr_array) -> None:
+    """Full invariant check; O(nnz). Used by ``from_edges`` and tests."""
+    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 1:
+        raise ValueError("graph must be a square matrix with at least one node")
+    g.check_format(full_check=True)
+    if np.any(g.data <= 0) or not np.all(np.isfinite(g.data)):
+        raise ValueError("weights must be finite and > 0")
+    rows = _row_ids(g)
+    if np.any((rows[1:] == rows[:-1]) & (g.indices[1:] <= g.indices[:-1])):
+        raise ValueError("columns must be sorted and distinct within each row")
+    if (g != g.T).nnz:
+        raise ValueError("graph is not symmetric")
+
+
+def from_edges(num_nodes: int, edges: np.ndarray) -> csr_array:
     """Unweighted symmetric CSR from a canonical (E, 2) undirected edge list."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    g = CsrGraph(coo_array((np.ones(rows.size), (rows, cols)), shape=(num_nodes, num_nodes)).tocsr())
-    g.validate()
+    g = _frozen(coo_array((np.ones(rows.size), (rows, cols)), shape=(num_nodes, num_nodes)).tocsr())
+    validate(g)
     return g
 
 
-def matmul_dense(g: CsrGraph, x: np.ndarray) -> np.ndarray:
+def matmul_dense(g: csr_array, x: np.ndarray) -> np.ndarray:
     """Sparse-dense product g @ x (row-major accumulation, deterministic)."""
-    return g.matrix @ np.asarray(x, dtype=np.float64)
+    return g @ np.asarray(x, dtype=np.float64)
 
 
-def identity_adjacency(n: int) -> CsrGraph:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    idx = np.arange(n)
-    return CsrGraph(csr_array((np.ones(n), idx, np.arange(n + 1)), shape=(n, n)))
-
-
-def add_self_loops(g: CsrGraph) -> CsrGraph:
+def add_self_loops(g: csr_array) -> csr_array:
     """Ensure every node has a self-edge; missing diagonals get weight 1.
 
     Existing diagonal entries are kept as they are, so the operation is
     idempotent.
     """
-    missing = np.flatnonzero(g.matrix.diagonal() == 0)
+    missing = np.flatnonzero(g.diagonal() == 0)
     if missing.size == 0:
         return g
-    loops = coo_array((np.ones(missing.size), (missing, missing)), shape=g.matrix.shape)
-    return CsrGraph((g.matrix + loops).tocsr())
+    loops = coo_array((np.ones(missing.size), (missing, missing)), shape=g.shape)
+    return _frozen((g + loops).tocsr())
 
 
-def sym_normalize(g: CsrGraph) -> CsrGraph:
+def sym_normalize(g: csr_array) -> csr_array:
     """Return D^{-1/2} A D^{-1/2} with weighted degrees.
 
     The per-entry scale is computed as s_i * s_j before multiplying the
     weight, which keeps the result exactly symmetric entry-for-entry.
     """
-    deg = np.ravel(g.matrix.sum(axis=1))
+    deg = np.ravel(g.sum(axis=1))
     if np.any(deg <= 0):
         bad = int(np.nonzero(deg <= 0)[0][0])
         raise ValueError(f"node {bad} has non-positive weighted degree; add self-loops first")
     s = 1.0 / np.sqrt(deg)
-    scale = s[g.row_ids()] * s[g.indices]
-    return CsrGraph(csr_array((g.weights * scale, g.indices, g.indptr), shape=g.matrix.shape))
+    scale = s[_row_ids(g)] * s[g.indices]
+    return _frozen(csr_array((g.data * scale, g.indices, g.indptr), shape=g.shape))
 
 
-def structural_degrees(g: CsrGraph) -> np.ndarray:
+def structural_degrees(g: csr_array) -> np.ndarray:
     """Per-node neighbor count, self-loops excluded."""
-    return (np.diff(g.indptr) - (g.matrix.diagonal() != 0)).astype(np.int64)
+    return (np.diff(g.indptr) - (g.diagonal() != 0)).astype(np.int64)
 
 
 # Little-endian words, so byte b of a word holds the bits of sources 8b..8b+7.
@@ -146,7 +111,7 @@ def _bits(words: np.ndarray) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), bitorder="little").reshape(words.size, _BLOCK)
 
 
-def _block_distances(g: CsrGraph, rows: np.ndarray, starts: np.ndarray, block: np.ndarray) -> np.ndarray:
+def _block_distances(g: csr_array, rows: np.ndarray, starts: np.ndarray, block: np.ndarray) -> np.ndarray:
     """(len(block), N) hop distances from up to 64 distinct sources at once.
 
     Bit j of a node's word stands for source block[j]. One level ORs the
@@ -158,7 +123,7 @@ def _block_distances(g: CsrGraph, rows: np.ndarray, starts: np.ndarray, block: n
     pairs is incremented at once, bit plane by bit plane. Planes are added as
     the counts grow, so no path length overflows a fixed-width counter.
     """
-    n, k = g.num_nodes, block.size
+    n, k = g.shape[0], block.size
     seen = np.zeros(n, _WORD)
     seen[block] = np.left_shift(1, np.arange(k, dtype=_WORD))
     frontier = seen.copy()
@@ -182,7 +147,7 @@ def _block_distances(g: CsrGraph, rows: np.ndarray, starts: np.ndarray, block: n
     return np.where(_bits(seen).T[:k], levels.T[:k], np.inf)
 
 
-def bfs_distances(g: CsrGraph, sources) -> np.ndarray:
+def bfs_distances(g: csr_array, sources) -> np.ndarray:
     """(|distinct sources|, N) unweighted hop distances, one row per distinct
     source in ascending order; ``np.inf`` where a node is unreachable.
 
@@ -194,7 +159,7 @@ def bfs_distances(g: CsrGraph, sources) -> np.ndarray:
     sources = np.unique(np.asarray(sources, dtype=np.int64))
     if sources.size == 0:
         raise ValueError("sources must be non-empty")
-    if sources[0] < 0 or sources[-1] >= g.num_nodes:
+    if sources[0] < 0 or sources[-1] >= g.shape[0]:
         raise ValueError("source id out of range")
     rows = np.flatnonzero(np.diff(g.indptr))  # reduceat needs non-empty segments
     starts = g.indptr[rows]
@@ -205,13 +170,13 @@ def bfs_distances(g: CsrGraph, sources) -> np.ndarray:
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
-def connected_components(g: CsrGraph) -> np.ndarray:
+def connected_components(g: csr_array) -> np.ndarray:
     """Component id per node; ids are assigned in order of smallest member."""
-    _, comp = csgraph.connected_components(g.matrix, directed=False)
+    _, comp = csgraph.connected_components(g, directed=False)
     return comp.astype(np.int64)
 
 
-def _exact_diameter(g: CsrGraph, comp: np.ndarray) -> int:
+def _exact_diameter(g: csr_array, comp: np.ndarray) -> int:
     """Max eccentricity over all components, from eccentricity bounds.
 
     A node's eccentricity is at most its component's size - 1, which settles
@@ -233,8 +198,8 @@ def _exact_diameter(g: CsrGraph, comp: np.ndarray) -> int:
     e + d(v, w) >= d(v, f) + d(v, w) >= ecc(w): a bound can only settle a
     node whose eccentricity does not exceed the answer.
     """
-    open_ids = np.arange(g.num_nodes)
-    lower = np.zeros(g.num_nodes)
+    open_ids = np.arange(g.shape[0])
+    lower = np.zeros(g.shape[0])
     upper = (np.bincount(comp)[comp] - 1).astype(np.float64)
     best = 0.0
     while True:
@@ -255,7 +220,7 @@ def _exact_diameter(g: CsrGraph, comp: np.ndarray) -> int:
         best = max(best, lower.max())
 
 
-def diameter_and_components(g: CsrGraph) -> tuple[int, np.ndarray]:
+def diameter_and_components(g: csr_array) -> tuple[int, np.ndarray]:
     """Exact diameter (max eccentricity over components) and component ids.
 
     The ids come from ``connected_components``; the diameter from
@@ -319,7 +284,7 @@ class MixSelector:
         return coo_array((vals, (rows, cols)), shape=(len(self), self.num_nodes)).tocsr()
 
 
-def mix_adjacency(a: CsrGraph, s: csr_array) -> CsrGraph:
+def mix_adjacency(a: csr_array, s: csr_array) -> csr_array:
     """S A S^T for a selector matrix ``s`` (``MixSelector.matrix``), averaged
     with its transpose.
 
@@ -328,5 +293,5 @@ def mix_adjacency(a: CsrGraph, s: csr_array) -> CsrGraph:
     (with the self-loops to mix) the average is exactly symmetric, as float
     addition commutes; sparse products store no zeros, so weights stay > 0.
     """
-    m = s @ a.matrix @ s.T
-    return CsrGraph((m + m.T) * 0.5)
+    m = s @ a @ s.T
+    return _frozen((m + m.T) * 0.5)  # scipy leaves the sum's indices unsorted

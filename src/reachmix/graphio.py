@@ -522,8 +522,8 @@ def generate_sbm(
         raise ValueError("counts must be >= 1")
     if feature_dim < num_classes:
         raise ValueError("feature_dim must be >= num_classes to embed class centroids")
-    if feature_noise < 0:
-        raise ValueError("feature_noise must be >= 0")
+    if not (np.isfinite(feature_noise) and feature_noise >= 0):
+        raise ValueError("feature_noise must be finite and >= 0")
 
     rng = np.random.default_rng(seed)
     n = nodes_per_class

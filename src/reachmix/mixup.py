@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.sparse import csr_array
 
-from reachmix.graphalg import CsrGraph, MixSelector, mix_adjacency, sym_normalize
+from reachmix.graphalg import MixSelector, mix_adjacency, sym_normalize
 from reachmix.graphio import SplitSpec
 from reachmix.nn import (
     ModelParams,
@@ -137,8 +137,8 @@ class TrainInputs:
     features: csr_array
     y_hot: np.ndarray  # (N, C)
     labeled_weights: np.ndarray  # (N,): 1 on labeled rows, 0 elsewhere
-    adjacency: CsrGraph  # A + I, unnormalized
-    a_norm: CsrGraph  # D^-1/2 (A + I) D^-1/2
+    adjacency: csr_array  # A + I, unnormalized; a graphalg graph (canonical, read-only)
+    a_norm: csr_array  # D^-1/2 (A + I) D^-1/2, likewise
     degrees: np.ndarray  # (N,) structural degrees, self-loops excluded
 
 
@@ -180,7 +180,7 @@ class NLDTable:
     ybar: np.ndarray  # (N, C) one-hot: true labels for labeled, predictions elsewhere
 
 
-def compute_nld(a: CsrGraph, ybar: np.ndarray) -> NLDTable:
+def compute_nld(a: csr_array, ybar: np.ndarray) -> NLDTable:
     """Mean of neighbor label rows, with the neighbor set read directly off ``a``.
 
     ``a`` carries self-loops (``TrainInputs.adjacency``), so a node's own
@@ -189,11 +189,11 @@ def compute_nld(a: CsrGraph, ybar: np.ndarray) -> NLDTable:
     neighbor.
     """
     ybar = np.asarray(ybar, dtype=np.float64)
-    if ybar.shape[0] != a.num_nodes:
+    if ybar.shape[0] != a.shape[0]:
         raise ValueError("ybar must have one row per node")
     if np.any((ybar != 0.0) & (ybar != 1.0)) or np.any(ybar.sum(axis=1) != 1.0):
         raise ValueError("ybar rows must be one-hot")
-    neighbors = csr_array((np.ones(a.nnz), a.indices, a.indptr), shape=a.matrix.shape)
+    neighbors = csr_array((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
     sums = neighbors @ ybar  # sums of 0/1 values: exact in any order
     return NLDTable(sums / np.diff(a.indptr)[:, None], ybar)
 
@@ -330,7 +330,7 @@ class MixupBatches:
 
     intra_features: csr_array | None
     intra_targets: np.ndarray | None  # (N, C)
-    adjacency_mixed_norm: CsrGraph | None
+    adjacency_mixed_norm: csr_array | None  # normalized S A S^T, canonical and read-only
     inter_features: csr_array
     inter_targets: np.ndarray
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_array, issparse
 
-from reachmix.graphalg import CsrGraph, matmul_dense
+from reachmix.graphalg import matmul_dense
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2")
 
@@ -119,7 +119,7 @@ class ForwardTrace:
     x_in: csr_array  # input after dropout
     pre1: np.ndarray  # first-layer pre-activation (after propagation)
     hidden: np.ndarray  # post-ReLU, post-dropout hidden
-    adjacency: CsrGraph | None  # None for the MLP path
+    adjacency: csr_array | None  # the normalized graph the pass propagated over; None for the MLP path
     w2: np.ndarray
     mask1: np.ndarray | None  # inverted-dropout scale per stored input entry
     mask2: np.ndarray | None  # ... and per hidden unit; None when not applied
@@ -171,7 +171,7 @@ def _forward(x, adjacency, params, dropout_rate, train, rng):
     x = as_csr(x)
     if x.ndim != 2 or x.shape[1] != params.w1.shape[0]:
         raise ValueError(f"input shape {x.shape} does not match w1 {params.w1.shape}")
-    if adjacency is not None and adjacency.num_nodes != x.shape[0]:
+    if adjacency is not None and adjacency.shape[0] != x.shape[0]:
         raise ValueError("adjacency size does not match feature rows")
     if not (0.0 <= dropout_rate < 1.0):
         raise ValueError("dropout_rate must be in [0, 1)")
@@ -188,7 +188,7 @@ def _forward(x, adjacency, params, dropout_rate, train, rng):
     return logits, trace
 
 
-def gcn_forward(x, a_hat: CsrGraph, params: ModelParams, dropout_rate=0.0, train=False, rng=None):
+def gcn_forward(x, a_hat: csr_array, params: ModelParams, dropout_rate=0.0, train=False, rng=None):
     """logits = A_hat . drop(ReLU(A_hat . drop(X) W1 + b1)) W2 + b2.
 
     ``x`` is CSR or dense (converted to CSR); ``a_hat`` is the normalized

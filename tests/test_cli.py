@@ -62,6 +62,16 @@ def test_synth_missing_out_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("noise", ["nan", "inf"])
+def test_synth_non_finite_noise_is_error_before_out(tmp_path, capsys, noise):
+    out = tmp_path / "d"
+    argv = synth_args(out)
+    argv[argv.index("--noise") + 1] = noise
+    assert run_cli(argv) == 1
+    assert "feature_noise must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_deterministic_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     run_cli(synth_args(a))
@@ -331,6 +341,17 @@ def test_gradcheck_larger_eps_still_bounded(capsys):
     assert run_cli(["gradcheck", "--eps", "1e-3", "--threshold", "1e-4"]) == 0
     printed = capsys.readouterr().out
     assert printed.startswith("PASS")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--eps", "0"), ("--eps", "-1"), ("--eps", "nan"), ("--eps", "inf"),
+    ("--threshold", "0"), ("--threshold", "nan"), ("--threshold", "x"),
+], ids=["eps-0", "eps-negative", "eps-nan", "eps-inf", "threshold-0", "threshold-nan", "threshold-not-a-number"])
+def test_gradcheck_usage_errors(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["gradcheck", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be a finite number > 0, got '{value}'" in capsys.readouterr().err
 
 
 def test_gradcheck_deterministic(capsys):

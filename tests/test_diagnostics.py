@@ -65,7 +65,7 @@ def test_rc_values_in_unit_interval_and_match_brute_force(rng):
         except ValueError:
             continue  # diameter < 2
         assert np.all(report.rc >= 0.0) and np.all(report.rc <= 1.0)
-        dense = g.to_dense()
+        dense = g.toarray()
         diameter = report.diameter
         for pos, i in enumerate(report.node_ids):
             terms = []

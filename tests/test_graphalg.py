@@ -4,32 +4,31 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csgraph
+from scipy.sparse import csgraph, csr_array
 
 from conftest import dense_bfs, dense_mix, random_graph_edges
 from reachmix import graphalg
 from reachmix.graphalg import (
-    CsrGraph,
     MixSelector,
     add_self_loops,
     bfs_distances,
     connected_components,
     diameter_and_components,
     from_edges,
-    identity_adjacency,
     matmul_dense,
     mix_adjacency,
     structural_degrees,
     sym_normalize,
+    validate,
 )
 
 
-def graph_equal(a: CsrGraph, b: CsrGraph) -> bool:
+def graph_equal(a: csr_array, b: csr_array) -> bool:
     return (
-        a.num_nodes == b.num_nodes
+        a.shape == b.shape
         and np.array_equal(a.indptr, b.indptr)
         and np.array_equal(a.indices, b.indices)
-        and np.array_equal(a.weights, b.weights)
+        and np.array_equal(a.data, b.data)
     )
 
 
@@ -37,7 +36,7 @@ def test_add_self_loops_on_empty_graph():
     g = from_edges(2, np.zeros((0, 2), dtype=np.int64))
     looped = add_self_loops(g)
     assert looped.nnz == 2
-    np.testing.assert_array_equal(looped.to_dense(), np.eye(2))
+    np.testing.assert_array_equal(looped.toarray(), np.eye(2))
 
 
 def test_add_self_loops_idempotent():
@@ -48,27 +47,27 @@ def test_add_self_loops_idempotent():
 
 def test_add_self_loops_path():
     g = add_self_loops(from_edges(2, np.array([[0, 1]])))
-    np.testing.assert_array_equal(g.to_dense(), [[1, 1], [1, 1]])
+    np.testing.assert_array_equal(g.toarray(), [[1, 1], [1, 1]])
 
 
 def test_sym_normalize_single_node():
     g = add_self_loops(from_edges(1, np.zeros((0, 2), dtype=np.int64)))
     norm = sym_normalize(g)
-    assert norm.weights[0] == 1.0
+    assert norm.data[0] == 1.0
 
 
 def test_sym_normalize_two_nodes_all_half():
     # Degrees are 2 after self-loops: every entry becomes 1/sqrt(2)/sqrt(2).
     g = add_self_loops(from_edges(2, np.array([[0, 1]])))
     norm = sym_normalize(g)
-    np.testing.assert_allclose(norm.to_dense(), 0.5 * np.ones((2, 2)), atol=1e-15)
+    np.testing.assert_allclose(norm.toarray(), 0.5 * np.ones((2, 2)), atol=1e-15)
 
 
 def test_sym_normalize_regular_graph_row_sums_one():
     # 4-cycle plus self-loops: every node has weighted degree 3.
     g = add_self_loops(from_edges(4, np.array([[0, 1], [1, 2], [2, 3], [0, 3]])))
     norm = sym_normalize(g)
-    np.testing.assert_allclose(norm.to_dense().sum(axis=1), np.ones(4), atol=1e-12)
+    np.testing.assert_allclose(norm.toarray().sum(axis=1), np.ones(4), atol=1e-12)
 
 
 def test_sym_normalize_requires_positive_degree():
@@ -84,7 +83,7 @@ def test_sym_normalize_exactly_symmetric(rng):
         if edges.size == 0:
             continue
         g = add_self_loops(from_edges(n, edges))
-        sym_normalize(g).validate()  # compares A with A^T entry by entry
+        validate(sym_normalize(g))  # compares A with A^T entry by entry
 
 
 def test_bfs_source_distance_zero():
@@ -120,7 +119,7 @@ def test_bfs_matches_dense_oracle_and_triangle_inequality(rng):
         n = int(rng.integers(3, 16))
         edges = random_graph_edges(rng, n)
         g = from_edges(n, edges)
-        dense = g.to_dense()
+        dense = g.toarray()
         dist = {u: bfs_distances(g, [u])[0] for u in range(n)}
         for u in range(n):
             np.testing.assert_array_equal(dist[u], dense_bfs(dense, [u]))
@@ -141,7 +140,7 @@ def sparse_graph(rng, n, mean_degree, isolated_ends=False):
 
 
 def scipy_hops(g, sources):
-    return csgraph.shortest_path(g.matrix, unweighted=True, indices=np.unique(sources))
+    return csgraph.shortest_path(g, unweighted=True, indices=np.unique(sources))
 
 
 @pytest.mark.parametrize("num_sources", [1, 63, 64, 65, 130])
@@ -151,15 +150,15 @@ def test_bfs_blocks_match_scipy_and_dense_oracle(rng, num_sources):
     # CSR rows store nothing.
     g = sparse_graph(rng, 200, 2.5, isolated_ends=True)
     assert np.diff(g.indptr)[[0, -1]].tolist() == [0, 0]
-    sources = np.sort(rng.choice(g.num_nodes, num_sources, replace=False))
+    sources = np.sort(rng.choice(g.shape[0], num_sources, replace=False))
     sources[0] = 0
     d = bfs_distances(g, sources)
-    assert d.shape == (num_sources, g.num_nodes)
+    assert d.shape == (num_sources, g.shape[0])
     np.testing.assert_array_equal(d, scipy_hops(g, sources))
-    dense = g.to_dense()
+    dense = g.toarray()
     for row in {0, 62, 63, 64, 65, 127, 128, num_sources - 1} & set(range(num_sources)):
         np.testing.assert_array_equal(d[row], dense_bfs(dense, [sources[row]]))
-    np.testing.assert_array_equal(d[0], np.where(np.arange(g.num_nodes) == 0, 0.0, np.inf))
+    np.testing.assert_array_equal(d[0], np.where(np.arange(g.shape[0]) == 0, 0.0, np.inf))
 
 
 def test_bfs_duplicate_and_unsorted_sources_give_one_ascending_row_each(rng):
@@ -254,9 +253,9 @@ def test_diameter_matches_brute_force(rng):
     graphs.append(from_edges(5, GADGET_EDGES))
     for g in graphs:
         diameter, _ = diameter_and_components(g)
-        dense = g.to_dense()
+        dense = g.toarray()
         best = 0
-        for u in range(g.num_nodes):
+        for u in range(g.shape[0]):
             d = dense_bfs(dense, [u])
             finite = d[np.isfinite(d)]
             best = max(best, int(finite.max()))
@@ -291,7 +290,7 @@ def test_diameter_over_many_blocks_matches_all_pairs(monkeypatch):
         calls_before = len(block_sizes)
         diameter, comp = diameter_and_components(g)
         rounds.append(len(block_sizes) - calls_before)
-        full = csgraph.shortest_path(g.matrix, unweighted=True)
+        full = csgraph.shortest_path(g, unweighted=True)
         assert np.unique(comp).size > 1
         assert diameter == int(full[np.isfinite(full)].max())
     assert max(rounds) > 1  # more than one block of sources ran
@@ -321,20 +320,13 @@ def test_bfs_distance_zero_iff_source(rng):
     assert [np.flatnonzero(row == 0.0).tolist() for row in d] == [[1], [3]]
 
 
-def test_identity_adjacency():
-    one = identity_adjacency(1)
-    assert one.nnz == 1 and one.weights[0] == 1.0
-    three = identity_adjacency(3)
-    np.testing.assert_array_equal(three.to_dense(), np.eye(3))
-
-
 def test_matmul_dense_matches_numpy(rng):
     for _ in range(10):
         n = int(rng.integers(2, 12))
         edges = random_graph_edges(rng, n)
         g = add_self_loops(from_edges(n, edges))
         x = rng.standard_normal((n, 5))
-        np.testing.assert_allclose(matmul_dense(g, x), g.to_dense() @ x, atol=1e-12)
+        np.testing.assert_allclose(matmul_dense(g, x), g.toarray() @ x, atol=1e-12)
 
 
 def test_structural_degrees_exclude_self_loops():
@@ -371,15 +363,15 @@ def test_mix_selector_pair_rows_are_the_target_rows_of_matrix(rng):
 def test_mix_adjacency_empty_selector_is_input():
     g = add_self_loops(from_edges(3, np.array([[0, 1], [1, 2]])))
     sel = MixSelector(3, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
-    np.testing.assert_array_equal(mix_adjacency(g, sel.matrix()).to_dense(), g.to_dense())
+    np.testing.assert_array_equal(mix_adjacency(g, sel.matrix()).toarray(), g.toarray())
 
 
 def test_mix_adjacency_lambda_one_is_identity_transform():
     g = add_self_loops(from_edges(4, np.array([[0, 1], [1, 2], [2, 3]])))
     sel = MixSelector(4, [0, 1], [3, 2], [1.0, 1.0])
     mixed = mix_adjacency(g, sel.matrix())
-    np.testing.assert_array_equal(mixed.to_dense(), g.to_dense())
-    mixed.validate()  # the zero-weight partner terms leave no stored zeros
+    np.testing.assert_array_equal(mixed.toarray(), g.toarray())
+    validate(mixed)  # the zero-weight partner terms leave no stored zeros
 
 
 def test_mix_adjacency_hand_case_three_node_path():
@@ -387,8 +379,8 @@ def test_mix_adjacency_hand_case_three_node_path():
     g = add_self_loops(from_edges(3, np.array([[0, 1], [1, 2]])))
     sel = MixSelector(3, [0], [2], [0.5])
     mixed = mix_adjacency(g, sel.matrix())
-    expected = dense_mix(g.to_dense(), [0], [2], [0.5])
-    np.testing.assert_allclose(mixed.to_dense(), expected, atol=1e-15)
+    expected = dense_mix(g.toarray(), [0], [2], [0.5])
+    np.testing.assert_allclose(mixed.toarray(), expected, atol=1e-15)
 
 
 def test_mix_adjacency_matches_dense_oracle(rng):
@@ -405,15 +397,15 @@ def test_mix_adjacency_matches_dense_oracle(rng):
             continue
         lams = rng.random(k)
         mixed = mix_adjacency(g, MixSelector(n, targets, partners, lams).matrix())
-        expected = dense_mix(g.to_dense(), targets, partners, lams)
-        np.testing.assert_allclose(mixed.to_dense(), expected, atol=1e-12)
-        mixed.validate()  # compares A with A^T entry by entry
+        expected = dense_mix(g.toarray(), targets, partners, lams)
+        np.testing.assert_allclose(mixed.toarray(), expected, atol=1e-12)
+        validate(mixed)  # compares A with A^T entry by entry
 
 
 def test_mix_adjacency_rejects_out_of_range():
     g = add_self_loops(from_edges(3, np.array([[0, 1], [1, 2]])))
     with pytest.raises(ValueError, match="outside"):
-        mix_adjacency(g, MixSelector(g.num_nodes, [0], [5], [0.5]).matrix())
+        mix_adjacency(g, MixSelector(g.shape[0], [0], [5], [0.5]).matrix())
 
 
 @settings(max_examples=50, deadline=None)
@@ -421,4 +413,45 @@ def test_mix_adjacency_rejects_out_of_range():
 def test_from_edges_always_symmetric(n, seed):
     rng = np.random.default_rng(seed)
     g = from_edges(n, random_graph_edges(rng, n))
-    g.validate()  # includes the exact symmetry check
+    validate(g)  # includes the exact symmetry check
+
+
+PATH3 = np.array([[0, 1], [1, 2]])
+
+
+def path3_mix_selector():
+    """Target 0 mixed with partner 2 on the path 0-1-2: scipy returns the
+    (S A S^T + its transpose) sum of this mix with unsorted indices."""
+    return MixSelector(3, [0], [2], [0.5]).matrix()
+
+
+GRAPH_BUILDERS = {
+    "from_edges": lambda: from_edges(3, PATH3),
+    "add_self_loops": lambda: add_self_loops(from_edges(3, PATH3)),
+    "add_self_loops-unchanged": lambda: add_self_loops(add_self_loops(from_edges(3, PATH3))),
+    "sym_normalize": lambda: sym_normalize(add_self_loops(from_edges(3, PATH3))),
+    "mix_adjacency": lambda: mix_adjacency(add_self_loops(from_edges(3, PATH3)), path3_mix_selector()),
+}
+
+
+@pytest.mark.parametrize("name", GRAPH_BUILDERS)
+def test_operators_return_canonical_read_only_csr(name):
+    g = GRAPH_BUILDERS[name]()
+    assert isinstance(g, csr_array)
+    assert g.has_canonical_format
+    validate(g)  # recomputes the sorted-and-distinct check from the arrays
+    for attr in ("indptr", "indices", "data"):
+        arr = getattr(g, attr)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+
+
+def test_mix_adjacency_case_is_unsorted_before_canonicalisation():
+    # The mix_adjacency case above tests the sort only while scipy's own sum is unsorted.
+    g = add_self_loops(from_edges(3, PATH3))
+    s = path3_mix_selector()
+    m = s @ g @ s.T
+    raw = (m + m.T) * 0.5
+    assert not raw.has_canonical_format
+    np.testing.assert_array_equal(raw.toarray(), mix_adjacency(g, s).toarray())

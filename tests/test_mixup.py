@@ -341,8 +341,8 @@ def test_build_batches_lambda_one_degenerates_to_originals():
     batches = build_batches(inputs, ones)
     np.testing.assert_array_equal(batches.intra_features.toarray(), ds.features)
     np.testing.assert_array_equal(batches.intra_targets, one_hot(ds.labels, 3))
-    np.testing.assert_array_equal(batches.adjacency_mixed_norm.to_dense(),
-                                  sym_normalize(inputs.adjacency).to_dense())
+    np.testing.assert_array_equal(batches.adjacency_mixed_norm.toarray(),
+                                  sym_normalize(inputs.adjacency).toarray())
 
 
 def test_build_batches_identical_rows_fixed_point():
@@ -374,9 +374,9 @@ def test_build_batches_single_pair_matches_dense_oracle():
     )
     batches = build_batches(build_operators(ds), pairs)
     np.testing.assert_allclose(batches.intra_features.toarray()[0], [2.5, 1.0], atol=1e-15)
-    expected = dense_mix(a_loops.to_dense(), [0], [2], [0.5])
+    expected = dense_mix(a_loops.toarray(), [0], [2], [0.5])
     d = expected.sum(axis=1) ** -0.5
-    np.testing.assert_allclose(batches.adjacency_mixed_norm.to_dense(), d[:, None] * expected * d, atol=1e-12)
+    np.testing.assert_allclose(batches.adjacency_mixed_norm.toarray(), d[:, None] * expected * d, atol=1e-12)
 
 
 @pytest.mark.parametrize("empty", [None, "intra", "inter"])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
 from reachmix import nn
-from reachmix.graphalg import add_self_loops, from_edges, identity_adjacency, sym_normalize
+from reachmix.graphalg import add_self_loops, from_edges, sym_normalize
 from reachmix.graphio import generate_sbm
 from reachmix.nn import (
     ModelParams,
@@ -43,8 +43,11 @@ def test_gcn_identity_equals_mlp_bitwise(rng):
     x = sparse_features(rng)
     params = small_params(np.random.default_rng(0))
     dlogits = rng.standard_normal((9, 3))
+    # An edgeless graph through the training pipeline: weight exactly 1.0 on the diagonal.
+    identity = sym_normalize(add_self_loops(from_edges(9, np.zeros((0, 2), dtype=np.int64))))
+    assert np.array_equal(identity.toarray(), np.eye(9))
     for train in (False, True):
-        gcn_logits, gcn_trace = gcn_forward(x, identity_adjacency(9), params, 0.5, train, np.random.default_rng(1))
+        gcn_logits, gcn_trace = gcn_forward(x, identity, params, 0.5, train, np.random.default_rng(1))
         mlp_logits, mlp_trace = mlp_forward(x, params, 0.5, train, np.random.default_rng(1))
         assert np.array_equal(gcn_logits, mlp_logits)
         gcn_grads, mlp_grads = backward(gcn_trace, dlogits), backward(mlp_trace, dlogits)
