@@ -276,7 +276,7 @@ def cmd_sweep(args) -> int:
     grids = _parse_grid(args.grid)
     trainer.grid_points(cfg, grids)  # every point's config is valid before --out is claimed
     prepare_outdir(args.out, args.force)
-    best_cfg, rows = trainer.grid_search(dataset, cfg, grids, jobs=args.jobs)
+    best_cfg, rows = trainer.grid_search(dataset, cfg, grids)
     columns = list(grids) + ["mean_val_acc", "std_val_acc"]
     ranked = sorted(rows, key=lambda r: -r["mean_val_acc"])
     write_tsv(os.path.join(args.out, "sweep.tsv"), columns, [[row[k] for k in columns] for row in ranked])
@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--seeds", default=None, help="e.g. 0..9 or 0,2,5")
     p.add_argument("--mixup", choices=("on", "off"), default=None, help="override config mixup_enabled")
-    p.add_argument("--max-epochs", type=int, default=None)
+    p.add_argument("--max-epochs", type=_int_at_least(1), default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_train)
@@ -467,10 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--seeds", default=None)
     p.add_argument("--mixup", choices=("on", "off"), default=None)
-    p.add_argument("--max-epochs", type=int, default=None)
+    p.add_argument("--max-epochs", type=_int_at_least(1), default=None)
     p.add_argument("--grid", action="append", required=True,
                    help="field=v1,v2 (repeatable), e.g. mixup.gamma=0.5,0.7,0.9")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_sweep)

@@ -125,12 +125,11 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 @dataclass(frozen=True)
 class TrainInputs:
     """A dataset in the form every epoch reads it, built once per command by
-    ``trainer.build_operators`` and shared by every seed: labels and split,
+    ``trainer.build_operators`` and shared by every run: labels and split,
     CSR features, one-hot labels, the row weights that restrict the
     supervised loss to labeled nodes, and the graph as the refresh (A + I,
     degrees) and the forward pass (A_hat) read it. N, F and C are read off
-    the arrays; no dense feature table is kept, so a sweep worker receives
-    little. The arrays are read-only."""
+    the arrays; no dense feature table is kept. The arrays are read-only."""
 
     labels: np.ndarray  # (N,) int64
     split: SplitSpec

@@ -5,7 +5,7 @@ Reproducibility contract: a run is fully determined by (dataset, config,
 seed). Every random decision draws from a named substream of the master seed
 (see seeding.py), each branch of the objective has its own dropout stream,
 and all reductions are sequential, so repeated runs are bitwise identical.
-Each seed trains with BLAS held to one thread (``nn.one_blas_thread``), so
+Each run trains with BLAS held to one thread (``nn.one_blas_thread``), so
 its bytes do not depend on the machine's core count either.
 """
 
@@ -15,8 +15,9 @@ import itertools
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -247,32 +248,36 @@ def train_one(
     return TrainOutcome(best_params, history, best_val, best_epoch, test_acc)
 
 
-def train_multi(dataset: Dataset, cfg: TrainConfig) -> RunResult:
-    """Independent run per seed, all on one ``build_operators``; aggregates
-    test accuracy as mean / std / sem.
+def _run_all(runs: list) -> list:
+    """Call every run (a function of no arguments); results come back in run order.
 
-    The seeds train concurrently on min(seeds, usable cores) threads while
-    BLAS is held to one thread (``nn.one_blas_thread``). They share only
-    the read-only inputs and each draws from its own substreams, so every
-    outcome is the one a serial run gives. Where BLAS cannot be pinned, the
-    seeds run one after another on one thread. Outcomes come back in seed
-    order; every seed runs to its end, and the first failure in seed order
-    is raised. An interrupt starts no further seed.
+    The runs go on min(runs, usable cores) threads with BLAS held to one
+    thread (``nn.one_blas_thread``), or one after another where BLAS cannot be
+    pinned. Training runs share only read-only inputs and draw from their own
+    substreams, so every result is the one a serial run gives. A failure or an
+    interrupt starts no further run and lets the running ones end. The first
+    failure in run order is raised; runs start in order, so a serial sweep or
+    train would raise the same one.
     """
-    inputs = build_operators(dataset)
     with one_blas_thread() as pinned:
-        workers = min(len(cfg.seeds), _usable_cores()) if pinned else 1
+        workers = min(len(runs), _usable_cores()) if pinned else 1
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(train_one, inputs, cfg, seed) for seed in cfg.seeds]
+            futures = [pool.submit(run) for run in runs]
             try:
-                wait(futures)
-            except BaseException:  # an interrupt: start no further seed, let the running ones end
+                wait(futures, return_when=FIRST_EXCEPTION)
+            finally:
                 pool.shutdown(cancel_futures=True)
-                raise
-    failures = [exc for exc in (f.exception() for f in futures) if exc is not None]
-    if failures:
-        raise failures[0]
-    outcomes = [f.result() for f in futures]
+    for f in futures:
+        if not f.cancelled() and f.exception() is not None:
+            raise f.exception()
+    return [f.result() for f in futures]
+
+
+def train_multi(dataset: Dataset, cfg: TrainConfig) -> RunResult:
+    """One run per seed, all on one ``build_operators``, side by side through
+    ``_run_all``; aggregates test accuracy as mean / std / sem, in seed order."""
+    inputs = build_operators(dataset)
+    outcomes = _run_all([partial(train_one, inputs, cfg, seed) for seed in cfg.seeds])
     accs = np.array([o.test_acc for o in outcomes])
     std = float(accs.std())  # population std (ddof=0)
     best_vals = np.array([o.best_val_acc for o in outcomes])
@@ -298,47 +303,42 @@ def apply_grid_point(cfg: TrainConfig, assignment: dict) -> TrainConfig:
     return TrainConfig.from_dict(blob)
 
 
-def _sweep_point(args):
-    inputs, base_cfg, assignment = args
-    cfg = apply_grid_point(base_cfg, assignment)
-    vals = np.array([train_one(inputs, cfg, seed, eval_test=False).best_val_acc for seed in cfg.seeds])
-    return {
-        **assignment,
-        "mean_val_acc": float(vals.mean()),
-        "std_val_acc": float(vals.std()),
-    }
-
-
-def grid_points(base_cfg: TrainConfig, grids: dict[str, list]) -> list[dict]:
-    """Every assignment of the grid in product order (grids iterate in insertion
-    order); a bad field or value in any point raises ValueError here."""
+def grid_points(base_cfg: TrainConfig, grids: dict[str, list]) -> list[tuple[dict, TrainConfig]]:
+    """Every (assignment, config) of the grid in product order (grids iterate in
+    insertion order); a bad field or value in any point raises ValueError here."""
     if not grids or any(len(v) == 0 for v in grids.values()):
         raise ValueError("grids must be non-empty")
     points = [dict(zip(grids, combo)) for combo in itertools.product(*grids.values())]
-    for point in points:
-        apply_grid_point(base_cfg, point)
-    return points
+    return [(point, apply_grid_point(base_cfg, point)) for point in points]
 
 
-def grid_search(dataset: Dataset, base_cfg: TrainConfig, grids: dict[str, list], jobs: int = 1):
+def _best_val_acc(inputs: TrainInputs, cfg: TrainConfig, seed: int, point: dict) -> float:
+    """One seed of one grid point; a sweep keeps no checkpoint, only this."""
+    try:
+        return train_one(inputs, cfg, seed, eval_test=False).best_val_acc
+    except TrainingDiverged as exc:
+        where = " ".join(f"{name}={value}" for name, value in point.items())
+        raise TrainingDiverged(f"grid point {where}: {exc}") from exc
+
+
+def grid_search(dataset: Dataset, base_cfg: TrainConfig, grids: dict[str, list]):
     """Exhaustive Cartesian sweep; selects by mean validation accuracy.
 
-    ``grids`` maps dotted config fields to candidate values. Ties break to the
-    first point in product order (see ``grid_points``), so the result is
-    deterministic. Model selection never touches test labels; run
-    ``train_multi`` on the returned config for the one test evaluation.
+    ``grids`` maps dotted config fields to candidate values. Each (point, seed)
+    pair is one ``_run_all`` run. Ties break to the first point in product
+    order (see ``grid_points``), so the result is deterministic. Model
+    selection never touches test labels; run ``train_multi`` on the returned
+    config for the one test evaluation.
 
     Returns (best_config, sweep_rows) with one row dict per grid point.
     """
     points = grid_points(base_cfg, grids)
     inputs = build_operators(dataset)
-    work = [(inputs, base_cfg, pt) for pt in points]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_point, work))  # map preserves submission order
-    else:
-        rows = [_sweep_point(w) for w in work]
+    vals = iter(_run_all([partial(_best_val_acc, inputs, cfg, seed, point)
+                          for point, cfg in points for seed in cfg.seeds]))
+    rows = []
+    for point, cfg in points:
+        point_vals = np.array([next(vals) for _ in cfg.seeds])
+        rows.append({**point, "mean_val_acc": float(point_vals.mean()), "std_val_acc": float(point_vals.std())})
     best_idx = max(range(len(rows)), key=lambda i: rows[i]["mean_val_acc"])  # the first of equals
-    best_cfg = apply_grid_point(base_cfg, points[best_idx])
-    return best_cfg, rows
-
+    return points[best_idx][1], rows

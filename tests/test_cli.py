@@ -423,8 +423,10 @@ def test_max_epochs_zero_is_rejected(tmp_path, dataset_dir, monkeypatch, capsys,
     argv = [command, "--data", str(dataset_dir), "--max-epochs", "0", "--out", str(out)]
     if command == "sweep":
         argv += ["--grid", "lr=0.01"]
-    assert run_cli(argv) == 1
-    assert "error: max_epochs must be >= 1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert "argument --max-epochs: must be >= 1, got 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -502,10 +504,9 @@ def test_repeated_seed_exits_one_before_out(tmp_path, dataset_dir, monkeypatch, 
 
 
 @pytest.mark.parametrize("extra, named", [
-    (["--jobs", "0"], "--jobs"),
-    (["--jobs", "-2"], "--jobs"),
+    (["--max-epochs", "-3"], "argument --max-epochs: must be >= 1, got -3"),
     (["--grid", "hidden=8"], "'hidden'"),
-], ids=["jobs-0", "jobs-negative", "grid-field-twice"])
+], ids=["max-epochs-negative", "grid-field-twice"])
 def test_sweep_usage_errors_before_out(tmp_path, dataset_dir, monkeypatch, capsys, extra, named):
     monkeypatch.setattr(cli.trainer, "train_one", never_train)
     out = tmp_path / "sweep"
@@ -591,14 +592,17 @@ def test_data_root_environment_fallback(tmp_path, monkeypatch, capsys):
     assert code == 0
 
 
-def test_sweep_parallel_jobs_match_serial(tmp_path, dataset_dir, quick_config):
+def test_sweep_parallel_jobs_match_serial(tmp_path, dataset_dir, quick_config, monkeypatch):
+    # Two seeds of two points share the cores; with one usable core they run
+    # one after another.
     serial, parallel = tmp_path / "s1", tmp_path / "s2"
     argv = [
         "sweep", "--data", str(dataset_dir), "--config", str(quick_config),
-        "--seeds", "0", "--grid", "hidden=8,16",
+        "--seeds", "0,1", "--grid", "hidden=8,16",
     ]
+    assert run_cli(argv + ["--out", str(parallel)]) == 0
+    monkeypatch.setattr(cli.trainer, "_usable_cores", lambda: 1)
     assert run_cli(argv + ["--out", str(serial)]) == 0
-    assert run_cli(argv + ["--jobs", "2", "--out", str(parallel)]) == 0
     assert read_bytes(serial / "sweep.tsv") == read_bytes(parallel / "sweep.tsv")
     assert read_bytes(serial / "best.json") == read_bytes(parallel / "best.json")
 
@@ -768,6 +772,15 @@ def test_train_divergence_names_seed_and_epoch(tmp_path, dataset_dir):
     # One line: no traceback and no numpy warning. Both seeds diverge; the
     # first in seed order is reported.
     assert re.fullmatch(r"error: seed 1, epoch 0: training diverged \(.+\)\n", proc.stderr), proc.stderr
+
+
+def test_sweep_divergence_names_grid_point(tmp_path, dataset_dir, quick_config):
+    argv = ["sweep", "--data", str(dataset_dir), "--config", str(quick_config), "--seeds", "0",
+            "--max-epochs", "2", "--grid", "lr=0.01,1e200", "--out", str(tmp_path / "s")]
+    proc = run_subprocess(argv)
+    assert proc.returncode == 1
+    assert re.fullmatch(r"error: grid point lr=1e\+200: seed 0, epoch 0: training diverged \(.+\)\n",
+                        proc.stderr), proc.stderr
 
 
 @pytest.mark.skipif(nn.blas_thread_setter() is None or len(os.sched_getaffinity(0)) < 2,

@@ -145,7 +145,9 @@ def test_concurrent_seeds_match_serial_runs_bitwise():
             assert arr.tobytes() == serial.params.as_dict()[name].tobytes(), (seed, name)
 
 
-def test_train_multi_without_a_blas_pin_runs_one_worker(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of every thread pool the trainer opens."""
     sizes = []
 
     class Recording(trainer.ThreadPoolExecutor):
@@ -154,6 +156,10 @@ def test_train_multi_without_a_blas_pin_runs_one_worker(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(trainer, "ThreadPoolExecutor", Recording)
+    return sizes
+
+
+def test_train_multi_without_a_blas_pin_runs_one_worker(monkeypatch, pool_sizes):
     ds, cfg = small_dataset(), quick_cfg(max_epochs=3, patience=3, seeds=(0, 1, 2))
     pinned = train_multi(ds, cfg)
     workers = min(3, trainer._usable_cores()) if nn.blas_thread_setter() is not None else 1
@@ -161,35 +167,63 @@ def test_train_multi_without_a_blas_pin_runs_one_worker(monkeypatch):
     with nn.one_blas_thread() as pin:
         assert pin is False
     unpinned = train_multi(ds, cfg)
-    assert sizes == [workers, 1]
+    assert pool_sizes == [workers, 1]
     assert unpinned.test_accs.tolist() == pinned.test_accs.tolist()
 
 
+def test_grid_search_runs_every_point_and_seed_in_one_pool(pool_sizes):
+    grid_search(small_dataset(), quick_cfg(max_epochs=3, patience=3, seeds=(0, 1)), {"hidden": [4, 8, 16]})
+    assert pool_sizes == [min(6, trainer._usable_cores()) if nn.blas_thread_setter() is not None else 1]
+
+
 def test_train_one_trains_with_blas_held_to_one_thread(blas_count):
-    # A sweep point calls train_one directly, with no train_multi around it.
+    # Called on its own, as from Python, with no pool around it.
     seen = []
     cfg = quick_cfg(max_epochs=4, patience=4, mixup_enabled=True, mixup=MixupConfig(warmup_epochs=1))
     train_one(build_operators(small_dataset()), cfg, seed=0, on_refresh=lambda *args: seen.append(blas_count[0]))
     assert seen == [1, 1, 1] and blas_count == [4]
 
 
-def test_interrupt_starts_no_further_seed(monkeypatch):
+@pytest.mark.parametrize("run", [
+    lambda ds, cfg: train_multi(ds, cfg),
+    lambda ds, cfg: grid_search(ds, cfg, {"hidden": [16]}),
+], ids=["train_multi", "grid_search"])
+def test_interrupt_starts_no_further_seed(monkeypatch, run):
     # Ctrl-C reaches the main thread while it waits for the seeds.
     started = []
 
-    def sleeping(inputs, cfg, seed):
+    def sleeping(inputs, cfg, seed, **kwargs):
         started.append(seed)
         time.sleep(0.1)
 
-    def interrupted(futures):
+    def interrupted(futures, **kwargs):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(trainer, "train_one", sleeping)
     monkeypatch.setattr(trainer, "wait", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        train_multi(small_dataset(), quick_cfg(seeds=tuple(range(8))))
+        run(small_dataset(), quick_cfg(seeds=tuple(range(8))))
     time.sleep(1.0)  # longer than the 8 seeds take one after another
     assert len(started) <= trainer._usable_cores()
+
+
+def test_a_failure_starts_no_further_seed(monkeypatch):
+    # Seed 0 fails at once while seed 1 trains; at most the worker that ran
+    # seed 0 takes one more seed before the rest are cancelled.
+    started = []
+
+    def failing_first(inputs, cfg, seed):
+        started.append(seed)
+        if seed == 0:
+            raise trainer.TrainingDiverged("seed 0 failed")
+        time.sleep(0.1)
+
+    monkeypatch.setattr(trainer, "train_one", failing_first)
+    monkeypatch.setattr(trainer, "_usable_cores", lambda: 2)
+    with pytest.raises(trainer.TrainingDiverged, match="seed 0 failed"):
+        train_multi(small_dataset(), quick_cfg(seeds=tuple(range(8))))
+    time.sleep(1.0)  # longer than the 8 seeds take one after another
+    assert len(started) <= 3
 
 
 def test_train_multi_aggregates_match_accs():
@@ -329,12 +363,12 @@ def test_train_multi_builds_inputs_once(build_calls):
 
 
 def test_grid_search_builds_inputs_once(build_calls):
-    grid_search(small_dataset(), quick_cfg(max_epochs=3, patience=3, seeds=(0, 1)), {"hidden": [4, 8]}, jobs=1)
+    grid_search(small_dataset(), quick_cfg(max_epochs=3, patience=3, seeds=(0, 1)), {"hidden": [4, 8]})
     assert len(build_calls) == 1
 
 
 def test_inputs_leave_the_dense_features_behind(rng):
-    # What ``grid_search`` sends to a worker per grid point: a wide table
+    # The inputs every run shares hold the features as CSR only: a wide table
     # with 1 % stored entries pickles to a small fraction of its dense bytes.
     ds = small_dataset()
     features = np.where(rng.random((ds.num_nodes, 2000)) < 0.01, 1.0, 0.0)
