@@ -6,11 +6,15 @@ Everything runs in float64. The input features are a CSR matrix (dense input
 is converted), so input dropout, ``X @ W1`` and ``X^T @ dXW`` touch the stored
 entries only. The MLP path is the same network with the propagation step
 omitted; feeding the GCN an identity adjacency produces bit-identical output
-to the MLP.
+to the MLP. A checkpoint (``save_params``/``load_params``) is ASCII text
+that holds each parameter's float64 bytes in base64, so it reads back bit
+for bit.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import contextlib
 import ctypes
 import functools
@@ -332,30 +336,52 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
 
 
 def save_params(path, params: ModelParams) -> None:
-    """Flat text checkpoint: one header per parameter, then row-major values."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """ASCII checkpoint, two lines per parameter: ``param <name> <ndim>
+    <dims...>``, then the standard base64 (RFC 4648, padded) of the array's
+    row-major little-endian float64 bytes. Every bit of every value is kept,
+    so the file's bytes depend on the parameters' bits alone."""
+    with open(path, "wb") as fh:
         for name, arr in params.as_dict().items():
             dims = " ".join(str(d) for d in arr.shape)
-            fh.write(f"param {name} {arr.ndim} {dims}\n")
-            fh.write(" ".join(map(repr, arr.reshape(-1).tolist())) + "\n")
+            fh.write(f"param {name} {arr.ndim} {dims}\n".encode("ascii"))
+            fh.write(base64.b64encode(np.ascontiguousarray(arr, "<f8").tobytes()) + b"\n")
+
+
+def _decimal_text(line: bytes) -> bool:
+    """True for a value line of decimal floats, the form checkpoints took
+    before they were base64."""
+    tokens = line.split()
+    try:
+        for tok in tokens:
+            float(tok)
+    except ValueError:
+        return False
+    return bool(tokens)
 
 
 def load_params(path) -> ModelParams:
-    """Read a ``save_params`` checkpoint. Malformed content raises a
-    ``ValueError`` that starts with ``<path>:<line>:``; shapes other than
-    w1 (F, H), b1 (H,), w2 (H, C), b2 (C,) raise one that starts with
-    ``<path>:``. Each value is read by ``float``, so every value
-    ``save_params`` writes comes back bit for bit, ``-0.0``, subnormals,
-    nan and the infinities included."""
+    """Read a ``save_params`` checkpoint, bit for bit. Content that is not
+    ASCII raises a ``ValueError`` that starts with ``<path>:<line>:``, and so
+    does a malformed header, an unknown or repeated parameter, a value line
+    that is not base64 or whose byte count is not 8 per value of the
+    header's shape, and a decimal value line of an earlier version. Shapes
+    other than w1 (F, H), b1 (H,), w2 (H, C), b2 (C,) raise one that starts
+    with ``<path>:``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        at = next(k for k, byte in enumerate(data) if byte > 0x7F)
+        line = data.count(b"\n", 0, at) + 1
+        raise ValueError(f"{path}:{line}: not a checkpoint: byte {data[at]:#04x} at offset {at} is not ASCII")
+    lines = data.splitlines()
     values: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
     i = 0
     while i < len(lines):
         if not lines[i].strip():
             i += 1
             continue
-        head = lines[i].split()
+        header = lines[i].decode("ascii")
+        head = header.split()
         try:
             if head[0] != "param":
                 raise ValueError
@@ -363,16 +389,26 @@ def load_params(path) -> ModelParams:
             if ndim != len(shape) or any(d < 0 for d in shape):
                 raise ValueError
         except (IndexError, ValueError):
-            raise ValueError(f"{path}:{i + 1}: malformed checkpoint header {lines[i]!r}") from None
+            raise ValueError(f"{path}:{i + 1}: malformed checkpoint header {header!r}") from None
+        if name not in PARAM_NAMES:
+            raise ValueError(f"{path}:{i + 1}: unknown parameter {name!r}, expected one of {list(PARAM_NAMES)}")
+        if name in values:
+            raise ValueError(f"{path}:{i + 1}: parameter {name} appears a second time")
         if i + 1 == len(lines):
             raise ValueError(f"{path}:{i + 1}: parameter {name} has no value line")
         try:
-            flat = np.array([float(x) for x in lines[i + 1].split()])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{i + 2}: {exc}") from None
-        if flat.size != np.prod(shape, dtype=np.int64):
-            raise ValueError(f"{path}:{i + 2}: {flat.size} values for parameter {name} of shape {shape}")
-        values[name] = flat.reshape(shape)
+            raw = base64.b64decode(lines[i + 1], validate=True)
+        except binascii.Error as exc:
+            if _decimal_text(lines[i + 1]):
+                raise ValueError(f"{path}:{i + 2}: decimal-text checkpoints are no longer read; "
+                                 "re-run `reachmix train` to write this checkpoint as base64") from None
+            raise ValueError(f"{path}:{i + 2}: value line of parameter {name} is not base64: {exc}") from None
+        count = int(np.prod(shape, dtype=np.int64))
+        if len(raw) != 8 * count:
+            raise ValueError(f"{path}:{i + 2}: {len(raw)} bytes for parameter {name} of shape {shape}, "
+                             f"expected {8 * count} (8 per float64 value)")
+        # astype copies into a writable array of the native float64
+        values[name] = np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
         i += 2
     missing = [n for n in PARAM_NAMES if n not in values]
     if missing:

@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 import os
@@ -250,17 +251,30 @@ def test_diagnose_rc_on_diameter_one_fails_cleanly(tmp_path, capsys):
     pytest.param("param w1 2 6 4\n", 1, id="cut-after-header"),
     pytest.param("param b1 1 2\n0.5 x\n", 2, id="non-numeric"),
     pytest.param("param b1 2 2\n0.5 0.5\n", 1, id="ndim-mismatch"),
-    pytest.param("param b1 1 3\n0.5 0.5\n", 2, id="value-count"),
+    pytest.param("param b1 1 3\n" + base64.b64encode(np.array([0.5, 0.5], "<f8").tobytes()).decode() + "\n", 2,
+                 id="value-count"),
+    pytest.param("{good}param w3 1 1\n" + base64.b64encode(bytes(8)).decode() + "\n", 9, id="unknown-parameter"),
+    pytest.param("{good}{good}", 9, id="repeated-parameter"),
 ])
 def test_diagnose_bad_checkpoint_names_file_and_line(tmp_path, dataset_dir, train_run, capsys, text, line):
+    good = train_run / "checkpoint_seed0.txt"
     ckpt = tmp_path / "bad.txt"
-    ckpt.write_text(text, encoding="utf-8")
+    ckpt.write_text(text.replace("{good}", good.read_text(encoding="ascii")), encoding="ascii")
     out = tmp_path / "cka"
     argv = ["diagnose", "cka", "--data", str(dataset_dir), "--out", str(out), "--checkpoint"]
     assert run_cli(argv + [str(ckpt)]) == 1
     assert f"{ckpt}:{line}: " in capsys.readouterr().err
     assert not out.exists()  # so the corrected command needs no --force
-    assert run_cli(argv + [str(train_run / "checkpoint_seed0.txt")]) == 0
+    assert run_cli(argv + [str(good)]) == 0
+
+
+def test_diagnose_non_text_checkpoint_names_file(tmp_path, dataset_dir, capsys):
+    ckpt = tmp_path / "model.png"
+    ckpt.write_bytes(b"\x89PNG\r\n\x1a\n" + bytes(range(256)))
+    out = tmp_path / "cka"
+    assert run_cli(["diagnose", "cka", "--data", str(dataset_dir), "--out", str(out), "--checkpoint", str(ckpt)]) == 1
+    assert f"error: {ckpt}:1: not a checkpoint" in capsys.readouterr().err
+    assert not out.exists()
 
 
 PATH_TEXTS = {"edges.tsv": "0\t1\n1\t2\n", "features.tsv": "1.0\n2.0\n3.0\n", "labels.tsv": "0\n1\n0\n",

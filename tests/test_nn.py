@@ -1,3 +1,4 @@
+import base64
 import re
 from unittest import mock
 
@@ -383,30 +384,63 @@ def test_checkpoint_round_trip(tmp_path):
     params.b2[:] = [np.nan, np.inf, -np.inf]
     path = tmp_path / "ckpt.txt"
     save_params(path, params)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    blob = path.read_bytes()
+    assert blob.isascii()
+    lines = blob.decode("ascii").splitlines()
+    assert len(lines) == 8
     for k, (name, arr) in enumerate(params.as_dict().items()):
         assert lines[2 * k] == f"param {name} {arr.ndim} " + " ".join(str(d) for d in arr.shape)
-        assert lines[2 * k + 1] == " ".join(repr(float(x)) for x in arr.reshape(-1))
+        assert lines[2 * k + 1] == base64.b64encode(np.ascontiguousarray(arr, "<f8").tobytes()).decode("ascii")
     back = load_params(path)
     for name, arr in params.as_dict().items():
         assert back.as_dict()[name].shape == arr.shape
         assert back.as_dict()[name].tobytes() == arr.tobytes()  # bit-exact, -0.0 included
 
 
-def test_load_params_reads_every_token_as_float_does(tmp_path):
-    # A token is a value if float reads it: 1_000 is, nan(1) is not, and a
-    # blank value line holds no values.
+# Any 64-bit pattern, or a nan of either sign with any payload.
+bit_patterns = st.one_of(st.integers(0, 2**64 - 1),
+                         st.builds(lambda sign, payload: sign << 63 | 0x7FF << 52 | payload,
+                                   st.integers(0, 1), st.integers(1, 2**52 - 1)))
+
+
+@st.composite
+def params_from_bit_patterns(draw):
+    f, h, c = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def values(*shape):
+        bits = draw(st.lists(bit_patterns, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+        return np.array(bits, dtype="<u8").view("<f8").reshape(shape)
+
+    return ModelParams(values(f, h), values(h), values(h, c), values(c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(params_from_bit_patterns())
+def test_checkpoint_round_trips_every_bit_pattern(tmp_path_factory, params):
+    path = tmp_path_factory.mktemp("ckpt") / "ckpt.txt"
+    save_params(path, params)
+    back = load_params(path)
+    for name, arr in params.as_dict().items():
+        assert back.as_dict()[name].shape == arr.shape
+        assert back.as_dict()[name].tobytes() == arr.tobytes()
+
+
+def test_load_params_names_the_value_line_it_cannot_decode(tmp_path):
+    # Values are base64 alone: 1_000 and nan(1) read as no value, and a
+    # checkpoint of the decimal-text versions is refused as a whole.
+    decimal = "decimal-text checkpoints are no longer read; re-run `reachmix train`"
+    old = "".join(f"param {name} {arr.ndim} " + " ".join(str(d) for d in arr.shape) + "\n"
+                  + " ".join(map(repr, arr.reshape(-1).tolist())) + "\n"  # the decimal-text writer
+                  for name, arr in small_params(np.random.default_rng(7)).as_dict().items())
     path = tmp_path / "ckpt.txt"
-    path.write_text("param w1 2 1 2\n1_000 -0.0\nparam b1 1 2\n2 3\nparam w2 2 2 1\n5e-324 1e300\n"
-                    "param b2 1 1\nnan\n", encoding="utf-8")
-    params = load_params(path)
-    assert params.w1.tobytes() == np.array([[1000.0, -0.0]]).tobytes()
-    assert params.w2.tobytes() == np.array([[5e-324], [1e300]]).tobytes()
-    assert np.isnan(params.b2).all()
-    for line, message in (("nan(1)", "could not convert string to float: 'nan(1)'"),
-                          ("  ", "0 values for parameter b2 of shape (1,)")):
-        path.write_text(f"param b2 1 1\n{line}\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:2: {message}") + "$"):
+    for text, message in (("param b2 1 1\nAAAA!AAAAAA=\n", "value line of parameter b2 is not base64: "),
+                          ("param b2 1 1\nnan(1)\n", "value line of parameter b2 is not base64: "),
+                          (f"param b2 1 1\n{base64.b64encode(bytes(7)).decode()}\n",
+                           "7 bytes for parameter b2 of shape (1,), expected 8 (8 per float64 value)"),
+                          ("param b2 1 1\n1_000\n", decimal),
+                          (old, decimal)):
+        path.write_text(text, encoding="ascii")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:2: {message}")):
             load_params(path)
 
 
