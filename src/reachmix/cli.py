@@ -139,12 +139,11 @@ def write_json(path, blob) -> None:
         fh.write("\n")
 
 
-def write_manifest(outdir, command: str, config: dict, dataset: tuple[str, str | None] | None = None) -> None:
+def write_manifest(outdir, command: str, config: dict, dataset: tuple[str, str] | None = None) -> None:
     """The run's one manifest.json. ``dataset`` is the pair (directory,
     fingerprint) of the dataset the command read or wrote: for a command
     that loaded it, ``Dataset.fingerprint``, the digest of the bytes it
-    loaded (None, written as null, where features.tsv changed while it was
-    read); for one that wrote it, ``dataset_fingerprint`` of the files."""
+    loaded; for one that wrote it, ``dataset_fingerprint`` of the files."""
     manifest = {
         "command": command,
         "config": config,
@@ -159,10 +158,18 @@ def write_manifest(outdir, command: str, config: dict, dataset: tuple[str, str |
 
 
 def load_config(path: str | None) -> TrainConfig:
+    """The config file's ``TrainConfig``, or the defaults without one. A
+    fault in the file raises a ValueError that names it, and a JSON syntax
+    error its line too."""
     if path is None:
         return TrainConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        return TrainConfig.from_dict(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return TrainConfig.from_dict(json.load(fh))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _config_with_overrides(args) -> TrainConfig:
@@ -215,6 +222,7 @@ def cmd_train(args) -> int:
     cfg = _config_with_overrides(args)
     args.data = resolve_data_dir(args.data)
     dataset = load_dataset(args.data)
+    trainer.check_split(dataset.split)  # before --out is claimed, as every run would refuse it
     prepare_outdir(args.out, args.force)
     result = train_multi(dataset, cfg)
     for seed, outcome in zip(cfg.seeds, result.outcomes):
@@ -275,6 +283,7 @@ def cmd_sweep(args) -> int:
     dataset = load_dataset(args.data)
     grids = _parse_grid(args.grid)
     trainer.grid_points(cfg, grids)  # every point's config is valid before --out is claimed
+    trainer.check_split(dataset.split, eval_test=False)
     prepare_outdir(args.out, args.force)
     best_cfg, rows = trainer.grid_search(dataset, cfg, grids)
     columns = list(grids) + ["mean_val_acc", "std_val_acc"]

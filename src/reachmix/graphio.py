@@ -14,6 +14,9 @@ A dataset is a directory of four text files:
     split.json    {"labeled": [...], "valid": [...], "test": [...]}, each a
                   list of JSON integers
 
+Each file is UTF-8 text with any newline convention; a byte that is not
+UTF-8 is rejected, naming its file, its line and its offset.
+
 Node ids and labels must fit in int64; a value that does not is rejected,
 naming its file, its line where there is one, and the value.
 
@@ -26,8 +29,9 @@ checks only what needs the file's text and names the line of a row fault.
 
 A dataset's fingerprint is the SHA-256 of the four files in the order
 above, each fed as its name and then its bytes (``dataset_fingerprint``).
-``load_dataset`` computes it from the bytes it reads, hashing each file once,
-and keeps it as ``Dataset.fingerprint``.
+``load_dataset`` reads each file once, whole, and both hashes and parses
+those bytes, so its ``Dataset.fingerprint`` is always the digest of what
+was loaded.
 
 ``load_dataset`` parses features.tsv once per dataset content. After a load
 that passes every check, it leaves the parsed table beside the file in
@@ -149,8 +153,8 @@ class Dataset:
     ``load_dataset`` reads back.
 
     ``fingerprint`` is the ``dataset_fingerprint`` of the bytes
-    ``load_dataset`` read, and None for a dataset built any other way,
-    ``with_split`` included.
+    ``load_dataset`` read and parsed, which every loaded dataset carries,
+    and None for a dataset built any other way, ``with_split`` included.
     """
 
     num_nodes: int
@@ -213,40 +217,31 @@ class Dataset:
         return self.features.shape[1]
 
 
-def _stamp(path) -> tuple:
-    """What changes whenever a file's bytes do: its inode, size and
-    modification and status-change times."""
-    st = os.stat(path)
-    return st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
-
-
-def _hash_file(digest, path, keep: bool = False) -> tuple[tuple, list[str] | None]:
-    """Feeds ``digest`` a dataset file's name, then its bytes in 1 MiB
-    chunks, so that no table passes through one read whole. Returns the
-    file's ``_stamp`` from before the read and, with ``keep``, the lines of
-    the bytes read, split as ``open`` splits text (UTF-8, universal
-    newlines), so that what is parsed is what was hashed."""
-    chunks = []
+def _read(digest, path) -> bytes:
+    """A dataset file's bytes, read whole; feeds ``digest`` the file's name,
+    then those bytes."""
     try:
-        stamp = _stamp(path)
         with open(path, "rb") as fh:
-            digest.update(os.path.basename(path).encode())
-            while chunk := fh.read(1 << 20):
-                digest.update(chunk)
-                if keep:
-                    chunks.append(chunk)
+            data = fh.read()
     except FileNotFoundError:
         raise DatasetFormatError(path, None, "required file is missing") from None
-    lines = io.TextIOWrapper(io.BytesIO(b"".join(chunks)), encoding="utf-8").readlines() if keep else None
-    return stamp, lines
+    digest.update(os.path.basename(path).encode())
+    digest.update(data)
+    return data
 
 
-def _unchanged(path, stamp: tuple) -> bool:
-    """Whether a file still has the ``_stamp`` it had."""
+def _lines(path, data: bytes) -> list[str]:
+    """The lines ``open`` reads from a file of ``data`` (UTF-8, universal
+    newlines). A byte that is not UTF-8 raises ``DatasetFormatError`` naming
+    its line and offset."""
     try:
-        return _stamp(path) == stamp
-    except OSError:
-        return False
+        data.decode("utf-8")  # the wrapper below reports an offset within its chunk, not the file
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line_no = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise DatasetFormatError(path, line_no, f"byte 0x{data[exc.start]:02x} at offset {exc.start} "
+                                                "is not UTF-8") from None
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").readlines()
 
 
 def dataset_fingerprint(directory) -> str:
@@ -255,7 +250,7 @@ def dataset_fingerprint(directory) -> str:
     that ``load_dataset`` takes of the bytes it reads."""
     digest = hashlib.sha256()
     for name in DATASET_FILES:
-        _hash_file(digest, os.path.join(directory, name))
+        _read(digest, os.path.join(directory, name))
     return digest.hexdigest()
 
 
@@ -296,14 +291,12 @@ def _write_cache(directory, digest: str, features: np.ndarray) -> None:
                 os.unlink(tmp)
 
 
-def _parse_features(path) -> np.ndarray:
-    """The feature table in one vectorised parse."""
+def _parse_features(path, lines: list[str]) -> np.ndarray:
+    """The feature table of features.tsv's ``lines`` in one vectorised parse."""
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            features = np.loadtxt(path, dtype=np.float64, comments=None, ndmin=2, encoding="utf-8")
-    except FileNotFoundError:
-        raise DatasetFormatError(path, None, "required file is missing") from None
+            features = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
     except ValueError as exc:  # ragged rows or non-numeric tokens; numpy names the row
         raise DatasetFormatError(path, None, str(exc)) from None
     if features.shape[0] == 0:
@@ -320,30 +313,28 @@ def _line_of_row(lines, row: int) -> int:
 def load_dataset(directory) -> Dataset:
     """Load a dataset directory (see module docstring for formats).
 
-    Reads each of the four files once, feeding one SHA-256 its name and
-    bytes in ``DATASET_FILES`` order; the digest is the cache key and the
-    returned ``Dataset.fingerprint``. Edges, labels and the split are parsed
-    from the bytes that were hashed. The loaded files are checked for what
-    needs their text; the ``Dataset`` checks every row fact, and a
-    ``DatasetRowError`` comes back as a ``DatasetFormatError`` naming that
-    row's file and line.
+    Reads each of the four files once, whole, feeding one SHA-256 its name
+    and bytes in ``DATASET_FILES`` order; the digest is the cache key and
+    the returned ``Dataset.fingerprint``. Everything is parsed from the
+    bytes that were hashed, so the fingerprint is always that of what was
+    loaded. The loaded files are checked for what needs their text; the
+    ``Dataset`` checks every row fact, and a ``DatasetRowError`` comes back
+    as a ``DatasetFormatError`` naming that row's file and line.
 
     The feature table comes from ``.features.cache`` when that holds the
-    fingerprint, and from ``np.loadtxt`` otherwise. After a parse, and only
-    once the ``Dataset`` is built, the table is cached under the
-    fingerprint. If features.tsv changed while it was read, the parse may
-    have read other bytes than were hashed: then nothing is cached and the
-    fingerprint is None. Either way the same checks run, so the same bytes
-    load to the same dataset, or fail with the same message, as without a
-    cache.
+    fingerprint, and from ``np.loadtxt`` of features.tsv's lines otherwise.
+    After a parse, and only once the ``Dataset`` is built, the table is
+    cached under the fingerprint. Either way the same checks run, so the
+    same bytes load to the same dataset, or fail with the same message, as
+    without a cache.
     """
     directory = os.fspath(directory)
     paths = [os.path.join(directory, name) for name in DATASET_FILES]
     edges_path, features_path, labels_path, split_path = paths
     digest = hashlib.sha256()
-    (_, edge_text), (stamp, _), (_, label_text), (_, split_text) = (
-        _hash_file(digest, path, keep=path != features_path) for path in paths)
+    raw = {path: _read(digest, path) for path in paths}
     fingerprint = digest.hexdigest()
+    edge_text, label_text, split_text = (_lines(path, raw[path]) for path in (edges_path, labels_path, split_path))
 
     edge_lines = [(line_no, text) for line_no, line in enumerate(edge_text, start=1)
                   if (text := line.split("#", 1)[0].strip())]
@@ -366,7 +357,7 @@ def load_dataset(directory) -> Dataset:
     features = _cached_features(directory, fingerprint)
     parsed = features is None
     if parsed:
-        features = _parse_features(features_path)
+        features = _parse_features(features_path, _lines(features_path, raw[features_path]))
     num_nodes = features.shape[0]
 
     labels = []
@@ -413,15 +404,12 @@ def load_dataset(directory) -> Dataset:
             raise DatasetFormatError(labels_path, _line_of_row(label_text, exc.row), str(exc)) from None
         if exc.table == "split":
             raise DatasetFormatError(split_path, None, str(exc)) from None
-        with open(features_path, "r", encoding="utf-8") as fh:
-            raise DatasetFormatError(features_path, _line_of_row(fh, exc.row), str(exc)) from None
+        raise DatasetFormatError(features_path, _line_of_row(_lines(features_path, raw[features_path]), exc.row),
+                                 str(exc)) from None
     except ValueError as exc:
         raise DatasetFormatError(directory, None, str(exc)) from None
     if parsed:
-        if _unchanged(features_path, stamp):
-            _write_cache(directory, fingerprint, dataset.features)
-        else:
-            fingerprint = None
+        _write_cache(directory, fingerprint, dataset.features)
     object.__setattr__(dataset, "fingerprint", fingerprint)
     return dataset
 

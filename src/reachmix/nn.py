@@ -130,27 +130,20 @@ class ForwardTrace:
     consumed: bool = field(default=False)
 
 
-# Cells per block of the zero mask that ``as_csr`` builds; 256 KiB of bools
-# keeps the mask off the peak memory of a load.
-_MASK_CELLS = 1 << 18
-
-
 def as_csr(x) -> csr_array:
     """Features as a float64 CSR matrix; a float64 ``csr_array`` passes through.
 
-    A dense 2-D table is converted in one pass over blocks of its rows: the
-    flat positions of the nonzero cells (``-0.0`` counts as zero) give
-    ``data`` and ``indices``, and a binary search for each row's first cell
-    gives ``indptr``. The arrays and their dtypes are those that
-    ``csr_array(x)`` builds through COO (int32 indices where they fit).
+    A dense 2-D table is converted in one pass: the flat positions of its
+    nonzero cells (``-0.0`` counts as zero) give ``data`` and ``indices``,
+    and a binary search for each row's first cell gives ``indptr``. The
+    arrays and their dtypes are those that ``csr_array(x)`` builds through
+    COO (int32 indices where they fit).
     """
     if issparse(x) or np.ndim(x) != 2:
         return x if isinstance(x, csr_array) and x.dtype == np.float64 else csr_array(x, dtype=np.float64)
     x = np.ascontiguousarray(x, dtype=np.float64)
     n, f = x.shape
-    step = max(1, _MASK_CELLS // max(f, 1))
-    cells = np.concatenate([np.empty(0, dtype=np.intp)]
-                           + [np.flatnonzero(x[start:start + step] != 0) + start * f for start in range(0, n, step)])
+    cells = np.flatnonzero(x != 0)
     indptr = np.searchsorted(cells, np.arange(n + 1) * f)
     index = np.int32 if max(n, f, cells.size) <= np.iinfo(np.int32).max else np.int64
     return csr_array((x.ravel()[cells], (cells % max(f, 1)).astype(index), indptr.astype(index)), shape=(n, f))

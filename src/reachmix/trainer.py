@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from reachmix.graphalg import add_self_loops, from_edges, structural_degrees, sym_normalize
-from reachmix.graphio import Dataset
+from reachmix.graphio import Dataset, SplitSpec
 from reachmix.mixup import (
     MixupConfig,
     TrainInputs,
@@ -156,6 +156,16 @@ def evaluate(params: ModelParams, inputs: TrainInputs, ids) -> tuple[float, np.n
     return accuracy(logits, inputs.labels, ids), logits
 
 
+def check_split(split: SplitSpec, eval_test: bool = True) -> None:
+    """Refuse, naming the empty set, a split that a run cannot finish on: a
+    run selects its checkpoint by validation accuracy, and ``eval_test``
+    asks for test accuracy."""
+    if split.valid_ids.size == 0:
+        raise ValueError("training requires a non-empty validation set")
+    if eval_test and split.test_ids.size == 0:
+        raise ValueError("testing requires a non-empty test set")
+
+
 def _due(epoch: int, warmup: int, every: int) -> bool:
     return epoch >= warmup and (epoch - warmup) % every == 0
 
@@ -176,8 +186,9 @@ def train_one(
     refresh. ``on_refresh(epoch, dpl, pairs, batches)`` is invoked after each
     refresh, for inspection hooks. A refresh reads the eval-mode logits of
     the previous epoch's validation pass, which were computed from the same
-    parameters.
+    parameters. A split that ``check_split`` refuses raises before any epoch.
     """
+    check_split(inputs.split, eval_test)
     params = init_params(inputs.features.shape[1], cfg.hidden, inputs.y_hot.shape[1], substream(seed, "init"))
     state = adam_init(params, cfg.lr, weight_decay={"w1": cfg.weight_decay})
     rngs = {
@@ -191,8 +202,6 @@ def train_one(
     mix_cfg = cfg.mixup
     labeled_ids = inputs.split.labeled_ids
     valid_ids = inputs.split.valid_ids
-    if valid_ids.size == 0:
-        raise ValueError("training requires a non-empty validation set")
 
     best_val = -1.0
     best_epoch = -1

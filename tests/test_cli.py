@@ -304,6 +304,24 @@ def test_ids_that_are_not_int64_integers_exit_one_naming_file_and_value(tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, data, where", [
+    ("edges.tsv", b"0\t1\n1\t\xff2\n", ":2: byte 0xff at offset 6"),
+    ("features.tsv", b"1.0\n2.0\r\n\xff3.0\n", ":3: byte 0xff at offset 9"),
+    ("labels.tsv", b"0\r1\n0\xff\n", ":3: byte 0xff at offset 5"),
+    ("split.json", b'{"labeled": [0], "valid": [1],\r\n "test": [2], "note": "\xff"}', ":2: byte 0xff at offset 55"),
+], ids=["edges", "features", "labels", "split"])
+def test_a_byte_that_is_not_utf_8_exits_one_naming_file_line_and_offset(tmp_path, capsys, name, data, where):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    for file, content in PATH_TEXTS.items():
+        (data_dir / file).write_text(content)
+    (data_dir / name).write_bytes(data)
+    out = tmp_path / "rc"
+    assert run_cli(["diagnose", "rc", "--data", str(data_dir), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {data_dir / name}{where} is not UTF-8\n"
+    assert not out.exists()
+
+
 def test_a_warm_command_hashes_each_dataset_byte_once(tmp_path, dataset_dir, monkeypatch):
     assert run_cli(["diagnose", "rc", "--data", str(dataset_dir), "--out", str(tmp_path / "cold")]) == 0
     fed = []
@@ -464,7 +482,7 @@ def test_train_bad_config_value_exits_one(tmp_path, dataset_dir, monkeypatch, ca
     out = tmp_path / "run"
     assert run_cli(["train", "--data", str(dataset_dir), "--config", str(config), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and key in err
+    assert err.startswith(f"error: {config}: ") and key in err
     assert not out.exists()
 
 
@@ -480,6 +498,47 @@ def test_train_non_finite_feature_exits_one(tmp_path, dataset_dir, monkeypatch, 
     out = tmp_path / "run"
     assert run_cli(["train", "--data", str(data), "--out", str(out)]) == 1
     assert "features.tsv:3: non-finite feature nan in column 1 of node 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, empty, message", [
+    ("train", "test", "testing requires a non-empty test set"),
+    ("train", "valid", "training requires a non-empty validation set"),
+    ("sweep", "valid", "training requires a non-empty validation set"),
+], ids=["train-test", "train-valid", "sweep-valid"])
+def test_an_empty_split_set_exits_one_before_training_and_out(tmp_path, dataset_dir, monkeypatch, capsys,
+                                                              command, empty, message):
+    monkeypatch.setattr(cli.trainer, "train_one", never_train)
+    data = tmp_path / "data"
+    shutil.copytree(dataset_dir, data)
+    split = json.loads((data / "split.json").read_text())
+    split[empty] = []
+    (data / "split.json").write_text(json.dumps(split))
+    out = tmp_path / "run"
+    argv = [command, "--data", str(data), "--out", str(out)]
+    if command == "sweep":
+        argv += ["--grid", "lr=0.01"]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"lr": 0.01,\n', ":2: invalid JSON: Expecting property name enclosed in double quotes"),
+    ("[1, 2]", ": config must be a JSON object, got [1, 2]"),
+    ('{"lr": -1}', ": lr must be > 0"),
+], ids=["syntax", "not-an-object", "bad-value"])
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_a_bad_config_file_exits_one_naming_it(tmp_path, dataset_dir, monkeypatch, capsys, command, text, message):
+    monkeypatch.setattr(cli.trainer, "train_one", never_train)
+    config = tmp_path / "cfg.json"
+    config.write_text(text)
+    out = tmp_path / "run"
+    argv = [command, "--data", str(dataset_dir), "--config", str(config), "--out", str(out)]
+    if command == "sweep":
+        argv += ["--grid", "lr=0.01"]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == f"error: {config}{message}\n"
     assert not out.exists()
 
 

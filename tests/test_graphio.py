@@ -1,7 +1,9 @@
+import contextlib
 import hashlib
 import io
 import json
 import os
+import sys
 import warnings
 from dataclasses import replace
 
@@ -624,16 +626,76 @@ def test_an_unwritable_cache_is_skipped_silently(tmp_path, monkeypatch, fails):
     assert set(os.listdir(d)) == DATASET_FILES
 
 
-def test_features_that_change_during_the_parse_are_not_cached(tmp_path, monkeypatch):
+def test_a_load_parses_and_caches_the_bytes_it_hashed(tmp_path, monkeypatch):
     d = cached_dataset_dir(tmp_path)
+    read = graphio.dataset_fingerprint(d)
+    text = (d / "features.tsv").read_text()
     loadtxt = np.loadtxt
 
-    def edit_then_parse(path, *args, **kwargs):
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write("\n")  # a blank line: the same table, other bytes than were hashed
-        return loadtxt(path, *args, **kwargs)
+    def edit_then_parse(*args, **kwargs):
+        (d / "features.tsv").write_text(text.replace("-1e+300", "2.5"))  # after the read, before the parse
+        return loadtxt(*args, **kwargs)
 
     monkeypatch.setattr(graphio.np, "loadtxt", edit_then_parse)
     ds = load_dataset(d)
-    assert set(os.listdir(d)) == DATASET_FILES
-    assert ds.fingerprint is None  # no digest of bytes the parse may not have read
+    assert ds.features.tobytes() == CACHED_FEATURES.tobytes()
+    assert ds.fingerprint == read != graphio.dataset_fingerprint(d)
+    cache = (d / graphio.CACHE_FILE).read_bytes()
+    header = b"reachmix features.tsv cache 2\n" + read.encode() + b"\n"
+    assert cache.startswith(header)
+    assert np.load(io.BytesIO(cache[len(header):])).tobytes() == CACHED_FEATURES.tobytes()
+
+
+_opened = None  # the base names of the files opened, while a test collects them
+
+
+def _log_open(event, args):
+    if event == "open" and _opened is not None and isinstance(args[0], (str, bytes, os.PathLike)):
+        _opened.append(os.path.basename(os.fsdecode(args[0])))
+
+
+sys.addaudithook(_log_open)  # sees numpy's opens too; records only inside opened_files
+
+
+@contextlib.contextmanager
+def opened_files():
+    global _opened
+    _opened = []
+    try:
+        yield _opened
+    finally:
+        _opened = None
+
+
+@pytest.mark.parametrize("case", ["cache-miss", "cache-hit", "features-row-error"])
+def test_a_load_opens_each_dataset_file_once(tmp_path, case):
+    d = cached_dataset_dir(tmp_path)
+    if case == "cache-hit":
+        load_dataset(d)
+    if case == "features-row-error":
+        (d / "features.tsv").write_text((d / "features.tsv").read_text().replace("-1e+300", "nan"))
+    with opened_files() as opened, contextlib.suppress(DatasetFormatError):
+        load_dataset(d)
+    assert sorted(name for name in opened if name in DATASET_FILES) == sorted(DATASET_FILES)
+
+
+@pytest.mark.parametrize("text", [
+    b"1.0\t2.0\r\n3.0\t4.0\r\n",
+    b"1.0\t2.0\r3.0\t4.0",
+    b"\n1.0\t2.0\n\n \t\n3.0\t4.0\n\n",
+    b"\xef\xbb\xbf1.0\t2.0\n3.0\t4.0\n",
+    b"1.0\t2.0\n3.0\n",
+    b"1.0\t2.0\n3.0\tabc\n",
+], ids=["crlf", "lone-cr", "blank-lines", "utf-8-bom", "ragged", "non-numeric"])
+def test_features_parse_as_loadtxt_parses_the_file(tmp_path, text):
+    d = write_dataset_dir(tmp_path, "0\t1\n", "", "0\n1\n", {"labeled": [0], "valid": [], "test": [1]})
+    path = d / "features.tsv"
+    path.write_bytes(text)
+    try:
+        expected = np.loadtxt(path, dtype=np.float64, comments=None, ndmin=2, encoding="utf-8")
+    except ValueError as exc:
+        with pytest.raises(DatasetFormatError) as err:
+            load_dataset(d)
+        assert str(err.value) == f"{path}: {exc}"
+    else:
+        assert load_dataset(d).features.tobytes() == expected.tobytes()

@@ -1,6 +1,5 @@
 import base64
 import re
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -367,11 +366,10 @@ def dense_tables(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(dense_tables(), st.integers(1, 12))
-def test_as_csr_builds_the_arrays_csr_array_builds(x, mask_cells):
+@given(dense_tables())
+def test_as_csr_builds_the_arrays_csr_array_builds(x):
     expected = csr_array(x)
-    with mock.patch.object(nn, "_MASK_CELLS", mask_cells):  # rows spread over several mask blocks
-        got = nn.as_csr(x)
+    got = nn.as_csr(x)
     assert got.shape == expected.shape
     for name in ("data", "indices", "indptr"):
         a, b = getattr(got, name), getattr(expected, name)

@@ -317,6 +317,17 @@ def test_training_requires_validation_set():
         train_one(build_operators(bare), quick_cfg(), seed=0)
 
 
+def test_train_multi_refuses_an_empty_test_set_before_it_trains(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("training started")
+
+    ds = small_dataset()
+    untestable = with_split(ds, type(ds.split)(ds.split.labeled_ids, ds.split.valid_ids, []))
+    monkeypatch.setattr(trainer, "loss_and_grads", never)
+    with pytest.raises(ValueError, match="^testing requires a non-empty test set$"):
+        train_multi(untestable, quick_cfg(seeds=(0, 1)))
+
+
 def test_readme_config_schema_matches_defaults():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Config schema", 1)[1]
