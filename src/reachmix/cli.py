@@ -121,16 +121,31 @@ def _cell(value) -> str:
     return json.dumps(value) if isinstance(value, bool) else repr(value)
 
 
-def write_tsv(path, header, rows) -> None:
-    """A run table: a header line, then one tab-separated line per row. A
-    string cell is written verbatim, a bool as JSON ``true``/``false`` (the
-    form ``--grid`` reads), and a number as the repr of its Python scalar
-    (numpy scalars via ``.item()``), so it reads back with int() or float()
+def _column(values) -> list[str]:
+    """The cells of one column, each as ``_cell`` writes it. An array column
+    becomes Python scalars in one ``tolist``; a column of only ints and
+    floats, or only strings, takes one type test for the whole column."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    kinds = set(map(type, values))
+    if kinds <= {int, float}:
+        return list(map(repr, values))
+    if kinds == {str}:
+        return list(values)
+    return list(map(_cell, values))
+
+
+def write_tsv(path, columns: dict) -> None:
+    """A run table from ``columns``, name -> values, all of one length: a
+    header line of the names, then one tab-separated line per row. A string
+    cell is written verbatim, a bool as JSON ``true``/``false`` (the form
+    ``--grid`` reads), and a number as the repr of its Python scalar (numpy
+    scalars via ``.item()``), so it reads back with int() or float()
     exactly."""
+    cells = [_column(values) for values in columns.values()]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(map(_cell, row)) + "\n")
+        fh.write("\t".join(columns) + "\n")
+        fh.writelines(f"{line}\n" for line in map("\t".join, zip(*cells, strict=True)))
 
 
 def write_json(path, blob) -> None:
@@ -227,11 +242,13 @@ def cmd_train(args) -> int:
     result = train_multi(dataset, cfg)
     for seed, outcome in zip(cfg.seeds, result.outcomes):
         write_tsv(os.path.join(args.out, f"metrics_seed{seed}.tsv"),
-                  ["epoch", "total", "supervised", "intra", "inter", "val_acc"],
-                  [(r.epoch, r.total, r.supervised, r.intra, r.inter, r.val_acc) for r in outcome.history])
+                  {name: [getattr(r, name) for r in outcome.history]
+                   for name in ("epoch", "total", "supervised", "intra", "inter", "val_acc")})
         nn.save_params(os.path.join(args.out, f"checkpoint_seed{seed}.txt"), outcome.params)
-    write_tsv(os.path.join(args.out, "timings.tsv"), ["seed", "epoch", "seconds"],
-              [(seed, r.epoch, r.seconds) for seed, o in zip(cfg.seeds, result.outcomes) for r in o.history])
+    runs = [(seed, r) for seed, o in zip(cfg.seeds, result.outcomes) for r in o.history]
+    write_tsv(os.path.join(args.out, "timings.tsv"), {"seed": [seed for seed, _ in runs],
+                                                      "epoch": [r.epoch for _, r in runs],
+                                                      "seconds": [r.seconds for _, r in runs]})
     summary = {
         "seeds": list(cfg.seeds),
         "test_acc": {str(s): float(a) for s, a in zip(cfg.seeds, result.test_accs)},
@@ -288,7 +305,7 @@ def cmd_sweep(args) -> int:
     best_cfg, rows = trainer.grid_search(dataset, cfg, grids)
     columns = list(grids) + ["mean_val_acc", "std_val_acc"]
     ranked = sorted(rows, key=lambda r: -r["mean_val_acc"])
-    write_tsv(os.path.join(args.out, "sweep.tsv"), columns, [[row[k] for k in columns] for row in ranked])
+    write_tsv(os.path.join(args.out, "sweep.tsv"), {k: [row[k] for row in ranked] for k in columns})
     write_json(os.path.join(args.out, "best.json"), best_cfg.to_dict())
     write_manifest(args.out, "sweep", {"base": cfg.to_dict(), "grids": grids}, (args.data, dataset.fingerprint))
     best = ranked[0]
@@ -314,14 +331,12 @@ def cmd_diagnose(args) -> int:
     g = from_edges(dataset.num_nodes, dataset.edges)
     labeled = dataset.split.labeled_ids
 
-    # Each kind yields its table (header, rows), its JSON summary and the
-    # line printed on success. Array columns go in as lists of Python
-    # scalars, so that write_tsv needs no .item() per cell.
+    # Each kind yields its table (column name -> values), its JSON summary
+    # and the line printed on success.
     if args.kind == "rc":
         report = diagnostics.reaching_coefficient(g, labeled)
-        header = ["node", "rc", "min_dist", "mean_dist"]
-        rows = zip(report.node_ids.tolist(), report.rc.tolist(), report.min_dist.tolist(),
-                   report.mean_dist.tolist())
+        table = {"node": report.node_ids, "rc": report.rc, "min_dist": report.min_dist,
+                 "mean_dist": report.mean_dist}
         summary = {
             "diameter": report.diameter,
             "num_unlabeled": int(report.node_ids.size),
@@ -331,27 +346,24 @@ def cmd_diagnose(args) -> int:
         line = f"rc: {report.node_ids.size} unlabeled nodes, diameter {report.diameter}"
     elif args.kind == "avgsp":
         report = diagnostics.avg_sp_by_degree(g, labeled)
-        header = ["degree", "avg_sp", "count"]
-        rows = zip(report.degrees.tolist(), report.avg_sp.tolist(), report.counts.tolist())
+        table = {"degree": report.degrees, "avg_sp": report.avg_sp, "count": report.counts}
         summary = {"num_degrees": int(report.degrees.size), "global_mean_sp": float(report.node_avg_sp.mean())}
         line = f"avgsp: {report.degrees.size} degree groups"
     elif args.kind == "cka":
         buckets = diagnostics.rc_buckets(diagnostics.reaching_coefficient(g, labeled))
         report = diagnostics.cka_by_bucket(params, trainer.build_operators(dataset), buckets, args.seed)
         values = ["absent" if v is None else v for v in report.values]
-        header = ["bucket", "cka", "sample_size"]
-        rows = zip(range(1, len(values) + 1), values, report.sample_sizes)
+        table = {"bucket": list(range(1, len(values) + 1)), "cka": values, "sample_size": report.sample_sizes}
         summary = {"seed": report.seed, "values": report.values, "sample_sizes": report.sample_sizes}
         line = "cka by bucket: " + " ".join(v if isinstance(v, str) else f"{v:.4f}" for v in values)
     else:  # pearson; argparse restricts the choices
         rc = diagnostics.reaching_coefficient(g, labeled)
         r, pairs = diagnostics.pearson_rc_vs_score(params, trainer.build_operators(dataset), rc)
-        header = ["node", "rc", "true_class_score"]
-        rows = zip(rc.node_ids.tolist(), pairs[:, 1].tolist(), pairs[:, 2].tolist())
+        table = {"node": rc.node_ids, "rc": pairs[:, 1], "true_class_score": pairs[:, 2]}
         summary = {"pearson_r": float(r), "n": int(pairs.shape[0])}
         line = f"pearson r={r:.4f} over {pairs.shape[0]} unlabeled nodes"
     prepare_outdir(args.out, args.force)  # after the report, so a failed one leaves no --out
-    write_tsv(os.path.join(args.out, f"{args.kind}.tsv"), header, rows)
+    write_tsv(os.path.join(args.out, f"{args.kind}.tsv"), table)
     write_json(os.path.join(args.out, f"{args.kind}_summary.json"), summary)
     write_manifest(args.out, f"diagnose {args.kind}", _args_blob(args), (args.data, dataset.fingerprint))
     print(line)

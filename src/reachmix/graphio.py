@@ -6,9 +6,14 @@ A dataset is a directory of four text files:
                   '#' starts a comment; duplicates and reversed copies of an
                   edge are merged; self-loop lines are rejected (self-loops
                   are added later by the graph pipeline)
-    features.tsv  line i = tab-separated real features of node i; blank
-                  lines are skipped, '#' is not a comment; every value must
-                  be finite (nan, inf and -inf are rejected, naming the line)
+    features.tsv  a header line "N<TAB>F", then one "row<TAB>col<TAB>value"
+                  line per stored entry of the N x F table, 0-based; a cell
+                  with no line is +0.0; blank lines are skipped, '#' is not
+                  a comment; an index outside [0, N) or [0, F), a repeated
+                  (row, col) and a value that is not finite (nan, inf,
+                  -inf) are rejected, naming the line; the dense layout of
+                  earlier versions, one line of F values per node, is
+                  rejected with the fix: write the dataset again
     labels.tsv    line i = integer class label of node i; blank lines are
                   skipped
     split.json    {"labeled": [...], "valid": [...], "test": [...]}, each a
@@ -26,6 +31,7 @@ node, so C is recoverable from labels.tsv alone and save/load round-trips.
 Each fact of a row (an edge's endpoints, a label's class, a feature's
 finiteness) is checked once, where a ``Dataset`` is built; ``load_dataset``
 checks only what needs the file's text and names the line of a row fault.
+A feature entry's finiteness needs its line, so the parse checks it too.
 
 A dataset's fingerprint is the SHA-256 of the four files in the order
 above, each fed as its name and then its bytes (``dataset_fingerprint``).
@@ -34,7 +40,7 @@ those bytes, so its ``Dataset.fingerprint`` is always the digest of what
 was loaded.
 
 ``load_dataset`` parses features.tsv once per dataset content. After a load
-that passes every check, it leaves the parsed table beside the file in
+that passes every check, it leaves the dense table beside the file in
 ``.features.cache``, keyed by the fingerprint; a later load of the same four
 files reads the table from there instead of parsing the text, and runs every
 check again. The cache is a magic line naming its layout version, the hex
@@ -50,7 +56,9 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import re
 import shutil
 import tempfile
 import warnings
@@ -66,8 +74,17 @@ DATASET_FILES = (EDGES_FILE, FEATURES_FILE, LABELS_FILE, SPLIT_FILE)  # in finge
 CACHE_FILE = ".features.cache"
 # The first line of a cache file; change the number whenever its layout or
 # the meaning of its key or table changes, so that every older cache is a
-# miss. Version 2 is keyed by the fingerprint of all four files.
-_CACHE_MAGIC = b"reachmix features.tsv cache 2\n"
+# miss. Version 2 is keyed by the fingerprint of all four files; version 3
+# by files whose features.tsv holds entries, so that a dense features.tsv
+# of earlier versions is refused whether or not it left a cache.
+_CACHE_MAGIC = b"reachmix features.tsv cache 3\n"
+# One line of features.tsv after its header, as np.loadtxt reads it.
+_ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
+# An integer token as np.loadtxt reads one into int64, before the range.
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+# save_dataset formats this many entries per write, so that the text of a
+# dense table is never held whole (a 2709 x 1433 one is 110 MB of it).
+_ENTRIES_PER_WRITE = 1 << 16
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
@@ -230,10 +247,10 @@ def _read(digest, path) -> bytes:
     return data
 
 
-def _lines(path, data: bytes) -> list[str]:
-    """The lines ``open`` reads from a file of ``data`` (UTF-8, universal
-    newlines). A byte that is not UTF-8 raises ``DatasetFormatError`` naming
-    its line and offset."""
+def _text(path, data: bytes) -> io.TextIOWrapper:
+    """A stream of the text ``open`` reads from a file of ``data`` (UTF-8,
+    universal newlines). A byte that is not UTF-8 raises
+    ``DatasetFormatError`` naming its line and offset."""
     try:
         data.decode("utf-8")  # the wrapper below reports an offset within its chunk, not the file
     except UnicodeDecodeError as exc:
@@ -241,7 +258,7 @@ def _lines(path, data: bytes) -> list[str]:
         line_no = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
         raise DatasetFormatError(path, line_no, f"byte 0x{data[exc.start]:02x} at offset {exc.start} "
                                                 "is not UTF-8") from None
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").readlines()
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
 
 def dataset_fingerprint(directory) -> str:
@@ -291,22 +308,97 @@ def _write_cache(directory, digest: str, features: np.ndarray) -> None:
                 os.unlink(tmp)
 
 
-def _parse_features(path, lines: list[str]) -> np.ndarray:
-    """The feature table of features.tsv's ``lines`` in one vectorised parse."""
+def _float_token(token: str) -> float | None:
+    """A value token as np.loadtxt reads it into float64, or None where it
+    does not: ``float`` also takes underscores and non-ASCII digits."""
+    if not token.isascii() or "_" in token:
+        return None
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
+def _header(path, line_no: int, text: str) -> tuple[int, int]:
+    """N and F from features.tsv's header line ``text``."""
+    fields = text.split()
+    ints = all(map(_INT_TOKEN.fullmatch, fields))
+    if len(fields) == 2 and ints and (n := int(fields[0])) >= 0 and (f := int(fields[1])) >= 0:
+        if n == 0:
+            raise DatasetFormatError(path, line_no, "no feature rows: the header gives N = 0")
+        return n, f
+    if fields and not ints and all(_float_token(token) is not None for token in fields):
+        raise DatasetFormatError(path, line_no, "a row of F values is the dense layout of earlier versions, "
+                                                "which is no longer read; write the dataset again with "
+                                                "`reachmix synth` or `reachmix convert-cora`")
+    raise DatasetFormatError(path, line_no, f"expected a header 'N<TAB>F' of two non-negative integers, "
+                                            f"got {text!r}")
+
+
+def _entry_fault(path, data: bytes, header_no: int, n: int, f: int) -> DatasetFormatError | None:
+    """The fault of the first line after line ``header_no`` of features.tsv's
+    bytes ``data`` that breaks the layout of an N x F table, reading each
+    token as np.loadtxt does; None if every line holds."""
+    first_line = {}
+    lines = _text(path, data).readlines()
+    for line_no, line in enumerate(lines[header_no:], start=header_no + 1):
+        text = line.strip()
+        if not text:
+            continue
+        fields = text.split()
+        if len(fields) != 3:
+            return DatasetFormatError(path, line_no, f"expected 3 columns 'row<TAB>col<TAB>value', got {text!r}")
+        for name, token, size in (("row", fields[0], n), ("column", fields[1], f)):
+            if not _INT_TOKEN.fullmatch(token):
+                return DatasetFormatError(path, line_no, f"non-integer {name} index {token!r}")
+            if not 0 <= int(token) < size:
+                return DatasetFormatError(path, line_no, f"{name} index {int(token)} outside [0, {size})")
+        row, col, value = int(fields[0]), int(fields[1]), _float_token(fields[2])
+        if value is None:
+            return DatasetFormatError(path, line_no, f"non-numeric value {fields[2]!r}")
+        if not math.isfinite(value):
+            return DatasetFormatError(path, line_no, f"non-finite feature {value!r} of node {row}, column {col}")
+        if (row, col) in first_line:
+            return DatasetFormatError(path, line_no, f"node {row}, column {col} is given again "
+                                                     f"(first on line {first_line[row, col]})")
+        first_line[row, col] = line_no
+    return None
+
+
+def _parse_features(path, data: bytes) -> np.ndarray:
+    """The dense feature table of features.tsv's bytes ``data``: the header,
+    then every entry line in one ``np.loadtxt`` that reads on from the same
+    stream, so no list of lines is built; the entries are checked in bulk
+    and scattered into zeros. On a fault, the entry lines are read again one
+    at a time to name the first bad one."""
+    stream = _text(path, data)
+    for header_no, line in enumerate(stream, start=1):
+        if line.strip():
+            break
+    else:
+        raise DatasetFormatError(path, None, "no feature rows: expected a header line 'N<TAB>F'")
+    n, f = _header(path, header_no, line.strip())
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            features = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
-    except ValueError as exc:  # ragged rows or non-numeric tokens; numpy names the row
-        raise DatasetFormatError(path, None, str(exc)) from None
-    if features.shape[0] == 0:
-        raise DatasetFormatError(path, None, "no feature rows")
+            entries = np.loadtxt(stream, dtype=_ENTRY, comments=None, ndmin=1)
+    except ValueError as exc:  # a token numpy cannot read, or a line of another width
+        raise _entry_fault(path, data, header_no, n, f) or DatasetFormatError(path, None, str(exc)) from None
+    rows, cols, values = entries["row"], entries["col"], entries["value"]
+    valid = bool(((rows >= 0) & (rows < n) & (cols >= 0) & (cols < f)).all() and np.isfinite(values).all())
+    if valid:
+        keys = rows * f + cols
+        valid = bool((keys[1:] > keys[:-1]).all()) or np.unique(keys).size == keys.size  # row-major needs no sort
+    if not valid:  # the scan reads each line as loadtxt did, so it finds the fault found here
+        raise _entry_fault(path, data, header_no, n, f)
+    features = np.zeros((n, f))
+    features[rows, cols] = values
     return features
 
 
 def _line_of_row(lines, row: int) -> int:
-    """The 1-based line of row ``row`` of a features or labels file's
-    lines: blank lines hold no row."""
+    """The 1-based line of row ``row`` of labels.tsv's lines: blank lines
+    hold no row."""
     return [line_no for line_no, line in enumerate(lines, start=1) if line.strip()][row]
 
 
@@ -322,11 +414,12 @@ def load_dataset(directory) -> Dataset:
     as a ``DatasetFormatError`` naming that row's file and line.
 
     The feature table comes from ``.features.cache`` when that holds the
-    fingerprint, and from ``np.loadtxt`` of features.tsv's lines otherwise.
-    After a parse, and only once the ``Dataset`` is built, the table is
-    cached under the fingerprint. Either way the same checks run, so the
-    same bytes load to the same dataset, or fail with the same message, as
-    without a cache.
+    fingerprint. Otherwise features.tsv's entry lines are parsed by one
+    ``np.loadtxt`` and scattered into a dense float64 table of the header's
+    N x F; a fault is named by its line. After a parse, and only once the
+    ``Dataset`` is built, the table is cached under the fingerprint. Either
+    way the same checks run, so the same bytes load to the same dataset, or
+    fail with the same message, as without a cache.
     """
     directory = os.fspath(directory)
     paths = [os.path.join(directory, name) for name in DATASET_FILES]
@@ -334,7 +427,8 @@ def load_dataset(directory) -> Dataset:
     digest = hashlib.sha256()
     raw = {path: _read(digest, path) for path in paths}
     fingerprint = digest.hexdigest()
-    edge_text, label_text, split_text = (_lines(path, raw[path]) for path in (edges_path, labels_path, split_path))
+    edge_text, label_text, split_text = (_text(path, raw[path]).readlines()
+                                         for path in (edges_path, labels_path, split_path))
 
     edge_lines = [(line_no, text) for line_no, line in enumerate(edge_text, start=1)
                   if (text := line.split("#", 1)[0].strip())]
@@ -357,7 +451,7 @@ def load_dataset(directory) -> Dataset:
     features = _cached_features(directory, fingerprint)
     parsed = features is None
     if parsed:
-        features = _parse_features(features_path, _lines(features_path, raw[features_path]))
+        features = _parse_features(features_path, raw[features_path])
     num_nodes = features.shape[0]
 
     labels = []
@@ -404,8 +498,9 @@ def load_dataset(directory) -> Dataset:
             raise DatasetFormatError(labels_path, _line_of_row(label_text, exc.row), str(exc)) from None
         if exc.table == "split":
             raise DatasetFormatError(split_path, None, str(exc)) from None
-        raise DatasetFormatError(features_path, _line_of_row(_lines(features_path, raw[features_path]), exc.row),
-                                 str(exc)) from None
+        # A parsed table had its finiteness checked with its lines, so this
+        # one came from a cache that this module did not write.
+        raise DatasetFormatError(os.path.join(directory, CACHE_FILE), None, str(exc)) from None
     except ValueError as exc:
         raise DatasetFormatError(directory, None, str(exc)) from None
     if parsed:
@@ -415,27 +510,27 @@ def load_dataset(directory) -> Dataset:
 
 
 def save_dataset(dataset: Dataset, directory) -> None:
-    """Write the four dataset files; a feature is written as the ``repr`` of
-    its float, the shortest decimal that reads back to the same bits.
+    """Write the four dataset files. features.tsv gets its header ``N<TAB>F``
+    and then one ``row<TAB>col<TAB>value`` line per stored entry, in
+    row-major order; a value is the ``repr`` of its float, the shortest
+    decimal that reads back to the same bits.
 
-    Only the cells whose bits are not those of ``+0.0`` are formatted. Every
-    other cell is the literal ``"0.0"``, which is ``repr(0.0)``, so a sparse
-    table costs time in proportion to its stored entries. ``-0.0`` has a set
-    sign bit, so it is formatted and keeps its sign.
+    An entry is stored, and formatted, where its bits are not those of
+    ``+0.0``, so a sparse table costs time in proportion to its entries.
+    ``-0.0`` has a set sign bit, so it is stored and keeps its sign.
     """
     directory = os.fspath(directory)
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, EDGES_FILE), "w", encoding="utf-8") as fh:
         fh.write("".join(f"{u}\t{v}\n" for u, v in dataset.edges.tolist()))
     features = dataset.features
-    zero_row = ["0.0"] * features.shape[1]
+    rows, cols = np.nonzero(features.view(np.int64))
     with open(os.path.join(directory, FEATURES_FILE), "w", encoding="utf-8") as fh:
-        for row, bits in zip(features, features.view(np.int64)):
-            cols = np.flatnonzero(bits)
-            cells = zero_row.copy()
-            for col, text in zip(cols.tolist(), map(repr, row[cols].tolist())):
-                cells[col] = text
-            fh.write("\t".join(cells) + "\n")
+        fh.write("{}\t{}\n".format(*features.shape))
+        for block in range(0, rows.size, _ENTRIES_PER_WRITE):
+            r, c = rows[block:block + _ENTRIES_PER_WRITE], cols[block:block + _ENTRIES_PER_WRITE]
+            fh.write("".join(f"{row}\t{col}\t{text}\n" for row, col, text in
+                             zip(r.tolist(), c.tolist(), map(repr, features[r, c].tolist()))))
     with open(os.path.join(directory, LABELS_FILE), "w", encoding="utf-8") as fh:
         fh.write("".join(f"{lab}\n" for lab in dataset.labels.tolist()))
     split = {

@@ -1,5 +1,6 @@
 import base64
 import hashlib
+import io
 import json
 import os
 import re
@@ -277,8 +278,8 @@ def test_diagnose_non_text_checkpoint_names_file(tmp_path, dataset_dir, capsys):
     assert not out.exists()
 
 
-PATH_TEXTS = {"edges.tsv": "0\t1\n1\t2\n", "features.tsv": "1.0\n2.0\n3.0\n", "labels.tsv": "0\n1\n0\n",
-              "split.json": '{"labeled": [0], "valid": [1], "test": [2]}'}
+PATH_TEXTS = {"edges.tsv": "0\t1\n1\t2\n", "features.tsv": "3\t2\n0\t0\t1.0\n1\t1\t2.0\n2\t0\t3.0\n",
+              "labels.tsv": "0\n1\n0\n", "split.json": '{"labeled": [0], "valid": [1], "test": [2]}'}
 
 
 @pytest.mark.parametrize("name, text, where, message", [
@@ -304,9 +305,89 @@ def test_ids_that_are_not_int64_integers_exit_one_naming_file_and_value(tmp_path
     assert not out.exists()
 
 
+def test_write_tsv_writes_each_kind_of_cell_as_its_column_rule_says(tmp_path):
+    path = tmp_path / "table.tsv"
+    cli.write_tsv(path, {
+        "name": ["a", "absent", "b c"],
+        "flag": [True, False, np.bool_(True)],
+        "array_int": np.array([1, -2, 3]),
+        "array_float": np.array([0.1 + 0.2, -0.0, np.nan]),
+        "python": [float("inf"), -7, 5e-324],
+        "numpy": [np.int64(7), np.float64(-0.0), np.float64(-np.inf)],
+        "mixed": ["absent", 0.5, np.float64(1e300)],
+    })
+    assert path.read_bytes() == (b"name\tflag\tarray_int\tarray_float\tpython\tnumpy\tmixed\n"
+                                 b"a\ttrue\t1\t0.30000000000000004\tinf\t7\tabsent\n"
+                                 b"absent\tfalse\t-2\t-0.0\t-7\t-0.0\t0.5\n"
+                                 b"b c\ttrue\t3\tnan\t5e-324\t-inf\t1e+300\n")
+    cli.write_tsv(path, {"empty": []})
+    assert path.read_bytes() == b"empty\n"
+    with pytest.raises(ValueError):
+        cli.write_tsv(path, {"a": [1, 2], "b": [1]})
+
+
+FEATURES_HEADER = "3\t2\n"  # PATH_TEXTS' three nodes, two feature columns
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("3\n0\t0\t1.0\n", 1, "expected a header 'N<TAB>F' of two non-negative integers, got '3'"),
+    ("3\t-2\n0\t0\t1.0\n", 1, "expected a header 'N<TAB>F' of two non-negative integers, got '3\\t-2'"),
+    ("\nN\tF\n0\t0\t1.0\n", 2, "expected a header 'N<TAB>F' of two non-negative integers, got 'N\\tF'"),
+    ("0\t2\n", 1, "no feature rows: the header gives N = 0"),
+    (FEATURES_HEADER + "0\t0\t1.0\n\n1\t1\n", 4, "expected 3 columns 'row<TAB>col<TAB>value', got '1\\t1'"),
+    (FEATURES_HEADER + "0\t0\t1.0\t2.0\n", 2,
+     "expected 3 columns 'row<TAB>col<TAB>value', got '0\\t0\\t1.0\\t2.0'"),
+    (FEATURES_HEADER + "0\t0\t1.0\n1.0\t1\t2.0\n", 3, "non-integer row index '1.0'"),
+    (FEATURES_HEADER + "0\tx\t1.0\n", 2, "non-integer column index 'x'"),
+    (FEATURES_HEADER + "1_0\t0\t1.0\n", 2, "non-integer row index '1_0'"),
+    (FEATURES_HEADER + "0\t0\t1.0\n3\t0\t1.0\n", 3, "row index 3 outside [0, 3)"),
+    (FEATURES_HEADER + "0\t-1\t1.0\n", 2, "column index -1 outside [0, 2)"),
+    (FEATURES_HEADER + "0\t0\t1.0\n0\t2\t1.0\n", 3, "column index 2 outside [0, 2)"),
+    (FEATURES_HEADER + "99999999999999999999\t0\t1.0\n", 2, "row index 99999999999999999999 outside [0, 3)"),
+    (FEATURES_HEADER + "0\t0\tabc\n", 2, "non-numeric value 'abc'"),
+    (FEATURES_HEADER + "0\t0\t1_0\n", 2, "non-numeric value '1_0'"),
+    (FEATURES_HEADER + "2\t1\t1.0\n0\t0\tinf\n", 3, "non-finite feature inf of node 0, column 0"),
+    (FEATURES_HEADER + "0\t0\t1.0\n1\t1\t2.0\n0\t0\t3.0\n", 4, "node 0, column 0 is given again (first on line 2)"),
+    (FEATURES_HEADER + "1\t1\t2.0\n0\t0\t1.0\n1\t1\t-0.0\n", 4, "node 1, column 1 is given again (first on line 2)"),
+    ("1.0\t0.5\n2.0\t0.0\n3.0\t1.5\n", 1,
+     "a row of F values is the dense layout of earlier versions, which is no longer read; "
+     "write the dataset again with `reachmix synth` or `reachmix convert-cora`"),
+], ids=["header-one-field", "header-negative", "header-not-integers", "header-no-nodes", "two-fields", "four-fields",
+        "row-not-integer", "column-not-integer", "row-underscore", "row-above", "column-negative", "column-above",
+        "row-beyond-int64", "value-not-numeric", "value-underscore", "value-infinite", "duplicate",
+        "duplicate-unordered", "dense-layout"])
+def test_a_features_fault_exits_one_naming_file_and_line(tmp_path, capsys, text, line, message):
+    data = tmp_path / "data"
+    data.mkdir()
+    for file, content in {**PATH_TEXTS, "features.tsv": text}.items():
+        (data / file).write_text(content)
+    out = tmp_path / "rc"
+    assert run_cli(["diagnose", "rc", "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {data / 'features.tsv'}:{line}: {message}\n"
+    assert not out.exists()
+
+
+def test_a_dense_layout_that_left_a_cache_is_refused_too(tmp_path, capsys):
+    """A dense features.tsv of an earlier version with the cache that
+    version wrote for it: the cache is a miss, so the file is refused as it
+    would be without one."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for file, content in {**PATH_TEXTS, "features.tsv": "1.0\t0.0\n0.0\t2.0\n3.0\t0.0\n"}.items():
+        (data / file).write_text(content)
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 0.0]]))
+    (data / graphio.CACHE_FILE).write_bytes(b"reachmix features.tsv cache 2\n"
+                                            + graphio.dataset_fingerprint(data).encode() + b"\n" + buf.getvalue())
+    out = tmp_path / "rc"
+    assert run_cli(["diagnose", "rc", "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {data / 'features.tsv'}:1: a row of F values is the dense")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name, data, where", [
     ("edges.tsv", b"0\t1\n1\t\xff2\n", ":2: byte 0xff at offset 6"),
-    ("features.tsv", b"1.0\n2.0\r\n\xff3.0\n", ":3: byte 0xff at offset 9"),
+    ("features.tsv", b"3\t2\n0\t0\t1.0\r\n\xff1\t1\t2.0\n", ":3: byte 0xff at offset 13"),
     ("labels.tsv", b"0\r1\n0\xff\n", ":3: byte 0xff at offset 5"),
     ("split.json", b'{"labeled": [0], "valid": [1],\r\n "test": [2], "note": "\xff"}', ":2: byte 0xff at offset 55"),
 ], ids=["edges", "features", "labels", "split"])
@@ -492,12 +573,13 @@ def test_train_non_finite_feature_exits_one(tmp_path, dataset_dir, monkeypatch, 
     data.mkdir()
     for name in ("edges.tsv", "labels.tsv", "split.json"):
         (data / name).write_bytes(read_bytes(dataset_dir / name))
-    rows = read_bytes(dataset_dir / "features.tsv").decode().splitlines()
-    rows[2] = "\t".join(["nan"] + rows[2].split("\t")[1:])
-    (data / "features.tsv").write_text("\n".join(rows) + "\n")
+    lines = read_bytes(dataset_dir / "features.tsv").decode().splitlines()
+    row, col, _ = lines[2].split("\t")
+    lines[2] = f"{row}\t{col}\tnan"
+    (data / "features.tsv").write_text("\n".join(lines) + "\n")
     out = tmp_path / "run"
     assert run_cli(["train", "--data", str(data), "--out", str(out)]) == 1
-    assert "features.tsv:3: non-finite feature nan in column 1 of node 2" in capsys.readouterr().err
+    assert f"features.tsv:3: non-finite feature nan of node {row}, column {col}\n" in capsys.readouterr().err
     assert not out.exists()
 
 
