@@ -57,13 +57,15 @@ def _labeled_distances(g: csr_array, labeled_ids) -> tuple[int, np.ndarray, np.n
     in ascending id order.
 
     The distances are one ``bfs_distances`` call, which runs the labeled
-    sources 64 at a time; the diameter is ``diameter_and_components``'.
+    sources 64 at a time. Their rows are the first block of
+    ``diameter_and_components``' bound rounds, so the exact diameter costs
+    only the blocks those rows leave open.
     """
     labeled_ids = np.asarray(labeled_ids, dtype=np.int64)
     if labeled_ids.size == 0:
         raise ValueError("labeled set must be non-empty")
-    diameter, _ = diameter_and_components(g)
     dists = bfs_distances(g, labeled_ids)
+    diameter, _ = diameter_and_components(g, dists)
     mask = np.ones(g.shape[0], dtype=bool)
     mask[labeled_ids] = False
     unlabeled = np.flatnonzero(mask)

@@ -11,7 +11,8 @@ mutates its input, and ``add_self_loops`` returns it when no self-loop is
 missing. Every hop distance comes from one kernel, ``bfs_distances``: a
 bit-parallel BFS that runs 64 sources per pass over the edges (MS-BFS, Then
 et al., VLDB 2014). The exact diameter runs it on blocks of 64 nodes chosen
-by eccentricity bounds.
+by eccentricity bounds, and can take rows a caller already has as its first
+block.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ def connected_components(g: csr_array) -> np.ndarray:
     return comp.astype(np.int64)
 
 
-def _exact_diameter(g: csr_array, comp: np.ndarray) -> int:
+def _exact_diameter(g: csr_array, comp: np.ndarray, rows: np.ndarray | None = None) -> int:
     """Max eccentricity over all components, from eccentricity bounds.
 
     A node's eccentricity is at most its component's size - 1, which settles
@@ -184,12 +185,18 @@ def _exact_diameter(g: csr_array, comp: np.ndarray) -> int:
     with eccentricity e bounds every w it reaches by
     max(d(v, w), e - d(v, w)) <= ecc(w) <= e + d(v, w). A node is settled,
     and dropped, once its upper bound is at most the best lower bound; the
-    diameter is that bound when no node is open. Each round runs one
-    ``bfs_distances`` block of up to 64 open nodes, half with the largest
-    upper and half with the smallest lower bound (the two picks of Takes &
-    Kosters, CIKM 2011), and tightens the bounds of the open nodes from all
-    its rows. A block settles its sources, so the loop ends after at most
-    N / 64 rounds and usually after far fewer.
+    diameter is that bound when no node is open. Each round tightens the
+    bounds of the open nodes from the rows of one ``bfs_distances`` block of
+    up to 64 open nodes, half with the largest upper and half with the
+    smallest lower bound (the two picks of Takes & Kosters, CIKM 2011). A
+    block settles its sources, so the loop ends after at most N / 64 rounds
+    and usually after far fewer.
+
+    ``rows``, (k, N) hop distances from any k sources (``bfs_distances``
+    rows), are the first round when given. Every node is open then, so each
+    row's largest finite entry is its source's true eccentricity and the
+    bounds hold as for a block; rows from every node settle the graph with
+    no BFS at all.
 
     Distances to settled nodes are not read, so e is taken over the open
     nodes. That keeps the answer exact. Every settled node has eccentricity
@@ -202,7 +209,14 @@ def _exact_diameter(g: csr_array, comp: np.ndarray) -> int:
     lower = np.zeros(g.shape[0])
     upper = (np.bincount(comp)[comp] - 1).astype(np.float64)
     best = 0.0
+    d = rows
     while True:
+        if d is not None:
+            reach = np.isfinite(d)
+            ecc = np.where(reach, d, 0.0).max(axis=1, keepdims=True)
+            lower = np.maximum(lower, np.where(reach, np.maximum(d, ecc - d), 0.0).max(axis=0, initial=0.0))
+            upper = np.minimum(upper, (ecc + d).min(axis=0, initial=np.inf))
+            best = max(best, lower.max())
         keep = upper > best
         open_ids, lower, upper = open_ids[keep], lower[keep], upper[keep]
         if open_ids.size == 0:
@@ -213,23 +227,24 @@ def _exact_diameter(g: csr_array, comp: np.ndarray) -> int:
         _, first = np.unique(interleaved, return_index=True)
         picked = open_ids[interleaved[np.sort(first)[:_BLOCK]]]
         d = bfs_distances(g, picked)[:, open_ids]
-        reach = np.isfinite(d)
-        ecc = np.where(reach, d, 0.0).max(axis=1, keepdims=True)
-        lower = np.maximum(lower, np.where(reach, np.maximum(d, ecc - d), 0.0).max(axis=0))
-        upper = np.minimum(upper, (ecc + d).min(axis=0))
-        best = max(best, lower.max())
 
 
-def diameter_and_components(g: csr_array) -> tuple[int, np.ndarray]:
+def diameter_and_components(g: csr_array, rows: np.ndarray | None = None) -> tuple[int, np.ndarray]:
     """Exact diameter (max eccentricity over components) and component ids.
 
     The ids come from ``connected_components``; the diameter from
     ``_exact_diameter``, which runs ``bfs_distances`` on blocks of 64 sources
-    until the eccentricity bounds meet, at any graph size. No N x N matrix is
-    built.
+    until the eccentricity bounds meet, at any graph size. ``rows``, hop
+    distances from any sources as ``bfs_distances`` returns them (one row of
+    N per source), are taken as a first block that costs no BFS; rows of
+    another width raise ``ValueError``. No N x N matrix is built.
     """
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != g.shape[0]:
+            raise ValueError(f"rows must be (sources, {g.shape[0]}) hop distances; got shape {rows.shape}")
     comp = connected_components(g)
-    return _exact_diameter(g, comp), comp
+    return _exact_diameter(g, comp, rows), comp
 
 
 @dataclass(frozen=True)

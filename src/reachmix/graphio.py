@@ -23,7 +23,10 @@ Each file is UTF-8 text with any newline convention; a byte that is not
 UTF-8 is rejected, naming its file, its line and its offset.
 
 Node ids and labels must fit in int64; a value that does not is rejected,
-naming its file, its line where there is one, and the value.
+naming its file, its line where there is one, and the value. Every integer
+token of the three tables is read as np.loadtxt reads an int64: an optional
+sign, then ASCII digits, so ``1_0``, non-ASCII digits and ``1.0`` are
+rejected, naming the line.
 
 Class indices must be contiguous: every class in [0, C) has at least one
 node, so C is recoverable from labels.tsv alone and save/load round-trips.
@@ -32,6 +35,8 @@ Each fact of a row (an edge's endpoints, a label's class, a feature's
 finiteness) is checked once, where a ``Dataset`` is built; ``load_dataset``
 checks only what needs the file's text and names the line of a row fault.
 A feature entry's finiteness needs its line, so the parse checks it too.
+Each table file is parsed by one ``np.loadtxt``; its lines are read one at a
+time only after a fault, to name the line.
 
 A dataset's fingerprint is the SHA-256 of the four files in the order
 above, each fed as its name and then its bytes (``dataset_fingerprint``).
@@ -203,7 +208,13 @@ class Dataset:
             message = (f"self-loop {lo[row]} not allowed in edge list" if lo[row] == hi[row]
                        else "negative node id" if lo[row] < 0 else f"edge endpoint {hi[row]} >= num_nodes {n}")
             raise DatasetRowError("edges", row, message)
-        edges = np.unique(np.stack([lo, hi], axis=1), axis=0)
+        # Sorting the key lo * N + hi sorts by (lo, hi). The key is below N²,
+        # which int64 holds for any N < 3.03e9, and such a table's labels
+        # alone would take 24 GB.
+        key = np.sort(lo * n + hi)
+        key = np.concatenate((key[:1], key[1:][key[1:] != key[:-1]]))
+        lo = key // n
+        edges = np.stack([lo, key - lo * n], axis=1)
 
         bad = (labels < 0) | (labels >= self.num_classes)
         if bad.any():
@@ -247,18 +258,18 @@ def _read(digest, path) -> bytes:
     return data
 
 
-def _text(path, data: bytes) -> io.TextIOWrapper:
+def _text(path, data: bytes) -> io.StringIO:
     """A stream of the text ``open`` reads from a file of ``data`` (UTF-8,
-    universal newlines). A byte that is not UTF-8 raises
+    universal newlines), decoded once. A byte that is not UTF-8 raises
     ``DatasetFormatError`` naming its line and offset."""
     try:
-        data.decode("utf-8")  # the wrapper below reports an offset within its chunk, not the file
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = data[:exc.start]
         line_no = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
         raise DatasetFormatError(path, line_no, f"byte 0x{data[exc.start]:02x} at offset {exc.start} "
                                                 "is not UTF-8") from None
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    return io.StringIO(text, newline=None)
 
 
 def dataset_fingerprint(directory) -> str:
@@ -396,10 +407,51 @@ def _parse_features(path, data: bytes) -> np.ndarray:
     return features
 
 
-def _line_of_row(lines, row: int) -> int:
-    """The 1-based line of row ``row`` of labels.tsv's lines: blank lines
-    hold no row."""
-    return [line_no for line_no, line in enumerate(lines, start=1) if line.strip()][row]
+def _row_lines(path, data: bytes, comments: str | None) -> list[tuple[int, str]]:
+    """(1-based line, text) of each line of a file's bytes ``data`` that holds
+    a row, as np.loadtxt reads one: the line up to its first ``comments``
+    mark, stripped, where that is not empty."""
+    return [(line_no, text) for line_no, line in enumerate(_text(path, data), start=1)
+            if (text := (line.split(comments, 1)[0] if comments else line).strip())]
+
+
+def _int_table(path, data: bytes, width: int, comments: str | None, fault) -> np.ndarray:
+    """The (rows, ``width``) int64 table of a file's bytes ``data``, parsed by
+    one ``np.loadtxt``: blank lines hold no row, and ``comments`` starts a
+    comment. On a fault, the row lines are read again one at a time, and
+    ``fault(text)`` names the first bad one: it returns the message of a row
+    that np.loadtxt would not read into ``width`` int64 columns, and None for
+    one that it would."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(_text(path, data), dtype=np.int64, comments=comments, ndmin=2)
+        if table.size == 0 or table.shape[1] == width:
+            return table.reshape(-1, width)
+        message = f"expected {width} columns, got {table.shape[1]}"
+    except ValueError as exc:  # a token that is not an int64, or a line of another width
+        message = str(exc)
+    for line_no, text in _row_lines(path, data, comments):
+        if row_fault := fault(text):
+            raise DatasetFormatError(path, line_no, row_fault)
+    raise DatasetFormatError(path, None, message)
+
+
+def _edge_fault(text: str) -> str | None:
+    fields = text.split()
+    if len(fields) != 2:
+        return f"expected 'u<TAB>v', got {text!r}"
+    if not all(map(_INT_TOKEN.fullmatch, fields)):
+        return f"non-integer node id in {text!r}"
+    node = next((node for node in map(int, fields) if not _INT64_MIN <= node <= _INT64_MAX), None)
+    return None if node is None else f"node id {node} outside the int64 range"
+
+
+def _label_fault(text: str) -> str | None:
+    if not _INT_TOKEN.fullmatch(text):
+        return f"non-integer label {text!r}"
+    label = int(text)
+    return None if _INT64_MIN <= label <= _INT64_MAX else f"label {label} outside the int64 range"
 
 
 def load_dataset(directory) -> Dataset:
@@ -412,6 +464,10 @@ def load_dataset(directory) -> Dataset:
     loaded. The loaded files are checked for what needs their text; the
     ``Dataset`` checks every row fact, and a ``DatasetRowError`` comes back
     as a ``DatasetFormatError`` naming that row's file and line.
+
+    edges.tsv and labels.tsv are each parsed by one int64 ``np.loadtxt``
+    (``_int_table``); their lines are read one at a time only to name the
+    line of a fault.
 
     The feature table comes from ``.features.cache`` when that holds the
     fingerprint. Otherwise features.tsv's entry lines are parsed by one
@@ -427,26 +483,7 @@ def load_dataset(directory) -> Dataset:
     digest = hashlib.sha256()
     raw = {path: _read(digest, path) for path in paths}
     fingerprint = digest.hexdigest()
-    edge_text, label_text, split_text = (_text(path, raw[path]).readlines()
-                                         for path in (edges_path, labels_path, split_path))
-
-    edge_lines = [(line_no, text) for line_no, line in enumerate(edge_text, start=1)
-                  if (text := line.split("#", 1)[0].strip())]
-    edges = []
-    for line_no, text in edge_lines:
-        parts = text.split()
-        if len(parts) != 2:
-            raise DatasetFormatError(edges_path, line_no, f"expected 'u<TAB>v', got {text!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise DatasetFormatError(edges_path, line_no, f"non-integer node id in {text!r}") from None
-    try:
-        edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    except OverflowError:  # an id outside int64: name the first
-        row, node = next((row, node) for row, edge in enumerate(edges) for node in edge
-                         if not _INT64_MIN <= node <= _INT64_MAX)
-        raise DatasetFormatError(edges_path, edge_lines[row][0], f"node id {node} outside the int64 range") from None
+    edges = _int_table(edges_path, raw[edges_path], 2, "#", _edge_fault)
 
     features = _cached_features(directory, fingerprint)
     parsed = features is None
@@ -454,26 +491,12 @@ def load_dataset(directory) -> Dataset:
         features = _parse_features(features_path, raw[features_path])
     num_nodes = features.shape[0]
 
-    labels = []
-    for line_no, line in enumerate(label_text, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            labels.append(int(text))
-        except ValueError:
-            raise DatasetFormatError(labels_path, line_no, f"non-integer label {text!r}") from None
-    if len(labels) != num_nodes:
-        raise DatasetFormatError(labels_path, None, f"{len(labels)} labels for {num_nodes} feature rows")
-    try:
-        labels = np.array(labels, dtype=np.int64)
-    except OverflowError:  # a label outside int64: name the first
-        row, label = next((row, label) for row, label in enumerate(labels) if not _INT64_MIN <= label <= _INT64_MAX)
-        raise DatasetFormatError(labels_path, _line_of_row(label_text, row),
-                                 f"label {label} outside the int64 range") from None
+    labels = _int_table(labels_path, raw[labels_path], 1, None, _label_fault)[:, 0]
+    if labels.size != num_nodes:
+        raise DatasetFormatError(labels_path, None, f"{labels.size} labels for {num_nodes} feature rows")
 
     try:
-        blob = json.loads("".join(split_text))
+        blob = json.loads(_text(split_path, raw[split_path]).read())
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(split_path, exc.lineno, f"invalid JSON: {exc.msg}") from None
     for key in ("labeled", "valid", "test"):
@@ -492,10 +515,9 @@ def load_dataset(directory) -> Dataset:
     try:
         dataset = Dataset(num_nodes, int(labels.max()) + 1, edges, features, labels, split)
     except DatasetRowError as exc:
-        if exc.table == "edges":
-            raise DatasetFormatError(edges_path, edge_lines[exc.row][0], str(exc)) from None
-        if exc.table == "labels":
-            raise DatasetFormatError(labels_path, _line_of_row(label_text, exc.row), str(exc)) from None
+        if exc.table in ("edges", "labels"):
+            path, comments = (edges_path, "#") if exc.table == "edges" else (labels_path, None)
+            raise DatasetFormatError(path, _row_lines(path, raw[path], comments)[exc.row][0], str(exc)) from None
         if exc.table == "split":
             raise DatasetFormatError(split_path, None, str(exc)) from None
         # A parsed table had its finiteness checked with its lines, so this

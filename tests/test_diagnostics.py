@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 from conftest import dense_bfs, random_graph_edges
 from reachmix.diagnostics import (
@@ -11,6 +12,7 @@ from reachmix.diagnostics import (
     rc_buckets,
     reaching_coefficient,
 )
+from reachmix import graphalg
 from reachmix.graphalg import add_self_loops, from_edges
 from reachmix.graphio import Dataset, SplitSpec, generate_sbm, make_split, with_split
 from reachmix.nn import ModelParams, init_params
@@ -74,6 +76,26 @@ def test_rc_values_in_unit_interval_and_match_brute_force(rng):
                 d = diameter if np.isinf(d) else d
                 terms.append(1.0 - np.log(d) / np.log(diameter))
             assert abs(report.rc[pos] - np.mean(terms)) < 1e-12
+
+
+def test_rc_diameter_is_seeded_by_the_labeled_rows_and_stays_exact(rng, monkeypatch):
+    blocks = []
+    kernel = graphalg.bfs_distances
+    monkeypatch.setattr(graphalg, "bfs_distances", lambda g, s: blocks.append(len(s)) or kernel(g, s))
+    # Path 0-...-9 labeled at one end: that row alone bounds every node's
+    # eccentricity by 9, the diameter, so no further block runs.
+    assert reaching_coefficient(path_graph(10), [0]).diameter == 9
+    assert blocks == []
+    for _ in range(20):
+        n = int(rng.integers(5, 60))
+        g = from_edges(n, random_graph_edges(rng, n, p=0.06))
+        full = csgraph.shortest_path(g, unweighted=True)
+        expected = int(full[np.isfinite(full)].max())
+        if expected < 2:
+            continue
+        labeled = rng.choice(n, size=int(rng.integers(1, n // 2)), replace=False)
+        assert reaching_coefficient(g, labeled).diameter == expected
+        assert avg_sp_by_degree(g, labeled).node_avg_sp.max() <= expected
 
 
 def test_rc_buckets_boundary_rules():

@@ -313,6 +313,53 @@ def test_diameter_when_a_smaller_component_sets_the_best_bound_first():
     assert comp.max() == 1
 
 
+@st.composite
+def graphs_and_sources(draw):
+    """A graph of 1-40 nodes, often with isolated nodes and several
+    components, and any subset of its nodes, the empty one included."""
+    n = draw(st.integers(1, 40))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]), max_size=2 * n))
+    edges = np.unique(np.sort(np.array(pairs, dtype=np.int64).reshape(-1, 2), axis=1), axis=0)
+    sources = draw(st.lists(node, unique=True, max_size=n))
+    return from_edges(n, edges), sources
+
+
+def seed_rows(g, sources):
+    return bfs_distances(g, sources) if sources else np.empty((0, g.shape[0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_and_sources())
+def test_a_diameter_seeded_with_any_rows_is_exact(case):
+    g, sources = case
+    full = csgraph.shortest_path(g, unweighted=True)
+    expected = int(full[np.isfinite(full)].max())
+    blocks = []
+    kernel = graphalg.bfs_distances
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphalg, "bfs_distances", lambda g, s: blocks.append(len(s)) or kernel(g, s))
+        seeded, comp = diameter_and_components(g, seed_rows(g, sources))
+    assert seeded == diameter_and_components(g)[0] == expected
+    np.testing.assert_array_equal(comp, connected_components(g))
+    if len(sources) == g.shape[0]:
+        assert blocks == []  # rows from every node settle every node
+
+
+def test_rows_from_every_node_need_no_bfs(monkeypatch):
+    g = from_edges(201, np.stack([np.arange(200), np.arange(1, 201)], axis=1))
+    rows = bfs_distances(g, np.arange(201))
+    monkeypatch.setattr(graphalg, "bfs_distances", lambda g, s: pytest.fail("a block ran"))
+    assert diameter_and_components(g, rows)[0] == 200
+
+
+@pytest.mark.parametrize("shape", [(3, 6), (3, 4), (5,), (1, 1, 5)])
+def test_rows_of_the_wrong_shape_are_refused(shape):
+    g = from_edges(5, np.array([[0, 1], [1, 2], [2, 3], [3, 4]]))
+    with pytest.raises(ValueError, match=r"^rows must be \(sources, 5\) hop distances"):
+        diameter_and_components(g, np.zeros(shape))
+
+
 def test_bfs_distance_zero_iff_source(rng):
     g = from_edges(6, np.array([[0, 1], [1, 2], [3, 4]]))
     d = bfs_distances(g, [1, 3])

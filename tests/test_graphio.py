@@ -130,8 +130,16 @@ def test_self_loop_edge_rejected(tmp_path):
     # Tables of whole int64 rows of the wrong width.
     ("edges.tsv", "# comment\n0 1 2\n1 2 0\n", 2, "expected 'u<TAB>v', got '0 1 2'"),
     ("labels.tsv", "\n0 1\n1 0\n0 1\n", 2, "non-integer label '0 1'"),
+    # Integers that Python's int reads and np.loadtxt's int64 does not.
+    ("edges.tsv", "0\t1\n1_0\t2\n", 2, "non-integer node id in '1_0\\t2'"),
+    ("edges.tsv", "0\t1\n# c\n1\t\u0662\n", 3, "non-integer node id in '1\\t\u0662'"),
+    ("edges.tsv", "0\t1.0\n", 1, "non-integer node id in '0\\t1.0'"),
+    ("labels.tsv", "0\n1_0\n0\n", 2, "non-integer label '1_0'"),
+    ("labels.tsv", "0\n\n\u0661\n0\n", 3, "non-integer label '\u0661'"),
+    ("labels.tsv", "0\n1.0\n0\n", 2, "non-integer label '1.0'"),
 ], ids=["self-loop", "negative-id", "endpoint", "negative-label", "label-gap", "non-finite", "three-columns",
-        "two-label-columns"])
+        "two-label-columns", "edge-underscore", "edge-arabic-indic-digit", "edge-float", "label-underscore",
+        "label-arabic-indic-digit", "label-float"])
 def test_single_fault_names_file_line_and_message(tmp_path, file, text, line, message):
     texts = {"edges.tsv": PATH_EDGES, "features.tsv": PATH_FEATURES, "labels.tsv": PATH_LABELS, file: text}
     d = write_dataset_dir(tmp_path, texts["edges.tsv"], texts["features.tsv"], texts["labels.tsv"],
@@ -140,6 +148,57 @@ def test_single_fault_names_file_line_and_message(tmp_path, file, text, line, me
         load_dataset(d)
     assert str(err.value) == f"{d / file}:{line}: {message}"
     assert (err.value.path, err.value.line_no) == (str(d / file), line)
+
+
+# --- edges.tsv and labels.tsv, each parsed by one np.loadtxt --------------
+
+@st.composite
+def edge_and_label_files(draw):
+    """(N, edge pairs, labels, edges.tsv bytes, labels.tsv bytes): each edge
+    in either order, some given again reversed or as they are, tokens with
+    and without '+', comments, blank lines and one newline convention."""
+    n = draw(st.integers(2, 12))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]), max_size=25))
+    pairs += [draw(st.sampled_from([(u, v), (v, u)])) for u, v in pairs if draw(st.booleans())]
+    token = st.sampled_from(["", "+"])
+    lines = []
+    for u, v in draw(st.permutations(pairs)):
+        sep = draw(st.sampled_from(["\t", " ", " \t "]))
+        comment = draw(st.sampled_from(["", "  # note", "\t#"]))
+        lines.append(f"{draw(token)}{u}{sep}{draw(token)}{v}{comment}")
+        lines += draw(st.lists(st.sampled_from(["", "# 0\t1", " \t", "#"]), max_size=1))
+    labels = [i % 2 for i in range(n)]
+    label_lines = [f"{draw(token)}{label}" for label in labels]
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    edges_text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    labels_text = newline.join(label_lines) + newline + draw(st.sampled_from(["", newline, " " + newline]))
+    return n, pairs, labels, edges_text.encode(), labels_text.encode()
+
+
+@settings(max_examples=80, deadline=None)
+@given(edge_and_label_files())
+@example((3, [], [0, 1, 0], b"", b"0\n1\n0\n"))
+@example((3, [(2, 0), (0, 2), (1, 0)], [0, 1, 0], b"2 0\r\n# c\r\n+0\t+2\r\n\r\n1 0 # x\r\n", b"0\r+1\r0\r"))
+def test_edge_and_label_files_load_as_their_canonical_tables(tmp_path_factory, case):
+    n, pairs, labels, edges_data, labels_data = case
+    d = write_dataset_dir(tmp_path_factory.mktemp("int-tables"), "", f"{n}\t1\n", "",
+                          {"labeled": [0], "valid": [], "test": []})
+    (d / "edges.tsv").write_bytes(edges_data)
+    (d / "labels.tsv").write_bytes(labels_data)
+    ds = load_dataset(d)
+    expected = np.unique(np.sort(np.array(pairs, dtype=np.int64).reshape(-1, 2), axis=1), axis=0)
+    assert ds.edges.dtype == expected.dtype == np.int64
+    assert ds.edges.shape == expected.shape and ds.edges.tobytes() == expected.tobytes()
+    assert not ds.edges.flags.writeable
+    assert ds.labels.dtype == np.int64 and ds.labels.tolist() == labels
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "# no edges\n", " \t\r\n"], ids=["empty", "blank", "comment", "space"])
+def test_an_edge_file_with_no_edge_loads(tmp_path, text):
+    d = write_dataset_dir(tmp_path, text, PATH_FEATURES, PATH_LABELS, {"labeled": [0], "valid": [1], "test": [2]})
+    edges = load_dataset(d).edges
+    assert edges.shape == (0, 2) and edges.dtype == np.int64
 
 
 def test_label_fault_line_skips_blank_lines(tmp_path):
@@ -484,16 +543,17 @@ CACHED_FEATURES = np.array([[-0.0, 5e-324, 0.1 + 0.2], [1.0, 0.0, -1e300], [0.0,
 
 
 @pytest.fixture
-def loadtxt_calls(monkeypatch):
-    """Counts the text parses; read it as ``len(loadtxt_calls)``."""
+def feature_parses(monkeypatch):
+    """Counts the parses of features.tsv's text; read it as
+    ``len(feature_parses)``."""
     calls = []
-    loadtxt = np.loadtxt
+    parse = graphio._parse_features
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return loadtxt(*args, **kwargs)
+    def counting(path, data):
+        calls.append(path)
+        return parse(path, data)
 
-    monkeypatch.setattr(graphio.np, "loadtxt", counting)
+    monkeypatch.setattr(graphio, "_parse_features", counting)
     return calls
 
 
@@ -503,13 +563,13 @@ def cached_dataset_dir(tmp_path):
     return tmp_path
 
 
-def test_second_load_reads_the_cache_bit_for_bit(tmp_path, loadtxt_calls):
+def test_second_load_reads_the_cache_bit_for_bit(tmp_path, feature_parses):
     d = cached_dataset_dir(tmp_path)
     first = load_dataset(d)
-    assert len(loadtxt_calls) == 1
+    assert len(feature_parses) == 1
     assert set(os.listdir(d)) == DATASET_FILES | {graphio.CACHE_FILE}
     second = load_dataset(d)
-    assert len(loadtxt_calls) == 1  # no parse: -0.0 and 5e-324 came from the cache
+    assert len(feature_parses) == 1  # no parse: -0.0 and 5e-324 came from the cache
     assert second.features.tobytes() == first.features.tobytes() == CACHED_FEATURES.tobytes()
     assert not second.features.flags.writeable
     np.testing.assert_array_equal(second.edges, first.edges)
@@ -524,13 +584,13 @@ def test_the_cache_is_as_readable_as_the_features(tmp_path, mode):
     assert os.stat(d / graphio.CACHE_FILE).st_mode & 0o777 == mode
 
 
-def test_edited_features_are_parsed_and_checked_again(tmp_path, loadtxt_calls):
+def test_edited_features_are_parsed_and_checked_again(tmp_path, feature_parses):
     d = cached_dataset_dir(tmp_path)
     load_dataset(d)
     text = (d / "features.tsv").read_text()
     (d / "features.tsv").write_text(text.replace("-1e+300", "2.5"))
     assert load_dataset(d).features[1, 2] == 2.5
-    assert len(loadtxt_calls) == 2
+    assert len(feature_parses) == 2
     cache = (d / graphio.CACHE_FILE).read_bytes()
 
     (d / "features.tsv").write_text(text.replace("-1e+300", "nan"))
@@ -577,20 +637,20 @@ def numpy_file(save, array):
     pytest.param(lambda blob: numpy_file(np.savez, CACHED_FEATURES), id="foreign-npz"),
     pytest.param(lambda blob: numpy_file(np.save, CACHED_FEATURES), id="foreign-npy"),
 ])
-def test_a_spoiled_cache_is_a_miss_and_is_replaced(tmp_path, loadtxt_calls, spoil):
+def test_a_spoiled_cache_is_a_miss_and_is_replaced(tmp_path, feature_parses, spoil):
     d = cached_dataset_dir(tmp_path)
     load_dataset(d)
     cache = d / graphio.CACHE_FILE
     good = cache.read_bytes()
     cache.write_bytes(spoil(good))
     assert load_dataset(d).features.tobytes() == CACHED_FEATURES.tobytes()
-    assert len(loadtxt_calls) == 2
+    assert len(feature_parses) == 2
     assert cache.read_bytes() == good
     load_dataset(d)
-    assert len(loadtxt_calls) == 2
+    assert len(feature_parses) == 2
 
 
-def test_a_version_1_cache_is_a_miss(tmp_path, loadtxt_calls):
+def test_a_version_1_cache_is_a_miss(tmp_path, feature_parses):
     # Version 1 was keyed by the SHA-256 of features.tsv alone.
     d = cached_dataset_dir(tmp_path)
     digest = hashlib.sha256((d / "features.tsv").read_bytes()).hexdigest()
@@ -598,7 +658,7 @@ def test_a_version_1_cache_is_a_miss(tmp_path, loadtxt_calls):
     cache.write_bytes(b"reachmix features.tsv cache 1\n" + digest.encode() + b"\n"
                       + numpy_file(np.save, CACHED_FEATURES))
     ds = load_dataset(d)
-    assert len(loadtxt_calls) == 1
+    assert len(feature_parses) == 1
     assert cache.read_bytes().startswith(b"reachmix features.tsv cache 3\n" + ds.fingerprint.encode() + b"\n")
 
 
@@ -619,22 +679,22 @@ def test_a_cached_table_that_a_parse_would_refuse_names_the_cache(tmp_path):
     ("labels.tsv", "0\n1\n1\n"),
     ("split.json", '{"labeled": [1], "valid": [0], "test": [2]}'),
 ])
-def test_the_cache_key_covers_every_dataset_file(tmp_path, loadtxt_calls, name, text):
+def test_the_cache_key_covers_every_dataset_file(tmp_path, feature_parses, name, text):
     d = cached_dataset_dir(tmp_path)
     first = load_dataset(d)
     (d / name).write_text(text)
     second = load_dataset(d)
-    assert len(loadtxt_calls) == 2
+    assert len(feature_parses) == 2
     assert second.fingerprint == graphio.dataset_fingerprint(d) != first.fingerprint
     load_dataset(d)
-    assert len(loadtxt_calls) == 2
+    assert len(feature_parses) == 2
 
 
-def test_a_directory_in_the_cache_place_is_a_miss(tmp_path, loadtxt_calls):
+def test_a_directory_in_the_cache_place_is_a_miss(tmp_path, feature_parses):
     d = cached_dataset_dir(tmp_path)
     (d / graphio.CACHE_FILE).mkdir()
     assert load_dataset(d).features.tobytes() == CACHED_FEATURES.tobytes()
-    assert len(loadtxt_calls) == 1
+    assert len(feature_parses) == 1
     # the rename over the directory failed, and its temp file is gone
     assert set(os.listdir(d)) == DATASET_FILES | {graphio.CACHE_FILE}
 
