@@ -64,9 +64,12 @@ def parse_seeds(text: str) -> list[int]:
             raise UsageError(f"empty seed range {text!r}")
         return list(range(lo, hi + 1))
     try:
-        return [int(s) for s in text.split(",") if s.strip()]
+        seeds = [int(s) for s in text.split(",") if s.strip()]
     except ValueError:
         raise UsageError(f"bad seed list {text!r}") from None
+    if not seeds:
+        raise UsageError("need at least one seed")
+    return seeds
 
 
 def _int_at_least(low: int):
@@ -206,7 +209,7 @@ def _config_with_overrides(args) -> TrainConfig:
 
 def _args_blob(args) -> dict:
     blob = {k: v for k, v in vars(args).items() if k != "func"}
-    blob["out"] = os.path.abspath(args.out) if getattr(args, "out", None) else None
+    blob["out"] = os.path.abspath(args.out)
     return blob
 
 
@@ -289,8 +292,6 @@ def _parse_grid(specs: list[str]) -> dict[str, list]:
         if field in grids:
             raise UsageError(f"--grid gives field {field!r} more than once; list its values in one spec")
         grids[field] = parsed
-    if not grids:
-        raise UsageError("no grid specs given")
     return grids
 
 
@@ -459,7 +460,19 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a stochastic-block-model dataset")
+    # Each flag that several commands take is declared once, in a parent.
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data", required=True)
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", default=None)
+    run.add_argument("--seeds", default=None, help="e.g. 0..9 or 0,2,5")
+    run.add_argument("--mixup", choices=("on", "off"), default=None, help="override config mixup_enabled")
+    run.add_argument("--max-epochs", type=_int_at_least(1), default=None)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True)
+    out.add_argument("--force", action="store_true")
+
+    p = sub.add_parser("synth", parents=[out], help="generate a stochastic-block-model dataset")
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--per-class", type=int, required=True)
     p.add_argument("--p-in", type=float, required=True)
@@ -469,39 +482,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--labels-per-class", type=int, default=None)
     p.add_argument("--valid-per-class", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train over seeds and aggregate test accuracy")
-    p.add_argument("--data", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--seeds", default=None, help="e.g. 0..9 or 0,2,5")
-    p.add_argument("--mixup", choices=("on", "off"), default=None, help="override config mixup_enabled")
-    p.add_argument("--max-epochs", type=_int_at_least(1), default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true")
+    p = sub.add_parser("train", parents=[data, run, out], help="train over seeds and aggregate test accuracy")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("sweep", help="exhaustive grid search by validation accuracy")
-    p.add_argument("--data", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--seeds", default=None)
-    p.add_argument("--mixup", choices=("on", "off"), default=None)
-    p.add_argument("--max-epochs", type=_int_at_least(1), default=None)
+    p = sub.add_parser("sweep", parents=[data, run, out], help="exhaustive grid search by validation accuracy")
     p.add_argument("--grid", action="append", required=True,
                    help="field=v1,v2 (repeatable), e.g. mixup.gamma=0.5,0.7,0.9")
-    p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("diagnose", help="reachability / alignment reports")
+    p = sub.add_parser("diagnose", parents=[data, out], help="reachability / alignment reports")
     p.add_argument("kind", choices=("rc", "cka", "avgsp", "pearson"))
-    p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--seed", type=_int_at_least(0), default=0, help="sampling seed for cka")
-    p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of backprop")
@@ -510,12 +504,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("convert-cora", help="convert a Planetoid-style raw dump (ind.<name>.*)")
+    p = sub.add_parser("convert-cora", parents=[out], help="convert a Planetoid-style raw dump (ind.<name>.*)")
     p.add_argument("--raw", required=True, help="directory containing ind.cora.* files")
     p.add_argument("--name", default="cora")
     p.add_argument("--row-normalize", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_convert_cora)
 
     return parser
@@ -528,8 +520,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         parser.error(str(exc))  # exits with code 2
-    except (graphio.DatasetFormatError, trainer.TrainingDiverged, FloatingPointError,
-            RuntimeError, ValueError, OSError) as exc:
+    except (ValueError, RuntimeError, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

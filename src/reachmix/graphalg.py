@@ -171,12 +171,6 @@ def bfs_distances(g: csr_array, sources) -> np.ndarray:
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
-def connected_components(g: csr_array) -> np.ndarray:
-    """Component id per node; ids are assigned in order of smallest member."""
-    _, comp = csgraph.connected_components(g, directed=False)
-    return comp.astype(np.int64)
-
-
 def _exact_diameter(g: csr_array, comp: np.ndarray, rows: np.ndarray | None = None) -> int:
     """Max eccentricity over all components, from eccentricity bounds.
 
@@ -232,18 +226,19 @@ def _exact_diameter(g: csr_array, comp: np.ndarray, rows: np.ndarray | None = No
 def diameter_and_components(g: csr_array, rows: np.ndarray | None = None) -> tuple[int, np.ndarray]:
     """Exact diameter (max eccentricity over components) and component ids.
 
-    The ids come from ``connected_components``; the diameter from
-    ``_exact_diameter``, which runs ``bfs_distances`` on blocks of 64 sources
-    until the eccentricity bounds meet, at any graph size. ``rows``, hop
-    distances from any sources as ``bfs_distances`` returns them (one row of
-    N per source), are taken as a first block that costs no BFS; rows of
-    another width raise ``ValueError``. No N x N matrix is built.
+    The ids come from scipy's ``connected_components``, numbered in order of
+    each component's smallest node; the diameter from ``_exact_diameter``,
+    which runs ``bfs_distances`` on blocks of 64 sources until the
+    eccentricity bounds meet, at any graph size. ``rows``, hop distances
+    from any sources as ``bfs_distances`` returns them (one row of N per
+    source), are taken as a first block that costs no BFS; rows of another
+    width raise ``ValueError``. No N x N matrix is built.
     """
     if rows is not None:
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != g.shape[0]:
             raise ValueError(f"rows must be (sources, {g.shape[0]}) hop distances; got shape {rows.shape}")
-    comp = connected_components(g)
+    comp = csgraph.connected_components(g, directed=False)[1].astype(np.int64)
     return _exact_diameter(g, comp, rows), comp
 
 

@@ -75,10 +75,10 @@ class MixupConfig:
 
     lambda_intra / lambda_inter scale the two auxiliary losses (0 disables a
     branch). beta_s and beta_d set the strength of NLD similarity and of the
-    low-degree preference in the sampling weight. gamma is the pseudo-label
-    confidence threshold, tau the NLD sharpening temperature, alpha the
-    Beta(alpha, alpha) shape for the interpolation draw (alpha = 0 degenerates
-    to a fair coin over {0, 1}).
+    low-degree preference in the sampling weight; 0 makes that factor 1 for
+    every candidate. gamma is the pseudo-label confidence threshold, tau the
+    NLD sharpening temperature, alpha the Beta(alpha, alpha) shape for the
+    interpolation draw (alpha = 0 degenerates to a fair coin over {0, 1}).
     """
 
     lambda_intra: float = 1.0
@@ -94,8 +94,9 @@ class MixupConfig:
     def __post_init__(self):
         if not (0.0 <= self.lambda_intra <= 1.5) or not (0.0 <= self.lambda_inter <= 1.5):
             raise ValueError("lambda_intra and lambda_inter must lie in [0, 1.5]")
-        if self.beta_s <= 0 or self.beta_d <= 0:
-            raise ValueError("beta_s and beta_d must be > 0")
+        for name in ("beta_s", "beta_d"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError("gamma must lie in (0, 1]")
         if not (0.0 < self.tau <= 1.0):

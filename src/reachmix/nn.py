@@ -125,8 +125,7 @@ class ForwardTrace:
     hidden: np.ndarray  # post-ReLU, post-dropout hidden
     adjacency: csr_array | None  # the normalized graph the pass propagated over; None for the MLP path
     w2: np.ndarray
-    mask1: np.ndarray | None  # inverted-dropout scale per stored input entry
-    mask2: np.ndarray | None  # ... and per hidden unit; None when not applied
+    mask2: np.ndarray | None  # inverted-dropout scale per hidden unit; None when not applied
     consumed: bool = field(default=False)
 
 
@@ -172,7 +171,7 @@ def _forward(x, adjacency, params, dropout_rate, train, rng):
         raise ValueError("adjacency size does not match feature rows")
     if not (0.0 <= dropout_rate < 1.0):
         raise ValueError("dropout_rate must be in [0, 1)")
-    x0, mask1 = _dropout(x, dropout_rate, train, rng)
+    x0, _ = _dropout(x, dropout_rate, train, rng)
     xw = x0 @ params.w1
     pre1 = (matmul_dense(adjacency, xw) if adjacency is not None else xw) + params.b1
     h = np.maximum(pre1, 0.0)
@@ -181,7 +180,7 @@ def _forward(x, adjacency, params, dropout_rate, train, rng):
     logits = (matmul_dense(adjacency, hw) if adjacency is not None else hw) + params.b2
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits (training diverged?)")
-    trace = ForwardTrace(x0, pre1, h1, adjacency, params.w2, mask1, mask2)
+    trace = ForwardTrace(x0, pre1, h1, adjacency, params.w2, mask2)
     return logits, trace
 
 

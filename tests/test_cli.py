@@ -45,8 +45,49 @@ def synth_args(out, seed=7, per_class=20):
 def test_parse_seeds():
     assert parse_seeds("0..3") == [0, 1, 2, 3]
     assert parse_seeds("1,5,9") == [1, 5, 9]
-    with pytest.raises(Exception):
-        parse_seeds("5..1")
+    assert parse_seeds(" 2, 4,") == [2, 4]
+
+
+# Every command with its flags, each group declared once in build_parser.
+COMMAND_FLAGS = {
+    "synth": {"--classes", "--per-class", "--p-in", "--p-out", "--feature-dim", "--noise", "--seed",
+              "--labels-per-class", "--valid-per-class", "--out", "--force"},
+    "train": {"--data", "--config", "--seeds", "--mixup", "--max-epochs", "--out", "--force"},
+    "sweep": {"--data", "--config", "--seeds", "--mixup", "--max-epochs", "--grid", "--out", "--force"},
+    "diagnose": {"--data", "--checkpoint", "--seed", "--out", "--force"},
+    "gradcheck": {"--eps", "--threshold", "--seed"},
+    "convert-cora": {"--raw", "--name", "--row-normalize", "--no-row-normalize", "--out", "--force"},
+}
+
+
+def test_each_command_takes_its_flags():
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    assert set(commands) == set(COMMAND_FLAGS)
+    for name, parser in commands.items():
+        flags = {f for action in parser._actions for f in action.option_strings} - {"-h", "--help"}
+        assert flags == COMMAND_FLAGS[name], name
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("seeds, message", [
+    ("", "need at least one seed"),
+    (",", "need at least one seed"),
+    ("0..-1", "empty seed range '0..-1'"),
+    ("0..x", "bad seed range '0..x'"),
+    ("0,x", "bad seed list '0,x'"),
+], ids=["empty", "comma", "empty-range", "bad-range", "bad-list"])
+def test_a_seed_list_with_no_seeds_or_a_bad_one_is_a_usage_error(tmp_path, dataset_dir, monkeypatch, capsys,
+                                                                  command, seeds, message):
+    monkeypatch.setattr(cli.trainer, "train_one", never_train)
+    out = tmp_path / "run"
+    argv = [command, "--data", str(dataset_dir), "--seeds", seeds, "--out", str(out)]
+    if command == "sweep":
+        argv += ["--grid", "lr=0.01"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    assert not out.exists()
 
 
 def test_synth_creates_loadable_dataset(tmp_path, capsys):
@@ -627,7 +668,9 @@ def test_a_bad_config_file_exits_one_naming_it(tmp_path, dataset_dir, monkeypatc
 @pytest.mark.parametrize("grid, key", [
     ("nosuch=1", "nosuch"),
     ("mixup.gamma=0.7,abc", "mixup.gamma"),  # the bad value is in the last point
-], ids=["field", "value"])
+    ("mixup.beta_s=1,-0.5", "beta_s must be >= 0, got -0.5"),
+    ("mixup.beta_d=0,-0.5", "beta_d must be >= 0, got -0.5"),
+], ids=["field", "value", "beta_s-negative", "beta_d-negative"])
 def test_sweep_bad_grid_fails_before_training(tmp_path, dataset_dir, monkeypatch, capsys, grid, key):
     monkeypatch.setattr(cli.trainer, "train_one", never_train)
     out = tmp_path / "sweep"
@@ -636,6 +679,16 @@ def test_sweep_bad_grid_fails_before_training(tmp_path, dataset_dir, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert not out.exists()
+
+
+def test_a_sweep_switches_each_sampling_factor_off(tmp_path, dataset_dir, quick_config):
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--data", str(dataset_dir), "--config", str(quick_config), "--seeds", "0", "--max-epochs", "8",
+            "--grid", "mixup.beta_s=0,1", "--grid", "mixup.beta_d=0,1", "--out", str(out)]
+    assert run_cli(argv) == 0
+    with open(out / "sweep.tsv", encoding="utf-8") as fh:
+        points = sorted(tuple(line.split("\t")[:2]) for line in fh.read().splitlines()[1:])
+    assert points == [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])

@@ -12,7 +12,6 @@ from reachmix.graphalg import (
     MixSelector,
     add_self_loops,
     bfs_distances,
-    connected_components,
     diameter_and_components,
     from_edges,
     matmul_dense,
@@ -214,7 +213,7 @@ def test_diameter_two_disjoint_edges():
 
 def test_component_ids_follow_smallest_member():
     g = from_edges(6, np.array([[1, 4], [0, 5], [2, 3]]))
-    np.testing.assert_array_equal(connected_components(g), [0, 1, 2, 2, 1, 0])
+    np.testing.assert_array_equal(diameter_and_components(g)[1], [0, 1, 2, 2, 1, 0])
 
 
 def test_diameter_five_cycle():
@@ -341,7 +340,7 @@ def test_a_diameter_seeded_with_any_rows_is_exact(case):
         mp.setattr(graphalg, "bfs_distances", lambda g, s: blocks.append(len(s)) or kernel(g, s))
         seeded, comp = diameter_and_components(g, seed_rows(g, sources))
     assert seeded == diameter_and_components(g)[0] == expected
-    np.testing.assert_array_equal(comp, connected_components(g))
+    np.testing.assert_array_equal(comp, csgraph.connected_components(g, directed=False)[1])
     if len(sources) == g.shape[0]:
         assert blocks == []  # rows from every node settle every node
 
@@ -461,6 +460,33 @@ def test_from_edges_always_symmetric(n, seed):
     rng = np.random.default_rng(seed)
     g = from_edges(n, random_graph_edges(rng, n))
     validate(g)  # includes the exact symmetry check
+
+
+def raw_graph(n, indptr, indices, data):
+    """A csr_array of exactly these arrays, which scipy neither sorts nor checks."""
+    return csr_array((np.asarray(data, dtype=np.float64), np.asarray(indices), np.asarray(indptr)), shape=(n, n))
+
+
+# Each graph breaks exactly one invariant; every other one holds.
+INVALID_GRAPHS = {
+    "not-square": (lambda: csr_array((2, 3)), "square matrix with at least one node"),
+    "no-nodes": (lambda: csr_array((0, 0)), "square matrix with at least one node"),
+    "zero-weight": (lambda: raw_graph(2, [0, 1, 2], [1, 0], [0.0, 0.0]), "finite and > 0"),
+    "negative-weight": (lambda: raw_graph(2, [0, 1, 2], [1, 0], [-1.0, -1.0]), "finite and > 0"),
+    "infinite-weight": (lambda: raw_graph(2, [0, 1, 2], [1, 0], [np.inf, np.inf]), "finite and > 0"),
+    "nan-weight": (lambda: raw_graph(2, [0, 1, 2], [1, 0], [np.nan, np.nan]), "finite and > 0"),
+    "unsorted-columns": (lambda: raw_graph(3, [0, 2, 3, 4], [2, 1, 0, 0], [1.0] * 4), "sorted and distinct"),
+    "repeated-column": (lambda: raw_graph(2, [0, 2, 3], [1, 1, 0], [1.0, 1.0, 2.0]), "sorted and distinct"),
+    "not-symmetric": (lambda: raw_graph(2, [0, 1, 1], [1], [1.0]), "not symmetric"),
+    "asymmetric-weights": (lambda: raw_graph(2, [0, 1, 2], [1, 0], [1.0, 2.0]), "not symmetric"),
+}
+
+
+@pytest.mark.parametrize("name", INVALID_GRAPHS)
+def test_validate_refuses_each_broken_invariant(name):
+    build, message = INVALID_GRAPHS[name]
+    with pytest.raises(ValueError, match=message):
+        validate(build())
 
 
 PATH3 = np.array([[0, 1], [1, 2]])

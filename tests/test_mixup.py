@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_mix
+from reachmix.cli import load_config
 from reachmix.graphalg import MixSelector, add_self_loops, from_edges, sym_normalize
 from reachmix.graphio import Dataset, SplitSpec, generate_sbm
 from reachmix.mixup import (
@@ -206,6 +209,24 @@ def test_sampling_weights_multiply_by_degree_reciprocal():
     for same, sign in ((True, 1.0), (False, -1.0)):
         expected = np.exp(sign * 0.7 * s) * (1.0 / (1.0 + 1.3 * d))
         assert np.array_equal(sampling_weights(same, s, d, 0.7, 1.3), expected)
+
+
+@pytest.mark.parametrize("beta_s, beta_d", [(0.0, 1.3), (0.7, 0.0), (0, 0)], ids=["nld-off", "degree-off", "both-off"])
+def test_a_zero_beta_in_a_config_file_switches_its_factor_off(tmp_path, beta_s, beta_d):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"mixup": {"beta_s": beta_s, "beta_d": beta_d}}))
+    cfg = load_config(str(config)).mixup
+    assert (cfg.beta_s, cfg.beta_d) == (beta_s, beta_d)
+    rng = np.random.default_rng(0)
+    s, d = rng.random((4, 250)), rng.integers(0, 50, 250)
+    for same, sign in ((True, 1.0), (False, -1.0)):
+        if beta_s:  # the NLD factor alone
+            expected = np.exp(sign * beta_s * s)
+        elif beta_d:  # the degree factor alone, the same in every row
+            expected = np.broadcast_to(1.0 / (1.0 + beta_d * d), s.shape)
+        else:
+            expected = np.ones(s.shape)
+        assert np.array_equal(sampling_weights(same, s, d, cfg.beta_s, cfg.beta_d), expected)
 
 
 def test_sampling_weight_decreases_with_degree():
@@ -512,8 +533,11 @@ def test_mixup_config_validation():
         MixupConfig(gamma=0.0)
     with pytest.raises(ValueError):
         MixupConfig(tau=1.5)
-    with pytest.raises(ValueError):
-        MixupConfig(beta_s=0.0)
+    for name in ("beta_s", "beta_d"):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
+            MixupConfig(**{name: -0.5})
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
+            MixupConfig(**{name: float("nan")})
     with pytest.raises(ValueError):
         MixupConfig(refresh_every=0)
     cfg = MixupConfig()

@@ -79,7 +79,7 @@ def test_input_dropout_acts_on_stored_entries_only(rng):
     # The stream advances by exactly nnz draws for the input layer: the next
     # N x H draws are the hidden-layer mask.
     ref = np.random.default_rng(5)
-    np.testing.assert_array_equal(trace.mask1, (ref.random(x.nnz) >= rate) / (1.0 - rate))
+    np.testing.assert_array_equal(dropped.data, x.data * ((ref.random(x.nnz) >= rate) / (1.0 - rate)))
     np.testing.assert_array_equal(trace.mask2, (ref.random((40, 4)) >= rate) / (1.0 - rate))
 
 
@@ -152,7 +152,9 @@ def test_train_mode_dropout_changes_output(rng):
     eval_logits, _ = gcn_forward(x, a, params)
     train_logits, trace = gcn_forward(x, a, params, dropout_rate=0.5, train=True, rng=np.random.default_rng(0))
     assert not np.array_equal(eval_logits, train_logits)
-    assert trace.mask1 is not None and trace.mask2 is not None
+    ref = np.random.default_rng(0)
+    np.testing.assert_array_equal(trace.x_in.data, x.ravel() * ((ref.random(25) >= 0.5) / 0.5))
+    assert trace.mask2 is not None
 
 
 def test_dropout_requires_rng():

@@ -11,7 +11,8 @@ import pytest
 
 from reachmix.graphio import generate_sbm, make_split, with_split
 from reachmix import nn, trainer
-from reachmix.mixup import MixupConfig
+from reachmix.mixup import MixupConfig, build_pseudo_labels
+from reachmix.seeding import substream
 from reachmix.trainer import (
     TrainConfig,
     apply_grid_point,
@@ -87,6 +88,27 @@ def test_mixup_refresh_hook_fires_and_batches_are_valid():
     train_one(build_operators(ds), cfg, seed=0, on_refresh=hook)
     assert calls and calls[0] == 5
     assert all(b - a == 2 for a, b in zip(calls, calls[1:]))
+
+
+def test_a_run_without_warmup_refreshes_at_epoch_0_from_the_initial_model(tmp_path):
+    # No validation pass has run before epoch 0, so its refresh takes the
+    # eval-mode logits of the initial parameters from a forward of its own.
+    inputs = build_operators(small_dataset())
+    cfg = quick_cfg(max_epochs=15, patience=15, mixup_enabled=True, mixup=MixupConfig(warmup_epochs=0, gamma=0.34))
+    initial = nn.init_params(inputs.features.shape[1], cfg.hidden, inputs.y_hot.shape[1], substream(4, "init"))
+    expected = build_pseudo_labels(nn.softmax(nn.gcn_forward(inputs.features, inputs.a_norm, initial)[0]),
+                                   inputs.split.labeled_ids, cfg.mixup.gamma)
+    refreshes = []
+    runs = [train_one(inputs, cfg, seed=4, on_refresh=lambda epoch, dpl, *_: refreshes.append((epoch, dpl)))
+            for _ in range(2)]
+    epoch, dpl = refreshes[0]
+    assert epoch == 0 and len(dpl) > 0
+    np.testing.assert_array_equal(dpl.ids, expected.ids)
+    np.testing.assert_array_equal(dpl.labels, expected.labels)
+    np.testing.assert_array_equal(history_matrix(runs[0]), history_matrix(runs[1]))
+    for i, run in enumerate(runs):
+        nn.save_params(tmp_path / f"checkpoint{i}.txt", run.params)
+    assert (tmp_path / "checkpoint0.txt").read_bytes() == (tmp_path / "checkpoint1.txt").read_bytes()
 
 
 def test_early_stopping_restores_best_params():
