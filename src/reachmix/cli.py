@@ -392,6 +392,9 @@ def _convert_planetoid(raw_dir: str, name: str):
     Best-effort convenience: the pickles hold scipy sparse feature blocks,
     which are densified here. Follows the standard split: first 20*C nodes train, next 500
     validation, the test index file as test.
+
+    The files are read with ``pickle.load``, which can run code stored in
+    them, so convert only dumps from a source you trust.
     """
     import pickle
 

@@ -11,7 +11,8 @@ A dataset is a directory of four text files:
                   with no line is +0.0; blank lines are skipped, '#' is not
                   a comment; an index outside [0, N) or [0, F), a repeated
                   (row, col) and a value that is not finite (nan, inf,
-                  -inf) are rejected, naming the line; the dense layout of
+                  -inf) are rejected, naming the line, as is a header whose
+                  N x F table cannot be allocated; the dense layout of
                   earlier versions, one line of F values per node, is
                   rejected with the fix: write the dataset again
     labels.tsv    line i = integer class label of node i; blank lines are
@@ -31,12 +32,16 @@ rejected, naming the line.
 Class indices must be contiguous: every class in [0, C) has at least one
 node, so C is recoverable from labels.tsv alone and save/load round-trips.
 
-Each fact of a row (an edge's endpoints, a label's class, a feature's
-finiteness) is checked once, where a ``Dataset`` is built; ``load_dataset``
-checks only what needs the file's text and names the line of a row fault.
-A feature entry's finiteness needs its line, so the parse checks it too.
-Each table file is parsed by one ``np.loadtxt``; its lines are read one at a
-time only after a fault, to name the line.
+Each table is read by ``_table``: one ``np.loadtxt`` into a structured
+dtype, a record per row line (edges ``(u, v)``, labels ``(label,)``, feature
+entries ``(row, col, value)``), so numpy itself refuses a line of another
+width; only then are the lines read one at a time, by the table's
+token-syntax fault function, to name the line. So one rule holds for all
+three tables: a token-syntax fault is named first; otherwise the first row
+or entry whose fact fails is named, by its line. Each fact is checked once:
+an edge's and a label's where a ``Dataset`` is built, and a feature entry's
+(its indices, its finiteness, its cell given once) in bulk on the parsed
+entries.
 
 A dataset's fingerprint is the SHA-256 of the four files in the order
 above, each fed as its name and then its bytes (``dataset_fingerprint``).
@@ -83,7 +88,9 @@ CACHE_FILE = ".features.cache"
 # by files whose features.tsv holds entries, so that a dense features.tsv
 # of earlier versions is refused whether or not it left a cache.
 _CACHE_MAGIC = b"reachmix features.tsv cache 3\n"
-# One line of features.tsv after its header, as np.loadtxt reads it.
+# One row line of each table, as np.loadtxt reads it.
+_EDGE = np.dtype([("u", np.int64), ("v", np.int64)])
+_LABEL = np.dtype([("label", np.int64)])
 _ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
 # An integer token as np.loadtxt reads one into int64, before the range.
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
@@ -114,6 +121,10 @@ class DatasetRowError(ValueError):
         super().__init__(message)
 
 
+def _non_finite(value: float, node: int, col: int) -> str:
+    return f"non-finite feature {value!r} of node {node}, column {col}"
+
+
 def _check_finite(features: np.ndarray) -> None:
     """Raise ``DatasetRowError`` for the first nan or infinite cell."""
     # min and max propagate nan and show an infinity without an (N, F) mask,
@@ -123,8 +134,7 @@ def _check_finite(features: np.ndarray) -> None:
     finite = np.isfinite(features)
     node = int(np.argmin(finite.all(axis=1)))
     col = int(np.argmin(finite[node]))
-    value = float(features[node, col])
-    raise DatasetRowError("features", node, f"non-finite feature {value!r} in column {col + 1} of node {node}")
+    raise DatasetRowError("features", node, _non_finite(float(features[node, col]), node, col))
 
 
 def _as_sorted_ids(values, name: str) -> np.ndarray:
@@ -319,15 +329,14 @@ def _write_cache(directory, digest: str, features: np.ndarray) -> None:
                 os.unlink(tmp)
 
 
-def _float_token(token: str) -> float | None:
-    """A value token as np.loadtxt reads it into float64, or None where it
-    does not: ``float`` also takes underscores and non-ASCII digits."""
-    if not token.isascii() or "_" in token:
-        return None
+def _is_float_token(token: str) -> bool:
+    """Whether np.loadtxt reads ``token`` into a float64: ``float`` also
+    takes underscores and non-ASCII digits, which it does not."""
     try:
-        return float(token)
+        float(token)
     except ValueError:
-        return None
+        return False
+    return token.isascii() and "_" not in token
 
 
 def _header(path, line_no: int, text: str) -> tuple[int, int]:
@@ -338,7 +347,7 @@ def _header(path, line_no: int, text: str) -> tuple[int, int]:
         if n == 0:
             raise DatasetFormatError(path, line_no, "no feature rows: the header gives N = 0")
         return n, f
-    if fields and not ints and all(_float_token(token) is not None for token in fields):
+    if fields and not ints and all(map(_is_float_token, fields)):
         raise DatasetFormatError(path, line_no, "a row of F values is the dense layout of earlier versions, "
                                                 "which is no longer read; write the dataset again with "
                                                 "`reachmix synth` or `reachmix convert-cora`")
@@ -346,65 +355,35 @@ def _header(path, line_no: int, text: str) -> tuple[int, int]:
                                             f"got {text!r}")
 
 
-def _entry_fault(path, data: bytes, header_no: int, n: int, f: int) -> DatasetFormatError | None:
-    """The fault of the first line after line ``header_no`` of features.tsv's
-    bytes ``data`` that breaks the layout of an N x F table, reading each
-    token as np.loadtxt does; None if every line holds."""
-    first_line = {}
-    lines = _text(path, data).readlines()
-    for line_no, line in enumerate(lines[header_no:], start=header_no + 1):
-        text = line.strip()
-        if not text:
-            continue
-        fields = text.split()
-        if len(fields) != 3:
-            return DatasetFormatError(path, line_no, f"expected 3 columns 'row<TAB>col<TAB>value', got {text!r}")
-        for name, token, size in (("row", fields[0], n), ("column", fields[1], f)):
-            if not _INT_TOKEN.fullmatch(token):
-                return DatasetFormatError(path, line_no, f"non-integer {name} index {token!r}")
-            if not 0 <= int(token) < size:
-                return DatasetFormatError(path, line_no, f"{name} index {int(token)} outside [0, {size})")
-        row, col, value = int(fields[0]), int(fields[1]), _float_token(fields[2])
-        if value is None:
-            return DatasetFormatError(path, line_no, f"non-numeric value {fields[2]!r}")
-        if not math.isfinite(value):
-            return DatasetFormatError(path, line_no, f"non-finite feature {value!r} of node {row}, column {col}")
-        if (row, col) in first_line:
-            return DatasetFormatError(path, line_no, f"node {row}, column {col} is given again "
-                                                     f"(first on line {first_line[row, col]})")
-        first_line[row, col] = line_no
-    return None
+def _int64_fault(name: str, token: str) -> str | None:
+    """Why np.loadtxt would not read ``token`` into an int64, calling it
+    ``name``; None where it would."""
+    if not _INT_TOKEN.fullmatch(token):
+        return f"non-integer {name} {token!r}"
+    value = int(token)
+    return None if _INT64_MIN <= value <= _INT64_MAX else f"{name} {value} outside the int64 range"
 
 
-def _parse_features(path, data: bytes) -> np.ndarray:
-    """The dense feature table of features.tsv's bytes ``data``: the header,
-    then every entry line in one ``np.loadtxt`` that reads on from the same
-    stream, so no list of lines is built; the entries are checked in bulk
-    and scattered into zeros. On a fault, the entry lines are read again one
-    at a time to name the first bad one."""
-    stream = _text(path, data)
-    for header_no, line in enumerate(stream, start=1):
-        if line.strip():
-            break
-    else:
-        raise DatasetFormatError(path, None, "no feature rows: expected a header line 'N<TAB>F'")
-    n, f = _header(path, header_no, line.strip())
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            entries = np.loadtxt(stream, dtype=_ENTRY, comments=None, ndmin=1)
-    except ValueError as exc:  # a token numpy cannot read, or a line of another width
-        raise _entry_fault(path, data, header_no, n, f) or DatasetFormatError(path, None, str(exc)) from None
-    rows, cols, values = entries["row"], entries["col"], entries["value"]
-    valid = bool(((rows >= 0) & (rows < n) & (cols >= 0) & (cols < f)).all() and np.isfinite(values).all())
-    if valid:
-        keys = rows * f + cols
-        valid = bool((keys[1:] > keys[:-1]).all()) or np.unique(keys).size == keys.size  # row-major needs no sort
-    if not valid:  # the scan reads each line as loadtxt did, so it finds the fault found here
-        raise _entry_fault(path, data, header_no, n, f)
-    features = np.zeros((n, f))
-    features[rows, cols] = values
-    return features
+def _edge_fault(text: str) -> str | None:
+    fields = text.split()
+    if len(fields) != 2:
+        return f"expected 'u<TAB>v', got {text!r}"
+    if not all(map(_INT_TOKEN.fullmatch, fields)):
+        return f"non-integer node id in {text!r}"
+    return _int64_fault("node id", fields[0]) or _int64_fault("node id", fields[1])
+
+
+def _label_fault(text: str) -> str | None:
+    return _int64_fault("label", text)
+
+
+def _entry_fault(text: str) -> str | None:
+    fields = text.split()
+    if len(fields) != 3:
+        return f"expected 3 columns 'row<TAB>col<TAB>value', got {text!r}"
+    if fault := _int64_fault("row index", fields[0]) or _int64_fault("column index", fields[1]):
+        return fault
+    return None if _is_float_token(fields[2]) else f"non-numeric value {fields[2]!r}"
 
 
 def _row_lines(path, data: bytes, comments: str | None) -> list[tuple[int, str]]:
@@ -415,43 +394,65 @@ def _row_lines(path, data: bytes, comments: str | None) -> list[tuple[int, str]]
             if (text := (line.split(comments, 1)[0] if comments else line).strip())]
 
 
-def _int_table(path, data: bytes, width: int, comments: str | None, fault) -> np.ndarray:
-    """The (rows, ``width``) int64 table of a file's bytes ``data``, parsed by
-    one ``np.loadtxt``: blank lines hold no row, and ``comments`` starts a
-    comment. On a fault, the row lines are read again one at a time, and
-    ``fault(text)`` names the first bad one: it returns the message of a row
-    that np.loadtxt would not read into ``width`` int64 columns, and None for
-    one that it would."""
+def _table(path, data: bytes, dtype: np.dtype, comments: str | None, fault, skip: int = 0) -> np.ndarray:
+    """The records of ``dtype`` that one ``np.loadtxt`` reads from a file's
+    bytes ``data`` after its first ``skip`` lines: blank lines hold no row,
+    ``comments`` starts a comment, and a line of another width is refused.
+    On a fault, the row lines are read one at a time, and the first for which
+    ``fault(text)`` gives a message (None for a row that reads) is named."""
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(_text(path, data), dtype=np.int64, comments=comments, ndmin=2)
-        if table.size == 0 or table.shape[1] == width:
-            return table.reshape(-1, width)
-        message = f"expected {width} columns, got {table.shape[1]}"
-    except ValueError as exc:  # a token that is not an int64, or a line of another width
+            return np.loadtxt(_text(path, data), dtype=dtype, comments=comments, skiprows=skip, ndmin=1)
+    except ValueError as exc:  # a token that numpy cannot read, or a line of another width
         message = str(exc)
     for line_no, text in _row_lines(path, data, comments):
-        if row_fault := fault(text):
+        if line_no > skip and (row_fault := fault(text)):
             raise DatasetFormatError(path, line_no, row_fault)
     raise DatasetFormatError(path, None, message)
 
 
-def _edge_fault(text: str) -> str | None:
-    fields = text.split()
-    if len(fields) != 2:
-        return f"expected 'u<TAB>v', got {text!r}"
-    if not all(map(_INT_TOKEN.fullmatch, fields)):
-        return f"non-integer node id in {text!r}"
-    node = next((node for node in map(int, fields) if not _INT64_MIN <= node <= _INT64_MAX), None)
-    return None if node is None else f"node id {node} outside the int64 range"
-
-
-def _label_fault(text: str) -> str | None:
-    if not _INT_TOKEN.fullmatch(text):
-        return f"non-integer label {text!r}"
-    label = int(text)
-    return None if _INT64_MIN <= label <= _INT64_MAX else f"label {label} outside the int64 range"
+def _parse_features(path, data: bytes) -> np.ndarray:
+    """The dense feature table of features.tsv's bytes ``data``: the header
+    sizes a table of zeros, ``_table`` parses the entry lines after it, the
+    facts of all entries are checked at once, and the entries are scattered
+    into the table. A fact fault names entry i's line: row line i + 1."""
+    for header_no, line in enumerate(_text(path, data), start=1):
+        if line.strip():
+            break
+    else:
+        raise DatasetFormatError(path, None, "no feature rows: expected a header line 'N<TAB>F'")
+    n, f = _header(path, header_no, line.strip())
+    try:
+        features = np.zeros((n, f))
+    except (ValueError, MemoryError):
+        raise DatasetFormatError(path, header_no, f"cannot allocate an N x F table, N = {n}, F = {f}") from None
+    entries = _table(path, data, _ENTRY, None, _entry_fault, skip=header_no)
+    rows, cols, values = entries["row"], entries["col"], entries["value"]
+    bad = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= f) | ~np.isfinite(values)
+    # A good entry's key is below N * F, which the allocation bounds inside
+    # int64. A bad entry's key may wrap, but the bad entry is named before
+    # any repeat it fakes.
+    keys = rows * f + cols
+    if bad.any() or not (keys[1:] > keys[:-1]).all():  # save_dataset writes row-major, which needs no sort
+        order = np.argsort(keys, kind="stable")  # each cell's entries in file order
+        bad[order[1:]] |= keys[order[1:]] == keys[order[:-1]]
+    if not bad.any():
+        features[rows, cols] = values
+        return features
+    i = int(np.argmax(bad))
+    row, col, value = int(rows[i]), int(cols[i]), float(values[i])
+    lines = _row_lines(path, data, None)
+    if not 0 <= row < n:
+        message = f"row index {row} outside [0, {n})"
+    elif not 0 <= col < f:
+        message = f"column index {col} outside [0, {f})"
+    elif not math.isfinite(value):
+        message = _non_finite(value, row, col)
+    else:
+        first = int(np.argmax(keys == keys[i]))
+        message = f"node {row}, column {col} is given again (first on line {lines[first + 1][0]})"
+    raise DatasetFormatError(path, lines[i + 1][0], message)
 
 
 def load_dataset(directory) -> Dataset:
@@ -461,19 +462,17 @@ def load_dataset(directory) -> Dataset:
     and bytes in ``DATASET_FILES`` order; the digest is the cache key and
     the returned ``Dataset.fingerprint``. Everything is parsed from the
     bytes that were hashed, so the fingerprint is always that of what was
-    loaded. The loaded files are checked for what needs their text; the
-    ``Dataset`` checks every row fact, and a ``DatasetRowError`` comes back
-    as a ``DatasetFormatError`` naming that row's file and line.
+    loaded.
 
-    edges.tsv and labels.tsv are each parsed by one int64 ``np.loadtxt``
-    (``_int_table``); their lines are read one at a time only to name the
-    line of a fault.
+    Each table is parsed by one ``_table``. A token-syntax fault is named
+    first; otherwise the first row or entry whose fact fails is named by
+    its file and line: the ``Dataset`` checks edges and labels, and its
+    ``DatasetRowError`` comes back as a ``DatasetFormatError``, and
+    ``_parse_features`` checks the feature entries.
 
     The feature table comes from ``.features.cache`` when that holds the
-    fingerprint. Otherwise features.tsv's entry lines are parsed by one
-    ``np.loadtxt`` and scattered into a dense float64 table of the header's
-    N x F; a fault is named by its line. After a parse, and only once the
-    ``Dataset`` is built, the table is cached under the fingerprint. Either
+    fingerprint; otherwise features.tsv is parsed. After a parse, and only
+    once the ``Dataset`` is built, the table is cached under it. Either
     way the same checks run, so the same bytes load to the same dataset, or
     fail with the same message, as without a cache.
     """
@@ -483,7 +482,7 @@ def load_dataset(directory) -> Dataset:
     digest = hashlib.sha256()
     raw = {path: _read(digest, path) for path in paths}
     fingerprint = digest.hexdigest()
-    edges = _int_table(edges_path, raw[edges_path], 2, "#", _edge_fault)
+    edges = _table(edges_path, raw[edges_path], _EDGE, "#", _edge_fault).view(np.int64).reshape(-1, 2)
 
     features = _cached_features(directory, fingerprint)
     parsed = features is None
@@ -491,7 +490,7 @@ def load_dataset(directory) -> Dataset:
         features = _parse_features(features_path, raw[features_path])
     num_nodes = features.shape[0]
 
-    labels = _int_table(labels_path, raw[labels_path], 1, None, _label_fault)[:, 0]
+    labels = _table(labels_path, raw[labels_path], _LABEL, None, _label_fault)["label"]
     if labels.size != num_nodes:
         raise DatasetFormatError(labels_path, None, f"{labels.size} labels for {num_nodes} feature rows")
 

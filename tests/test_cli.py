@@ -384,7 +384,7 @@ FEATURES_HEADER = "3\t2\n"  # PATH_TEXTS' three nodes, two feature columns
     (FEATURES_HEADER + "0\t0\t1.0\n3\t0\t1.0\n", 3, "row index 3 outside [0, 3)"),
     (FEATURES_HEADER + "0\t-1\t1.0\n", 2, "column index -1 outside [0, 2)"),
     (FEATURES_HEADER + "0\t0\t1.0\n0\t2\t1.0\n", 3, "column index 2 outside [0, 2)"),
-    (FEATURES_HEADER + "99999999999999999999\t0\t1.0\n", 2, "row index 99999999999999999999 outside [0, 3)"),
+    (FEATURES_HEADER + "99999999999999999999\t0\t1.0\n", 2, "row index 99999999999999999999 outside the int64 range"),
     (FEATURES_HEADER + "0\t0\tabc\n", 2, "non-numeric value 'abc'"),
     (FEATURES_HEADER + "0\t0\t1_0\n", 2, "non-numeric value '1_0'"),
     (FEATURES_HEADER + "2\t1\t1.0\n0\t0\tinf\n", 3, "non-finite feature inf of node 0, column 0"),
@@ -393,10 +393,17 @@ FEATURES_HEADER = "3\t2\n"  # PATH_TEXTS' three nodes, two feature columns
     ("1.0\t0.5\n2.0\t0.0\n3.0\t1.5\n", 1,
      "a row of F values is the dense layout of earlier versions, which is no longer read; "
      "write the dataset again with `reachmix synth` or `reachmix convert-cora`"),
+    # A fact fault on line 3 and a syntax fault on line 4: the syntax fault is named.
+    ("3\t1\n0\t0\t1.0\n1\t5\t2.0\n2\tx\t3.0\n", 4, "non-integer column index 'x'"),
+    # Headers whose N x F table numpy refuses by arithmetic, before any allocation.
+    (f"5\t{2**62}\n0\t0\t1.0\n4\t0\t1.0\n", 1, f"cannot allocate an N x F table, N = 5, F = {2**62}"),
+    (f"3\t{2**63}\n0\t0\t1.0\n", 1, f"cannot allocate an N x F table, N = 3, F = {2**63}"),
+    (f"3\t{2**62}\n0\t0\t1.0\n1\t1\t2.0\n", 1, f"cannot allocate an N x F table, N = 3, F = {2**62}"),
 ], ids=["header-one-field", "header-negative", "header-not-integers", "header-no-nodes", "two-fields", "four-fields",
         "row-not-integer", "column-not-integer", "row-underscore", "row-above", "column-negative", "column-above",
         "row-beyond-int64", "value-not-numeric", "value-underscore", "value-infinite", "duplicate",
-        "duplicate-unordered", "dense-layout"])
+        "duplicate-unordered", "dense-layout", "syntax-after-fact", "header-cell-keys-wrap", "header-beyond-int64",
+        "header-too-big"])
 def test_a_features_fault_exits_one_naming_file_and_line(tmp_path, capsys, text, line, message):
     data = tmp_path / "data"
     data.mkdir()
@@ -889,7 +896,7 @@ def test_convert_non_finite_feature_exits_one(tmp_path, capsys):
         pickle.dump(sp.csr_matrix(tx), fh)
     out = tmp_path / "converted"
     assert run_cli(["convert-cora", "--raw", str(raw), "--out", str(out), "--no-row-normalize"]) == 1
-    assert "non-finite feature nan in column 3 of node 600" in capsys.readouterr().err
+    assert "non-finite feature nan of node 600, column 2" in capsys.readouterr().err
     assert not out.exists()
 
 

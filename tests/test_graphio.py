@@ -238,7 +238,7 @@ def test_dataset_reports_the_first_bad_row_of_each_table():
         "labels", 2, "label 3 out of range: class 2 has no nodes, so labels are not contiguous")
     features = np.ones((3, 2))
     features[1, 0] = -np.inf
-    assert row_fault(features=features) == ("features", 1, "non-finite feature -inf in column 1 of node 1")
+    assert row_fault(features=features) == ("features", 1, "non-finite feature -inf of node 1, column 0")
 
 
 def test_dataset_with_classes_above_every_label_has_no_bad_row():
@@ -310,6 +310,56 @@ def test_features_blank_lines_are_skipped(tmp_path):
         {"labeled": [0], "valid": [], "test": [1]},
     )
     np.testing.assert_array_equal(load_dataset(d).features, [[1.0, 2.0], [3.0, 4.0]])
+
+
+@st.composite
+def features_with_one_fact_fault(draw):
+    """(N, features.tsv text, line, message): the entries of an N x F table
+    in any order, with blank lines, and one more entry that breaks a fact:
+    an index out of range, a value that is not finite, or a cell that an
+    earlier entry gave after blank lines."""
+    n, f = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    cells = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, f - 1)), unique=True, min_size=1,
+                          max_size=n * f))
+    values = [repr(draw(st.floats(allow_nan=False, allow_infinity=False))) for _ in cells]
+    kind = draw(st.sampled_from(["row", "column", "non-finite", "repeat"]))
+    at = draw(st.integers(1 if kind == "repeat" else 0, len(cells)))  # the planted entry's index
+    row, col = draw(st.sampled_from(cells[:at] if kind == "repeat" else cells))
+    value = "1.0"
+    if kind == "row":
+        row = draw(st.sampled_from([-1, n, n + 2**40, -(2**63)]))
+        message = f"row index {row} outside [0, {n})"
+    elif kind == "column":
+        col = draw(st.sampled_from([-1, f, f + 2**40, 2**63 - 1]))
+        message = f"column index {col} outside [0, {f})"
+    elif kind == "non-finite":
+        value = draw(st.sampled_from(["nan", "inf", "-inf", "1e999", "+NaN"]))
+        message = f"non-finite feature {float(value)!r} of node {row}, column {col}"
+    first = cells.index((row, col)) if kind == "repeat" else None
+    cells.insert(at, (row, col))
+    values.insert(at, value)
+    blank = st.sampled_from(["", " ", "\t "])
+    lines = draw(st.lists(blank, max_size=2)) + [f"{n}\t{f}"]
+    entry_lines = []
+    for i, (cell, text) in enumerate(zip(cells, values)):
+        lines += draw(st.lists(blank, min_size=int(i == first), max_size=2))
+        lines.append("{}\t{}\t{}".format(*cell, text))
+        entry_lines.append(len(lines))
+    if kind == "repeat":
+        message = f"node {row}, column {col} is given again (first on line {entry_lines[first]})"
+    return n, "\n".join(lines) + "\n", entry_lines[at], message
+
+
+@settings(max_examples=150, deadline=None)
+@given(features_with_one_fact_fault())
+@example((3, "3\t2\n\n1\t1\t2.0\n0\t0\t1.0\n1\t1\t3.0\n", 5, "node 1, column 1 is given again (first on line 3)"))
+def test_a_fact_fault_names_its_entry_line(tmp_path_factory, case):
+    n, text, line, message = case
+    d = write_dataset_dir(tmp_path_factory.mktemp("fact"), "", text, "0\n" * n,
+                          {"labeled": [0], "valid": [], "test": []})
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(d)
+    assert str(err.value) == f"{d / 'features.tsv'}:{line}: {message}"
 
 
 def test_save_features_bytes_are_shortest_repr(tmp_path):
@@ -393,7 +443,7 @@ def test_dataset_rejects_non_finite_features(value):
     # features.tsv that load_dataset would refuse.
     features = np.ones((3, 2))
     features[2, 1] = value
-    with pytest.raises(ValueError, match=rf"^non-finite feature {value!r} in column 2 of node 2$"):
+    with pytest.raises(ValueError, match=rf"^non-finite feature {value!r} of node 2, column 1$"):
         features_dataset(features)
 
 
@@ -671,7 +721,7 @@ def test_a_cached_table_that_a_parse_would_refuse_names_the_cache(tmp_path):
     cache.write_bytes(b"reachmix features.tsv cache 3\n" + fingerprint.encode() + b"\n" + numpy_file(np.save, forged))
     with pytest.raises(DatasetFormatError) as err:
         load_dataset(d)
-    assert str(err.value) == f"{cache}: non-finite feature nan in column 2 of node 2"
+    assert str(err.value) == f"{cache}: non-finite feature nan of node 2, column 1"
 
 
 @pytest.mark.parametrize("name, text", [
