@@ -19,6 +19,7 @@ modules that read them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import subprocess
@@ -95,9 +96,12 @@ def _positive_float(text: str) -> float:
     return value
 
 
+@functools.cache
 def _git_describe() -> str | None:
     """The checkout the running package comes from, whatever the caller's
-    working directory; None outside a git checkout."""
+    working directory; None outside a git checkout. Asked once per process:
+    the code that runs is fixed when it is imported, so every manifest of
+    the process records the same answer."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],

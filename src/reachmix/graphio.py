@@ -12,9 +12,10 @@ A dataset is a directory of four text files:
                   a comment; an index outside [0, N) or [0, F), a repeated
                   (row, col) and a value that is not finite (nan, inf,
                   -inf) are rejected, naming the line, as is a header whose
-                  N x F table cannot be allocated; the dense layout of
-                  earlier versions, one line of F values per node, is
-                  rejected with the fix: write the dataset again
+                  N x F exceeds int64 or whose N + 1 row pointers cannot
+                  be allocated; the dense layout of earlier versions, one
+                  line of F values per node, is rejected with the fix:
+                  write the dataset again
     labels.tsv    line i = integer class label of node i; blank lines are
                   skipped
     split.json    {"labeled": [...], "valid": [...], "test": [...]}, each a
@@ -49,14 +50,22 @@ above, each fed as its name and then its bytes (``dataset_fingerprint``).
 those bytes, so its ``Dataset.fingerprint`` is always the digest of what
 was loaded.
 
-``load_dataset`` parses features.tsv once per dataset content. After a load
-that passes every check, it leaves the dense table beside the file in
-``.features.cache``, keyed by the fingerprint; a later load of the same four
-files reads the table from there instead of parsing the text, and runs every
-check again. The cache is a magic line naming its layout version, the hex
-digest and a newline, then the float64 table in ``.npy`` format, so every
-bit of every cell comes back. A cache that is missing, stale, of another
-version or unreadable is ignored and replaced; deleting it is always safe. A
+``load_dataset`` returns the feature table as a read-only float64 CSR
+``csr_array`` that stores exactly the cells whose bits are not +0.0's (the
+entries ``save_dataset`` writes, so ``-0.0`` is kept), each row's columns
+sorted and given once. It parses features.tsv once per dataset content.
+After a load that passes every check, it leaves the table beside the file
+in ``.features.cache``, keyed by the fingerprint; a later load of the same
+four files reads the table from there instead of parsing the text, and runs
+every check again. The cache is a magic line naming its layout version, the
+hex digest and a newline, then four ``.npy`` arrays: the shape, then the
+CSR's ``data``, ``indices`` and ``indptr``, so every bit of every entry
+comes back. A cached table is used only if it is a valid CSR of the
+header's shape (``check_format(full_check=True)``, ``indptr`` ending at the
+entry count), with sorted distinct columns in each row and no stored
++0.0; scipy's sparse kernels do not bounds-check indices, so nothing else
+reaches them. A cache that is missing, stale, of another version, invalid
+or unreadable is ignored and replaced; deleting it is always safe. A
 directory that cannot be written to gets no cache.
 """
 
@@ -75,6 +84,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.sparse import csr_array, issparse
 
 EDGES_FILE = "edges.tsv"
 FEATURES_FILE = "features.tsv"
@@ -86,8 +96,9 @@ CACHE_FILE = ".features.cache"
 # the meaning of its key or table changes, so that every older cache is a
 # miss. Version 2 is keyed by the fingerprint of all four files; version 3
 # by files whose features.tsv holds entries, so that a dense features.tsv
-# of earlier versions is refused whether or not it left a cache.
-_CACHE_MAGIC = b"reachmix features.tsv cache 3\n"
+# of earlier versions is refused whether or not it left a cache; version 4
+# holds the table's CSR arrays instead of the dense table.
+_CACHE_MAGIC = b"reachmix features.tsv cache 4\n"
 # One row line of each table, as np.loadtxt reads it.
 _EDGE = np.dtype([("u", np.int64), ("v", np.int64)])
 _LABEL = np.dtype([("label", np.int64)])
@@ -125,16 +136,24 @@ def _non_finite(value: float, node: int, col: int) -> str:
     return f"non-finite feature {value!r} of node {node}, column {col}"
 
 
-def _check_finite(features: np.ndarray) -> None:
-    """Raise ``DatasetRowError`` for the first nan or infinite cell."""
+def _check_finite(features) -> None:
+    """Raise ``DatasetRowError`` for the first nan or infinite cell, in
+    row-major order, of a dense table or of a canonical CSR one."""
+    values = features.data if issparse(features) else features
     # min and max propagate nan and show an infinity without an (N, F) mask,
     # which would raise the peak memory of every load.
-    if features.size == 0 or (np.isfinite(features.min()) and np.isfinite(features.max())):
+    if values.size == 0 or (np.isfinite(values.min()) and np.isfinite(values.max())):
         return
-    finite = np.isfinite(features)
-    node = int(np.argmin(finite.all(axis=1)))
-    col = int(np.argmin(finite[node]))
-    raise DatasetRowError("features", node, _non_finite(float(features[node, col]), node, col))
+    if issparse(features):  # its entries are in row-major order
+        i = int(np.argmin(np.isfinite(values)))
+        node, col = int(np.searchsorted(features.indptr, i, side="right")) - 1, int(features.indices[i])
+        value = values[i]
+    else:
+        finite = np.isfinite(features)
+        node = int(np.argmin(finite.all(axis=1)))
+        col = int(np.argmin(finite[node]))
+        value = features[node, col]
+    raise DatasetRowError("features", node, _non_finite(float(value), node, col))
 
 
 def _as_sorted_ids(values, name: str) -> np.ndarray:
@@ -184,6 +203,11 @@ class Dataset:
     naming the id. So whatever ``save_dataset`` writes,
     ``load_dataset`` reads back.
 
+    ``features`` stays in the form it is given: a dense table, or a float64
+    CSR ``csr_array`` as ``load_dataset`` gives, which is kept as it is if
+    its columns are sorted and given once in each row and otherwise copied
+    into that form, repeats summed.
+
     ``fingerprint`` is the ``dataset_fingerprint`` of the bytes
     ``load_dataset`` read and parsed, which every loaded dataset carries,
     and None for a dataset built any other way, ``with_split`` included.
@@ -192,14 +216,19 @@ class Dataset:
     num_nodes: int
     num_classes: int
     edges: np.ndarray  # (E, 2) int64, u < v
-    features: np.ndarray  # (N, F) float64
+    features: np.ndarray | csr_array  # (N, F) float64, dense or CSR
     labels: np.ndarray  # (N,) int64
     split: SplitSpec
     fingerprint: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        features = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
+        features = self.features
+        if not issparse(features):
+            features = np.ascontiguousarray(np.asarray(features, dtype=np.float64))
+        elif not (isinstance(features, csr_array) and features.dtype == np.float64 and features.has_canonical_format):
+            features = csr_array(features, dtype=np.float64, copy=True)
+            features.sum_duplicates()
         labels = np.asarray(self.labels, dtype=np.int64)
 
         n = self.num_nodes
@@ -246,9 +275,10 @@ class Dataset:
             raise DatasetRowError("labels", row, f"label {labels[row]} out of range: class {gap} has no nodes, "
                                                  "so labels are not contiguous")
         self.split.check_ids(n)
-        for name, arr in (("edges", edges), ("features", features), ("labels", labels)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        for name, value in (("edges", edges), ("features", features), ("labels", labels)):
+            for arr in (value.data, value.indices, value.indptr) if issparse(value) else (value,):
+                arr.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def num_features(self) -> int:
@@ -296,20 +326,32 @@ def _cache_header(digest: str) -> bytes:
     return _CACHE_MAGIC + digest.encode() + b"\n"
 
 
-def _cached_features(directory, digest: str) -> np.ndarray | None:
-    """The table cached under ``digest``, or None if the cache is missing,
-    holds another digest or version, or is not a whole cache file."""
+def _cached_features(directory, features_path, data: bytes, digest: str) -> csr_array | None:
+    """The table cached under ``digest`` for features.tsv's bytes ``data``,
+    or None if the cache is missing, holds another digest or version, is not
+    a whole cache file, or holds anything but a canonical CSR table of the
+    header's shape with no stored +0.0."""
     header = _cache_header(digest)
     try:
         with open(os.path.join(directory, CACHE_FILE), "rb") as fh:
             if fh.read(len(header)) != header:
                 return None
-            return np.lib.format.read_array(fh, allow_pickle=False)
-    except Exception:  # numpy raises several types for a cut or garbled table; the parse decides instead
-        return None
+            shape, values, indices, indptr = (np.lib.format.read_array(fh, allow_pickle=False) for _ in range(4))
+        if (shape.dtype, shape.shape, values.dtype, indices.dtype, indptr.dtype) != (
+                np.int64, (2,), np.float64, np.int64, np.int64):
+            return None
+        table = csr_array((values, indices, indptr), shape=tuple(shape.tolist()))
+        table.check_format(full_check=True)  # indices within [0, F), indptr non-decreasing from 0
+        _, n, f = _header(features_path, data)
+        if (indptr[-1] == values.size and table.has_canonical_format and table.shape == (n, f)
+                and (values.view(np.int64) != 0).all()):  # no stored +0.0
+            return table
+    except Exception:  # numpy and scipy raise several types for a cut or garbled cache; the parse decides instead
+        pass
+    return None
 
 
-def _write_cache(directory, digest: str, features: np.ndarray) -> None:
+def _write_cache(directory, digest: str, features: csr_array) -> None:
     """Caches ``features``, parsed from features.tsv, under ``digest``. The
     cache is written beside its place and renamed over it, so readers see a
     whole cache or the old one; where it cannot be written, nothing is left
@@ -320,7 +362,8 @@ def _write_cache(directory, digest: str, features: np.ndarray) -> None:
         fd, tmp = tempfile.mkstemp(prefix=CACHE_FILE, suffix=".tmp", dir=directory)
         with os.fdopen(fd, "wb") as fh:
             fh.write(_cache_header(digest))
-            np.lib.format.write_array(fh, features, allow_pickle=False)
+            for array in (np.array(features.shape, dtype=np.int64), features.data, features.indices, features.indptr):
+                np.lib.format.write_array(fh, array, allow_pickle=False)
         shutil.copymode(features_path, tmp)  # readable by whoever may read the text
         os.replace(tmp, os.path.join(directory, CACHE_FILE))
     except OSError:
@@ -339,14 +382,25 @@ def _is_float_token(token: str) -> bool:
     return token.isascii() and "_" not in token
 
 
-def _header(path, line_no: int, text: str) -> tuple[int, int]:
-    """N and F from features.tsv's header line ``text``."""
+def _header(path, data: bytes) -> tuple[int, int, int]:
+    """The line number, N and F of the header of features.tsv's bytes
+    ``data``: its first line that is not blank. The text is decoded a block
+    at a time, as ``open`` reads it, only as far as the header."""
+    try:
+        for line_no, line in enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None), start=1):
+            if text := line.strip():
+                break
+        else:
+            raise DatasetFormatError(path, None, "no feature rows: expected a header line 'N<TAB>F'")
+    except UnicodeDecodeError:
+        _text(path, data)  # raises DatasetFormatError, naming the byte's line and offset
+        raise
     fields = text.split()
     ints = all(map(_INT_TOKEN.fullmatch, fields))
     if len(fields) == 2 and ints and (n := int(fields[0])) >= 0 and (f := int(fields[1])) >= 0:
         if n == 0:
             raise DatasetFormatError(path, line_no, "no feature rows: the header gives N = 0")
-        return n, f
+        return line_no, n, f
     if fields and not ints and all(map(_is_float_token, fields)):
         raise DatasetFormatError(path, line_no, "a row of F values is the dense layout of earlier versions, "
                                                 "which is no longer read; write the dataset again with "
@@ -412,34 +466,36 @@ def _table(path, data: bytes, dtype: np.dtype, comments: str | None, fault, skip
     raise DatasetFormatError(path, None, message)
 
 
-def _parse_features(path, data: bytes) -> np.ndarray:
-    """The dense feature table of features.tsv's bytes ``data``: the header
-    sizes a table of zeros, ``_table`` parses the entry lines after it, the
-    facts of all entries are checked at once, and the entries are scattered
-    into the table. A fact fault names entry i's line: row line i + 1."""
-    for header_no, line in enumerate(_text(path, data), start=1):
-        if line.strip():
-            break
-    else:
-        raise DatasetFormatError(path, None, "no feature rows: expected a header line 'N<TAB>F'")
-    n, f = _header(path, header_no, line.strip())
+def _parse_features(path, data: bytes) -> csr_array:
+    """The feature table of features.tsv's bytes ``data`` as a CSR array:
+    the header sizes its row pointers, ``_table`` parses the entry lines
+    after it, the facts of all entries are checked at once, and the entries
+    whose bits are not +0.0's are stored, sorted. A fact fault names entry
+    i's line: row line i + 1."""
+    header_no, n, f = _header(path, data)
     try:
-        features = np.zeros((n, f))
+        if n * f > _INT64_MAX:  # the cell keys row * F + col below must fit int64
+            raise ValueError
+        indptr = np.zeros(n + 1, dtype=np.int64)
     except (ValueError, MemoryError):
         raise DatasetFormatError(path, header_no, f"cannot allocate an N x F table, N = {n}, F = {f}") from None
     entries = _table(path, data, _ENTRY, None, _entry_fault, skip=header_no)
     rows, cols, values = entries["row"], entries["col"], entries["value"]
     bad = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= f) | ~np.isfinite(values)
-    # A good entry's key is below N * F, which the allocation bounds inside
-    # int64. A bad entry's key may wrap, but the bad entry is named before
-    # any repeat it fakes.
+    # A good entry's key is below N * F. A bad entry's key may wrap, but the
+    # bad entry is named before any repeat it fakes.
     keys = rows * f + cols
+    order = None
     if bad.any() or not (keys[1:] > keys[:-1]).all():  # save_dataset writes row-major, which needs no sort
         order = np.argsort(keys, kind="stable")  # each cell's entries in file order
         bad[order[1:]] |= keys[order[1:]] == keys[order[:-1]]
     if not bad.any():
-        features[rows, cols] = values
-        return features
+        if order is not None:
+            rows, cols, values = rows[order], cols[order], values[order]
+        stored = values.view(np.int64) != 0  # not +0.0, as save_dataset writes
+        rows, cols, values = rows[stored], cols[stored], values[stored]
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return csr_array((values, cols, indptr), shape=(n, f))
     i = int(np.argmax(bad))
     row, col, value = int(rows[i]), int(cols[i]), float(values[i])
     lines = _row_lines(path, data, None)
@@ -471,10 +527,11 @@ def load_dataset(directory) -> Dataset:
     ``_parse_features`` checks the feature entries.
 
     The feature table comes from ``.features.cache`` when that holds the
-    fingerprint; otherwise features.tsv is parsed. After a parse, and only
-    once the ``Dataset`` is built, the table is cached under it. Either
-    way the same checks run, so the same bytes load to the same dataset, or
-    fail with the same message, as without a cache.
+    fingerprint and a valid CSR table of the header's shape; otherwise
+    features.tsv is parsed. After a parse, and only once the ``Dataset`` is
+    built, the table is cached under it. Either way the same checks run, so
+    the same bytes load to the same dataset, or fail with the same message,
+    as without a cache.
     """
     directory = os.fspath(directory)
     paths = [os.path.join(directory, name) for name in DATASET_FILES]
@@ -484,7 +541,7 @@ def load_dataset(directory) -> Dataset:
     fingerprint = digest.hexdigest()
     edges = _table(edges_path, raw[edges_path], _EDGE, "#", _edge_fault).view(np.int64).reshape(-1, 2)
 
-    features = _cached_features(directory, fingerprint)
+    features = _cached_features(directory, features_path, raw[features_path], fingerprint)
     parsed = features is None
     if parsed:
         features = _parse_features(features_path, raw[features_path])
@@ -538,20 +595,28 @@ def save_dataset(dataset: Dataset, directory) -> None:
 
     An entry is stored, and formatted, where its bits are not those of
     ``+0.0``, so a sparse table costs time in proportion to its entries.
-    ``-0.0`` has a set sign bit, so it is stored and keeps its sign.
+    ``-0.0`` has a set sign bit, so it is stored and keeps its sign. A
+    dense table and its CSR form write the same bytes.
     """
     directory = os.fspath(directory)
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, EDGES_FILE), "w", encoding="utf-8") as fh:
         fh.write("".join(f"{u}\t{v}\n" for u, v in dataset.edges.tolist()))
     features = dataset.features
-    rows, cols = np.nonzero(features.view(np.int64))
+    if issparse(features):  # canonical, so its entries are in row-major order
+        stored = features.data.view(np.int64) != 0
+        rows = np.repeat(np.arange(features.shape[0]), np.diff(features.indptr))[stored]
+        cols, values = features.indices[stored], features.data[stored]
+    else:
+        rows, cols = np.nonzero(features.view(np.int64))
+        values = None  # gathered a block at a time, so a dense table's values are never copied whole
     with open(os.path.join(directory, FEATURES_FILE), "w", encoding="utf-8") as fh:
         fh.write("{}\t{}\n".format(*features.shape))
         for block in range(0, rows.size, _ENTRIES_PER_WRITE):
             r, c = rows[block:block + _ENTRIES_PER_WRITE], cols[block:block + _ENTRIES_PER_WRITE]
+            v = features[r, c] if values is None else values[block:block + _ENTRIES_PER_WRITE]
             fh.write("".join(f"{row}\t{col}\t{text}\n" for row, col, text in
-                             zip(r.tolist(), c.tolist(), map(repr, features[r, c].tolist()))))
+                             zip(r.tolist(), c.tolist(), map(repr, v.tolist()))))
     with open(os.path.join(directory, LABELS_FILE), "w", encoding="utf-8") as fh:
         fh.write("".join(f"{lab}\n" for lab in dataset.labels.tolist()))
     split = {

@@ -129,6 +129,13 @@ class ForwardTrace:
     consumed: bool = field(default=False)
 
 
+def _indexed_csr(data, indices, indptr, shape) -> csr_array:
+    """A ``csr_array`` of these arrays with the index dtype that
+    ``csr_array(x)`` picks through COO: int32 where they fit."""
+    index = np.int32 if max(*shape, data.size) <= np.iinfo(np.int32).max else np.int64
+    return csr_array((data, indices.astype(index), indptr.astype(index)), shape=shape)
+
+
 def as_csr(x) -> csr_array:
     """Features as a float64 CSR matrix; a float64 ``csr_array`` passes through.
 
@@ -143,9 +150,20 @@ def as_csr(x) -> csr_array:
     x = np.ascontiguousarray(x, dtype=np.float64)
     n, f = x.shape
     cells = np.flatnonzero(x != 0)
-    indptr = np.searchsorted(cells, np.arange(n + 1) * f)
-    index = np.int32 if max(n, f, cells.size) <= np.iinfo(np.int32).max else np.int64
-    return csr_array((x.ravel()[cells], (cells % max(f, 1)).astype(index), indptr.astype(index)), shape=(n, f))
+    return _indexed_csr(x.ravel()[cells], cells % max(f, 1), np.searchsorted(cells, np.arange(n + 1) * f), (n, f))
+
+
+def feature_csr(features) -> csr_array:
+    """A dataset's feature table, dense or CSR, as the arrays ``as_csr``
+    builds from its dense form: ``-0.0`` and ``+0.0`` entries dropped, int32
+    indices where they fit. A CSR table must have sorted columns in each
+    row, as every ``Dataset`` holds. It runs once per command, so that
+    ``as_csr`` passes the result through unchanged on every forward pass."""
+    if not issparse(features):
+        return as_csr(features)
+    kept = features.data != 0
+    indptr = np.concatenate(([0], np.cumsum(kept)))[features.indptr]
+    return _indexed_csr(features.data[kept], features.indices[kept], indptr, features.shape)
 
 
 def _dropout(x, rate: float, train: bool, rng: np.random.Generator | None):

@@ -26,6 +26,15 @@ def path_dataset(n=3, num_classes=2, feature_dim=2):
     return Dataset(n, num_classes, edges, features, labels, split)
 
 
+def dense_table(features) -> np.ndarray:
+    """The dense table of a CSR feature table, every bit kept: each stored
+    entry is written into a table of +0.0, where scipy's ``toarray`` adds it
+    and so turns a stored -0.0 into +0.0."""
+    out = np.zeros(features.shape)
+    out[np.repeat(np.arange(features.shape[0]), np.diff(features.indptr)), features.indices] = features.data
+    return out
+
+
 def random_graph_edges(rng, n, p=0.4):
     mask = np.triu(rng.random((n, n)) < p, k=1)
     rows, cols = np.nonzero(mask)

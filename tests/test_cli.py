@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import reachmix
+from conftest import dense_table
 from reachmix import cli, graphio, nn
 from reachmix.cli import main, parse_seeds
 from reachmix.graphio import generate_sbm, load_dataset, save_dataset
@@ -395,15 +396,17 @@ FEATURES_HEADER = "3\t2\n"  # PATH_TEXTS' three nodes, two feature columns
      "write the dataset again with `reachmix synth` or `reachmix convert-cora`"),
     # A fact fault on line 3 and a syntax fault on line 4: the syntax fault is named.
     ("3\t1\n0\t0\t1.0\n1\t5\t2.0\n2\tx\t3.0\n", 4, "non-integer column index 'x'"),
-    # Headers whose N x F table numpy refuses by arithmetic, before any allocation.
+    # Headers whose N x F exceeds int64, refused before any allocation.
     (f"5\t{2**62}\n0\t0\t1.0\n4\t0\t1.0\n", 1, f"cannot allocate an N x F table, N = 5, F = {2**62}"),
     (f"3\t{2**63}\n0\t0\t1.0\n", 1, f"cannot allocate an N x F table, N = 3, F = {2**63}"),
     (f"3\t{2**62}\n0\t0\t1.0\n1\t1\t2.0\n", 1, f"cannot allocate an N x F table, N = 3, F = {2**62}"),
+    # Row pointers that numpy refuses by their size, before any allocation.
+    (f"{2**62}\t1\n0\t0\t1.0\n", 1, f"cannot allocate an N x F table, N = {2**62}, F = 1"),
 ], ids=["header-one-field", "header-negative", "header-not-integers", "header-no-nodes", "two-fields", "four-fields",
         "row-not-integer", "column-not-integer", "row-underscore", "row-above", "column-negative", "column-above",
         "row-beyond-int64", "value-not-numeric", "value-underscore", "value-infinite", "duplicate",
         "duplicate-unordered", "dense-layout", "syntax-after-fact", "header-cell-keys-wrap", "header-beyond-int64",
-        "header-too-big"])
+        "header-too-big", "header-rows-too-big"])
 def test_a_features_fault_exits_one_naming_file_and_line(tmp_path, capsys, text, line, message):
     data = tmp_path / "data"
     data.mkdir()
@@ -784,17 +787,35 @@ def test_every_run_table_reads_back(tmp_path, dataset_dir, quick_config, train_r
                     float(cell)  # raises on a cell that does not read back
 
 
-def test_git_describe_runs_in_package_directory(tmp_path, monkeypatch):
-    seen = {}
+@pytest.fixture
+def git_runs(monkeypatch):
+    """Replaces the ``git describe`` subprocess with a fake that answers
+    ``abc1234``; yields the keyword arguments of each run. The process's
+    cached answer is forgotten before and after."""
+    runs = []
 
     def fake_run(argv, **kwargs):
-        seen.update(kwargs)
+        runs.append(kwargs)
         return subprocess.CompletedProcess(argv, 0, stdout="abc1234\n", stderr="")
 
     monkeypatch.setattr(cli.subprocess, "run", fake_run)
+    cli._git_describe.cache_clear()
+    yield runs
+    cli._git_describe.cache_clear()
+
+
+def test_git_describe_runs_in_package_directory(tmp_path, monkeypatch, git_runs):
     monkeypatch.chdir(tmp_path)
     assert cli._git_describe() == "abc1234"
-    assert seen["cwd"] == os.path.dirname(os.path.abspath(reachmix.__file__))
+    assert git_runs[0]["cwd"] == os.path.dirname(os.path.abspath(reachmix.__file__))
+
+
+def test_manifests_of_one_process_ask_git_once(tmp_path, git_runs):
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        cli.write_manifest(tmp_path / name, "diagnose", {})
+        assert json.loads((tmp_path / name / "manifest.json").read_text())["git"] == "abc1234"
+    assert len(git_runs) == 1
 
 
 def test_data_root_environment_fallback(tmp_path, monkeypatch, capsys):
@@ -869,14 +890,15 @@ def test_convert_planetoid_dump_round_trip(tmp_path):
     assert code == 0
     ds = load_dataset(out)
     assert ds.num_nodes == 605
+    features = dense_table(ds.features)
     # tx row j belongs to the j-th line of test.index.
     dense_tx = np.asarray(tx.todense())
     for j, node in enumerate(test_idx):
-        np.testing.assert_allclose(ds.features[node], dense_tx[j])
+        np.testing.assert_allclose(features[node], dense_tx[j])
         assert ds.labels[node] == int(np.argmax(ty[j]))
-    np.testing.assert_allclose(ds.features[:600], np.asarray(allx.todense()))
+    np.testing.assert_allclose(features[:600], np.asarray(allx.todense()))
     # The gap id became an isolated zero-feature node labeled 0.
-    assert np.all(ds.features[603] == 0.0) and ds.labels[603] == 0
+    assert np.all(features[603] == 0.0) and ds.labels[603] == 0
     np.testing.assert_array_equal(ds.split.labeled_ids, np.arange(20))
     np.testing.assert_array_equal(ds.split.valid_ids, np.arange(20, 520))
     np.testing.assert_array_equal(ds.split.test_ids, np.sort(test_idx))

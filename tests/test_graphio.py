@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
+from conftest import dense_table
 from reachmix import graphio
 from reachmix.graphio import (
     Dataset,
@@ -25,6 +27,7 @@ from reachmix.graphio import (
     save_dataset,
     with_split,
 )
+from reachmix.trainer import build_operators
 
 
 PATH_EDGES = "0\t1\n1\t2\n"
@@ -309,7 +312,7 @@ def test_features_blank_lines_are_skipped(tmp_path):
         tmp_path, "0\t1\n", "\n2\t2\n0\t0\t1.0\n\n  \n0\t1\t2.0\n1\t0\t3.0\n\n1\t1\t4.0\n\n", "0\n1\n",
         {"labeled": [0], "valid": [], "test": [1]},
     )
-    np.testing.assert_array_equal(load_dataset(d).features, [[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(load_dataset(d).features.toarray(), [[1.0, 2.0], [3.0, 4.0]])
 
 
 @st.composite
@@ -371,7 +374,7 @@ def test_save_features_bytes_are_shortest_repr(tmp_path):
     assert (tmp_path / "features.tsv").read_bytes() == (b"2\t3\n0\t0\t-0.0\n0\t1\t5e-324\n0\t2\t0.30000000000000004\n"
                                                        b"1\t0\t1.0\n1\t2\t1e+300\n")
     back = load_dataset(tmp_path).features
-    assert back.tobytes() == features.tobytes()
+    assert dense_table(back).tobytes() == features.tobytes()
 
 
 def features_dataset(features):
@@ -411,7 +414,7 @@ def test_save_features_match_per_cell_repr_and_reload_bit_for_bit(tmp_path_facto
     out = tmp_path_factory.mktemp("oracle")
     save_dataset(features_dataset(features), out)
     assert (out / "features.tsv").read_bytes() == repr_oracle(features)
-    assert load_dataset(out).features.tobytes() == features.tobytes()
+    assert dense_table(load_dataset(out).features).tobytes() == features.tobytes()
 
 
 def test_save_formats_only_cells_that_are_not_plus_zero(tmp_path, monkeypatch):
@@ -443,8 +446,42 @@ def test_dataset_rejects_non_finite_features(value):
     # features.tsv that load_dataset would refuse.
     features = np.ones((3, 2))
     features[2, 1] = value
-    with pytest.raises(ValueError, match=rf"^non-finite feature {value!r} of node 2, column 1$"):
-        features_dataset(features)
+    features[2, 0] = 0.0  # a CSR stores no entry for it: column 1 is row 2's first entry there
+    for table in (features, csr_array(features)):
+        with pytest.raises(ValueError, match=rf"^non-finite feature {value!r} of node 2, column 1$"):
+            features_dataset(table)
+
+
+def test_a_dataset_keeps_a_csr_table_in_canonical_form():
+    # Row 0 lists its columns out of order, and row 1 gives column 1 twice.
+    table = csr_array((np.array([2.0, -0.0, 3.0, 4.0]), np.array([1, 0, 1, 1]), np.array([0, 2, 4])), shape=(2, 2))
+    ds = features_dataset(table)
+    assert ds.features.has_canonical_format
+    assert dense_table(ds.features).tobytes() == np.array([[-0.0, 2.0], [0.0, 7.0]]).tobytes()
+    np.testing.assert_array_equal(table.indices, [1, 0, 1, 1])  # the caller's table is not changed
+    assert features_dataset(ds.features).features is ds.features  # a canonical one is kept as it is
+
+
+@settings(max_examples=40, deadline=None)
+@given(feature_matrices())
+@example(np.array([[-0.0, 0.0], [0.0, 5e-324], [0.0, 0.0]]))
+def test_a_loaded_table_gives_the_model_the_arrays_of_the_dense_one(tmp_path_factory, features):
+    """A loaded CSR table, parsed or from the cache, becomes the same model
+    CSR as the dense table it was saved from, dtypes included, and saves to
+    the same features.tsv bytes."""
+    out = tmp_path_factory.mktemp("saved")
+    save_dataset(features_dataset(features), out)
+    expected = build_operators(features_dataset(features)).features
+    for load in ("parsed", "cached"):
+        loaded = load_dataset(out)
+        assert os.path.exists(out / graphio.CACHE_FILE), load
+        got = build_operators(loaded).features
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), (load, name)
+    again = tmp_path_factory.mktemp("saved-again")
+    save_dataset(loaded, again)
+    assert (again / "features.tsv").read_bytes() == (out / "features.tsv").read_bytes()
 
 
 def test_round_trip_identity(tmp_path, rng):
@@ -467,7 +504,7 @@ def test_round_trip_identity(tmp_path, rng):
         assert back.num_classes == ds.num_classes
         np.testing.assert_array_equal(back.edges, ds.edges)
         np.testing.assert_array_equal(back.labels, ds.labels)
-        np.testing.assert_array_equal(back.features, ds.features)  # exact float round-trip
+        np.testing.assert_array_equal(back.features.toarray(), ds.features)  # exact float round-trip
         np.testing.assert_array_equal(back.split.labeled_ids, ds.split.labeled_ids)
         np.testing.assert_array_equal(back.split.valid_ids, ds.split.valid_ids)
         np.testing.assert_array_equal(back.split.test_ids, ds.split.test_ids)
@@ -577,6 +614,21 @@ def test_only_a_loaded_dataset_carries_the_fingerprint_of_its_files(tmp_path):
     assert with_split(loaded, make_split(loaded, 2, 1, seed=1)).fingerprint is None
 
 
+def test_a_wide_header_costs_only_its_entries(tmp_path):
+    """The table is as large as the file's entries, not as N x F: an
+    18-byte features.tsv of a 3 x 4,000,000 table loads, and its cache is
+    under 1 KB."""
+    d = write_dataset_dir(tmp_path, "0\t1\n", "3\t4000000\n0\t0\t1.0\n", "0\n1\n0\n",
+                          {"labeled": [0], "valid": [1], "test": [2]})
+    assert os.path.getsize(d / "features.tsv") == 18
+    for load in ("parsed", "cached"):
+        features = load_dataset(d).features
+        assert features.shape == (3, 4_000_000), load
+        assert (features.indptr.tolist(), features.indices.tolist(), features.data.tolist()) == (
+            [0, 1, 1, 1], [0], [1.0]), load
+        assert os.path.getsize(d / graphio.CACHE_FILE) < 1024, load
+
+
 def test_isolated_nodes_are_allowed(tmp_path):
     d = write_dataset_dir(
         tmp_path, "0\t1\n", PATH_FEATURES, "0\n1\n0\n",
@@ -620,8 +672,9 @@ def test_second_load_reads_the_cache_bit_for_bit(tmp_path, feature_parses):
     assert set(os.listdir(d)) == DATASET_FILES | {graphio.CACHE_FILE}
     second = load_dataset(d)
     assert len(feature_parses) == 1  # no parse: -0.0 and 5e-324 came from the cache
-    assert second.features.tobytes() == first.features.tobytes() == CACHED_FEATURES.tobytes()
-    assert not second.features.flags.writeable
+    assert dense_table(second.features).tobytes() == dense_table(first.features).tobytes() == CACHED_FEATURES.tobytes()
+    for arr in (second.features.data, second.features.indices, second.features.indptr):
+        assert not arr.flags.writeable
     np.testing.assert_array_equal(second.edges, first.edges)
     np.testing.assert_array_equal(second.labels, first.labels)
 
@@ -639,7 +692,7 @@ def test_edited_features_are_parsed_and_checked_again(tmp_path, feature_parses):
     load_dataset(d)
     text = (d / "features.tsv").read_text()
     (d / "features.tsv").write_text(text.replace("-1e+300", "2.5"))
-    assert load_dataset(d).features[1, 2] == 2.5
+    assert load_dataset(d).features.toarray()[1, 2] == 2.5
     assert len(feature_parses) == 2
     cache = (d / graphio.CACHE_FILE).read_bytes()
 
@@ -663,7 +716,7 @@ def other_digest(blob):
 
 
 def bump_version(blob):
-    bumped = blob.replace(b"cache 3\n", b"cache 4\n", 1)
+    bumped = blob.replace(b"cache 4\n", b"cache 5\n", 1)
     assert bumped != blob  # the layout version this test was written against
     return bumped
 
@@ -673,6 +726,68 @@ def numpy_file(save, array):
     buf = io.BytesIO()
     save(buf, array)
     return buf.getvalue()
+
+
+CACHE_MAGIC = b"reachmix features.tsv cache 4\n"
+CACHE_ARRAYS = ("shape", "data", "indices", "indptr")
+
+
+def cache_arrays(blob):
+    """The shape, data, indices and indptr arrays of a version-4 cache's bytes."""
+    buf = io.BytesIO(blob[blob.index(b"\n", len(CACHE_MAGIC)) + 1:])
+    return [np.load(buf) for _ in CACHE_ARRAYS]
+
+
+def cache_file(digest, shape, data, indices, indptr):
+    """A version-4 cache of these arrays, laid out as the program writes one."""
+    arrays = (np.asarray(shape, dtype=np.int64), data, indices, indptr)
+    return CACHE_MAGIC + digest.encode() + b"\n" + b"".join(numpy_file(np.save, a) for a in arrays)
+
+
+def stored_entries(table):
+    """The shape and int64 CSR arrays of a dense table's cells whose bits
+    are not +0.0's, built without the program's code."""
+    rows, cols = np.nonzero(table.view(np.int64))
+    indptr = np.searchsorted(rows, np.arange(table.shape[0] + 1)).astype(np.int64)
+    return table.shape, table[rows, cols], cols.astype(np.int64), indptr
+
+
+def edited(edit):
+    """A spoil that decodes the cache's arrays, lets ``edit`` change them,
+    and encodes them again under the same header."""
+    def spoil(blob):
+        arrays = dict(zip(CACHE_ARRAYS, cache_arrays(blob)))
+        edit(arrays)
+        digest = blob[len(CACHE_MAGIC):blob.index(b"\n", len(CACHE_MAGIC))].decode()
+        return cache_file(digest, *(arrays[name] for name in CACHE_ARRAYS))
+    return spoil
+
+
+def column_out_of_range(arrays):
+    arrays["indices"][-1] = 3  # F = 3
+
+
+def unsorted_columns(arrays):
+    for name in ("data", "indices"):  # row 0's columns 0, 1, 2 become 1, 0, 2: the same cells, out of order
+        arrays[name][[0, 1]] = arrays[name][[1, 0]]
+
+
+def indptr_short_of_nnz(arrays):
+    arrays["indptr"][-2:] -= 1  # [0, 3, 5, 5] -> [0, 3, 4, 4]: scipy's prune would drop the last entry
+
+
+def stored_plus_zero(arrays):
+    arrays["data"] = np.append(arrays["data"], 0.0)  # cell (2, 0), which a load never stores
+    arrays["indices"] = np.append(arrays["indices"], 0)
+    arrays["indptr"][-1] += 1
+
+
+def other_shape(arrays):
+    arrays["shape"][1] = 4  # the header says 3 x 3
+
+
+def int32_indices(arrays):
+    arrays["indices"] = arrays["indices"].astype(np.int32)
 
 
 @pytest.mark.parametrize("spoil", [
@@ -686,6 +801,14 @@ def numpy_file(save, array):
     pytest.param(bump_version, id="other-version"),
     pytest.param(lambda blob: numpy_file(np.savez, CACHED_FEATURES), id="foreign-npz"),
     pytest.param(lambda blob: numpy_file(np.save, CACHED_FEATURES), id="foreign-npy"),
+    pytest.param(lambda blob: blob[:blob.index(b"\n", len(CACHE_MAGIC)) + 1] + numpy_file(np.save, CACHED_FEATURES),
+                 id="dense-table"),
+    pytest.param(edited(column_out_of_range), id="column-out-of-range"),
+    pytest.param(edited(unsorted_columns), id="unsorted-columns"),
+    pytest.param(edited(indptr_short_of_nnz), id="indptr-short-of-nnz"),
+    pytest.param(edited(stored_plus_zero), id="stored-plus-zero"),
+    pytest.param(edited(other_shape), id="other-shape"),
+    pytest.param(edited(int32_indices), id="int32-indices"),
 ])
 def test_a_spoiled_cache_is_a_miss_and_is_replaced(tmp_path, feature_parses, spoil):
     d = cached_dataset_dir(tmp_path)
@@ -693,7 +816,7 @@ def test_a_spoiled_cache_is_a_miss_and_is_replaced(tmp_path, feature_parses, spo
     cache = d / graphio.CACHE_FILE
     good = cache.read_bytes()
     cache.write_bytes(spoil(good))
-    assert load_dataset(d).features.tobytes() == CACHED_FEATURES.tobytes()
+    assert dense_table(load_dataset(d).features).tobytes() == CACHED_FEATURES.tobytes()
     assert len(feature_parses) == 2
     assert cache.read_bytes() == good
     load_dataset(d)
@@ -709,7 +832,7 @@ def test_a_version_1_cache_is_a_miss(tmp_path, feature_parses):
                       + numpy_file(np.save, CACHED_FEATURES))
     ds = load_dataset(d)
     assert len(feature_parses) == 1
-    assert cache.read_bytes().startswith(b"reachmix features.tsv cache 3\n" + ds.fingerprint.encode() + b"\n")
+    assert cache.read_bytes().startswith(CACHE_MAGIC + ds.fingerprint.encode() + b"\n")
 
 
 def test_a_cached_table_that_a_parse_would_refuse_names_the_cache(tmp_path):
@@ -718,7 +841,7 @@ def test_a_cached_table_that_a_parse_would_refuse_names_the_cache(tmp_path):
     forged = CACHED_FEATURES.copy()
     forged[2, 1] = np.nan
     cache = d / graphio.CACHE_FILE
-    cache.write_bytes(b"reachmix features.tsv cache 3\n" + fingerprint.encode() + b"\n" + numpy_file(np.save, forged))
+    cache.write_bytes(cache_file(fingerprint, *stored_entries(forged)))
     with pytest.raises(DatasetFormatError) as err:
         load_dataset(d)
     assert str(err.value) == f"{cache}: non-finite feature nan of node 2, column 1"
@@ -743,7 +866,7 @@ def test_the_cache_key_covers_every_dataset_file(tmp_path, feature_parses, name,
 def test_a_directory_in_the_cache_place_is_a_miss(tmp_path, feature_parses):
     d = cached_dataset_dir(tmp_path)
     (d / graphio.CACHE_FILE).mkdir()
-    assert load_dataset(d).features.tobytes() == CACHED_FEATURES.tobytes()
+    assert dense_table(load_dataset(d).features).tobytes() == CACHED_FEATURES.tobytes()
     assert len(feature_parses) == 1
     # the rename over the directory failed, and its temp file is gone
     assert set(os.listdir(d)) == DATASET_FILES | {graphio.CACHE_FILE}
@@ -758,7 +881,7 @@ def test_an_unwritable_cache_is_skipped_silently(tmp_path, monkeypatch, fails):
     monkeypatch.setattr(graphio.tempfile if fails == "mkstemp" else graphio.os, fails, denied)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert load_dataset(d).features.tobytes() == CACHED_FEATURES.tobytes()
+        assert dense_table(load_dataset(d).features).tobytes() == CACHED_FEATURES.tobytes()
     assert caught == []
     assert set(os.listdir(d)) == DATASET_FILES
 
@@ -775,12 +898,13 @@ def test_a_load_parses_and_caches_the_bytes_it_hashed(tmp_path, monkeypatch):
 
     monkeypatch.setattr(graphio.np, "loadtxt", edit_then_parse)
     ds = load_dataset(d)
-    assert ds.features.tobytes() == CACHED_FEATURES.tobytes()
+    assert dense_table(ds.features).tobytes() == CACHED_FEATURES.tobytes()
     assert ds.fingerprint == read != graphio.dataset_fingerprint(d)
     cache = (d / graphio.CACHE_FILE).read_bytes()
-    header = b"reachmix features.tsv cache 3\n" + read.encode() + b"\n"
-    assert cache.startswith(header)
-    assert np.load(io.BytesIO(cache[len(header):])).tobytes() == CACHED_FEATURES.tobytes()
+    assert cache.startswith(CACHE_MAGIC + read.encode() + b"\n")
+    shape, data, indices, indptr = cache_arrays(cache)
+    table = csr_array((data, indices, indptr), shape=tuple(shape))
+    assert dense_table(table).tobytes() == CACHED_FEATURES.tobytes()
 
 
 _opened = None  # the base names of the files opened, while a test collects them
@@ -832,7 +956,7 @@ def test_features_parse_as_loadtxt_parses_the_file(tmp_path, text, line):
         entries = np.loadtxt(path, dtype=graphio._ENTRY, comments=None, ndmin=1, skiprows=1, encoding="utf-8")
         expected = np.zeros((2, 2))
         expected[entries["row"], entries["col"]] = entries["value"]
-        assert load_dataset(d).features.tobytes() == expected.tobytes()
+        assert dense_table(load_dataset(d).features).tobytes() == expected.tobytes()
     else:
         with pytest.raises(DatasetFormatError) as err:
             load_dataset(d)
