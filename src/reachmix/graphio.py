@@ -50,23 +50,25 @@ above, each fed as its name and then its bytes (``dataset_fingerprint``).
 those bytes, so its ``Dataset.fingerprint`` is always the digest of what
 was loaded.
 
-``load_dataset`` returns the feature table as a read-only float64 CSR
-``csr_array`` that stores exactly the cells whose bits are not +0.0's (the
-entries ``save_dataset`` writes, so ``-0.0`` is kept), each row's columns
-sorted and given once. It parses features.tsv once per dataset content.
-After a load that passes every check, it leaves the table beside the file
-in ``.features.cache``, keyed by the fingerprint; a later load of the same
-four files reads the table from there instead of parsing the text, and runs
-every check again. The cache is a magic line naming its layout version, the
-hex digest and a newline, then four ``.npy`` arrays: the shape, then the
-CSR's ``data``, ``indices`` and ``indptr``, so every bit of every entry
-comes back. A cached table is used only if it is a valid CSR of the
-header's shape (``check_format(full_check=True)``, ``indptr`` ending at the
-entry count), with sorted distinct columns in each row and no stored
-+0.0; scipy's sparse kernels do not bounds-check indices, so nothing else
-reaches them. A cache that is missing, stale, of another version, invalid
-or unreadable is ignored and replaced; deleting it is always safe. A
-directory that cannot be written to gets no cache.
+``load_dataset`` returns the feature table read-only in its one CSR form,
+which this module alone makes (``csr_features``): a float64 ``csr_array``
+that stores exactly the cells whose bits are not +0.0's (the entries
+``save_dataset`` writes, so ``-0.0`` is kept), each row's columns sorted
+and given once, with int32 ``indices`` and ``indptr`` where N, F and the
+entry count fit, int64 otherwise. It parses features.tsv once per dataset
+content. After a load that passes every check, it leaves the table beside
+the file in ``.features.cache``, keyed by the fingerprint; a later load of
+the same four files reads the table from there instead of parsing the
+text, and runs every check again. The cache is a magic line naming its
+layout version, the hex digest and a newline, then four ``.npy`` arrays:
+the shape, then the CSR's ``data``, ``indices`` and ``indptr`` as they are,
+so every bit of every entry comes back. A cached table is used only if it is a valid CSR of the header's
+shape (``check_format(full_check=True)``, ``indptr`` ending at the entry
+count) already in the one CSR form; scipy's sparse kernels do not
+bounds-check indices, so nothing else reaches them. A cache that is
+missing, stale, of another version, invalid or unreadable is ignored and
+replaced; deleting it is always safe. A directory that cannot be written to
+gets no cache.
 """
 
 from __future__ import annotations
@@ -97,8 +99,9 @@ CACHE_FILE = ".features.cache"
 # miss. Version 2 is keyed by the fingerprint of all four files; version 3
 # by files whose features.tsv holds entries, so that a dense features.tsv
 # of earlier versions is refused whether or not it left a cache; version 4
-# holds the table's CSR arrays instead of the dense table.
-_CACHE_MAGIC = b"reachmix features.tsv cache 4\n"
+# holds the table's CSR arrays instead of the dense table, and version 5
+# holds them at the index width of the one CSR form (``csr_features``).
+_CACHE_MAGIC = b"reachmix features.tsv cache 5\n"
 # One row line of each table, as np.loadtxt reads it.
 _EDGE = np.dtype([("u", np.int64), ("v", np.int64)])
 _LABEL = np.dtype([("label", np.int64)])
@@ -156,6 +159,41 @@ def _check_finite(features) -> None:
     raise DatasetRowError("features", node, _non_finite(float(value), node, col))
 
 
+def _index_dtype(shape, nnz: int):
+    """The index dtype of the CSR form of a table of ``shape`` with ``nnz``
+    stored entries: int32 where N, F and the entry count fit, else int64."""
+    return np.int32 if max(*shape, nnz) <= np.iinfo(np.int32).max else np.int64
+
+
+def _csr(values, cols, indptr, shape) -> csr_array:
+    """The CSR form of a table's stored entries, none of them +0.0, given in
+    row-major order by their values, columns and row pointers."""
+    index = _index_dtype(shape, values.size)
+    return csr_array((values, cols.astype(index, copy=False), indptr.astype(index, copy=False)), shape=shape)
+
+
+def csr_features(table) -> csr_array:
+    """A feature table, dense or scipy-sparse, in its one CSR form (module
+    docstring); a table already in that form is returned as it is. A dense
+    table's cells whose bits are not +0.0's are found in one pass over it:
+    scipy's ``csr_array(x)`` would drop ``-0.0``, and takes ~4 times as
+    long on a 2709 x 1433 bag-of-words table. A sparse table has its
+    repeats summed, then its stored +0.0 entries dropped."""
+    if not issparse(table):
+        x = np.ascontiguousarray(table, dtype=np.float64)
+        n, f = x.shape
+        cells = np.flatnonzero(x.view(np.int64))
+        return _csr(x.ravel()[cells], cells % max(f, 1), np.searchsorted(cells, np.arange(n + 1) * f), (n, f))
+    if not (isinstance(table, csr_array) and table.dtype == np.float64 and table.has_canonical_format):
+        table = csr_array(table, dtype=np.float64, copy=True)
+        table.sum_duplicates()
+    stored = table.data.view(np.int64) != 0
+    if stored.all() and table.indices.dtype == table.indptr.dtype == _index_dtype(table.shape, table.nnz):
+        return table
+    indptr = np.concatenate(([0], np.cumsum(stored)))[table.indptr]
+    return _csr(table.data[stored], table.indices[stored], indptr, table.shape)
+
+
 def _as_sorted_ids(values, name: str) -> np.ndarray:
     ids = np.asarray(sorted(int(v) for v in values), dtype=np.int64)
     if ids.size != np.unique(ids).size:
@@ -203,10 +241,10 @@ class Dataset:
     naming the id. So whatever ``save_dataset`` writes,
     ``load_dataset`` reads back.
 
-    ``features`` stays in the form it is given: a dense table, or a float64
-    CSR ``csr_array`` as ``load_dataset`` gives, which is kept as it is if
-    its columns are sorted and given once in each row and otherwise copied
-    into that form, repeats summed.
+    ``features`` is a dense table, kept dense, or a scipy-sparse one, kept
+    in the one CSR form (``csr_features``): a table already in that form,
+    as ``load_dataset`` gives, is kept as it is, and any other is copied
+    into it, repeats summed.
 
     ``fingerprint`` is the ``dataset_fingerprint`` of the bytes
     ``load_dataset`` read and parsed, which every loaded dataset carries,
@@ -224,11 +262,10 @@ class Dataset:
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         features = self.features
-        if not issparse(features):
+        if issparse(features):
+            features = csr_features(features)
+        else:
             features = np.ascontiguousarray(np.asarray(features, dtype=np.float64))
-        elif not (isinstance(features, csr_array) and features.dtype == np.float64 and features.has_canonical_format):
-            features = csr_array(features, dtype=np.float64, copy=True)
-            features.sum_duplicates()
         labels = np.asarray(self.labels, dtype=np.int64)
 
         n = self.num_nodes
@@ -298,18 +335,21 @@ def _read(digest, path) -> bytes:
     return data
 
 
-def _text(path, data: bytes) -> io.StringIO:
+def _text(path, data: bytes) -> io.TextIOWrapper:
     """A stream of the text ``open`` reads from a file of ``data`` (UTF-8,
-    universal newlines), decoded once. A byte that is not UTF-8 raises
+    universal newlines), decoded a block at a time as it is read: an
+    ``io.StringIO`` of the whole text would hold 4 bytes per character.
+    ``data`` is checked first: a byte that is not UTF-8 raises
     ``DatasetFormatError`` naming its line and offset."""
     try:
-        text = data.decode("utf-8")
+        if not data.isascii():  # ASCII is UTF-8, and isascii allocates nothing
+            data.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = data[:exc.start]
         line_no = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
         raise DatasetFormatError(path, line_no, f"byte 0x{data[exc.start]:02x} at offset {exc.start} "
                                                 "is not UTF-8") from None
-    return io.StringIO(text, newline=None)
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None)
 
 
 def dataset_fingerprint(directory) -> str:
@@ -329,22 +369,18 @@ def _cache_header(digest: str) -> bytes:
 def _cached_features(directory, features_path, data: bytes, digest: str) -> csr_array | None:
     """The table cached under ``digest`` for features.tsv's bytes ``data``,
     or None if the cache is missing, holds another digest or version, is not
-    a whole cache file, or holds anything but a canonical CSR table of the
-    header's shape with no stored +0.0."""
+    a whole cache file, or holds anything but a table in the one CSR form
+    (``csr_features``) of the header's shape."""
     header = _cache_header(digest)
     try:
         with open(os.path.join(directory, CACHE_FILE), "rb") as fh:
             if fh.read(len(header)) != header:
                 return None
             shape, values, indices, indptr = (np.lib.format.read_array(fh, allow_pickle=False) for _ in range(4))
-        if (shape.dtype, shape.shape, values.dtype, indices.dtype, indptr.dtype) != (
-                np.int64, (2,), np.float64, np.int64, np.int64):
-            return None
         table = csr_array((values, indices, indptr), shape=tuple(shape.tolist()))
         table.check_format(full_check=True)  # indices within [0, F), indptr non-decreasing from 0
         _, n, f = _header(features_path, data)
-        if (indptr[-1] == values.size and table.has_canonical_format and table.shape == (n, f)
-                and (values.view(np.int64) != 0).all()):  # no stored +0.0
+        if indptr[-1] == values.size and table.shape == (n, f) and csr_features(table) is table:
             return table
     except Exception:  # numpy and scipy raise several types for a cut or garbled cache; the parse decides instead
         pass
@@ -490,12 +526,14 @@ def _parse_features(path, data: bytes) -> csr_array:
         order = np.argsort(keys, kind="stable")  # each cell's entries in file order
         bad[order[1:]] |= keys[order[1:]] == keys[order[:-1]]
     if not bad.any():
+        del keys  # freed before the CSR arrays are made, so a load peaks lower
         if order is not None:
             rows, cols, values = rows[order], cols[order], values[order]
         stored = values.view(np.int64) != 0  # not +0.0, as save_dataset writes
-        rows, cols, values = rows[stored], cols[stored], values[stored]
+        if not stored.all():  # save_dataset writes no +0.0, so its files need no copy
+            rows, cols, values = rows[stored], cols[stored], values[stored]
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        return csr_array((values, cols, indptr), shape=(n, f))
+        return _csr(values, cols, indptr, (n, f))
     i = int(np.argmax(bad))
     row, col, value = int(rows[i]), int(cols[i]), float(values[i])
     lines = _row_lines(path, data, None)
@@ -552,7 +590,7 @@ def load_dataset(directory) -> Dataset:
         raise DatasetFormatError(labels_path, None, f"{labels.size} labels for {num_nodes} feature rows")
 
     try:
-        blob = json.loads(_text(split_path, raw[split_path]).read())
+        blob = json.load(_text(split_path, raw[split_path]))
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(split_path, exc.lineno, f"invalid JSON: {exc.msg}") from None
     for key in ("labeled", "valid", "test"):
@@ -593,28 +631,22 @@ def save_dataset(dataset: Dataset, directory) -> None:
     row-major order; a value is the ``repr`` of its float, the shortest
     decimal that reads back to the same bits.
 
-    An entry is stored, and formatted, where its bits are not those of
-    ``+0.0``, so a sparse table costs time in proportion to its entries.
-    ``-0.0`` has a set sign bit, so it is stored and keeps its sign. A
-    dense table and its CSR form write the same bytes.
+    The entries are those of the table's one CSR form (``csr_features``):
+    the cells whose bits are not those of ``+0.0``, so a sparse table costs
+    time in proportion to its entries. ``-0.0`` has a set sign bit, so it is
+    stored and keeps its sign. A dense table and its CSR form write the same
+    bytes.
     """
     directory = os.fspath(directory)
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, EDGES_FILE), "w", encoding="utf-8") as fh:
         fh.write("".join(f"{u}\t{v}\n" for u, v in dataset.edges.tolist()))
-    features = dataset.features
-    if issparse(features):  # canonical, so its entries are in row-major order
-        stored = features.data.view(np.int64) != 0
-        rows = np.repeat(np.arange(features.shape[0]), np.diff(features.indptr))[stored]
-        cols, values = features.indices[stored], features.data[stored]
-    else:
-        rows, cols = np.nonzero(features.view(np.int64))
-        values = None  # gathered a block at a time, so a dense table's values are never copied whole
+    features = csr_features(dataset.features)
+    rows = np.repeat(np.arange(features.shape[0]), np.diff(features.indptr))
     with open(os.path.join(directory, FEATURES_FILE), "w", encoding="utf-8") as fh:
         fh.write("{}\t{}\n".format(*features.shape))
         for block in range(0, rows.size, _ENTRIES_PER_WRITE):
-            r, c = rows[block:block + _ENTRIES_PER_WRITE], cols[block:block + _ENTRIES_PER_WRITE]
-            v = features[r, c] if values is None else values[block:block + _ENTRIES_PER_WRITE]
+            r, c, v = (a[block:block + _ENTRIES_PER_WRITE] for a in (rows, features.indices, features.data))
             fh.write("".join(f"{row}\t{col}\t{text}\n" for row, col, text in
                              zip(r.tolist(), c.tolist(), map(repr, v.tolist()))))
     with open(os.path.join(directory, LABELS_FILE), "w", encoding="utf-8") as fh:
@@ -720,8 +752,8 @@ def generate_sbm(
 
     if labels_per_class is None:
         labels_per_class = max(1, round(0.05 * n))
-    if valid_per_class is None:
-        valid_per_class = min(max(1, round(0.15 * n)), n - labels_per_class)
+    if valid_per_class is None:  # never below 0, so a class too small is named by make_split
+        valid_per_class = max(0, min(max(1, round(0.15 * n)), n - labels_per_class))
 
     probe = Dataset(
         num_nodes, num_classes, edges, features, labels,

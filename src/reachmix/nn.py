@@ -2,8 +2,9 @@
 gradients, masked soft-target cross-entropy, inverted dropout, Adam, gradient
 checking.
 
-Everything runs in float64. The input features are a CSR matrix (dense input
-is converted), so input dropout, ``X @ W1`` and ``X^T @ dXW`` touch the stored
+Everything runs in float64. The input features are a ``csr_array``, taken as
+it is given (``graphio.csr_features`` makes a dataset's; any other type is
+refused), so input dropout, ``X @ W1`` and ``X^T @ dXW`` touch the stored
 entries only. The MLP path is the same network with the propagation step
 omitted; feeding the GCN an identity adjacency produces bit-identical output
 to the MLP. A checkpoint (``save_params``/``load_params``) is ASCII text
@@ -129,43 +130,6 @@ class ForwardTrace:
     consumed: bool = field(default=False)
 
 
-def _indexed_csr(data, indices, indptr, shape) -> csr_array:
-    """A ``csr_array`` of these arrays with the index dtype that
-    ``csr_array(x)`` picks through COO: int32 where they fit."""
-    index = np.int32 if max(*shape, data.size) <= np.iinfo(np.int32).max else np.int64
-    return csr_array((data, indices.astype(index), indptr.astype(index)), shape=shape)
-
-
-def as_csr(x) -> csr_array:
-    """Features as a float64 CSR matrix; a float64 ``csr_array`` passes through.
-
-    A dense 2-D table is converted in one pass: the flat positions of its
-    nonzero cells (``-0.0`` counts as zero) give ``data`` and ``indices``,
-    and a binary search for each row's first cell gives ``indptr``. The
-    arrays and their dtypes are those that ``csr_array(x)`` builds through
-    COO (int32 indices where they fit).
-    """
-    if issparse(x) or np.ndim(x) != 2:
-        return x if isinstance(x, csr_array) and x.dtype == np.float64 else csr_array(x, dtype=np.float64)
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    n, f = x.shape
-    cells = np.flatnonzero(x != 0)
-    return _indexed_csr(x.ravel()[cells], cells % max(f, 1), np.searchsorted(cells, np.arange(n + 1) * f), (n, f))
-
-
-def feature_csr(features) -> csr_array:
-    """A dataset's feature table, dense or CSR, as the arrays ``as_csr``
-    builds from its dense form: ``-0.0`` and ``+0.0`` entries dropped, int32
-    indices where they fit. A CSR table must have sorted columns in each
-    row, as every ``Dataset`` holds. It runs once per command, so that
-    ``as_csr`` passes the result through unchanged on every forward pass."""
-    if not issparse(features):
-        return as_csr(features)
-    kept = features.data != 0
-    indptr = np.concatenate(([0], np.cumsum(kept)))[features.indptr]
-    return _indexed_csr(features.data[kept], features.indices[kept], indptr, features.shape)
-
-
 def _dropout(x, rate: float, train: bool, rng: np.random.Generator | None):
     """Inverted dropout. On a CSR matrix it draws one uniform per stored entry
     and scales the stored entries only, so zeros stay zero (the reference
@@ -182,7 +146,8 @@ def _dropout(x, rate: float, train: bool, rng: np.random.Generator | None):
 
 
 def _forward(x, adjacency, params, dropout_rate, train, rng):
-    x = as_csr(x)
+    if not isinstance(x, csr_array):
+        raise ValueError(f"features must be a scipy csr_array, got {type(x).__name__}")
     if x.ndim != 2 or x.shape[1] != params.w1.shape[0]:
         raise ValueError(f"input shape {x.shape} does not match w1 {params.w1.shape}")
     if adjacency is not None and adjacency.shape[0] != x.shape[0]:
@@ -205,9 +170,9 @@ def _forward(x, adjacency, params, dropout_rate, train, rng):
 def gcn_forward(x, a_hat: csr_array, params: ModelParams, dropout_rate=0.0, train=False, rng=None):
     """logits = A_hat . drop(ReLU(A_hat . drop(X) W1 + b1)) W2 + b2.
 
-    ``x`` is CSR or dense (converted to CSR); ``a_hat`` is the normalized
-    adjacency. Eval mode (train=False) applies no dropout and is
-    deterministic.
+    ``x`` is a ``csr_array`` (any other type raises ``ValueError``);
+    ``a_hat`` is the normalized adjacency. Eval mode (train=False) applies no
+    dropout and is deterministic.
     """
     return _forward(x, a_hat, params, dropout_rate, train, rng)
 

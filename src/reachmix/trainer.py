@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from reachmix.graphalg import add_self_loops, from_edges, structural_degrees, sym_normalize
-from reachmix.graphio import Dataset, SplitSpec
+from reachmix.graphio import Dataset, SplitSpec, csr_features
 from reachmix.mixup import (
     MixupConfig,
     TrainInputs,
@@ -40,7 +40,6 @@ from reachmix.nn import (
     accuracy,
     adam_init,
     adam_step,
-    feature_csr,
     gcn_forward,
     init_params,
     one_blas_thread,
@@ -139,7 +138,7 @@ def build_operators(dataset: Dataset) -> TrainInputs:
     ``dataset``, from the CSR features and one-hot labels to A + I, A_hat and
     the structural degrees. Read-only, so every seed can share it."""
     a = add_self_loops(from_edges(dataset.num_nodes, dataset.edges))
-    features = feature_csr(dataset.features)
+    features = csr_features(dataset.features)
     y_hot = one_hot(dataset.labels, dataset.num_classes)
     weights = np.zeros(dataset.num_nodes)
     weights[dataset.split.labeled_ids] = 1.0

@@ -40,13 +40,14 @@ def test_the_benchmark_graph_round_trips_through_a_small_features_file(tmp_path)
     """The benchmark's input, ``cora_like.build(1)``, is written and read
     back bit for bit, from the text and then from the cache. Its
     features.tsv holds entries: 1.26 MB, where the dense layout was 16.2 MB;
-    its cache holds the CSR arrays: 0.79 MB, where the dense table was 31 MB."""
+    its cache holds the CSR arrays with int32 indices: 0.59 MB, where the
+    dense table was 31 MB."""
     dataset = load_module(PERFBENCH / "cora_like.py", "perfbench_cora_like").build(1)
     graphio.save_dataset(dataset, tmp_path)
     assert os.path.getsize(tmp_path / "features.tsv") < 1_500_000
     for load in ("parsed", "cached"):
         back = graphio.load_dataset(tmp_path)
-        assert os.path.getsize(tmp_path / graphio.CACHE_FILE) < 1_000_000, load
+        assert os.path.getsize(tmp_path / graphio.CACHE_FILE) < 650_000, load
         assert dense_table(back.features).tobytes() == dataset.features.tobytes(), load
         assert back.num_classes == dataset.num_classes
         np.testing.assert_array_equal(back.edges, dataset.edges)

@@ -106,6 +106,19 @@ def test_synth_missing_out_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_synth_names_the_class_too_small_for_its_labeled_nodes(tmp_path, capsys):
+    # The default validation count is floored at 0, so the error is about the
+    # flag that was set, not about --valid-per-class.
+    out = tmp_path / "d"
+    argv = ["synth", "--classes", "2", "--per-class", "5", "--p-in", "0.5", "--p-out", "0.1",
+            "--labels-per-class", "7", "--out", str(out)]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert "class 0 has 5 nodes, needs 7 for the requested split" in err
+    assert "valid_per_class" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("noise", ["nan", "inf"])
 def test_synth_non_finite_noise_is_error_before_out(tmp_path, capsys, noise):
     out = tmp_path / "d"

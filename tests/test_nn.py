@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_array
+from scipy.sparse import coo_array, csr_array, csr_matrix
 
 from reachmix import nn
 from reachmix.graphalg import add_self_loops, from_edges, sym_normalize
-from reachmix.graphio import generate_sbm
+from reachmix.graphio import csr_features, generate_sbm
 from reachmix.nn import (
     ModelParams,
     accuracy,
@@ -55,13 +55,14 @@ def test_gcn_identity_equals_mlp_bitwise(rng):
             assert np.array_equal(gcn_grads[name], mlp_grads[name])
 
 
-def test_dense_and_csr_input_agree_bitwise(rng):
-    x = sparse_features(rng)
+@pytest.mark.parametrize("form", [np.asarray, coo_array, csr_matrix])
+def test_gcn_forward_refuses_features_that_are_not_a_csr_array(rng, form):
+    # The model takes graphio's one CSR form as it is and converts nothing.
+    x = form(sparse_features(rng).toarray())
     params = small_params(np.random.default_rng(0))
     a = sym_normalize(add_self_loops(from_edges(9, np.array([[0, 1], [1, 2], [3, 4], [5, 8]]))))
-    dense_logits, _ = gcn_forward(x.toarray(), a, params, 0.5, True, np.random.default_rng(2))
-    csr_logits, _ = gcn_forward(x, a, params, 0.5, True, np.random.default_rng(2))
-    assert np.array_equal(dense_logits, csr_logits)
+    with pytest.raises(ValueError, match=rf"^features must be a scipy csr_array, got {type(x).__name__}$"):
+        gcn_forward(x, a, params, 0.5, True, np.random.default_rng(2))
 
 
 def test_input_dropout_acts_on_stored_entries_only(rng):
@@ -95,7 +96,7 @@ def test_train_mode_same_seed_same_output(rng):
 
 
 def test_zero_weights_give_zero_logits(rng):
-    x = rng.standard_normal((4, 3))
+    x = csr_features(rng.standard_normal((4, 3)))
     params = ModelParams(np.zeros((3, 2)), np.zeros(2), np.zeros((2, 2)), np.zeros(2))
     a = sym_normalize(add_self_loops(from_edges(4, np.array([[0, 1], [2, 3]]))))
     logits, _ = gcn_forward(x, a, params)
@@ -108,16 +109,16 @@ def test_gcn_hand_computed_two_node_case():
     # b2 = [0.5, 0] -> logits rows [3.5, -1.5].
     a = sym_normalize(add_self_loops(from_edges(2, np.array([[0, 1]]))))
     params = ModelParams(np.array([[1.0]]), np.zeros(1), np.array([[2.0, -1.0]]), np.array([0.5, 0.0]))
-    logits, _ = gcn_forward(np.array([[1.0], [2.0]]), a, params)
+    logits, _ = gcn_forward(csr_features(np.array([[1.0], [2.0]])), a, params)
     np.testing.assert_allclose(logits, [[3.5, -1.5], [3.5, -1.5]], atol=1e-15)
 
 
 def test_mlp_row_independence(rng):
     x = rng.standard_normal((6, 5))
     params = small_params(np.random.default_rng(1))
-    base, _ = mlp_forward(x, params)
+    base, _ = mlp_forward(csr_features(x), params)
     perm = rng.permutation(6)
-    permuted, _ = mlp_forward(x[perm], params)
+    permuted, _ = mlp_forward(csr_features(x[perm]), params)
     np.testing.assert_array_equal(permuted, base[perm])
 
 
@@ -127,17 +128,17 @@ def test_gcn_permutation_equivariance(rng):
     x = rng.standard_normal((n, 5))
     params = small_params(np.random.default_rng(2))
     a = sym_normalize(add_self_loops(from_edges(n, edges)))
-    base, _ = gcn_forward(x, a, params)
+    base, _ = gcn_forward(csr_features(x), a, params)
     perm = rng.permutation(n)
     inv = np.argsort(perm)
     relabeled = np.stack([inv[edges[:, 0]], inv[edges[:, 1]]], axis=1)
     a_perm = sym_normalize(add_self_loops(from_edges(n, relabeled)))
-    permuted, _ = gcn_forward(x[perm], a_perm, params)
+    permuted, _ = gcn_forward(csr_features(x[perm]), a_perm, params)
     np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
 
 
 def test_eval_mode_deterministic(rng):
-    x = rng.standard_normal((5, 5))
+    x = csr_features(rng.standard_normal((5, 5)))
     params = small_params(np.random.default_rng(3))
     a = sym_normalize(add_self_loops(from_edges(5, np.array([[0, 1], [1, 2], [3, 4]]))))
     l1, _ = gcn_forward(x, a, params)
@@ -146,27 +147,27 @@ def test_eval_mode_deterministic(rng):
 
 
 def test_train_mode_dropout_changes_output(rng):
-    x = rng.standard_normal((5, 5))
+    x = csr_features(rng.standard_normal((5, 5)))
     params = small_params(np.random.default_rng(3))
     a = sym_normalize(add_self_loops(from_edges(5, np.array([[0, 1], [1, 2], [3, 4]]))))
     eval_logits, _ = gcn_forward(x, a, params)
     train_logits, trace = gcn_forward(x, a, params, dropout_rate=0.5, train=True, rng=np.random.default_rng(0))
     assert not np.array_equal(eval_logits, train_logits)
     ref = np.random.default_rng(0)
-    np.testing.assert_array_equal(trace.x_in.data, x.ravel() * ((ref.random(25) >= 0.5) / 0.5))
+    np.testing.assert_array_equal(trace.x_in.data, x.data * ((ref.random(25) >= 0.5) / 0.5))
     assert trace.mask2 is not None
 
 
 def test_dropout_requires_rng():
     params = small_params(np.random.default_rng(3))
     with pytest.raises(ValueError, match="rng"):
-        mlp_forward(np.zeros((2, 5)), params, dropout_rate=0.5, train=True)
+        mlp_forward(csr_features(np.zeros((2, 5))), params, dropout_rate=0.5, train=True)
 
 
 def test_shape_mismatch_raises(rng):
     params = small_params(np.random.default_rng(3))
     with pytest.raises(ValueError, match="shape"):
-        mlp_forward(rng.standard_normal((2, 7)), params)
+        mlp_forward(csr_features(rng.standard_normal((2, 7))), params)
 
 
 def test_soft_ce_one_hot_is_minus_log_prob(rng):
@@ -232,7 +233,7 @@ def test_soft_ce_weighted_mean_masks_rows(rng):
 
 
 def test_backward_zero_upstream_gives_zero_grads(rng):
-    x = rng.standard_normal((4, 5))
+    x = csr_features(rng.standard_normal((4, 5)))
     params = small_params(np.random.default_rng(4))
     logits, trace = mlp_forward(x, params)
     grads = backward(trace, np.zeros_like(logits))
@@ -243,7 +244,7 @@ def test_backward_single_node_hand_derived_chain_rule():
     # One node, one hidden unit: logits_c = h * w2_c + b2_c with
     # h = ReLU(x * w1 + b1). For cross-entropy with one-hot target t,
     # d/dw2_c = h * (softmax(logits)_c - t_c) and d/db2_c = the same without h.
-    x = np.array([[2.0]])
+    x = csr_features(np.array([[2.0]]))
     params = ModelParams(np.array([[0.5]]), np.array([0.1]), np.array([[0.3, -0.2]]), np.zeros(2))
     logits, trace = mlp_forward(x, params)
     h = 2.0 * 0.5 + 0.1
@@ -261,7 +262,7 @@ def test_backward_single_node_hand_derived_chain_rule():
 
 
 def test_trace_reuse_raises(rng):
-    x = rng.standard_normal((3, 5))
+    x = csr_features(rng.standard_normal((3, 5)))
     params = small_params(np.random.default_rng(5))
     logits, trace = mlp_forward(x, params)
     backward(trace, np.zeros_like(logits))
@@ -353,29 +354,6 @@ def test_gradient_check_excludes_relu_kink():
     params = ModelParams(np.array([[1.0]]), np.array([-1.0]), np.array([[1.0, -1.0]]), np.zeros(2))
     _, _, skipped = gradient_check(build_operators(ds), params, eps=1e-5)
     assert skipped >= 1
-
-
-@st.composite
-def dense_tables(draw):
-    """Tables with all-zero, fully dense and mixed rows over the cells that
-    tell a conversion apart: +0.0, -0.0 (also a zero) and nan."""
-    width = draw(st.integers(1, 5))
-    cells = {"zero": st.sampled_from([0.0, -0.0]),
-             "dense": st.sampled_from([1.0, -2.5, 5e-324, np.nan]),
-             "mixed": st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324, np.nan])}
-    rows = draw(st.lists(st.sampled_from(sorted(cells)), min_size=0, max_size=7))
-    return np.array([draw(st.lists(cells[kind], min_size=width, max_size=width)) for kind in rows]).reshape(-1, width)
-
-
-@settings(max_examples=80, deadline=None)
-@given(dense_tables())
-def test_as_csr_builds_the_arrays_csr_array_builds(x):
-    expected = csr_array(x)
-    got = nn.as_csr(x)
-    assert got.shape == expected.shape
-    for name in ("data", "indices", "indptr"):
-        a, b = getattr(got, name), getattr(expected, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_checkpoint_round_trip(tmp_path):
