@@ -321,7 +321,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_diagnose(args) -> int:
     """Reach is measured on A: the BFS ignores self-loops and the structural
-    degrees exclude them. Only ``cka`` and ``pearson`` build the model
+    degrees exclude them. Every kind reads the labeled-set hop distances and
+    the exact diameter from the dataset's ``.reach.cache`` under its
+    fingerprint, so only the first command on a dataset's content runs the
+    BFS, and leaves them there. Only ``cka`` and ``pearson`` build the model
     inputs, once, with ``trainer.build_operators``, after checking that the
     checkpoint's F and C fit the dataset."""
     needs_model = args.kind in ("cka", "pearson")
@@ -335,11 +338,12 @@ def cmd_diagnose(args) -> int:
                          f"classes, dataset {args.data} has {dataset.num_features} and {dataset.num_classes}")
     g = from_edges(dataset.num_nodes, dataset.edges)
     labeled = dataset.split.labeled_ids
+    cache = (args.data, dataset.fingerprint)
 
     # Each kind yields its table (column name -> values), its JSON summary
     # and the line printed on success.
     if args.kind == "rc":
-        report = diagnostics.reaching_coefficient(g, labeled)
+        report = diagnostics.reaching_coefficient(g, labeled, cache)
         table = {"node": report.node_ids, "rc": report.rc, "min_dist": report.min_dist,
                  "mean_dist": report.mean_dist}
         summary = {
@@ -350,19 +354,19 @@ def cmd_diagnose(args) -> int:
         }
         line = f"rc: {report.node_ids.size} unlabeled nodes, diameter {report.diameter}"
     elif args.kind == "avgsp":
-        report = diagnostics.avg_sp_by_degree(g, labeled)
+        report = diagnostics.avg_sp_by_degree(g, labeled, cache)
         table = {"degree": report.degrees, "avg_sp": report.avg_sp, "count": report.counts}
         summary = {"num_degrees": int(report.degrees.size), "global_mean_sp": float(report.node_avg_sp.mean())}
         line = f"avgsp: {report.degrees.size} degree groups"
     elif args.kind == "cka":
-        buckets = diagnostics.rc_buckets(diagnostics.reaching_coefficient(g, labeled))
+        buckets = diagnostics.rc_buckets(diagnostics.reaching_coefficient(g, labeled, cache))
         report = diagnostics.cka_by_bucket(params, trainer.build_operators(dataset), buckets, args.seed)
         values = ["absent" if v is None else v for v in report.values]
         table = {"bucket": list(range(1, len(values) + 1)), "cka": values, "sample_size": report.sample_sizes}
         summary = {"seed": report.seed, "values": report.values, "sample_sizes": report.sample_sizes}
         line = "cka by bucket: " + " ".join(v if isinstance(v, str) else f"{v:.4f}" for v in values)
     else:  # pearson; argparse restricts the choices
-        rc = diagnostics.reaching_coefficient(g, labeled)
+        rc = diagnostics.reaching_coefficient(g, labeled, cache)
         r, pairs = diagnostics.pearson_rc_vs_score(params, trainer.build_operators(dataset), rc)
         table = {"node": rc.node_ids, "rc": pairs[:, 1], "true_class_score": pairs[:, 2]}
         summary = {"pearson_r": float(r), "n": int(pairs.shape[0])}

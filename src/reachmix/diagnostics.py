@@ -6,6 +6,18 @@ where d is the BFS hop distance, D the graph diameter, and d(i, j) := D when
 i and j live in different components (so such pairs contribute 0). Distance 1
 contributes the maximal term 1. The log base cancels in the ratio.
 
+Every reach report reads the same two results: the exact diameter D and
+the (|labeled|, |unlabeled|) matrix of those distances. A caller that names
+the dataset they come from, as ``diagnose`` does, keeps both in
+``<data directory>/.reach.cache`` under its fingerprint (``graphio``'s
+cache format, version 1, as readable as edges.tsv): D as an int64, then the
+matrix in the smallest unsigned dtype that holds D. The first report on a
+dataset's content computes and writes them; later ones, in any process,
+read them and run no BFS. An entry is valid only if D >= 1 and the matrix
+has the split's shape, that dtype and every entry in [1, D]; any other is
+computed again and replaced. A graph with no edge (D = 0) is refused by
+every report.
+
 Representation similarity between node sets uses linear CKA with column
 centering:
     CKA(A, B) = ||B^T A||_F^2 / (||A^T A||_F ||B^T B||_F)
@@ -15,16 +27,22 @@ nonzero isotropic scaling.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_array
 
+from reachmix import graphio
 from reachmix.graphalg import bfs_distances, diameter_and_components, structural_degrees
 from reachmix.mixup import TrainInputs
 from reachmix.nn import ModelParams, gcn_forward, softmax
 
 NUM_BUCKETS = 5
+REACH_CACHE = ".reach.cache"
+# The first line of a reach cache; change the number whenever its layout or
+# the meaning of its entry changes, so that every older cache is a miss.
+_REACH_MAGIC = b"reachmix reach cache 1\n"
 
 
 @dataclass(frozen=True)
@@ -51,7 +69,26 @@ class DegreeSPReport:
     node_avg_sp: np.ndarray  # per unlabeled node, ascending id
 
 
-def _labeled_distances(g: csr_array, labeled_ids) -> tuple[int, np.ndarray, np.ndarray]:
+def _cached_reach(cache, shape) -> tuple[int, np.ndarray] | None:
+    """The diameter and distance matrix of ``(directory, fingerprint)``'s
+    ``.reach.cache``, or None unless the file holds a valid entry: a diameter
+    D >= 1 and a matrix of ``shape`` in the smallest unsigned dtype that holds
+    D, every entry in [1, D] (a labeled node is no unlabeled one, and an
+    unreachable pair counts as D)."""
+    directory, fingerprint = cache
+    arrays = graphio.read_cache(os.path.join(directory, REACH_CACHE), _REACH_MAGIC, fingerprint, 2)
+    if arrays is None:
+        return None
+    diameter, d = arrays
+    if diameter.shape != () or diameter.dtype != np.int64:
+        return None
+    diameter = int(diameter)
+    if d.shape == shape and d.dtype == np.min_scalar_type(diameter) and d.min() >= 1 and d.max() <= diameter:
+        return diameter, d
+    return None
+
+
+def _labeled_distances(g: csr_array, labeled_ids, cache=None) -> tuple[int, np.ndarray, np.ndarray]:
     """(diameter, unlabeled ids ascending, (|labeled|, |unlabeled|) hop
     distances) with unreachable pairs counted as the diameter; labeled rows
     in ascending id order.
@@ -60,24 +97,40 @@ def _labeled_distances(g: csr_array, labeled_ids) -> tuple[int, np.ndarray, np.n
     sources 64 at a time. Their rows are the first block of
     ``diameter_and_components``' bound rounds, so the exact diameter costs
     only the blocks those rows leave open.
+
+    ``cache``, the pair (dataset directory, ``Dataset.fingerprint``) of the
+    dataset that ``g`` and ``labeled_ids`` come from, keeps both results in
+    ``<directory>/.reach.cache`` (module docstring): a valid entry there is
+    read instead of running either, and a computed one is written there.
     """
     labeled_ids = np.asarray(labeled_ids, dtype=np.int64)
     if labeled_ids.size == 0:
         raise ValueError("labeled set must be non-empty")
-    dists = bfs_distances(g, labeled_ids)
-    diameter, _ = diameter_and_components(g, dists)
-    mask = np.ones(g.shape[0], dtype=bool)
-    mask[labeled_ids] = False
-    unlabeled = np.flatnonzero(mask)
+    unlabeled = np.setdiff1d(np.arange(g.shape[0]), labeled_ids)
     if unlabeled.size == 0:
         raise ValueError("no unlabeled nodes")
-    dists = dists[:, unlabeled]
-    return diameter, unlabeled, np.where(np.isfinite(dists), dists, float(diameter))
+    shape = (g.shape[0] - unlabeled.size, unlabeled.size)
+    entry = None if cache is None else _cached_reach(cache, shape)
+    if entry is not None:
+        diameter, d = entry
+    else:
+        dists = bfs_distances(g, labeled_ids)
+        diameter, _ = diameter_and_components(g, dists)
+        if diameter == 0:
+            raise ValueError("diameter 0: the graph has no edge, so no unlabeled node reaches the labeled set")
+        dists = dists[:, unlabeled]
+        d = np.where(np.isfinite(dists), dists, diameter).astype(np.min_scalar_type(diameter))
+        if cache is not None:
+            directory, fingerprint = cache
+            graphio.write_cache(os.path.join(directory, REACH_CACHE), _REACH_MAGIC, fingerprint,
+                                (np.array(diameter, dtype=np.int64), d), os.path.join(directory, graphio.EDGES_FILE))
+    return diameter, unlabeled, d.astype(np.float64)
 
 
-def reaching_coefficient(g: csr_array, labeled_ids) -> RCReport:
-    """RC per unlabeled node (see module docstring)."""
-    diameter, unlabeled, d = _labeled_distances(g, labeled_ids)
+def reaching_coefficient(g: csr_array, labeled_ids, cache=None) -> RCReport:
+    """RC per unlabeled node (see module docstring); ``cache`` as for
+    ``_labeled_distances``."""
+    diameter, unlabeled, d = _labeled_distances(g, labeled_ids, cache)
     if diameter < 2:
         raise ValueError(f"diameter {diameter} < 2: the log-ratio in RC is degenerate")
     terms = 1.0 - np.log(d) / np.log(float(diameter))
@@ -165,14 +218,15 @@ def cka_by_bucket(
     return CKAReport(values, sizes, sample_seed)
 
 
-def avg_sp_by_degree(g: csr_array, labeled_ids) -> DegreeSPReport:
+def avg_sp_by_degree(g: csr_array, labeled_ids, cache=None) -> DegreeSPReport:
     """Mean distance to the labeled set, grouped by structural degree.
 
     Per unlabeled node: the mean BFS distance to every labeled node, with
     unreachable pairs counted as the diameter (same convention as RC); then
-    averaged within groups of equal self-loop-free degree.
+    averaged within groups of equal self-loop-free degree. ``cache`` as for
+    ``_labeled_distances``.
     """
-    _, unlabeled, dists = _labeled_distances(g, labeled_ids)
+    _, unlabeled, dists = _labeled_distances(g, labeled_ids, cache)
     node_avg = dists.mean(axis=0)
     node_deg = structural_degrees(g)[unlabeled]
     degrees = np.unique(node_deg)

@@ -59,16 +59,22 @@ entry count fit, int64 otherwise. It parses features.tsv once per dataset
 content. After a load that passes every check, it leaves the table beside
 the file in ``.features.cache``, keyed by the fingerprint; a later load of
 the same four files reads the table from there instead of parsing the
-text, and runs every check again. The cache is a magic line naming its
-layout version, the hex digest and a newline, then four ``.npy`` arrays:
-the shape, then the CSR's ``data``, ``indices`` and ``indptr`` as they are,
-so every bit of every entry comes back. A cached table is used only if it is a valid CSR of the header's
-shape (``check_format(full_check=True)``, ``indptr`` ending at the entry
-count) already in the one CSR form; scipy's sparse kernels do not
-bounds-check indices, so nothing else reaches them. A cache that is
-missing, stale, of another version, invalid or unreadable is ignored and
-replaced; deleting it is always safe. A directory that cannot be written to
-gets no cache.
+text, and runs every check again. A cached table is used only if it is a
+valid CSR of the header's shape (``check_format(full_check=True)``,
+``indptr`` ending at the entry count) already in the one CSR form; scipy's
+sparse kernels do not bounds-check indices, so nothing else reaches them.
+
+Every cache of the package, ``.features.cache`` here and ``diagnostics``'
+``.reach.cache``, is one file format, read by ``read_cache`` and written by
+``write_cache``: a line naming its layout version, the fingerprint in hex
+and a newline, then ``.npy`` arrays, so every bit of every array comes
+back. The features cache (version 5) holds the shape, then the CSR's
+``data``, ``indices`` and ``indptr`` as they are. A cache is written to a
+temporary file beside it, given the permission bits of the data file it
+stands for and renamed into place; a directory that cannot be written to
+gets none, silently. One that is missing, stale, of another version,
+invalid or unreadable is a miss and is replaced; its owner decides what
+is valid. Deleting a cache is always safe.
 """
 
 from __future__ import annotations
@@ -362,8 +368,43 @@ def dataset_fingerprint(directory) -> str:
     return digest.hexdigest()
 
 
-def _cache_header(digest: str) -> bytes:
-    return _CACHE_MAGIC + digest.encode() + b"\n"
+def read_cache(path, magic: bytes, digest: str, count: int) -> list[np.ndarray] | None:
+    """The ``count`` arrays of the cache file at ``path``, or None if it
+    does not start with the line ``magic`` and then the line ``digest``, or
+    cannot be read: any failure to read a cache is a miss. The arrays are
+    checked by their owner, never here."""
+    header = magic + digest.encode() + b"\n"
+    try:
+        with open(path, "rb") as fh:
+            if fh.read(len(header)) != header:
+                return None
+            return [np.lib.format.read_array(fh, allow_pickle=False) for _ in range(count)]
+    except Exception:  # numpy raises several types for a cut or garbled cache
+        return None
+
+
+def write_cache(path, magic: bytes, digest: str, arrays, mode_of) -> None:
+    """Writes the cache file at ``path``: the line ``magic`` (its layout
+    version), the line ``digest`` (its key), then each of ``arrays`` in
+    ``.npy`` format, so every bit comes back. It is written beside its place,
+    given the permission bits of the data file ``mode_of`` (readable by
+    whoever may read the data) and renamed over it, so readers see a whole
+    cache or the old one. Where it cannot be written, nothing is left behind
+    and nothing is said."""
+    directory, name = os.path.split(os.fspath(path))
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=name, suffix=".tmp", dir=directory)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(magic + digest.encode() + b"\n")
+            for array in arrays:
+                np.lib.format.write_array(fh, array, allow_pickle=False)
+        shutil.copymode(mode_of, tmp)
+        os.replace(tmp, path)
+    except OSError:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 def _cached_features(directory, features_path, data: bytes, digest: str) -> csr_array | None:
@@ -371,41 +412,19 @@ def _cached_features(directory, features_path, data: bytes, digest: str) -> csr_
     or None if the cache is missing, holds another digest or version, is not
     a whole cache file, or holds anything but a table in the one CSR form
     (``csr_features``) of the header's shape."""
-    header = _cache_header(digest)
+    arrays = read_cache(os.path.join(directory, CACHE_FILE), _CACHE_MAGIC, digest, 4)
+    if arrays is None:
+        return None
+    shape, values, indices, indptr = arrays
     try:
-        with open(os.path.join(directory, CACHE_FILE), "rb") as fh:
-            if fh.read(len(header)) != header:
-                return None
-            shape, values, indices, indptr = (np.lib.format.read_array(fh, allow_pickle=False) for _ in range(4))
         table = csr_array((values, indices, indptr), shape=tuple(shape.tolist()))
         table.check_format(full_check=True)  # indices within [0, F), indptr non-decreasing from 0
         _, n, f = _header(features_path, data)
         if indptr[-1] == values.size and table.shape == (n, f) and csr_features(table) is table:
             return table
-    except Exception:  # numpy and scipy raise several types for a cut or garbled cache; the parse decides instead
+    except Exception:  # scipy raises several types for arrays that are no CSR; the parse decides instead
         pass
     return None
-
-
-def _write_cache(directory, digest: str, features: csr_array) -> None:
-    """Caches ``features``, parsed from features.tsv, under ``digest``. The
-    cache is written beside its place and renamed over it, so readers see a
-    whole cache or the old one; where it cannot be written, nothing is left
-    behind."""
-    features_path = os.path.join(directory, FEATURES_FILE)
-    tmp = None
-    try:
-        fd, tmp = tempfile.mkstemp(prefix=CACHE_FILE, suffix=".tmp", dir=directory)
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(_cache_header(digest))
-            for array in (np.array(features.shape, dtype=np.int64), features.data, features.indices, features.indptr):
-                np.lib.format.write_array(fh, array, allow_pickle=False)
-        shutil.copymode(features_path, tmp)  # readable by whoever may read the text
-        os.replace(tmp, os.path.join(directory, CACHE_FILE))
-    except OSError:
-        if tmp is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
 
 
 def _is_float_token(token: str) -> bool:
@@ -620,7 +639,10 @@ def load_dataset(directory) -> Dataset:
     except ValueError as exc:
         raise DatasetFormatError(directory, None, str(exc)) from None
     if parsed:
-        _write_cache(directory, fingerprint, dataset.features)
+        features = dataset.features
+        write_cache(os.path.join(directory, CACHE_FILE), _CACHE_MAGIC, fingerprint,
+                    (np.array(features.shape, dtype=np.int64), features.data, features.indices, features.indptr),
+                    features_path)
     object.__setattr__(dataset, "fingerprint", fingerprint)
     return dataset
 

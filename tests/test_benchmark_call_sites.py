@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 
 from conftest import dense_table
-from reachmix import cli, graphio
+from reachmix import cli, diagnostics, graphio
+from reachmix.graphalg import from_edges
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -54,6 +55,21 @@ def test_the_benchmark_graph_round_trips_through_a_small_features_file(tmp_path)
         np.testing.assert_array_equal(back.labels, dataset.labels)
         for name in ("labeled_ids", "valid_ids", "test_ids"):
             np.testing.assert_array_equal(getattr(back.split, name), getattr(dataset.split, name))
+
+
+def test_the_benchmark_graph_keeps_a_small_reach_cache(tmp_path):
+    """The labeled-set distances of ``cora_like.build(1)`` are 140 x 2569
+    bytes: the diameter is below 256, so each fits a uint8. The warm report
+    is the cold one, bit for bit."""
+    graphio.save_dataset(load_module(PERFBENCH / "cora_like.py", "perfbench_cora_like").build(1), tmp_path)
+    dataset = graphio.load_dataset(tmp_path)
+    g = from_edges(dataset.num_nodes, dataset.edges)
+    cache = (str(tmp_path), dataset.fingerprint)
+    cold, warm = (diagnostics.reaching_coefficient(g, dataset.split.labeled_ids, cache) for _ in range(2))
+    assert os.path.getsize(tmp_path / diagnostics.REACH_CACHE) < 400_000
+    assert cold.diameter == warm.diameter
+    for name in ("node_ids", "rc", "min_dist", "mean_dist"):
+        assert getattr(cold, name).tobytes() == getattr(warm, name).tobytes(), name
 
 
 def test_benchmark_call_sites_exist():

@@ -15,7 +15,7 @@ import pytest
 
 import reachmix
 from conftest import dense_table
-from reachmix import cli, graphio, nn
+from reachmix import cli, diagnostics, graphalg, graphio, nn
 from reachmix.cli import main, parse_seeds
 from reachmix.graphio import generate_sbm, load_dataset, save_dataset
 from reachmix.nn import load_params
@@ -301,6 +301,38 @@ def test_diagnose_rc_on_diameter_one_fails_cleanly(tmp_path, capsys):
     assert run_cli(["diagnose", "rc", "--data", str(data), "--out", str(out)]) == 1
     assert "error: diameter 1 < 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_diagnose_avgsp_on_a_graph_with_no_edge_fails_cleanly(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run_cli(synth_args(data)) == 0
+    (data / "edges.tsv").write_text("# none\n")
+    out = tmp_path / "avgsp"
+    assert run_cli(["diagnose", "avgsp", "--data", str(data), "--out", str(out)]) == 1
+    assert "error: diameter 0: the graph has no edge" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_warm_diagnose_of_any_kind_runs_no_bfs(tmp_path, monkeypatch):
+    """The first command on a dataset leaves the labeled-set distances and
+    the exact diameter in its reach cache; no later kind computes them."""
+    data, checkpoint = tmp_path / "data", tmp_path / "checkpoint.txt"
+    assert run_cli(synth_args(data)) == 0
+    ds = load_dataset(data)
+    nn.save_params(checkpoint, nn.init_params(ds.num_features, 8, ds.num_classes, np.random.default_rng(0)))
+    calls = []
+    for module, name in ((diagnostics, "bfs_distances"), (diagnostics, "diameter_and_components"),
+                         (graphalg, "bfs_distances")):
+        def counting(*args, _name=name, _run=getattr(module, name)):
+            calls.append(_name)
+            return _run(*args)
+        monkeypatch.setattr(module, name, counting)
+    for state in ("cold", "warm"):
+        for kind in ("rc", "avgsp", "cka", "pearson"):
+            argv = ["diagnose", kind, "--data", str(data), "--out", str(tmp_path / state / kind)]
+            assert run_cli(argv + ["--checkpoint", str(checkpoint)] * (kind in ("cka", "pearson"))) == 0
+            assert (calls != []) == (state == "cold" and kind == "rc"), (state, kind)
+            calls.clear()
 
 
 @pytest.mark.parametrize("text, line", [
@@ -1057,23 +1089,29 @@ def test_trained_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 def test_cold_and_warm_loads_write_the_same_outputs(tmp_path, quick_config):
     """The first command on a dataset parses features.tsv and caches the
-    table; every later one reads the cache. Both write the same bytes."""
+    table, and the first diagnose command caches the labeled-set distances
+    and the exact diameter; every later one reads them. Both write the same
+    bytes."""
     data = tmp_path / "data"
     assert run_cli(synth_args(data)) == 0
-    cache = data / graphio.CACHE_FILE
+    features, reach = data / graphio.CACHE_FILE, data / diagnostics.REACH_CACHE
     checkpoint = tmp_path / "cold" / "train" / "checkpoint_seed0.txt"
     commands = {
         "train": ["train", "--config", str(quick_config)],
         "rc": ["diagnose", "rc"],
+        "avgsp": ["diagnose", "avgsp"],
         "cka": ["diagnose", "cka", "--checkpoint", str(checkpoint)],
+        "pearson": ["diagnose", "pearson", "--checkpoint", str(checkpoint)],
     }
     for state in ("cold", "warm"):
         for name, argv in commands.items():
             if state == "cold":
-                cache.unlink(missing_ok=True)
-            assert cache.exists() == (state == "warm")
+                features.unlink(missing_ok=True)
+                reach.unlink(missing_ok=True)
+            assert features.exists() == reach.exists() == (state == "warm")
             assert run_cli(argv + ["--data", str(data), "--out", str(tmp_path / state / name)]) == 0
-            assert cache.exists()
+            assert features.exists()
+            assert reach.exists() == (state == "warm" or name != "train")  # train never measures reach
     for name in commands:
         cold, warm = tmp_path / "cold" / name, tmp_path / "warm" / name
         names = sorted(set(os.listdir(cold)) - {"manifest.json", "timings.tsv"})

@@ -1,3 +1,7 @@
+import io
+import os
+import warnings
+
 import numpy as np
 import pytest
 from scipy.sparse import csgraph
@@ -12,9 +16,9 @@ from reachmix.diagnostics import (
     rc_buckets,
     reaching_coefficient,
 )
-from reachmix import graphalg
+from reachmix import diagnostics, graphalg, graphio
 from reachmix.graphalg import add_self_loops, from_edges
-from reachmix.graphio import Dataset, SplitSpec, generate_sbm, make_split, with_split
+from reachmix.graphio import Dataset, SplitSpec, generate_sbm, load_dataset, make_split, save_dataset, with_split
 from reachmix.nn import ModelParams, init_params
 from reachmix.seeding import substream
 from reachmix.trainer import TrainConfig, build_operators, train_one
@@ -335,3 +339,199 @@ def test_reach_reports_ignore_self_loops(rng):
         sp, sp_looped = avg_sp_by_degree(g, labeled), avg_sp_by_degree(looped, labeled)
         for name in ("degrees", "avg_sp", "counts", "node_avg_sp"):
             np.testing.assert_array_equal(getattr(sp, name), getattr(sp_looped, name))
+
+
+def test_a_graph_with_no_edge_is_refused_naming_its_diameter():
+    # Every pair is unreachable and so would count as the diameter, 0: a
+    # mean distance of 0, nearer than any neighbour of a labeled node.
+    g = from_edges(4, np.zeros((0, 2), dtype=np.int64))
+    for report in (avg_sp_by_degree, reaching_coefficient):
+        with pytest.raises(ValueError, match="^diameter 0: the graph has no edge"):
+            report(g, [0])
+
+
+# --- the reach cache ------------------------------------------------------
+
+REACH_MAGIC = b"reachmix reach cache 1\n"
+REPORT_FIELDS = ("node_ids", "rc", "min_dist", "mean_dist")
+
+
+@pytest.fixture
+def bfs_runs(monkeypatch):
+    """Names each labeled-set BFS and exact diameter that diagnostics runs,
+    in order; a warm report leaves it empty."""
+    calls = []
+    for name in ("bfs_distances", "diameter_and_components"):
+        def counting(*args, _name=name, _run=getattr(diagnostics, name)):
+            calls.append(_name)
+            return _run(*args)
+        monkeypatch.setattr(diagnostics, name, counting)
+    return calls
+
+
+def reach_dataset_dir(tmp_path):
+    """Three classes with no edge between them, so unreachable pairs count
+    as the diameter in every entry's matrix."""
+    ds = generate_sbm(3, 20, 0.2, 0.0, 6, 0.8, seed=13, labels_per_class=4, valid_per_class=4)
+    save_dataset(ds, tmp_path)
+    return tmp_path
+
+
+def reach_of(directory, cached=True):
+    """The RC report of the dataset in ``directory``, through its reach cache
+    unless ``cached`` is false."""
+    ds = load_dataset(directory)
+    g = from_edges(ds.num_nodes, ds.edges)
+    return reaching_coefficient(g, ds.split.labeled_ids, (str(directory), ds.fingerprint) if cached else None)
+
+
+def assert_same_report(a, b):
+    assert a.diameter == b.diameter
+    for name in REPORT_FIELDS:
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+def reach_entry(blob):
+    """The diameter and distance matrix of a reach cache's bytes."""
+    buf = io.BytesIO(blob[blob.index(b"\n", len(REACH_MAGIC)) + 1:])
+    return np.load(buf), np.load(buf)
+
+
+def reach_file(blob, diameter, matrix):
+    """A reach cache under ``blob``'s two header lines, holding these arrays."""
+    buf = io.BytesIO()
+    np.save(buf, diameter)
+    np.save(buf, matrix)
+    return blob[:blob.index(b"\n", len(REACH_MAGIC)) + 1] + buf.getvalue()
+
+
+def test_a_second_report_reads_the_reach_cache(tmp_path, bfs_runs):
+    d = reach_dataset_dir(tmp_path)
+    cold = reach_of(d)
+    assert bfs_runs == ["bfs_distances", "diameter_and_components"]
+    ds = load_dataset(d)
+    blob = (d / diagnostics.REACH_CACHE).read_bytes()
+    assert blob.startswith(REACH_MAGIC + ds.fingerprint.encode() + b"\n")
+    diameter, matrix = reach_entry(blob)
+    assert diameter.dtype == np.int64 and diameter.shape == () and diameter == cold.diameter
+    assert matrix.dtype == np.uint8 and matrix.shape == (ds.split.labeled_ids.size, cold.node_ids.size)
+    assert matrix.max() == cold.diameter  # the unreachable pairs
+    warm = reach_of(d)
+    assert len(bfs_runs) == 2
+    assert_same_report(warm, cold)
+    assert_same_report(warm, reach_of(d, cached=False))
+    g = from_edges(ds.num_nodes, ds.edges)
+    sp, plain = (avg_sp_by_degree(g, ds.split.labeled_ids, cache) for cache in ((str(d), ds.fingerprint), None))
+    assert len(bfs_runs) == 6  # the two uncached reports
+    for name in ("degrees", "avg_sp", "counts", "node_avg_sp"):
+        assert getattr(sp, name).tobytes() == getattr(plain, name).tobytes(), name
+
+
+def other_digest(blob):
+    """The same cache under another digest: its first hex digit changed."""
+    at = len(REACH_MAGIC)
+    return blob[:at] + (b"1" if blob[at:at + 1] == b"0" else b"0") + blob[at + 1:]
+
+
+def edited_entry(edit):
+    """A spoil that decodes the entry, lets ``edit`` return new arrays, and
+    encodes them again under the same header."""
+    return lambda blob: reach_file(blob, *edit(*reach_entry(blob)))
+
+
+@pytest.mark.parametrize("spoil", [
+    pytest.param(lambda blob: b"", id="empty"),
+    pytest.param(lambda blob: blob[:10], id="cut-in-magic"),
+    pytest.param(lambda blob: blob[:len(blob) // 2], id="cut-in-matrix"),
+    pytest.param(lambda blob: blob[:-1], id="last-byte-cut"),
+    pytest.param(lambda blob: blob[:100] + b"\xff" * 16 + blob[116:], id="garbled"),
+    pytest.param(lambda blob: blob.replace(b"cache 1\n", b"cache 2\n", 1), id="other-version"),
+    pytest.param(other_digest, id="other-digest"),
+    pytest.param(edited_entry(lambda dia, m: (dia, m[:, 1:])), id="one-node-short"),
+    pytest.param(edited_entry(lambda dia, m: (dia, m.T.copy())), id="transposed"),
+    pytest.param(edited_entry(lambda dia, m: (dia, m.astype(np.uint16))), id="uint16-matrix"),
+    pytest.param(edited_entry(lambda dia, m: (dia, m.astype(np.float64))), id="float-matrix"),
+    pytest.param(edited_entry(lambda dia, m: (dia.astype(np.float64), m)), id="float-diameter"),
+    pytest.param(edited_entry(lambda dia, m: (dia.reshape(1), m)), id="diameter-array"),
+    pytest.param(edited_entry(lambda dia, m: (dia, np.where(m == dia, dia + 1, m).astype(m.dtype))),
+                 id="entry-above-diameter"),
+    pytest.param(edited_entry(lambda dia, m: (dia, np.concatenate([np.zeros_like(m[:, :1]), m[:, 1:]], axis=1))),
+                 id="entry-zero"),
+    pytest.param(edited_entry(lambda dia, m: (np.int64(0), m * 0)), id="diameter-zero"),
+])
+def test_a_spoiled_reach_cache_is_a_miss_and_is_replaced(tmp_path, bfs_runs, spoil):
+    d = reach_dataset_dir(tmp_path)
+    first = reach_of(d)
+    cache = d / diagnostics.REACH_CACHE
+    good = cache.read_bytes()
+    cache.write_bytes(spoil(good))
+    assert_same_report(reach_of(d), first)
+    assert len(bfs_runs) == 4  # computed again
+    assert cache.read_bytes() == good
+    reach_of(d)
+    assert len(bfs_runs) == 4
+
+
+def test_a_directory_in_the_reach_cache_place_is_a_miss(tmp_path, bfs_runs):
+    d = reach_dataset_dir(tmp_path)
+    (d / diagnostics.REACH_CACHE).mkdir()
+    first = reach_of(d)
+    assert_same_report(reach_of(d), first)
+    assert len(bfs_runs) == 4
+    # each rename over the directory failed, and its temp file is gone
+    assert sorted(os.listdir(d)) == sorted(graphio.DATASET_FILES + (graphio.CACHE_FILE, diagnostics.REACH_CACHE))
+
+
+@pytest.mark.parametrize("fails", ["mkstemp", "copymode", "replace"])
+def test_an_unwritable_data_directory_gets_no_reach_cache_and_no_warning(tmp_path, monkeypatch, fails):
+    def denied(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    d = reach_dataset_dir(tmp_path)
+    plain = reach_of(d, cached=False)  # leaves the features cache
+    owner = {"mkstemp": graphio.tempfile, "copymode": graphio.shutil, "replace": graphio.os}[fails]
+    monkeypatch.setattr(owner, fails, denied)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert_same_report(reach_of(d), plain)
+    assert caught == []
+    assert sorted(os.listdir(d)) == sorted(graphio.DATASET_FILES + (graphio.CACHE_FILE,))
+
+
+@pytest.mark.parametrize("name", ["edges.tsv", "split.json"])
+def test_an_edited_graph_or_split_is_measured_again(tmp_path, bfs_runs, name):
+    d = reach_dataset_dir(tmp_path)
+    before = reach_of(d)
+    path = d / name
+    if name == "edges.tsv":  # join the first class to the last
+        path.write_text(path.read_text() + "0\t59\n")
+    else:  # label one more node
+        split = load_dataset(d).split
+        path.write_text(f'{{"labeled": {split.labeled_ids.tolist() + [int(split.test_ids[0])]}, '
+                        f'"valid": {split.valid_ids.tolist()}, "test": {split.test_ids[1:].tolist()}}}')
+    after = reach_of(d)
+    assert len(bfs_runs) == 4
+    assert_same_report(after, reach_of(d, cached=False))
+    assert after.rc.tobytes() != before.rc.tobytes()
+    reach_of(d)
+    assert len(bfs_runs) == 6  # only the uncached report ran
+
+
+@pytest.mark.parametrize("mode", [0o644, 0o600, 0o444])
+def test_the_reach_cache_is_as_readable_as_the_edges(tmp_path, mode):
+    d = reach_dataset_dir(tmp_path)
+    os.chmod(d / "edges.tsv", mode)
+    reach_of(d)
+    assert os.stat(d / diagnostics.REACH_CACHE).st_mode & 0o777 == mode
+
+
+def test_a_labeled_set_of_every_node_is_refused_before_any_bfs_or_cache_read(tmp_path, bfs_runs, monkeypatch):
+    d = reach_dataset_dir(tmp_path)
+    ds = load_dataset(d)
+    g = from_edges(ds.num_nodes, ds.edges)
+    reads = []
+    read_cache = graphio.read_cache
+    monkeypatch.setattr(graphio, "read_cache", lambda *args: reads.append(args) or read_cache(*args))
+    with pytest.raises(ValueError, match="^no unlabeled nodes$"):
+        reaching_coefficient(g, np.arange(ds.num_nodes), (str(d), ds.fingerprint))
+    assert bfs_runs == [] and reads == []
