@@ -113,11 +113,15 @@ def _git_describe() -> str | None:
         return None
 
 
-def prepare_outdir(path: str, force: bool) -> None:
+def prepare_outdir(path: str, force: bool, create: bool = True) -> None:
+    """Refuse an existing ``path`` without ``force``, else create it unless
+    ``create`` is False. Every command creates ``--out`` once its results
+    exist, so a failure leaves none; ``train`` and ``sweep`` also check it
+    with ``create=False`` before they train."""
     if os.path.exists(path):
         if not force:
             raise RuntimeError(f"output directory {path!r} exists; pass --force to overwrite")
-    else:
+    elif create:
         os.makedirs(path)
 
 
@@ -244,9 +248,10 @@ def cmd_train(args) -> int:
     cfg = _config_with_overrides(args)
     args.data = resolve_data_dir(args.data)
     dataset = load_dataset(args.data)
-    trainer.check_split(dataset.split)  # before --out is claimed, as every run would refuse it
-    prepare_outdir(args.out, args.force)
+    trainer.check_split(dataset.split)  # before training, as every run would refuse it
+    prepare_outdir(args.out, args.force, create=False)
     result = train_multi(dataset, cfg)
+    prepare_outdir(args.out, args.force)  # only now, so a run that fails leaves no --out
     for seed, outcome in zip(cfg.seeds, result.outcomes):
         write_tsv(os.path.join(args.out, f"metrics_seed{seed}.tsv"),
                   {name: [getattr(r, name) for r in outcome.history]
@@ -304,10 +309,11 @@ def cmd_sweep(args) -> int:
     args.data = resolve_data_dir(args.data)
     dataset = load_dataset(args.data)
     grids = _parse_grid(args.grid)
-    trainer.grid_points(cfg, grids)  # every point's config is valid before --out is claimed
+    trainer.grid_points(cfg, grids)  # every point's config is valid before any run
     trainer.check_split(dataset.split, eval_test=False)
-    prepare_outdir(args.out, args.force)
+    prepare_outdir(args.out, args.force, create=False)
     best_cfg, rows = trainer.grid_search(dataset, cfg, grids)
+    prepare_outdir(args.out, args.force)  # only now, so a run that fails leaves no --out
     columns = list(grids) + ["mean_val_acc", "std_val_acc"]
     ranked = sorted(rows, key=lambda r: -r["mean_val_acc"])
     write_tsv(os.path.join(args.out, "sweep.tsv"), {k: [row[k] for row in ranked] for k in columns})

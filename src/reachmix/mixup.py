@@ -13,11 +13,14 @@ adjacency), which blocks message passing between them.
 
 The combined objective is
     L = L_sup + lambda_intra * L_intra + lambda_inter * L_inter
-where L_sup is the ordinary masked cross-entropy on labeled nodes.
+where L_sup is the ordinary masked cross-entropy on labeled nodes. Each is
+a ``Term``, one network pass scored by soft cross-entropy; a refresh builds
+the two mixup terms, and ``loss_and_grads`` runs all three in one loop.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -25,13 +28,7 @@ from scipy.sparse import csr_array
 
 from reachmix.graphalg import MixSelector, mix_adjacency, sym_normalize
 from reachmix.graphio import SplitSpec
-from reachmix.nn import (
-    ModelParams,
-    backward,
-    gcn_forward,
-    mlp_forward,
-    soft_cross_entropy_with_grad,
-)
+from reachmix.nn import ModelParams, backward, gcn_forward, mlp_forward, soft_cross_entropy_with_grad
 
 
 def _is_int(value) -> bool:
@@ -69,6 +66,16 @@ def config_kwargs(cls, blob, prefix: str = "") -> dict:
     return dict(blob)
 
 
+def check_finite(config) -> None:
+    """Refuse nan, an infinity or an int beyond the float range in any float
+    field of the config dataclass ``config``, naming it; called last in each
+    ``__post_init__``, so a value a range check refuses keeps its message."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "float" and not abs(value) <= sys.float_info.max:  # exact for an int of any size
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MixupConfig:
     """All mixup hyperparameters.
@@ -97,16 +104,16 @@ class MixupConfig:
         for name in ("beta_s", "beta_d"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        if not (0.0 < self.gamma <= 1.0):
-            raise ValueError("gamma must lie in (0, 1]")
-        if not (0.0 < self.tau <= 1.0):
-            raise ValueError("tau must lie in (0, 1]")
+        for name in ("gamma", "tau"):
+            if not (0.0 < getattr(self, name) <= 1.0):
+                raise ValueError(f"{name} must lie in (0, 1]")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
         if self.warmup_epochs < 0:
             raise ValueError("warmup_epochs must be >= 0")
         if self.refresh_every < 1:
             raise ValueError("refresh_every must be >= 1")
+        check_finite(self)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -317,41 +324,42 @@ def sample_pairs(
 
 
 @dataclass(frozen=True)
+class Term:
+    """One soft cross-entropy term of the objective: the network on
+    ``features``, propagated over ``adjacency`` (None: the MLP path, no
+    propagation), scored against ``targets`` with row ``weights``."""
+
+    features: csr_array
+    adjacency: csr_array | None  # normalized, canonical and read-only
+    targets: np.ndarray  # (rows, C) soft targets
+    weights: np.ndarray  # (rows,)
+
+
+@dataclass(frozen=True)
 class MixupBatches:
-    """Materialized training inputs for one refresh period.
+    """The two auxiliary terms of one refresh period (``_branch``); None for
+    a branch without pairs."""
 
-    The same-class branch is full-graph: CSR features with labeled target
-    rows replaced by their mixes, the N x C soft targets (one-hot labels with
-    the target rows mixed; the loss reads the labeled rows only) and the
-    normalized mixed adjacency; all three are None when the branch has no
-    pairs. The different-class branch is row-per-pair (k x F features, k x C
-    targets, k = 0 without pairs) and runs through the MLP path.
-    """
-
-    intra_features: csr_array | None
-    intra_targets: np.ndarray | None  # (N, C)
-    adjacency_mixed_norm: csr_array | None  # normalized S A S^T, canonical and read-only
-    inter_features: csr_array
-    inter_targets: np.ndarray
-
-    @property
-    def has_intra(self) -> bool:
-        return self.intra_features is not None
-
-    @property
-    def has_inter(self) -> bool:
-        return self.inter_features.shape[0] > 0
+    intra: Term | None
+    inter: Term | None
 
 
-def _branch(inputs: TrainInputs, same_class: bool, targets, partners, partner_labels, lams):
-    """One branch's checked selector and the soft targets of its pairs,
+def _branch(inputs: TrainInputs, pairs: PairAssignment, same_class: bool) -> Term | None:
+    """One branch's term, None without pairs. A pair's soft target is
     lam * one_hot(target's label) + (1 - lam) * one_hot(partner's pseudo-label).
 
     ``MixSelector`` checks the pair ids; this adds the checks it cannot
     make: labeled targets, unlabeled partners, and class agreement
     (same-class branch) or disagreement (different-class branch).
+    - same-class: the n x n selector S (``MixSelector.matrix``) gives S X,
+      the one-hot labels with the target rows mixed, weighted to the labeled
+      rows, and S A S^T of A = ``inputs.adjacency``, normalized once here.
+    - different-class, on the MLP path: the k x n pair rows
+      (``MixSelector.pair_rows``) times X, the k x C targets, weight 1 each.
     """
     branch = "intra" if same_class else "inter"
+    targets, partners, partner_labels, lams = (
+        getattr(pairs, f"{branch}_{name}") for name in ("targets", "partners", "partner_labels", "lams"))
     sel = MixSelector(inputs.labels.size, targets, partners, lams)
     labeled = inputs.labeled_weights > 0.0
     if partner_labels.size != len(sel):
@@ -362,33 +370,21 @@ def _branch(inputs: TrainInputs, same_class: bool, targets, partners, partner_la
         raise ValueError(f"{branch} partners must be unlabeled nodes")
     if np.any((inputs.labels[sel.targets] == partner_labels) != same_class):
         raise ValueError(f"{branch} pair with {'mismatched' if same_class else 'matching'} classes")
+    if not len(sel):
+        return None
     lam = sel.lams[:, None]
-    other = one_hot(partner_labels, inputs.y_hot.shape[1])
-    return sel, lam * inputs.y_hot[sel.targets] + (1.0 - lam) * other
+    mixed = lam * inputs.y_hot[sel.targets] + (1.0 - lam) * one_hot(partner_labels, inputs.y_hot.shape[1])
+    if not same_class:
+        return Term(sel.pair_rows() @ inputs.features, None, mixed, np.ones(len(sel)))
+    s = sel.matrix()
+    y = inputs.y_hot.copy()
+    y[sel.targets] = mixed
+    return Term(s @ inputs.features, sym_normalize(mix_adjacency(inputs.adjacency, s)), y, inputs.labeled_weights)
 
 
 def build_batches(inputs: TrainInputs, pairs: PairAssignment) -> MixupBatches:
-    """Materialize mixed inputs from a pair assignment.
-
-    A same-class branch with pairs builds its n x n selector S once
-    (``MixSelector.matrix``) and takes S X and S A S^T, where A is
-    ``inputs.adjacency``, renormalized here so the training loop can reuse
-    it for every step of the refresh period. The different-class branch
-    builds only its k x n pair rows (``MixSelector.pair_rows``) and takes
-    their product with X.
-    """
-    intra, intra_mixed = _branch(inputs, True, pairs.intra_targets, pairs.intra_partners,
-                                 pairs.intra_partner_labels, pairs.intra_lams)
-    inter, inter_t = _branch(inputs, False, pairs.inter_targets, pairs.inter_partners,
-                             pairs.inter_partner_labels, pairs.inter_lams)
-    intra_x = intra_t = a_mixed_norm = None
-    if len(intra):
-        s = intra.matrix()
-        intra_x = s @ inputs.features
-        intra_t = inputs.y_hot.copy()
-        intra_t[intra.targets] = intra_mixed
-        a_mixed_norm = sym_normalize(mix_adjacency(inputs.adjacency, s))
-    return MixupBatches(intra_x, intra_t, a_mixed_norm, inter.pair_rows() @ inputs.features, inter_t)
+    """Materialize both branches' terms from a pair assignment."""
+    return MixupBatches(_branch(inputs, pairs, True), _branch(inputs, pairs, False))
 
 
 @dataclass(frozen=True)
@@ -408,44 +404,33 @@ def loss_and_grads(
     train: bool = False,
     rngs: dict | None = None,
 ) -> tuple[LossParts, dict[str, np.ndarray]]:
-    """Combined objective and its parameter gradients.
-
-    The supervised term runs the GCN on ``inputs.features`` over
-    ``inputs.a_norm``. With ``batches=None`` (or both branches empty / both
-    lambdas zero) this is exactly the baseline supervised loss. Each branch
-    uses its own dropout stream (``rngs`` keys: "gnn", "intra", "inter") so
-    that disabling a branch never perturbs the others.
+    """Combined objective and its parameter gradients, in one loop over the
+    terms: the supervised one (the GCN on ``inputs.features`` over
+    ``inputs.a_norm``, weighted to the labeled rows), then ``batches.intra``
+    and ``batches.inter`` scaled by their lambdas. A term that is None or has
+    scale 0 is skipped, so with ``batches=None`` (or both branches empty /
+    both lambdas zero) this is exactly the baseline supervised loss. Each
+    term draws dropout from its own stream (``rngs`` keys: "gnn", "intra",
+    "inter"), so that disabling a branch never perturbs the others.
     """
     rngs = rngs or {}
+    intra, inter = (None, None) if batches is None else (batches.intra, batches.inter)
+    terms = [("gnn", 1.0, Term(inputs.features, inputs.a_norm, inputs.y_hot, inputs.labeled_weights)),
+             ("intra", cfg.lambda_intra, intra), ("inter", cfg.lambda_inter, inter)]
     grads: dict[str, np.ndarray] = {}
-
-    def term(scale, forward_out, targets, weights) -> float:
-        """Soft cross-entropy of one branch; backpropagates it and adds its
-        gradients, times ``scale``, to those of the terms before it."""
-        logits, trace = forward_out
-        loss, dlogits = soft_cross_entropy_with_grad(logits, targets, weights)
-        for name, g in backward(trace, dlogits).items():
+    losses = [0.0, 0.0, 0.0]
+    for i, (stream, scale, term) in enumerate(terms):
+        if term is None or scale == 0.0:
+            continue
+        if term.adjacency is None:
+            logits, trace = mlp_forward(term.features, params, dropout, train, rngs.get(stream))
+        else:
+            logits, trace = gcn_forward(term.features, term.adjacency, params, dropout, train, rngs.get(stream))
+        loss, dlogits = soft_cross_entropy_with_grad(logits, term.targets, term.weights)
+        for name, g in backward(trace, dlogits).items():  # scale times g onto the sum so far
             grads[name] = grads[name] + scale * g if name in grads else g
-        return loss
-
-    sup = term(1.0, gcn_forward(inputs.features, inputs.a_norm, params, dropout, train, rngs.get("gnn")),
-               inputs.y_hot, inputs.labeled_weights)
-    intra_loss = 0.0
-    inter_loss = 0.0
-    if batches is not None and cfg.lambda_intra > 0.0 and batches.has_intra:
-        intra_loss = term(
-            cfg.lambda_intra,
-            gcn_forward(batches.intra_features, batches.adjacency_mixed_norm, params, dropout, train,
-                        rngs.get("intra")),
-            batches.intra_targets, inputs.labeled_weights,
-        )
-    if batches is not None and cfg.lambda_inter > 0.0 and batches.has_inter:
-        inter_loss = term(
-            cfg.lambda_inter,
-            mlp_forward(batches.inter_features, params, dropout, train, rngs.get("inter")),
-            batches.inter_targets, np.ones(batches.inter_targets.shape[0]),
-        )
-
+        losses[i] = loss
+    sup, intra_loss, inter_loss = losses
     total = sup + cfg.lambda_intra * intra_loss + cfg.lambda_inter * inter_loss
     return LossParts(total, sup, intra_loss, inter_loss), grads
 

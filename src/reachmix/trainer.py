@@ -28,6 +28,7 @@ from reachmix.mixup import (
     TrainInputs,
     build_batches,
     build_pseudo_labels,
+    check_finite,
     compute_nld,
     config_kwargs,
     loss_and_grads,
@@ -83,6 +84,7 @@ class TrainConfig:
         repeated = [s for s, count in Counter(self.seeds).items() if count > 1]
         if repeated:
             raise ValueError(f"seeds must be distinct; seed {repeated[0]} is listed more than once")
+        check_finite(self)
 
     def to_dict(self) -> dict:
         blob = {f.name: getattr(self, f.name) for f in fields(self)}

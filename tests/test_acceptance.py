@@ -322,10 +322,9 @@ def test_criterion_8_synthetic_fallback(capsys):
         # the class constraints against the dataset here.
         assert np.all(ds.labels[pairs.intra_targets] == pairs.intra_partner_labels)
         assert np.all(ds.labels[pairs.inter_targets] != pairs.inter_partner_labels)
-        if batches.has_intra:
-            assert np.all(np.abs(batches.intra_targets.sum(axis=1) - 1.0) < 1e-9)
-        if batches.has_inter:
-            assert np.all(np.abs(batches.inter_targets.sum(axis=1) - 1.0) < 1e-9)
+        for term in (batches.intra, batches.inter):
+            if term is not None:
+                assert np.all(np.abs(term.targets.sum(axis=1) - 1.0) < 1e-9)
         if pairs.intra_targets.size == 0 or pairs.inter_targets.size == 0:
             inactive += 1
 

@@ -104,7 +104,8 @@ def test_tracer_reads_counts_off_a_mixup_run(tmp_path):
     metrics = tracer_module.layer_metrics(tracer, 0.0)
     for name in ("mixup.refreshes", "mixup.pseudo_label_frac", "mixup.intra_pairs", "mixup.inter_pairs",
                  "graphalg.matmul_dense_flops", "graphio.features_bytes", "nn.eval_forward_s",
-                 "graphalg.bfs_distances_calls"):
+                 "graphalg.bfs_distances_calls", "nn.mlp_forward_s", "nn.backward_s",
+                 "graphalg.mix_adjacency_s", "mixup.loss_and_grads_s"):
         assert metrics[name] > 0, name
 
 

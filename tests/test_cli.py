@@ -736,6 +736,28 @@ def test_sweep_bad_grid_fails_before_training(tmp_path, dataset_dir, monkeypatch
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source, value, message", [
+    ("file", '{"mixup": {"alpha": 1e400}}', "alpha must be finite, got inf"),
+    ("file", '{"lr": NaN}', "lr must be finite, got nan"),
+    ("file", '{"weight_decay": 1%s}' % ("0" * 400), "weight_decay must be finite, got 1000"),  # an int
+    ("file", '{"mixup": {"beta_s": NaN}}', "beta_s must be >= 0, got nan"),  # refused before, as before
+    ("grid", "mixup.beta_s=0,Infinity", "beta_s must be finite, got inf"),
+], ids=["alpha-1e400", "lr-nan", "weight_decay-int-1e400", "beta_s-nan", "grid-beta_s-inf"])
+def test_a_non_finite_config_value_exits_one_before_out(tmp_path, dataset_dir, monkeypatch, capsys,
+                                                        source, value, message):
+    monkeypatch.setattr(cli.trainer, "train_one", never_train)
+    out = tmp_path / "run"
+    if source == "file":
+        config = tmp_path / "cfg.json"
+        config.write_text(value)
+        argv = ["train", "--data", str(dataset_dir), "--config", str(config), "--out", str(out)]
+    else:
+        argv = ["sweep", "--data", str(dataset_dir), "--grid", value, "--out", str(out)]
+    assert run_cli(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_sweep_switches_each_sampling_factor_off(tmp_path, dataset_dir, quick_config):
     out = tmp_path / "sweep"
     argv = ["sweep", "--data", str(dataset_dir), "--config", str(quick_config), "--seeds", "0", "--max-epochs", "8",
@@ -1054,6 +1076,9 @@ def test_train_divergence_names_seed_and_epoch(tmp_path, dataset_dir):
     # One line: no traceback and no numpy warning. Both seeds diverge; the
     # first in seed order is reported.
     assert re.fullmatch(r"error: seed 1, epoch 0: training diverged \(.+\)\n", proc.stderr), proc.stderr
+    assert not (tmp_path / "r").exists()  # so the corrected run needs no --force
+    config.write_text(json.dumps({"lr": 0.01, "max_epochs": 2, "patience": 2, "seeds": [1]}))
+    assert run_cli(["train", "--data", str(dataset_dir), "--config", str(config), "--out", str(tmp_path / "r")]) == 0
 
 
 def test_sweep_divergence_names_grid_point(tmp_path, dataset_dir, quick_config):
@@ -1063,6 +1088,9 @@ def test_sweep_divergence_names_grid_point(tmp_path, dataset_dir, quick_config):
     assert proc.returncode == 1
     assert re.fullmatch(r"error: grid point lr=1e\+200: seed 0, epoch 0: training diverged \(.+\)\n",
                         proc.stderr), proc.stderr
+    assert not (tmp_path / "s").exists()  # so the corrected sweep needs no --force
+    argv[argv.index("lr=0.01,1e200")] = "lr=0.01"
+    assert run_cli(argv) == 0
 
 
 @pytest.mark.skipif(nn.blas_thread_setter() is None or len(os.sched_getaffinity(0)) < 2,

@@ -347,8 +347,8 @@ def test_build_batches_class_consistency_and_simplex():
     batches = build_batches(inputs, pairs)
     assert np.all(ds.labels[pairs.intra_targets] == pairs.intra_partner_labels)
     assert np.all(ds.labels[pairs.inter_targets] != pairs.inter_partner_labels)
-    np.testing.assert_allclose(batches.intra_targets.sum(axis=1), 1.0, atol=1e-12)
-    np.testing.assert_allclose(batches.inter_targets.sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(batches.intra.targets.sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(batches.inter.targets.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_build_batches_lambda_one_degenerates_to_originals():
@@ -360,9 +360,9 @@ def test_build_batches_lambda_one_degenerates_to_originals():
         np.ones_like(pairs.inter_lams),
     )
     batches = build_batches(inputs, ones)
-    np.testing.assert_array_equal(batches.intra_features.toarray(), ds.features)
-    np.testing.assert_array_equal(batches.intra_targets, one_hot(ds.labels, 3))
-    np.testing.assert_array_equal(batches.adjacency_mixed_norm.toarray(),
+    np.testing.assert_array_equal(batches.intra.features.toarray(), ds.features)
+    np.testing.assert_array_equal(batches.intra.targets, one_hot(ds.labels, 3))
+    np.testing.assert_array_equal(batches.intra.adjacency.toarray(),
                                   sym_normalize(inputs.adjacency).toarray())
 
 
@@ -376,7 +376,7 @@ def test_build_batches_identical_rows_fixed_point():
     ds2 = replace(ds, features=features)
     batches = build_batches(build_operators(ds2), pairs)
     # lam*x + (1-lam)*x re-rounds each product, so equality holds to ~1 ulp.
-    np.testing.assert_allclose(batches.intra_features.toarray()[t], features[t], rtol=1e-14, atol=0)
+    np.testing.assert_allclose(batches.intra.features.toarray()[t], features[t], rtol=1e-14, atol=0)
 
 
 def test_build_batches_single_pair_matches_dense_oracle():
@@ -394,17 +394,18 @@ def test_build_batches_single_pair_matches_dense_oracle():
         np.zeros(0, dtype=np.int64), np.zeros(0),
     )
     batches = build_batches(build_operators(ds), pairs)
-    np.testing.assert_allclose(batches.intra_features.toarray()[0], [2.5, 1.0], atol=1e-15)
+    assert batches.inter is None
+    np.testing.assert_allclose(batches.intra.features.toarray()[0], [2.5, 1.0], atol=1e-15)
     expected = dense_mix(a_loops.toarray(), [0], [2], [0.5])
     d = expected.sum(axis=1) ** -0.5
-    np.testing.assert_allclose(batches.adjacency_mixed_norm.toarray(), d[:, None] * expected * d, atol=1e-12)
+    np.testing.assert_allclose(batches.intra.adjacency.toarray(), d[:, None] * expected * d, atol=1e-12)
 
 
 @pytest.mark.parametrize("empty", [None, "intra", "inter"])
 def test_build_batches_builds_each_selector_once(monkeypatch, empty):
     """One refresh builds the n x n selector once, and only for a same-class
     branch with pairs; the different-class branch builds its k pair rows
-    alone, a 0 x n matrix when it has no pairs."""
+    alone, and only when it has pairs. A branch without pairs has no term."""
     from dataclasses import replace
 
     ds, inputs, _, pairs = sbm_with_pairs()
@@ -418,10 +419,16 @@ def test_build_batches_builds_each_selector_once(monkeypatch, empty):
             return build(self)
         monkeypatch.setattr(MixSelector, name, counted)
     batches = build_batches(inputs, pairs)
-    assert built == {"matrix": int(empty != "intra"), "pair_rows": 1}
-    assert batches.has_intra == (empty != "intra")
-    assert batches.has_inter == (empty != "inter")
-    assert batches.inter_features.shape == (pairs.inter_targets.size, ds.num_features)
+    assert built == {"matrix": int(empty != "intra"), "pair_rows": int(empty != "inter")}
+    assert (batches.intra is None) == (empty == "intra")
+    assert (batches.inter is None) == (empty == "inter")
+    if batches.intra is not None:
+        assert batches.intra.features.shape == (ds.num_nodes, ds.num_features)
+        assert batches.intra.weights is inputs.labeled_weights
+    if batches.inter is not None:
+        k = pairs.inter_targets.size
+        assert batches.inter.features.shape == (k, ds.num_features) and batches.inter.adjacency is None
+        np.testing.assert_array_equal(batches.inter.weights, np.ones(k))
 
 
 def test_build_batches_rejects_mismatched_intra_pair():
@@ -478,6 +485,26 @@ def test_loss_zero_lambdas_equals_supervised_bitwise():
     assert parts.total == base_parts.supervised == parts.supervised
     for name in grads:
         np.testing.assert_array_equal(grads[name], base_grads[name])
+
+
+def test_disabling_a_branch_leaves_the_other_terms_bitwise():
+    """Each term draws dropout from its own stream, so a lambda at 0 changes
+    no other term's loss by a bit."""
+    from dataclasses import replace
+
+    ds, inputs, cfg, pairs = sbm_with_pairs()
+    batches = build_batches(inputs, pairs)
+    params = init_params(ds.num_features, 8, 3, substream(0, "init"))
+
+    def parts(**lambdas):
+        rngs = {name: substream(5, f"dropout/{name}") for name in ("gnn", "intra", "inter")}
+        return loss_and_grads(params, inputs, batches, replace(cfg, **lambdas), dropout=0.5, train=True,
+                              rngs=rngs)[0]
+
+    both, no_inter, no_intra = parts(), parts(lambda_inter=0.0), parts(lambda_intra=0.0)
+    assert both.intra > 0.0 and both.inter > 0.0
+    assert (no_inter.supervised, no_inter.intra, no_inter.inter) == (both.supervised, both.intra, 0.0)
+    assert (no_intra.supervised, no_intra.intra, no_intra.inter) == (both.supervised, 0.0, both.inter)
 
 
 def test_loss_empty_batches_equals_supervised():

@@ -3,7 +3,7 @@ import pickle
 import sys
 import threading
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +83,10 @@ def test_mixup_refresh_hook_fires_and_batches_are_valid():
         calls.append(epoch)
         assert np.all(ds.labels[pairs.intra_targets] == pairs.intra_partner_labels)
         assert np.all(ds.labels[pairs.inter_targets] != pairs.inter_partner_labels)
+        for term, targets in ((batches.intra, pairs.intra_targets), (batches.inter, pairs.inter_targets)):
+            assert (term is None) == (targets.size == 0)
+            if term is not None:
+                np.testing.assert_allclose(term.targets.sum(axis=1), 1.0, atol=1e-12)
 
     cfg = quick_cfg(mixup_enabled=True, mixup=MixupConfig(warmup_epochs=5, refresh_every=2))
     train_one(build_operators(ds), cfg, seed=0, on_refresh=hook)
@@ -324,6 +328,24 @@ def test_config_refuses_repeated_seeds(seeds, repeated):
         TrainConfig(seeds=seeds)
     with pytest.raises(ValueError, match=rf"seed {repeated} "):
         TrainConfig.from_dict({"seeds": list(seeds)})
+
+
+FLOAT_FIELDS = ("dropout", "lr", "weight_decay", "mixup.lambda_intra", "mixup.lambda_inter", "mixup.beta_s",
+                "mixup.beta_d", "mixup.gamma", "mixup.tau", "mixup.alpha")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("dotted", FLOAT_FIELDS)
+def test_every_float_field_refuses_a_non_finite_value(dotted, value):
+    """Built by the constructor or from a config blob or grid point, a
+    config with nan or an infinity in any float field raises, naming it."""
+    assert set(FLOAT_FIELDS) == ({f.name for f in fields(TrainConfig) if f.type == "float"}
+                                 | {f"mixup.{f.name}" for f in fields(MixupConfig) if f.type == "float"})
+    *parent, name = dotted.split(".")
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        (MixupConfig if parent else TrainConfig)(**{name: value})
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        apply_grid_point(TrainConfig(), {dotted: value})
 
 
 def test_config_accepts_ints_for_float_fields():
