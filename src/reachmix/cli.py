@@ -25,6 +25,7 @@ import os
 import subprocess
 import sys
 import time
+from fnmatch import fnmatch
 
 import numpy as np
 
@@ -252,6 +253,9 @@ def cmd_train(args) -> int:
     prepare_outdir(args.out, args.force, create=False)
     result = train_multi(dataset, cfg)
     prepare_outdir(args.out, args.force)  # only now, so a run that fails leaves no --out
+    for name in os.listdir(args.out):  # a forced run's per-seed files replace the previous run's
+        if fnmatch(name, "metrics_seed*.tsv") or fnmatch(name, "checkpoint_seed*.txt"):
+            os.remove(os.path.join(args.out, name))
     for seed, outcome in zip(cfg.seeds, result.outcomes):
         write_tsv(os.path.join(args.out, f"metrics_seed{seed}.tsv"),
                   {name: [getattr(r, name) for r in outcome.history]

@@ -90,6 +90,7 @@ import shutil
 import tempfile
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from scipy.sparse import csr_array, issparse
@@ -201,7 +202,10 @@ def csr_features(table) -> csr_array:
 
 
 def _as_sorted_ids(values, name: str) -> np.ndarray:
-    ids = np.asarray(sorted(int(v) for v in values), dtype=np.int64)
+    for v in values:  # a bool or a float, Python or numpy, is no id: int() would truncate it
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{name} id {v!r} is not an integer")
+    ids = np.asarray(sorted(values), dtype=np.int64)
     if ids.size != np.unique(ids).size:
         raise ValueError(f"{name} contains duplicate node ids")
     return ids
@@ -254,7 +258,8 @@ class Dataset:
 
     ``fingerprint`` is the ``dataset_fingerprint`` of the bytes
     ``load_dataset`` read and parsed, which every loaded dataset carries,
-    and None for a dataset built any other way, ``with_split`` included.
+    and None for a dataset built any other way, ``dataclasses.replace``
+    included.
     """
 
     num_nodes: int
@@ -482,10 +487,6 @@ def _edge_fault(text: str) -> str | None:
     return _int64_fault("node id", fields[0]) or _int64_fault("node id", fields[1])
 
 
-def _label_fault(text: str) -> str | None:
-    return _int64_fault("label", text)
-
-
 def _entry_fault(text: str) -> str | None:
     fields = text.split()
     if len(fields) != 3:
@@ -604,7 +605,7 @@ def load_dataset(directory) -> Dataset:
         features = _parse_features(features_path, raw[features_path])
     num_nodes = features.shape[0]
 
-    labels = _table(labels_path, raw[labels_path], _LABEL, None, _label_fault)["label"]
+    labels = _table(labels_path, raw[labels_path], _LABEL, None, partial(_int64_fault, "label"))["label"]
     if labels.size != num_nodes:
         raise DatasetFormatError(labels_path, None, f"{labels.size} labels for {num_nodes} feature rows")
 
@@ -681,11 +682,6 @@ def save_dataset(dataset: Dataset, directory) -> None:
     with open(os.path.join(directory, SPLIT_FILE), "w", encoding="utf-8") as fh:
         json.dump(split, fh, indent=1)
         fh.write("\n")
-
-
-def with_split(dataset: Dataset, split: SplitSpec) -> Dataset:
-    """Same graph/features/labels under a different split."""
-    return replace(dataset, split=split)
 
 
 def make_split(dataset: Dataset, labels_per_class: int, valid_per_class: int, seed: int) -> SplitSpec:
@@ -782,4 +778,4 @@ def generate_sbm(
         SplitSpec([0], [], []),
     )
     split = make_split(probe, labels_per_class, valid_per_class, int(rng.integers(2**63 - 1)))
-    return with_split(probe, split)
+    return replace(probe, split=split)

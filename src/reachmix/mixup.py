@@ -179,16 +179,9 @@ def build_pseudo_labels(probs: np.ndarray, labeled_ids: np.ndarray, gamma: float
     return PseudoLabelSet(ids, np.argmax(probs[ids], axis=1).astype(np.int64))
 
 
-@dataclass(frozen=True)
-class NLDTable:
-    """Per-node neighborhood label distribution q and the label matrix it used."""
-
-    q: np.ndarray  # (N, C), rows on the simplex for nodes with neighbors
-    ybar: np.ndarray  # (N, C) one-hot: true labels for labeled, predictions elsewhere
-
-
-def compute_nld(a: csr_array, ybar: np.ndarray) -> NLDTable:
-    """Mean of neighbor label rows, with the neighbor set read directly off ``a``.
+def compute_nld(a: csr_array, ybar: np.ndarray) -> np.ndarray:
+    """The NLD q (N, C): each node's mean of neighbor rows of the one-hot
+    ``ybar``, with the neighbor set read directly off ``a``.
 
     ``a`` carries self-loops (``TrainInputs.adjacency``), so a node's own
     label participates and every row, an isolated node's too, has at least
@@ -202,7 +195,7 @@ def compute_nld(a: csr_array, ybar: np.ndarray) -> NLDTable:
         raise ValueError("ybar rows must be one-hot")
     neighbors = csr_array((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
     sums = neighbors @ ybar  # sums of 0/1 values: exact in any order
-    return NLDTable(sums / np.diff(a.indptr)[:, None], ybar)
+    return sums / np.diff(a.indptr)[:, None]
 
 
 def sharpen(q: np.ndarray, tau: float) -> np.ndarray:
@@ -261,13 +254,6 @@ class PairAssignment:
     inter_lams: np.ndarray
 
 
-def _choose_rows(weight_matrix: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One weighted draw per row via inverse-CDF; deterministic given rng."""
-    cdf = np.cumsum(weight_matrix, axis=1)
-    r = rng.random(weight_matrix.shape[0]) * cdf[:, -1]
-    return (r[:, None] < cdf).argmax(axis=1)
-
-
 def _draw_lams(rng: np.random.Generator, alpha: float, n: int) -> np.ndarray:
     if n == 0:
         return np.zeros(0)
@@ -278,8 +264,9 @@ def _draw_lams(rng: np.random.Generator, alpha: float, n: int) -> np.ndarray:
 
 def sample_pairs(
     labeled_ids: np.ndarray,
+    labels: np.ndarray,
     dpl: PseudoLabelSet,
-    nld: NLDTable,
+    q: np.ndarray,
     cfg: MixupConfig,
     degrees: np.ndarray,
     rng: np.random.Generator,
@@ -289,7 +276,9 @@ def sample_pairs(
 
     Candidates come from the pseudo-labeled set only; the draw over a pool is
     proportional to ``sampling_weights`` of the ``nld_similarity`` between
-    sharpened NLD rows. Labeled classes are processed in ascending order and
+    sharpened rows of the NLD ``q``; a pool whose weights overflow or all
+    vanish (too large a ``beta_s`` or ``beta_d``) raises ValueError instead.
+    Labeled classes, read off ``labels``, are processed in ascending order and
     labeled ids ascending within a class, the same-class pick before the
     different-class one, so the stream consumption (and hence the result) is
     reproducible. Interpolation coefficients are Beta(alpha, alpha), drawn
@@ -300,8 +289,8 @@ def sample_pairs(
     if np.intersect1d(dpl.ids, labeled_ids).size:
         raise ValueError("pseudo-labeled candidates must be unlabeled nodes")
 
-    q_sharp = sharpen(nld.q, cfg.tau)
-    labeled_classes = np.argmax(nld.ybar[labeled_ids], axis=1)
+    q_sharp = sharpen(q, cfg.tau)
+    labeled_classes = labels[labeled_ids]
 
     chosen = {True: ([], []), False: ([], [])}  # per branch: targets, pool positions
     for c in np.unique(labeled_classes):
@@ -310,10 +299,17 @@ def sample_pairs(
             pool = np.nonzero((dpl.labels == c) == same_class)[0]
             if pool.size:
                 s = nld_similarity(q_sharp[group], q_sharp[dpl.ids[pool]])
-                w = sampling_weights(same_class, s, degrees[dpl.ids[pool]], cfg.beta_s, cfg.beta_d)
+                with np.errstate(over="ignore", invalid="ignore"):  # such weights are refused below
+                    w = sampling_weights(same_class, s, degrees[dpl.ids[pool]], cfg.beta_s, cfg.beta_d)
+                    cdf = np.cumsum(w, axis=1)  # one draw per target, by inverse CDF
+                total = cdf[:, -1]
+                if not (total.min() > 0.0 and total.max() < np.inf):  # a draw would pick the first candidate
+                    raise ValueError(f"beta_s={cfg.beta_s!r} and beta_d={cfg.beta_d!r} make the sampling weights "
+                                     f"of a class-{c} pool overflow or vanish; choose smaller values")
+                r = rng.random(group.size) * total
                 targets, positions = chosen[same_class]
                 targets.extend(group.tolist())
-                positions.extend(pool[_choose_rows(w, rng)].tolist())
+                positions.extend(pool[(r[:, None] < cdf).argmax(axis=1)].tolist())
 
     branches = []
     for same_class in (True, False):

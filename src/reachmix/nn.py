@@ -228,14 +228,10 @@ def _check_targets_weights(logits, targets, weights):
     return targets, weights, total
 
 
-def soft_cross_entropy(logits, targets, weights) -> float:
-    """Weighted mean over rows of -sum_c target_c log softmax(logits)_c."""
-    loss, _ = soft_cross_entropy_with_grad(logits, targets, weights)
-    return loss
-
-
 def soft_cross_entropy_with_grad(logits, targets, weights):
-    """Loss plus its gradient w.r.t. the logits (for backprop)."""
+    """The loss, the weighted mean over rows of
+    -sum_c target_c log softmax(logits)_c, and its gradient w.r.t. the
+    logits (for backprop)."""
     logits = np.asarray(logits, dtype=np.float64)
     targets, weights, total = _check_targets_weights(logits, targets, weights)
     z = logits - logits.max(axis=1, keepdims=True)
@@ -409,7 +405,7 @@ def gradient_check(inputs, params: ModelParams, eps: float = 1e-5):
 
     def loss_and_signs(p):
         logits, trace = gcn_forward(inputs.features, inputs.a_norm, p)
-        return soft_cross_entropy(logits, inputs.y_hot, inputs.labeled_weights), trace.pre1 > 0.0
+        return soft_cross_entropy_with_grad(logits, inputs.y_hot, inputs.labeled_weights)[0], trace.pre1 > 0.0
 
     _, base_signs = loss_and_signs(params)
     logits, trace = gcn_forward(inputs.features, inputs.a_norm, params)

@@ -221,8 +221,8 @@ def train_one(
                 probs = softmax(logits)
                 dpl = build_pseudo_labels(probs, labeled_ids, mix_cfg.gamma)
                 ybar = prediction_label_matrix(probs, inputs.labels, labeled_ids)
-                nld = compute_nld(inputs.adjacency, ybar)
-                pairs = sample_pairs(labeled_ids, dpl, nld, mix_cfg, inputs.degrees, rng_pairs, rng_lam)
+                q = compute_nld(inputs.adjacency, ybar)
+                pairs = sample_pairs(labeled_ids, inputs.labels, dpl, q, mix_cfg, inputs.degrees, rng_pairs, rng_lam)
                 batches = build_batches(inputs, pairs)
                 if on_refresh is not None:
                     on_refresh(epoch, dpl, pairs, batches)
@@ -326,9 +326,9 @@ def _best_val_acc(inputs: TrainInputs, cfg: TrainConfig, seed: int, point: dict)
     """One seed of one grid point; a sweep keeps no checkpoint, only this."""
     try:
         return train_one(inputs, cfg, seed, eval_test=False).best_val_acc
-    except TrainingDiverged as exc:
+    except (TrainingDiverged, ValueError) as exc:  # a divergence, or weights sample_pairs refuses
         where = " ".join(f"{name}={value}" for name, value in point.items())
-        raise TrainingDiverged(f"grid point {where}: {exc}") from exc
+        raise type(exc)(f"grid point {where}: {exc}") from exc
 
 
 def grid_search(dataset: Dataset, base_cfg: TrainConfig, grids: dict[str, list]):

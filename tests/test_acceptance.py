@@ -10,6 +10,7 @@ self-contained synthetic stand-in and always runs.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,10 +27,9 @@ from reachmix.diagnostics import (
     reaching_coefficient,
 )
 from reachmix.graphalg import MixSelector, add_self_loops, from_edges, mix_adjacency, validate
-from reachmix.graphio import generate_sbm, load_dataset, make_split, with_split
+from reachmix.graphio import generate_sbm, load_dataset, make_split
 from reachmix.mixup import (
     MixupConfig,
-    NLDTable,
     PseudoLabelSet,
     build_batches,
     build_pseudo_labels,
@@ -94,10 +94,10 @@ def test_criterion_2_mixup_algebra(capsys):
     probs = np.full((ds.num_nodes, 3), 0.05)
     probs[np.arange(ds.num_nodes), ds.labels] = 0.9
     dpl = build_pseudo_labels(probs, ds.split.labeled_ids, gamma=0.5)
-    nld = compute_nld(inputs.adjacency, one_hot(ds.labels, 3))
+    q = compute_nld(inputs.adjacency, one_hot(ds.labels, 3))
     cfg0 = MixupConfig(lambda_intra=0.0, lambda_inter=0.0)
     pair_rng = substream(0, "pairs")
-    pairs = sample_pairs(ds.split.labeled_ids, dpl, nld, cfg0, inputs.degrees, pair_rng, pair_rng)
+    pairs = sample_pairs(ds.split.labeled_ids, ds.labels, dpl, q, cfg0, inputs.degrees, pair_rng, pair_rng)
     batches = build_batches(inputs, pairs)
     params = init_params(ds.num_features, 8, 3, substream(0, "init"))
     parts, grads = loss_and_grads(params, inputs, batches, cfg0)
@@ -152,7 +152,7 @@ def test_criterion_4_sampling_distribution_chi_squared(capsys):
         [0.0, 1.0],
         [0.5, 0.5],
     ])
-    nld = NLDTable(q, one_hot(np.array([0, 0, 0, 1, 1, 1]), 2))
+    labels = np.array([0, 0, 0, 1, 1, 1])
     dpl = PseudoLabelSet(np.array([1, 2, 3, 4, 5]), np.array([0, 0, 1, 1, 1]))
     labeled = np.array([0])
     degrees = np.ones(6, dtype=np.int64)
@@ -163,7 +163,7 @@ def test_criterion_4_sampling_distribution_chi_squared(capsys):
     intra_counts = np.zeros(2)
     inter_counts = np.zeros(3)
     for _ in range(draws):
-        pairs = sample_pairs(labeled, dpl, nld, cfg, degrees, rng, rng)
+        pairs = sample_pairs(labeled, labels, dpl, q, cfg, degrees, rng, rng)
         intra_counts[int(pairs.intra_partners[0]) - 1] += 1
         inter_counts[int(pairs.inter_partners[0]) - 3] += 1
 
@@ -278,7 +278,7 @@ def test_criterion_7_cora_figure_trends(capsys):
     quick = TrainConfig(max_epochs=200, patience=30)
     positives = 0
     for t in (5, 10, 15):
-        resampled = with_split(ds, make_split(ds, t, 30, seed=100 + t))
+        resampled = replace(ds, split=make_split(ds, t, 30, seed=100 + t))
         inputs = build_operators(resampled)
         outcome = train_one(inputs, quick, seed=0)
         rc = reaching_coefficient(g, resampled.split.labeled_ids)
@@ -305,7 +305,7 @@ def test_criterion_8_synthetic_fallback(capsys):
     # same 10 seeds). The -0.5 point bound is the regression guard; feature
     # and schedule settings were fixed when the bound was measured.
     ds = generate_sbm(4, 200, 0.05, 0.005, feature_dim=32, feature_noise=0.5, seed=20)
-    ds = with_split(ds, make_split(ds, 5, 25, seed=20))
+    ds = replace(ds, split=make_split(ds, 5, 25, seed=20))
     seeds = tuple(range(10))
     base_cfg = TrainConfig(max_epochs=200, patience=50, seeds=seeds)
     mix_cfg = TrainConfig(

@@ -105,7 +105,8 @@ def test_tracer_reads_counts_off_a_mixup_run(tmp_path):
     for name in ("mixup.refreshes", "mixup.pseudo_label_frac", "mixup.intra_pairs", "mixup.inter_pairs",
                  "graphalg.matmul_dense_flops", "graphio.features_bytes", "nn.eval_forward_s",
                  "graphalg.bfs_distances_calls", "nn.mlp_forward_s", "nn.backward_s",
-                 "graphalg.mix_adjacency_s", "mixup.loss_and_grads_s"):
+                 "graphalg.mix_adjacency_s", "mixup.loss_and_grads_s", "mixup.compute_nld_s",
+                 "mixup.sample_pairs_s"):
         assert metrics[name] > 0, name
 
 

@@ -1093,6 +1093,39 @@ def test_sweep_divergence_names_grid_point(tmp_path, dataset_dir, quick_config):
     assert run_cli(argv) == 0
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_sampling_weights_that_overflow_exit_one_before_out(tmp_path, dataset_dir, quick_config, command):
+    """beta_s = 1000 overflows the same-class weights at the first refresh:
+    one error line naming beta_s, no numpy warning, no --out."""
+    mixup = {"warmup_epochs": 1, "gamma": 0.4, **({"beta_s": 1000} if command == "train" else {})}
+    blob = {**json.loads(quick_config.read_text()), "seeds": [0], "mixup": mixup}  # pairs from epoch 1
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(blob))
+    argv = [command, "--data", str(dataset_dir), "--config", str(config), "--out", str(tmp_path / "r")]
+    if command == "sweep":
+        argv += ["--grid", "mixup.beta_s=1,1000"]
+    proc = run_subprocess(argv)
+    assert proc.returncode == 1
+    where = "grid point mixup.beta_s=1000: " if command == "sweep" else ""
+    assert re.fullmatch(rf"error: {where}beta_s=1000 and beta_d=1.0 make the sampling weights .+\n",
+                        proc.stderr), proc.stderr
+    assert not (tmp_path / "r").exists()
+
+
+def test_a_forced_train_leaves_only_the_per_seed_files_of_its_own_seeds(tmp_path):
+    data, out = tmp_path / "data", tmp_path / "r"
+    assert run_cli(synth_args(data, per_class=30)) == 0  # 90 nodes
+    train = ["train", "--data", str(data), "--max-epochs", "5", "--out", str(out)]
+    assert run_cli(train + ["--seeds", "0..3"]) == 0
+    (out / "notes.txt").write_text("not a run file\n")
+    assert run_cli(train + ["--seeds", "0", "--force"]) == 0
+    seeds = json.loads((out / "summary.json").read_text())["seeds"]
+    assert seeds == [0]
+    per_seed = [f"{kind}_seed{s}.{ext}" for s in seeds for kind, ext in (("checkpoint", "txt"), ("metrics", "tsv"))]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        per_seed + ["manifest.json", "notes.txt", "summary.json", "timings.tsv"])
+
+
 @pytest.mark.skipif(nn.blas_thread_setter() is None or len(os.sched_getaffinity(0)) < 2,
                     reason="needs openblas_set_num_threads_local and 2 usable cores")
 def test_trained_bytes_do_not_depend_on_blas_threads(tmp_path):

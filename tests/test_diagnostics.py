@@ -1,6 +1,7 @@
 import io
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from reachmix.diagnostics import (
 )
 from reachmix import diagnostics, graphalg, graphio
 from reachmix.graphalg import add_self_loops, from_edges
-from reachmix.graphio import Dataset, SplitSpec, generate_sbm, load_dataset, make_split, save_dataset, with_split
+from reachmix.graphio import Dataset, SplitSpec, generate_sbm, load_dataset, make_split, save_dataset
 from reachmix.nn import ModelParams, init_params
 from reachmix.seeding import substream
 from reachmix.trainer import TrainConfig, build_operators, train_one
@@ -193,7 +194,7 @@ def test_cka_row_count_mismatch():
 
 def sbm_dataset():
     ds = generate_sbm(3, 20, 0.3, 0.03, 6, 0.8, seed=13)
-    return with_split(ds, make_split(ds, 4, 4, seed=3))
+    return replace(ds, split=make_split(ds, 4, 4, seed=3))
 
 
 def test_cka_by_bucket_degenerate_labeled_bucket_is_one():
@@ -234,7 +235,7 @@ def test_cka_by_bucket_seed_stability_regression_bound():
     # pairwise difference 0.33 over six seeds) and frozen as a regression
     # guard against the sampler getting noisier.
     ds = generate_sbm(3, 80, 0.08, 0.008, 8, 0.8, seed=13)
-    ds = with_split(ds, make_split(ds, 10, 10, seed=3))
+    ds = replace(ds, split=make_split(ds, 10, 10, seed=3))
     inputs = build_operators(ds)
     outcome = train_one(inputs, TrainConfig(max_epochs=60, patience=60, hidden=16), seed=0)
     g = add_self_loops(from_edges(ds.num_nodes, ds.edges))

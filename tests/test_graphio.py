@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tracemalloc
 import warnings
@@ -26,7 +27,6 @@ from reachmix.graphio import (
     load_dataset,
     make_split,
     save_dataset,
-    with_split,
 )
 from reachmix.trainer import build_operators
 
@@ -638,12 +638,30 @@ def test_split_spec_requires_labeled():
         SplitSpec([], [0], [1])
 
 
+@pytest.mark.parametrize("labeled, valid, message", [
+    ([1.5, 2.9], [True], "labeled_ids id 1.5 is not an integer"),  # int() would make it [1, 2]
+    ([np.float64(3.0)], [], "labeled_ids id np.float64(3.0) is not an integer"),
+    ([0], [True], "valid_ids id True is not an integer"),
+    ([0], np.array([False]), "valid_ids id np.False_ is not an integer"),
+], ids=["float", "numpy-float", "bool", "numpy-bool"])
+def test_split_spec_refuses_an_id_that_is_not_an_integer(labeled, valid, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SplitSpec(labeled, valid, [])
+
+
+def test_split_spec_takes_python_and_numpy_integers_and_empty_sets():
+    split = SplitSpec([np.int32(2), 0], np.array([1], dtype=np.uint8), [])
+    np.testing.assert_array_equal(split.labeled_ids, [0, 2])
+    assert split.valid_ids.dtype == np.int64 and split.test_ids.size == 0
+
+
 def test_with_split_replaces_only_split():
     ds = generate_sbm(2, 6, 0.6, 0.1, 4, 0.5, seed=4)
     split = make_split(ds, 2, 1, seed=1)
-    ds2 = with_split(ds, split)
+    ds2 = replace(ds, split=split)  # the same graph, features and labels under another split
     assert ds2.split is split
     np.testing.assert_array_equal(ds2.features, ds.features)
+    np.testing.assert_array_equal(ds2.labels, ds.labels)
 
 
 def test_only_a_loaded_dataset_carries_the_fingerprint_of_its_files(tmp_path):
@@ -652,7 +670,7 @@ def test_only_a_loaded_dataset_carries_the_fingerprint_of_its_files(tmp_path):
     save_dataset(ds, tmp_path)
     loaded = load_dataset(tmp_path)
     assert loaded.fingerprint == graphio.dataset_fingerprint(tmp_path)
-    assert with_split(loaded, make_split(loaded, 2, 1, seed=1)).fingerprint is None
+    assert replace(loaded, split=make_split(loaded, 2, 1, seed=1)).fingerprint is None
 
 
 def test_a_cold_load_peaks_below_two_and_a_half_times_the_features_file(tmp_path):

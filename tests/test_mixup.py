@@ -11,7 +11,6 @@ from reachmix.graphalg import MixSelector, add_self_loops, from_edges, sym_norma
 from reachmix.graphio import Dataset, SplitSpec, generate_sbm
 from reachmix.mixup import (
     MixupConfig,
-    NLDTable,
     PairAssignment,
     PseudoLabelSet,
     build_batches,
@@ -116,22 +115,22 @@ def test_compute_nld_direct_average():
     # Node 0's neighbors including itself carry labels 0, 0, 1.
     g = add_self_loops(from_edges(3, np.array([[0, 1], [0, 2]])))
     ybar = one_hot(np.array([0, 0, 1]), 2)
-    nld = compute_nld(g, ybar)
-    np.testing.assert_allclose(nld.q[0], [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
+    q = compute_nld(g, ybar)
+    np.testing.assert_allclose(q[0], [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
 
 
 def test_compute_nld_same_class_neighbors_one_hot():
     g = add_self_loops(from_edges(3, np.array([[0, 1], [1, 2]])))
     ybar = one_hot(np.array([1, 1, 1]), 3)
-    nld = compute_nld(g, ybar)
-    np.testing.assert_array_equal(nld.q, one_hot(np.array([1, 1, 1]), 3))
+    q = compute_nld(g, ybar)
+    np.testing.assert_array_equal(q, one_hot(np.array([1, 1, 1]), 3))
 
 
 def test_compute_nld_rows_sum_to_one(rng):
     ds = generate_sbm(3, 15, 0.3, 0.05, 5, 0.5, seed=2)
     g = add_self_loops(from_edges(ds.num_nodes, ds.edges))
-    nld = compute_nld(g, one_hot(ds.labels, 3))
-    np.testing.assert_allclose(nld.q.sum(axis=1), np.ones(ds.num_nodes), atol=1e-9)
+    q = compute_nld(g, one_hot(ds.labels, 3))
+    np.testing.assert_allclose(q.sum(axis=1), np.ones(ds.num_nodes), atol=1e-9)
 
 
 def test_compute_nld_counts_the_self_loop():
@@ -139,7 +138,7 @@ def test_compute_nld_counts_the_self_loop():
     # its own label rather than a zero row.
     g = add_self_loops(from_edges(3, np.array([[0, 1]])))
     ybar = one_hot(np.array([0, 1, 1]), 2)
-    q = compute_nld(g, ybar).q
+    q = compute_nld(g, ybar)
     np.testing.assert_array_equal(q, [[0.5, 0.5], [0.5, 0.5], [0.0, 1.0]])
 
 
@@ -250,36 +249,35 @@ def fixed_pools():
         [0.0, 1.0],  # candidate, class 1, s = 0
         [0.5, 0.5],  # candidate, class 1, s = 1/sqrt(2)
     ])
-    ybar = one_hot(np.array([0, 0, 0, 1, 1, 1]), 2)
-    nld = NLDTable(q, ybar)
+    labels = np.array([0, 0, 0, 1, 1, 1])
     dpl = PseudoLabelSet(ids=np.array([1, 2, 3, 4, 5]), labels=np.array([0, 0, 1, 1, 1]))
     labeled = np.array([0])
     degrees = np.ones(6, dtype=np.int64)
     cfg = MixupConfig(beta_s=1.0, beta_d=1.0, tau=0.5, gamma=0.5, alpha=1.0)
-    return labeled, dpl, nld, cfg, degrees
+    return labeled, labels, dpl, q, cfg, degrees
 
 
 def test_sample_pairs_empty_dpl_gives_empty_assignment():
-    labeled, _, nld, cfg, degrees = fixed_pools()
+    labeled, labels, _, q, cfg, degrees = fixed_pools()
     empty = PseudoLabelSet(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
     rng = np.random.default_rng(0)
-    pairs = sample_pairs(labeled, empty, nld, cfg, degrees, rng, rng)
+    pairs = sample_pairs(labeled, labels, empty, q, cfg, degrees, rng, rng)
     assert pairs.intra_targets.size == 0 and pairs.inter_targets.size == 0
 
 
 def test_sample_pairs_single_candidate_always_chosen():
-    labeled, _, nld, cfg, degrees = fixed_pools()
+    labeled, labels, _, q, cfg, degrees = fixed_pools()
     dpl = PseudoLabelSet(np.array([1]), np.array([0]))
     rng = np.random.default_rng(0)
-    pairs = sample_pairs(labeled, dpl, nld, cfg, degrees, rng, rng)
+    pairs = sample_pairs(labeled, labels, dpl, q, cfg, degrees, rng, rng)
     np.testing.assert_array_equal(pairs.intra_partners, [1])
     assert pairs.inter_targets.size == 0  # no different-class candidates
 
 
 def test_sample_pairs_deterministic_and_valid():
-    labeled, dpl, nld, cfg, degrees = fixed_pools()
-    a = sample_pairs(labeled, dpl, nld, cfg, degrees, substream(3, "pairs"), substream(3, "lambda"))
-    b = sample_pairs(labeled, dpl, nld, cfg, degrees, substream(3, "pairs"), substream(3, "lambda"))
+    labeled, labels, dpl, q, cfg, degrees = fixed_pools()
+    a = sample_pairs(labeled, labels, dpl, q, cfg, degrees, substream(3, "pairs"), substream(3, "lambda"))
+    b = sample_pairs(labeled, labels, dpl, q, cfg, degrees, substream(3, "pairs"), substream(3, "lambda"))
     np.testing.assert_array_equal(a.intra_partners, b.intra_partners)
     np.testing.assert_array_equal(a.inter_partners, b.inter_partners)
     np.testing.assert_array_equal(a.intra_lams, b.intra_lams)
@@ -288,43 +286,58 @@ def test_sample_pairs_deterministic_and_valid():
 
 
 def test_sample_pairs_never_picks_labeled_partner():
-    labeled, dpl, nld, cfg, degrees = fixed_pools()
+    labeled, labels, dpl, q, cfg, degrees = fixed_pools()
     rng = np.random.default_rng(5)
     for _ in range(50):
-        pairs = sample_pairs(labeled, dpl, nld, cfg, degrees, rng, rng)
+        pairs = sample_pairs(labeled, labels, dpl, q, cfg, degrees, rng, rng)
         assert 0 not in pairs.intra_partners
         assert 0 not in pairs.inter_partners
 
 
 def test_sample_pairs_rejects_labeled_candidates():
-    labeled, dpl, nld, cfg, degrees = fixed_pools()
+    labeled, labels, dpl, q, cfg, degrees = fixed_pools()
     bad = PseudoLabelSet(np.array([0, 1]), np.array([0, 0]))
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="unlabeled"):
-        sample_pairs(labeled, bad, nld, cfg, degrees, rng, rng)
+        sample_pairs(labeled, labels, bad, q, cfg, degrees, rng, rng)
 
 
 def test_sample_pairs_empirical_ratio_e_to_one():
     # Same-class pool has weights proportional to (e, 1): equal degrees cancel.
-    labeled, dpl, nld, cfg, degrees = fixed_pools()
+    labeled, labels, dpl, q, cfg, degrees = fixed_pools()
     rng = np.random.default_rng(11)
     draws = 20_000
     picks = np.zeros(2)
     for _ in range(draws):
-        pairs = sample_pairs(labeled, dpl, nld, cfg, degrees, rng, rng)
+        pairs = sample_pairs(labeled, labels, dpl, q, cfg, degrees, rng, rng)
         picks[int(pairs.intra_partners[0]) - 1] += 1
     p = np.e / (np.e + 1.0)
     sigma = np.sqrt(draws * p * (1 - p))
     assert abs(picks[0] - draws * p) <= 4 * sigma
 
 
+@pytest.mark.parametrize("candidates", [None, ([1], [0]), ([3], [1])], ids=["both-pools", "same-class", "different"])
+def test_sample_pairs_refuses_weights_that_overflow_or_vanish(candidates):
+    """At beta_s = 1000, the same-class weight exp(beta_s * s) of a candidate
+    with s = 1 overflows to inf, and its different-class weight
+    exp(-beta_s * s) underflows to 0. A draw over a pool of such weights
+    would pick its first candidate every time, so it raises instead, without
+    a numpy warning (warnings are errors in this suite)."""
+    labeled, labels, dpl, q, _, degrees = fixed_pools()
+    dpl = dpl if candidates is None else PseudoLabelSet(*map(np.array, candidates))
+    cfg = MixupConfig(beta_s=1000, tau=0.5, gamma=0.5)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="beta_s=1000 and beta_d=1.0 make the sampling weights of a class-0 pool"):
+        sample_pairs(labeled, labels, dpl, q, cfg, degrees, rng, rng)
+
+
 def test_alpha_zero_lambda_is_coin_flip():
-    labeled, dpl, nld, _, degrees = fixed_pools()
+    labeled, labels, dpl, q, _, degrees = fixed_pools()
     cfg = MixupConfig(beta_s=1.0, beta_d=1.0, tau=0.5, gamma=0.5, alpha=0.0)
     rng = np.random.default_rng(1)
     seen = set()
     for _ in range(50):
-        pairs = sample_pairs(labeled, dpl, nld, cfg, degrees, rng, rng)
+        pairs = sample_pairs(labeled, labels, dpl, q, cfg, degrees, rng, rng)
         seen.update(pairs.intra_lams.tolist())
     assert seen <= {0.0, 1.0} and len(seen) == 2
 
@@ -335,9 +348,9 @@ def sbm_with_pairs(seed=0):
     probs = np.full((ds.num_nodes, 3), 1e-9)
     probs[np.arange(ds.num_nodes), ds.labels] = 1.0 - 2e-9
     dpl = build_pseudo_labels(probs, ds.split.labeled_ids, gamma=0.9)
-    nld = compute_nld(inputs.adjacency, one_hot(ds.labels, 3))
+    q = compute_nld(inputs.adjacency, one_hot(ds.labels, 3))
     cfg = MixupConfig()
-    pairs = sample_pairs(ds.split.labeled_ids, dpl, nld, cfg, inputs.degrees,
+    pairs = sample_pairs(ds.split.labeled_ids, ds.labels, dpl, q, cfg, inputs.degrees,
                          substream(seed, "pairs"), substream(seed, "lambda"))
     return ds, inputs, cfg, pairs
 

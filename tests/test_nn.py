@@ -22,7 +22,6 @@ from reachmix.nn import (
     load_params,
     mlp_forward,
     save_params,
-    soft_cross_entropy,
     soft_cross_entropy_with_grad,
     softmax,
 )
@@ -175,7 +174,7 @@ def test_soft_ce_one_hot_is_minus_log_prob(rng):
     probs = softmax(logits)
     targets = np.zeros((4, 5))
     targets[np.arange(4), [0, 3, 2, 1]] = 1.0
-    loss = soft_cross_entropy(logits, targets, np.ones(4))
+    loss = soft_cross_entropy_with_grad(logits, targets, np.ones(4))[0]
     expected = -np.mean([np.log(probs[i, c]) for i, c in enumerate([0, 3, 2, 1])])
     assert abs(loss - expected) < 1e-12
 
@@ -184,7 +183,7 @@ def test_soft_ce_uniform_logits_log_c():
     logits = np.zeros((2, 7))
     targets = np.zeros((2, 7))
     targets[:, 3] = 1.0
-    loss = soft_cross_entropy(logits, targets, np.ones(2))
+    loss = soft_cross_entropy_with_grad(logits, targets, np.ones(2))[0]
     assert abs(loss - np.log(7.0)) < 1e-12
 
 
@@ -197,8 +196,9 @@ def test_soft_ce_linear_in_targets(rng):
     lam = 0.37
     mixed = lam * t1 + (1 - lam) * t2
     w = np.ones(3)
-    lhs = soft_cross_entropy(logits, mixed, w)
-    rhs = lam * soft_cross_entropy(logits, t1, w) + (1 - lam) * soft_cross_entropy(logits, t2, w)
+    lhs = soft_cross_entropy_with_grad(logits, mixed, w)[0]
+    rhs = (lam * soft_cross_entropy_with_grad(logits, t1, w)[0]
+           + (1 - lam) * soft_cross_entropy_with_grad(logits, t2, w)[0])
     assert abs(lhs - rhs) < 1e-12
 
 
@@ -206,20 +206,20 @@ def test_soft_ce_positive_for_finite_logits(rng):
     logits = rng.standard_normal((5, 3)) * 10
     targets = np.zeros((5, 3))
     targets[:, 1] = 1.0
-    assert soft_cross_entropy(logits, targets, np.ones(5)) > 0.0
+    assert soft_cross_entropy_with_grad(logits, targets, np.ones(5))[0] > 0.0
 
 
 def test_soft_ce_rejects_non_simplex():
     logits = np.zeros((2, 3))
     with pytest.raises(ValueError, match="simplex"):
-        soft_cross_entropy(logits, np.full((2, 3), 0.5), np.ones(2))
+        soft_cross_entropy_with_grad(logits, np.full((2, 3), 0.5), np.ones(2))
 
 
 def test_soft_ce_rejects_zero_weights():
     logits = np.zeros((2, 3))
     targets = np.full((2, 3), 1.0 / 3.0)
     with pytest.raises(ValueError, match="zero"):
-        soft_cross_entropy(logits, targets, np.zeros(2))
+        soft_cross_entropy_with_grad(logits, targets, np.zeros(2))
 
 
 def test_soft_ce_weighted_mean_masks_rows(rng):
@@ -227,8 +227,8 @@ def test_soft_ce_weighted_mean_masks_rows(rng):
     targets = np.zeros((4, 3))
     targets[:, 0] = 1.0
     w = np.array([1.0, 0.0, 1.0, 0.0])
-    masked = soft_cross_entropy(logits, targets, w)
-    manual = soft_cross_entropy(logits[[0, 2]], targets[[0, 2]], np.ones(2))
+    masked = soft_cross_entropy_with_grad(logits, targets, w)[0]
+    manual = soft_cross_entropy_with_grad(logits[[0, 2]], targets[[0, 2]], np.ones(2))[0]
     assert abs(masked - manual) < 1e-12
 
 

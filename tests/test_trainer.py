@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reachmix.graphio import generate_sbm, make_split, with_split
+from reachmix.graphio import generate_sbm, make_split
 from reachmix import nn, trainer
 from reachmix.mixup import MixupConfig, build_pseudo_labels
 from reachmix.seeding import substream
@@ -26,7 +26,7 @@ from reachmix.trainer import (
 
 def small_dataset(seed=1):
     ds = generate_sbm(3, 25, 0.25, 0.02, 8, 0.8, seed=seed)
-    return with_split(ds, make_split(ds, 4, 5, seed=seed))
+    return replace(ds, split=make_split(ds, 4, 5, seed=seed))
 
 
 def quick_cfg(**kw):
@@ -356,7 +356,7 @@ def test_config_accepts_ints_for_float_fields():
 
 def test_training_requires_validation_set():
     ds = generate_sbm(2, 6, 0.6, 0.1, 4, 0.5, seed=4)
-    bare = with_split(ds, type(ds.split)(list(range(4)), [], list(range(4, 12))))
+    bare = replace(ds, split=type(ds.split)(list(range(4)), [], list(range(4, 12))))
     with pytest.raises(ValueError, match="validation"):
         train_one(build_operators(bare), quick_cfg(), seed=0)
 
@@ -366,7 +366,7 @@ def test_train_multi_refuses_an_empty_test_set_before_it_trains(monkeypatch):
         raise AssertionError("training started")
 
     ds = small_dataset()
-    untestable = with_split(ds, type(ds.split)(ds.split.labeled_ids, ds.split.valid_ids, []))
+    untestable = replace(ds, split=type(ds.split)(ds.split.labeled_ids, ds.split.valid_ids, []))
     monkeypatch.setattr(trainer, "loss_and_grads", never)
     with pytest.raises(ValueError, match="^testing requires a non-empty test set$"):
         train_multi(untestable, quick_cfg(seeds=(0, 1)))
