@@ -115,11 +115,14 @@ def _git_describe() -> str | None:
 
 
 def prepare_outdir(path: str, force: bool, create: bool = True) -> None:
-    """Refuse an existing ``path`` without ``force``, else create it unless
-    ``create`` is False. Every command creates ``--out`` once its results
-    exist, so a failure leaves none; ``train`` and ``sweep`` also check it
-    with ``create=False`` before they train."""
+    """Refuse an existing ``path`` that is not a directory, and an existing
+    directory without ``force``; else create it unless ``create`` is False.
+    Every command creates ``--out`` once its results exist, so a failure
+    leaves none; ``train`` and ``sweep`` also check it with ``create=False``
+    before they train."""
     if os.path.exists(path):
+        if not os.path.isdir(path):
+            raise RuntimeError(f"--out {path!r} exists and is not a directory")
         if not force:
             raise RuntimeError(f"output directory {path!r} exists; pass --force to overwrite")
     elif create:
@@ -336,16 +339,21 @@ def cmd_diagnose(args) -> int:
     fingerprint, so only the first command on a dataset's content runs the
     BFS, and leaves them there. Only ``cka`` and ``pearson`` build the model
     inputs, once, with ``trainer.build_operators``, after checking that the
-    checkpoint's F and C fit the dataset."""
+    checkpoint's F and C fit the dataset and that its values are finite."""
     needs_model = args.kind in ("cka", "pearson")
     if needs_model and not args.checkpoint:
         raise UsageError(f"diagnose {args.kind} needs --checkpoint")
     params = nn.load_params(args.checkpoint) if needs_model else None
     args.data = resolve_data_dir(args.data)
     dataset = load_dataset(args.data)
-    if needs_model and (params.w1.shape[0], params.w2.shape[1]) != (dataset.num_features, dataset.num_classes):
-        raise ValueError(f"{args.checkpoint}: checkpoint has {params.w1.shape[0]} features and {params.w2.shape[1]} "
-                         f"classes, dataset {args.data} has {dataset.num_features} and {dataset.num_classes}")
+    if needs_model:
+        if (params.w1.shape[0], params.w2.shape[1]) != (dataset.num_features, dataset.num_classes):
+            raise ValueError(f"{args.checkpoint}: checkpoint has {params.w1.shape[0]} features and "
+                             f"{params.w2.shape[1]} classes, dataset {args.data} has {dataset.num_features} "
+                             f"and {dataset.num_classes}")
+        for name, arr in params.as_dict().items():  # else the forward pass fails naming no file
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{args.checkpoint}: parameter {name} holds a non-finite value")
     g = from_edges(dataset.num_nodes, dataset.edges)
     labeled = dataset.split.labeled_ids
     cache = (args.data, dataset.fingerprint)
@@ -377,10 +385,10 @@ def cmd_diagnose(args) -> int:
         line = "cka by bucket: " + " ".join(v if isinstance(v, str) else f"{v:.4f}" for v in values)
     else:  # pearson; argparse restricts the choices
         rc = diagnostics.reaching_coefficient(g, labeled, cache)
-        r, pairs = diagnostics.pearson_rc_vs_score(params, trainer.build_operators(dataset), rc)
-        table = {"node": rc.node_ids, "rc": pairs[:, 1], "true_class_score": pairs[:, 2]}
-        summary = {"pearson_r": float(r), "n": int(pairs.shape[0])}
-        line = f"pearson r={r:.4f} over {pairs.shape[0]} unlabeled nodes"
+        r, scores = diagnostics.pearson_rc_vs_score(params, trainer.build_operators(dataset), rc)
+        table = {"node": rc.node_ids, "rc": rc.rc, "true_class_score": scores}
+        summary = {"pearson_r": float(r), "n": int(scores.size)}
+        line = f"pearson r={r:.4f} over {scores.size} unlabeled nodes"
     prepare_outdir(args.out, args.force)  # after the report, so a failed one leaves no --out
     write_tsv(os.path.join(args.out, f"{args.kind}.tsv"), table)
     write_json(os.path.join(args.out, f"{args.kind}_summary.json"), summary)
@@ -453,15 +461,15 @@ def _convert_planetoid(raw_dir: str, name: str):
         valid_ids=np.arange(n_train, n_train + 500),
         test_ids=test_sorted,
     )
-    return num_nodes, features, labels, edges, split
+    return features, labels, edges, split
 
 
 def cmd_convert_cora(args) -> int:
-    num_nodes, features, labels, edges, split = _convert_planetoid(args.raw, args.name)
+    features, labels, edges, split = _convert_planetoid(args.raw, args.name)
     if args.row_normalize:
         sums = features.sum(axis=1, keepdims=True)
         features = np.divide(features, sums, out=np.zeros_like(features), where=sums > 0)
-    dataset = graphio.Dataset(num_nodes, int(labels.max()) + 1, edges, features, labels, split)
+    dataset = graphio.Dataset(edges, features, labels, split)
     prepare_outdir(args.out, args.force)
     save_dataset(dataset, args.out)
     write_manifest(args.out, "convert-cora", _args_blob(args), (args.out, dataset_fingerprint(args.out)))

@@ -253,11 +253,8 @@ def pearson_rc_vs_score(params: ModelParams, inputs: TrainInputs, report: RCRepo
     """Correlation between the softmax probability of each unlabeled node's
     true class and its reaching coefficient.
 
-    Returns (r, pairs) where pairs is an (n, 3) array of
-    (node_id, rc, true_class_score).
+    Returns (r, scores), the true-class scores in ``report.node_ids`` order.
     """
     probs = softmax(representations(params, inputs))
     scores = probs[report.node_ids, inputs.labels[report.node_ids]]
-    r = pearson(report.rc, scores)
-    pairs = np.stack([report.node_ids.astype(np.float64), report.rc, scores], axis=1)
-    return r, pairs
+    return pearson(report.rc, scores), scores

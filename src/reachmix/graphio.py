@@ -30,8 +30,9 @@ token of the three tables is read as np.loadtxt reads an int64: an optional
 sign, then ASCII digits, so ``1_0``, non-ASCII digits and ``1.0`` are
 rejected, naming the line.
 
-Class indices must be contiguous: every class in [0, C) has at least one
-node, so C is recoverable from labels.tsv alone and save/load round-trips.
+A dataset's N is its number of labels and its C the largest label plus
+one, both read off labels.tsv. Class indices must be contiguous: every
+class in [0, C) has at least one node, so save/load round-trips.
 
 Each table is read by ``_table``: one ``np.loadtxt`` into a structured
 dtype, a record per row line (edges ``(u, v)``, labels ``(label,)``, feature
@@ -103,11 +104,7 @@ DATASET_FILES = (EDGES_FILE, FEATURES_FILE, LABELS_FILE, SPLIT_FILE)  # in finge
 CACHE_FILE = ".features.cache"
 # The first line of a cache file; change the number whenever its layout or
 # the meaning of its key or table changes, so that every older cache is a
-# miss. Version 2 is keyed by the fingerprint of all four files; version 3
-# by files whose features.tsv holds entries, so that a dense features.tsv
-# of earlier versions is refused whether or not it left a cache; version 4
-# holds the table's CSR arrays instead of the dense table, and version 5
-# holds them at the index width of the one CSR form (``csr_features``).
+# miss.
 _CACHE_MAGIC = b"reachmix features.tsv cache 5\n"
 # One row line of each table, as np.loadtxt reads it.
 _EDGE = np.dtype([("u", np.int64), ("v", np.int64)])
@@ -243,13 +240,16 @@ class SplitSpec:
 class Dataset:
     """Immutable graph dataset: undirected edge list, features, labels, split.
 
+    N and C come from ``labels``: its size and its largest value plus one.
+    ``labels``, and ``edges`` when it holds an edge, must have an integer
+    dtype other than bool, else a ``ValueError`` names the table and dtype.
+
     ``edges`` may list an edge in either direction and more than once; it is
     stored canonical (each edge once, u < v, sorted). A self-loop, an
-    endpoint outside [0, N), a label outside [0, C) and a label above a
-    class with no nodes raise ``DatasetRowError`` naming the first bad row,
-    as does a non-finite feature; a split id outside [0, N) raises one
-    naming the id. So whatever ``save_dataset`` writes,
-    ``load_dataset`` reads back.
+    endpoint outside [0, N), a negative label and a label above a class with
+    no nodes raise ``DatasetRowError`` naming the first bad row, as does a
+    non-finite feature; a split id outside [0, N) raises one naming the id.
+    So whatever ``save_dataset`` writes, ``load_dataset`` reads back.
 
     ``features`` is a dense table, kept dense, or a scipy-sparse one, kept
     in the one CSR form (``csr_features``): a table already in that form,
@@ -262,8 +262,6 @@ class Dataset:
     included.
     """
 
-    num_nodes: int
-    num_classes: int
     edges: np.ndarray  # (E, 2) int64, u < v
     features: np.ndarray | csr_array  # (N, F) float64, dense or CSR
     labels: np.ndarray  # (N,) int64
@@ -271,22 +269,23 @@ class Dataset:
     fingerprint: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        edges, labels = np.asarray(self.edges), np.asarray(self.labels)
+        for name, table in (("labels", labels), ("edges", edges)):
+            if table.dtype.kind not in "iu" and (name == "labels" or table.size):
+                raise ValueError(f"{name} must have an integer dtype, not {table.dtype}")
+        edges, labels = edges.astype(np.int64, copy=False).reshape(-1, 2), labels.astype(np.int64, copy=False)
         features = self.features
         if issparse(features):
             features = csr_features(features)
         else:
             features = np.ascontiguousarray(np.asarray(features, dtype=np.float64))
-        labels = np.asarray(self.labels, dtype=np.int64)
 
-        n = self.num_nodes
-        if n < 1:
-            raise ValueError("num_nodes must be >= 1")
+        if labels.ndim != 1 or labels.size == 0:
+            raise ValueError(f"labels must be a non-empty vector, got shape {labels.shape}")
+        n = labels.size
         if features.ndim != 2 or features.shape[0] != n:
             raise ValueError(f"features must be (num_nodes, F); got {features.shape} for N={n}")
         _check_finite(features)
-        if labels.shape != (n,):
-            raise ValueError("labels must have one entry per node")
 
         lo, hi = edges.min(axis=1), edges.max(axis=1)
         bad = (lo == hi) | (lo < 0) | (hi >= n)
@@ -303,23 +302,16 @@ class Dataset:
         lo = key // n
         edges = np.stack([lo, key - lo * n], axis=1)
 
-        bad = (labels < 0) | (labels >= self.num_classes)
-        if bad.any():
-            row = int(np.argmax(bad))
-            label = labels[row]
-            raise DatasetRowError("labels", row, f"negative label {label}" if label < 0
-                                  else f"label {label} >= num_classes {self.num_classes}")
+        if labels.min() < 0:
+            row = int(np.argmax(labels < 0))
+            raise DatasetRowError("labels", row, f"negative label {labels[row]}")
         present = np.unique(labels)
-        if present.size < self.num_classes:
+        if present.size < present[-1] + 1:
             # present[i] - i classes below present[i] have no nodes, so the
             # first empty class is the first i where that is positive. The
             # first label above it is the one that forced the class count.
             gap = int(np.searchsorted(present - np.arange(present.size), 1))
-            above = np.flatnonzero(labels > gap)
-            if above.size == 0:
-                raise ValueError(f"classes {list(range(gap, self.num_classes))} have no nodes; "
-                                 "labels must cover 0..C-1")
-            row = int(above[0])
+            row = int(np.argmax(labels > gap))
             raise DatasetRowError("labels", row, f"label {labels[row]} out of range: class {gap} has no nodes, "
                                                  "so labels are not contiguous")
         self.split.check_ids(n)
@@ -327,6 +319,14 @@ class Dataset:
             for arr in (value.data, value.indices, value.indptr) if issparse(value) else (value,):
                 arr.setflags(write=False)
             object.__setattr__(self, name, value)
+
+    @property
+    def num_nodes(self) -> int:
+        return self.labels.size
+
+    @property
+    def num_classes(self) -> int:
+        return int(self.labels.max()) + 1
 
     @property
     def num_features(self) -> int:
@@ -627,7 +627,7 @@ def load_dataset(directory) -> Dataset:
         raise DatasetFormatError(split_path, None, str(exc)) from None
 
     try:
-        dataset = Dataset(num_nodes, int(labels.max()) + 1, edges, features, labels, split)
+        dataset = Dataset(edges, features, labels, split)
     except DatasetRowError as exc:
         if exc.table in ("edges", "labels"):
             path, comments = (edges_path, "#") if exc.table == "edges" else (labels_path, None)
@@ -773,9 +773,6 @@ def generate_sbm(
     if valid_per_class is None:  # never below 0, so a class too small is named by make_split
         valid_per_class = max(0, min(max(1, round(0.15 * n)), n - labels_per_class))
 
-    probe = Dataset(
-        num_nodes, num_classes, edges, features, labels,
-        SplitSpec([0], [], []),
-    )
+    probe = Dataset(edges, features, labels, SplitSpec([0], [], []))
     split = make_split(probe, labels_per_class, valid_per_class, int(rng.integers(2**63 - 1)))
     return replace(probe, split=split)

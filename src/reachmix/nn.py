@@ -9,7 +9,7 @@ entries only. The MLP path is the same network with the propagation step
 omitted; feeding the GCN an identity adjacency produces bit-identical output
 to the MLP. A checkpoint (``save_params``/``load_params``) is ASCII text
 that holds each parameter's float64 bytes in base64, so it reads back bit
-for bit.
+for bit; ``load_params`` reads that one layout and no other.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import binascii
 import contextlib
 import ctypes
 import functools
+import math
 import os
 import threading
 from dataclasses import dataclass, field
@@ -318,77 +319,53 @@ def save_params(path, params: ModelParams) -> None:
             fh.write(base64.b64encode(np.ascontiguousarray(arr, "<f8").tobytes()) + b"\n")
 
 
-def _decimal_text(line: bytes) -> bool:
-    """True for a value line of decimal floats, the form checkpoints took
-    before they were base64."""
-    tokens = line.split()
-    try:
-        for tok in tokens:
-            float(tok)
-    except ValueError:
-        return False
-    return bool(tokens)
-
-
 def load_params(path) -> ModelParams:
-    """Read a ``save_params`` checkpoint, bit for bit. Content that is not
-    ASCII raises a ``ValueError`` that starts with ``<path>:<line>:``, and so
-    does a malformed header, an unknown or repeated parameter, a value line
-    that is not base64 or whose byte count is not 8 per value of the
-    header's shape, and a decimal value line of an earlier version. Shapes
-    other than w1 (F, H), b1 (H,), w2 (H, C), b2 (C,) raise one that starts
-    with ``<path>:``."""
+    """Read a ``save_params`` checkpoint, bit for bit: its eight lines, in
+    ``PARAM_NAMES`` order, and nothing after them. The first line that
+    differs from that layout raises a ``ValueError`` that starts with
+    ``<path>:<line>:``: content that is not ASCII, a header other than
+    ``param <name> <ndim> <dims...>`` for the parameter due there, a missing
+    value line, a value line that is not base64 or whose byte count is not 8
+    per value of the header's shape, and a ninth line. Shapes other than
+    w1 (F, H), b1 (H,), w2 (H, C), b2 (C,) raise one that starts with
+    ``<path>:``."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.isascii():
         at = next(k for k, byte in enumerate(data) if byte > 0x7F)
         line = data.count(b"\n", 0, at) + 1
         raise ValueError(f"{path}:{line}: not a checkpoint: byte {data[at]:#04x} at offset {at} is not ASCII")
-    lines = data.splitlines()
-    values: dict[str, np.ndarray] = {}
-    i = 0
-    while i < len(lines):
-        if not lines[i].strip():
-            i += 1
-            continue
-        header = lines[i].decode("ascii")
-        head = header.split()
+    size = 2 * len(PARAM_NAMES)  # lines in a checkpoint
+    lines = [line.decode("ascii") for line in data.splitlines()]
+    lines += [None] * (size - len(lines))  # the lines a cut file lacks
+    values = []
+    for k, name in enumerate(PARAM_NAMES):
+        header, value = lines[2 * k], lines[2 * k + 1]
+        head = [] if header is None else header.split(" ")
+        # A dim of 19 digits is too large for any array, and int() refuses 4301.
+        if not (head[:3] == ["param", name, str(len(head) - 3)] and all(d.isdigit() and len(d) < 19 for d in head[3:])):
+            got = "the end of the file" if header is None else repr(header)
+            raise ValueError(f"{path}:{2 * k + 1}: expected the header 'param {name} <ndim> <dims...>', got {got}")
+        shape = tuple(map(int, head[3:]))
+        if value is None:
+            raise ValueError(f"{path}:{2 * k + 2}: parameter {name} has no value line")
         try:
-            if head[0] != "param":
-                raise ValueError
-            name, ndim, shape = head[1], int(head[2]), tuple(int(d) for d in head[3:])
-            if ndim != len(shape) or any(d < 0 for d in shape):
-                raise ValueError
-        except (IndexError, ValueError):
-            raise ValueError(f"{path}:{i + 1}: malformed checkpoint header {header!r}") from None
-        if name not in PARAM_NAMES:
-            raise ValueError(f"{path}:{i + 1}: unknown parameter {name!r}, expected one of {list(PARAM_NAMES)}")
-        if name in values:
-            raise ValueError(f"{path}:{i + 1}: parameter {name} appears a second time")
-        if i + 1 == len(lines):
-            raise ValueError(f"{path}:{i + 1}: parameter {name} has no value line")
-        try:
-            raw = base64.b64decode(lines[i + 1], validate=True)
+            raw = base64.b64decode(value, validate=True)
         except binascii.Error as exc:
-            if _decimal_text(lines[i + 1]):
-                raise ValueError(f"{path}:{i + 2}: decimal-text checkpoints are no longer read; "
-                                 "re-run `reachmix train` to write this checkpoint as base64") from None
-            raise ValueError(f"{path}:{i + 2}: value line of parameter {name} is not base64: {exc}") from None
-        count = int(np.prod(shape, dtype=np.int64))
+            raise ValueError(f"{path}:{2 * k + 2}: value line of parameter {name} is not base64: {exc}") from None
+        count = math.prod(shape)  # a Python int: an int64 product of large dims would wrap
         if len(raw) != 8 * count:
-            raise ValueError(f"{path}:{i + 2}: {len(raw)} bytes for parameter {name} of shape {shape}, "
+            raise ValueError(f"{path}:{2 * k + 2}: {len(raw)} bytes for parameter {name} of shape {shape}, "
                              f"expected {8 * count} (8 per float64 value)")
         # astype copies into a writable array of the native float64
-        values[name] = np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
-        i += 2
-    missing = [n for n in PARAM_NAMES if n not in values]
-    if missing:
-        raise ValueError(f"{path}: checkpoint missing parameters {missing}")
-    w1, b1, w2, b2 = (values[n].shape for n in PARAM_NAMES)
+        values.append(np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape))
+    if len(lines) > size:
+        raise ValueError(f"{path}:{size + 1}: expected the end of the checkpoint, got {lines[size]!r}")
+    w1, b1, w2, b2 = (arr.shape for arr in values)
     if not (len(w1) == len(w2) == 2 and b1 == (w1[1],) == w2[:1] and b2 == w2[1:]):
-        shapes = ", ".join(f"{n} {values[n].shape}" for n in PARAM_NAMES)
+        shapes = ", ".join(f"{n} {arr.shape}" for n, arr in zip(PARAM_NAMES, values))
         raise ValueError(f"{path}: parameter shapes {shapes} do not fit w1 (F, H), b1 (H,), w2 (H, C), b2 (C,)")
-    return ModelParams(values["w1"], values["b1"], values["w2"], values["b2"])
+    return ModelParams(*values)
 
 
 def gradient_check(inputs, params: ModelParams, eps: float = 1e-5):

@@ -23,7 +23,7 @@ def path_dataset(n=3, num_classes=2, feature_dim=2):
     rng = np.random.default_rng(0)
     features = rng.standard_normal((n, feature_dim))
     split = SplitSpec([0], [1] if n > 1 else [], list(range(2, n)))
-    return Dataset(n, num_classes, edges, features, labels, split)
+    return Dataset(edges, features, labels, split)
 
 
 def dense_table(features) -> np.ndarray:

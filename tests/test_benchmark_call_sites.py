@@ -72,6 +72,19 @@ def test_the_benchmark_graph_keeps_a_small_reach_cache(tmp_path):
         assert getattr(cold, name).tobytes() == getattr(warm, name).tobytes(), name
 
 
+def test_the_benchmark_set_up_describes_its_graph(tmp_path):
+    """``cora_like.describe``, which every benchmark set-up calls, reads the
+    ``Dataset`` it is given; its scipy diameter is the one ``diagnose rc``
+    reports on the saved graph."""
+    cora_like = load_module(PERFBENCH / "cora_like.py", "perfbench_cora_like")
+    dataset = cora_like.build(1)
+    shape = cora_like.describe(dataset)
+    assert (shape["nodes"], shape["features"], shape["split"]) == (2709, 1433, [140, 500, 1000])
+    graphio.save_dataset(dataset, tmp_path / "data")
+    assert cli.main(["diagnose", "rc", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "rc")]) == 0
+    assert shape["diameter"] == json.loads((tmp_path / "rc" / "rc_summary.json").read_text())["diameter"] == 13
+
+
 def test_benchmark_call_sites_exist():
     """A traced name that is deleted or renamed fails here instead of
     silently zeroing a per-layer benchmark metric."""

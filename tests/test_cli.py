@@ -145,6 +145,22 @@ def test_existing_out_requires_force(tmp_path, capsys):
     assert run_cli(synth_args(out) + ["--force"]) == 0
 
 
+@pytest.mark.parametrize("force", [[], ["--force"]], ids=["plain", "force"])
+@pytest.mark.parametrize("command", ["synth", "train", "sweep", "diagnose"])
+def test_an_out_that_is_a_file_is_refused_before_any_work(tmp_path, dataset_dir, monkeypatch, capsys,
+                                                           command, force):
+    monkeypatch.setattr(cli.trainer, "train_one", never_train)
+    out = tmp_path / "notes.txt"
+    out.write_text("not an output directory\n")
+    argv = {"synth": synth_args(out),
+            "train": ["train", "--data", str(dataset_dir), "--out", str(out)],
+            "sweep": ["sweep", "--data", str(dataset_dir), "--grid", "lr=0.01", "--out", str(out)],
+            "diagnose": ["diagnose", "rc", "--data", str(dataset_dir), "--out", str(out)]}[command]
+    assert run_cli(argv + force) == 1
+    assert capsys.readouterr().err == f"error: --out {str(out)!r} exists and is not a directory\n"
+    assert out.read_text() == "not an output directory\n"
+
+
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("data") / "sbm"
@@ -161,7 +177,7 @@ def quick_config(tmp_path_factory):
         "patience": 25,
         "seeds": [0, 1],
         "mixup_enabled": True,
-        "mixup": {"warmup_epochs": 5},
+        "mixup": {"gamma": 0.4, "warmup_epochs": 1},  # mixed pairs from epoch 1 on the 60-node graph
     }
     path.write_text(json.dumps(blob))
     return path
@@ -205,6 +221,13 @@ def test_train_metrics_deterministic_across_invocations(tmp_path, dataset_dir, q
     run_cli(["train", "--data", str(dataset_dir), "--config", str(quick_config), "--out", str(out2)])
     for name in ("metrics_seed0.tsv", "metrics_seed1.tsv", "summary.json"):
         assert read_bytes(out1 / name) == read_bytes(out2 / name), name
+    # The config mixes: every epoch after the one-epoch warm-up trains on
+    # same-class and different-class pairs, so the runs compared above
+    # cover refreshes that mix.
+    for seed in (0, 1):
+        _, *rows = (out1 / f"metrics_seed{seed}.tsv").read_text().splitlines()
+        mixed = [int(epoch) for epoch, _, _, intra, inter, _ in map(str.split, rows) if float(intra) and float(inter)]
+        assert mixed == list(range(1, 25)), seed
 
 
 def test_train_mixup_with_isolated_labeled_node_and_candidate(tmp_path):
@@ -336,10 +359,10 @@ def test_a_warm_diagnose_of_any_kind_runs_no_bfs(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("text, line", [
-    pytest.param("param w1 2 6 4\n", 1, id="cut-after-header"),
-    pytest.param("param b1 1 2\n0.5 x\n", 2, id="non-numeric"),
-    pytest.param("param b1 2 2\n0.5 0.5\n", 1, id="ndim-mismatch"),
-    pytest.param("param b1 1 3\n" + base64.b64encode(np.array([0.5, 0.5], "<f8").tobytes()).decode() + "\n", 2,
+    pytest.param("param w1 2 6 4\n", 2, id="cut-after-header"),
+    pytest.param("param w1 1 2\n0.5 x\n", 2, id="non-numeric"),
+    pytest.param("param w1 2 2\n0.5 0.5\n", 1, id="ndim-mismatch"),
+    pytest.param("param w1 1 3\n" + base64.b64encode(np.array([0.5, 0.5], "<f8").tobytes()).decode() + "\n", 2,
                  id="value-count"),
     pytest.param("{good}param w3 1 1\n" + base64.b64encode(bytes(8)).decode() + "\n", 9, id="unknown-parameter"),
     pytest.param("{good}{good}", 9, id="repeated-parameter"),
@@ -354,6 +377,22 @@ def test_diagnose_bad_checkpoint_names_file_and_line(tmp_path, dataset_dir, trai
     assert f"{ckpt}:{line}: " in capsys.readouterr().err
     assert not out.exists()  # so the corrected command needs no --force
     assert run_cli(argv + [str(good)]) == 0
+
+
+@pytest.mark.parametrize("kind", ["cka", "pearson"])
+@pytest.mark.parametrize("name, index, value", [("w2", (0, 0), np.nan), ("b1", (1,), np.inf)],
+                         ids=["nan-w2", "inf-b1"])
+def test_diagnose_refuses_a_checkpoint_with_a_non_finite_value(tmp_path, dataset_dir, train_run, capsys,
+                                                                kind, name, index, value):
+    params = load_params(train_run / "checkpoint_seed0.txt")
+    getattr(params, name)[index] = value
+    ckpt = tmp_path / "ckpt.txt"
+    nn.save_params(ckpt, params)
+    out = tmp_path / kind
+    argv = ["diagnose", kind, "--data", str(dataset_dir), "--checkpoint", str(ckpt), "--out", str(out)]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == f"error: {ckpt}: parameter {name} holds a non-finite value\n"
+    assert not out.exists()
 
 
 def test_diagnose_non_text_checkpoint_names_file(tmp_path, dataset_dir, capsys):
@@ -1097,8 +1136,8 @@ def test_sweep_divergence_names_grid_point(tmp_path, dataset_dir, quick_config):
 def test_sampling_weights_that_overflow_exit_one_before_out(tmp_path, dataset_dir, quick_config, command):
     """beta_s = 1000 overflows the same-class weights at the first refresh:
     one error line naming beta_s, no numpy warning, no --out."""
-    mixup = {"warmup_epochs": 1, "gamma": 0.4, **({"beta_s": 1000} if command == "train" else {})}
-    blob = {**json.loads(quick_config.read_text()), "seeds": [0], "mixup": mixup}  # pairs from epoch 1
+    blob = json.loads(quick_config.read_text())
+    blob = {**blob, "seeds": [0], "mixup": {**blob["mixup"], **({"beta_s": 1000} if command == "train" else {})}}
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(blob))
     argv = [command, "--data", str(dataset_dir), "--config", str(config), "--out", str(tmp_path / "r")]

@@ -20,7 +20,7 @@ from reachmix.diagnostics import (
 from reachmix import diagnostics, graphalg, graphio
 from reachmix.graphalg import add_self_loops, from_edges
 from reachmix.graphio import Dataset, SplitSpec, generate_sbm, load_dataset, make_split, save_dataset
-from reachmix.nn import ModelParams, init_params
+from reachmix.nn import ModelParams, init_params, softmax
 from reachmix.seeding import substream
 from reachmix.trainer import TrainConfig, build_operators, train_one
 
@@ -307,16 +307,19 @@ def test_pearson_rc_vs_score_constant_model_errors():
         pearson_rc_vs_score(zero, build_operators(ds), report)
 
 
-def test_pearson_rc_vs_score_returns_pairs():
+def test_pearson_rc_vs_score_returns_scores():
     ds = sbm_dataset()
     inputs = build_operators(ds)
     outcome = train_one(inputs, TrainConfig(max_epochs=60, patience=60, hidden=16), seed=1)
     g = add_self_loops(from_edges(ds.num_nodes, ds.edges))
     report = reaching_coefficient(g, ds.split.labeled_ids)
-    r, pairs = pearson_rc_vs_score(outcome.params, inputs, report)
-    assert -1.0 <= r <= 1.0
-    assert pairs.shape == (report.node_ids.size, 3)
-    assert np.all(pairs[:, 2] >= 0.0) and np.all(pairs[:, 2] <= 1.0)
+    r, scores = pearson_rc_vs_score(outcome.params, inputs, report)
+    assert -1.0 <= r <= 1.0 and r == pearson(report.rc, scores)
+    # score i is node_ids[i]'s softmax probability of its true class
+    probs = softmax(diagnostics.representations(outcome.params, inputs))
+    assert scores.shape == (report.node_ids.size,)
+    for node, score in zip(report.node_ids, scores):
+        assert score == probs[node, ds.labels[node]] and 0.0 <= score <= 1.0
 
 
 def test_reach_reports_ignore_self_loops(rng):

@@ -8,7 +8,7 @@ import re
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
-from conftest import dense_table
+from conftest import dense_table, path_dataset
 from reachmix import graphio
 from reachmix.graphio import (
     Dataset,
@@ -224,10 +224,10 @@ def test_split_id_fault_names_file_and_id(tmp_path, split, message):
     assert (err.value.path, err.value.line_no) == (str(d / "split.json"), None)
 
 
-def row_fault(edges=((0, 1),), features=None, labels=(0, 1, 0), num_classes=2):
+def row_fault(edges=((0, 1),), features=None, labels=(0, 1, 0)):
     features = np.ones((3, 2)) if features is None else features
     with pytest.raises(DatasetRowError) as err:
-        Dataset(3, num_classes, np.array(edges), features, np.array(labels), SplitSpec([0], [], []))
+        Dataset(np.array(edges), features, np.array(labels), SplitSpec([0], [], []))
     return err.value.table, err.value.row, str(err.value)
 
 
@@ -235,25 +235,42 @@ def test_dataset_reports_the_first_bad_row_of_each_table():
     assert row_fault(edges=[(0, 1), (2, 1), (0, 3), (1, 1)]) == ("edges", 2, "edge endpoint 3 >= num_nodes 3")
     assert row_fault(edges=[(0, 1), (-1, 5)]) == ("edges", 1, "negative node id")
     assert row_fault(edges=[(2, 1), (-1, -1)]) == ("edges", 1, "self-loop -1 not allowed in edge list")
-    assert row_fault(labels=(0, 2, -1)) == ("labels", 1, "label 2 >= num_classes 2")
-    assert row_fault(labels=(0, 3, 3), num_classes=4) == (
+    assert row_fault(labels=(0, 2, -1)) == ("labels", 2, "negative label -1")
+    assert row_fault(labels=(0, 3, 3)) == (
         "labels", 1, "label 3 out of range: class 1 has no nodes, so labels are not contiguous")
-    assert row_fault(labels=(0, 1, 3), num_classes=4) == (
+    assert row_fault(labels=(0, 1, 3)) == (
         "labels", 2, "label 3 out of range: class 2 has no nodes, so labels are not contiguous")
     features = np.ones((3, 2))
     features[1, 0] = -np.inf
     assert row_fault(features=features) == ("features", 1, "non-finite feature -inf of node 1, column 0")
 
 
-def test_dataset_with_classes_above_every_label_has_no_bad_row():
-    with pytest.raises(ValueError, match=r"^classes \[2, 3\] have no nodes") as err:
-        Dataset(3, 4, np.zeros((0, 2)), np.ones((3, 1)), np.array([0, 1, 1]), SplitSpec([0], [], []))
-    assert not isinstance(err.value, DatasetRowError)
+def test_dataset_reads_n_and_c_off_its_labels():
+    ds = Dataset(np.zeros((0, 2)), np.ones((4, 1)), np.array([0, 2, 1, 2]), SplitSpec([0], [], []))
+    assert (ds.num_nodes, ds.num_classes, ds.num_features) == (4, 3, 1)
+    assert [f.name for f in fields(Dataset) if f.init] == ["edges", "features", "labels", "split"]
+    with pytest.raises(ValueError, match=r"^labels must be a non-empty vector, got shape \(0,\)$"):
+        Dataset(np.zeros((0, 2)), np.ones((0, 1)), np.zeros(0, dtype=np.int64), SplitSpec([0], [], []))
+    with pytest.raises(ValueError, match=r"^features must be \(num_nodes, F\); got \(3, 1\) for N=4$"):
+        Dataset(np.zeros((0, 2)), np.ones((3, 1)), np.array([0, 2, 1, 2]), SplitSpec([0], [], []))
+
+
+@pytest.mark.parametrize("table, value, dtype", [
+    ("labels", np.array([0.7, 1.9, 0.2]), "float64"),
+    ("labels", np.array([0.0, np.nan, 1.0]), "float64"),
+    ("labels", np.array([True, False, True]), "bool"),
+    ("edges", np.array([[0.0, 1.5]]), "float64"),
+    ("edges", np.array([[True, False]]), "bool"),
+], ids=["float-labels", "nan-label", "bool-labels", "float-edges", "bool-edges"])
+def test_dataset_refuses_tables_that_are_not_integer(table, value, dtype):
+    """A float or bool would be truncated to an integer node id or class."""
+    with pytest.raises(ValueError, match=f"^{table} must have an integer dtype, not {dtype}$"):
+        replace(path_dataset(), **{table: value})
 
 
 def test_dataset_stores_the_canonical_edge_list(rng):
     raw = np.array([[2, 0], [0, 2], [1, 0], [2, 0], [0, 1], [3, 1], [1, 3]])
-    ds = Dataset(4, 1, raw, np.ones((4, 1)), np.zeros(4), SplitSpec([0], [], []))
+    ds = Dataset(raw, np.ones((4, 1)), np.zeros(4, dtype=np.int64), SplitSpec([0], [], []))
     assert ds.edges.dtype == np.int64 and not ds.edges.flags.writeable
     np.testing.assert_array_equal(ds.edges, [[0, 1], [0, 2], [1, 3]])
     again = replace(ds, split=SplitSpec([1], [2], []))
@@ -263,7 +280,7 @@ def test_dataset_stores_the_canonical_edge_list(rng):
         raw = rng.integers(0, n, size=(int(rng.integers(0, 80)), 2))
         raw = raw[raw[:, 0] != raw[:, 1]]
         oracle = sorted({(min(u, v), max(u, v)) for u, v in raw.tolist()})
-        edges = Dataset(n, 1, raw, np.ones((n, 1)), np.zeros(n), SplitSpec([0], [], [])).edges
+        edges = Dataset(raw, np.ones((n, 1)), np.zeros(n, dtype=np.int64), SplitSpec([0], [], [])).edges
         assert edges.tolist() == [list(e) for e in oracle] and edges.shape == (len(oracle), 2)
 
 
@@ -370,7 +387,7 @@ def test_save_features_bytes_are_shortest_repr(tmp_path):
     # -0.0 keeps its sign, the smallest subnormal and a value that needs all
     # 17 significant digits are written exactly and read back bit for bit.
     features = np.array([[-0.0, 5e-324, 0.1 + 0.2], [1.0, 0.0, 1e300]])
-    ds = Dataset(2, 2, np.array([[0, 1]]), features, np.array([0, 1]), SplitSpec([0], [], [1]))
+    ds = Dataset(np.array([[0, 1]]), features, np.array([0, 1]), SplitSpec([0], [], [1]))
     save_dataset(ds, tmp_path)
     assert (tmp_path / "features.tsv").read_bytes() == (b"2\t3\n0\t0\t-0.0\n0\t1\t5e-324\n0\t2\t0.30000000000000004\n"
                                                        b"1\t0\t1.0\n1\t2\t1e+300\n")
@@ -380,7 +397,7 @@ def test_save_features_bytes_are_shortest_repr(tmp_path):
 
 def features_dataset(features):
     n = features.shape[0]
-    return Dataset(n, 1, np.zeros((0, 2)), features, np.zeros(n), SplitSpec([0], [], []))
+    return Dataset(np.zeros((0, 2)), features, np.zeros(n, dtype=np.int64), SplitSpec([0], [], []))
 
 
 def repr_oracle(features):
@@ -537,7 +554,7 @@ def test_round_trip_identity(tmp_path, rng):
         features = rng.standard_normal((n, 4))
         ids = rng.permutation(n)
         split = SplitSpec(ids[:2], ids[2:4], ids[4:])
-        ds = Dataset(n, classes, edges, features, labels, split)
+        ds = Dataset(edges, features, labels, split)
         out = tmp_path / f"ds{trial}"
         save_dataset(ds, out)
         back = load_dataset(out)
@@ -737,7 +754,7 @@ def feature_parses(monkeypatch):
 
 
 def cached_dataset_dir(tmp_path):
-    ds = Dataset(3, 2, np.array([[0, 1], [1, 2]]), CACHED_FEATURES, np.array([0, 1, 0]), SplitSpec([0], [1], [2]))
+    ds = Dataset(np.array([[0, 1], [1, 2]]), CACHED_FEATURES, np.array([0, 1, 0]), SplitSpec([0], [1], [2]))
     save_dataset(ds, tmp_path)
     return tmp_path
 

@@ -395,7 +395,7 @@ def test_build_batches_identical_rows_fixed_point():
 def test_build_batches_single_pair_matches_dense_oracle():
     # 3-node path, labeled node 0 mixed with node 2 at lambda 0.5.
     ds = Dataset(
-        3, 2, np.array([[0, 1], [1, 2]]),
+        np.array([[0, 1], [1, 2]]),
         np.array([[1.0, 0.0], [0.0, 1.0], [4.0, 2.0]]),
         np.array([0, 1, 0]),
         SplitSpec([0], [1], [2]),

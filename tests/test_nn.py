@@ -348,7 +348,7 @@ def test_gradient_check_excludes_relu_kink():
     from reachmix.graphio import Dataset, SplitSpec
 
     ds = Dataset(
-        2, 2, np.array([[0, 1]]), np.array([[1.0], [1.0]]), np.array([0, 1]),
+        np.array([[0, 1]]), np.array([[1.0], [1.0]]), np.array([0, 1]),
         SplitSpec([0], [], [1]),
     )
     params = ModelParams(np.array([[1.0]]), np.array([-1.0]), np.array([[1.0, -1.0]]), np.zeros(2))
@@ -404,22 +404,57 @@ def test_checkpoint_round_trips_every_bit_pattern(tmp_path_factory, params):
 
 
 def test_load_params_names_the_value_line_it_cannot_decode(tmp_path):
-    # Values are base64 alone: 1_000 and nan(1) read as no value, and a
-    # checkpoint of the decimal-text versions is refused as a whole.
-    decimal = "decimal-text checkpoints are no longer read; re-run `reachmix train`"
+    # Values are base64 alone: 1_000 and nan(1) read as no value, and so does
+    # the first line of a checkpoint of the decimal-text versions.
     old = "".join(f"param {name} {arr.ndim} " + " ".join(str(d) for d in arr.shape) + "\n"
                   + " ".join(map(repr, arr.reshape(-1).tolist())) + "\n"  # the decimal-text writer
                   for name, arr in small_params(np.random.default_rng(7)).as_dict().items())
     path = tmp_path / "ckpt.txt"
-    for text, message in (("param b2 1 1\nAAAA!AAAAAA=\n", "value line of parameter b2 is not base64: "),
-                          ("param b2 1 1\nnan(1)\n", "value line of parameter b2 is not base64: "),
-                          (f"param b2 1 1\n{base64.b64encode(bytes(7)).decode()}\n",
-                           "7 bytes for parameter b2 of shape (1,), expected 8 (8 per float64 value)"),
-                          ("param b2 1 1\n1_000\n", decimal),
-                          (old, decimal)):
+    for text, message in (("param w1 2 1 1\nAAAA!AAAAAA=\n", "value line of parameter w1 is not base64: "),
+                          ("param w1 2 1 1\nnan(1)\n", "value line of parameter w1 is not base64: "),
+                          (f"param w1 2 1 1\n{base64.b64encode(bytes(7)).decode()}\n",
+                           "7 bytes for parameter w1 of shape (1, 1), expected 8 (8 per float64 value)"),
+                          ("param w1 2 4294967296 4294967296\n\n",  # 2**64 values, 0 in int64
+                           "0 bytes for parameter w1 of shape (4294967296, 4294967296), "
+                           "expected 147573952589676412928 (8 per float64 value)"),
+                          ("param w1 2 1 1\n1_000\n", "value line of parameter w1 is not base64: "),
+                          (old, "value line of parameter w1 is not base64: ")):
         path.write_text(text, encoding="ascii")
         with pytest.raises(ValueError, match="^" + re.escape(f"{path}:2: {message}")):
             load_params(path)
+
+
+def header_fault(name, got):
+    return f"expected the header 'param {name} <ndim> <dims...>', got {got}"
+
+
+@pytest.mark.parametrize("edit, line, message", [
+    pytest.param(lambda ls: ls[2:4] + ls[:2] + ls[4:], 1, header_fault("w1", "'param b1 1 4'"), id="out-of-order"),
+    pytest.param(lambda ls: ls[:4] + ls[2:], 5, header_fault("w2", "'param b1 1 4'"), id="repeated"),
+    pytest.param(lambda ls: ls[:2] + ["param w3 1 4"] + ls[3:], 3, header_fault("b1", "'param w3 1 4'"),
+                 id="unknown"),
+    pytest.param(lambda ls: ls[:2] + ["param b1 2 4"] + ls[3:], 3, header_fault("b1", "'param b1 2 4'"),
+                 id="ndim-mismatch"),
+    pytest.param(lambda ls: ls[:2] + ["param  b1 1 4"] + ls[3:], 3, header_fault("b1", "'param  b1 1 4'"),
+                 id="two-spaces"),
+    pytest.param(lambda ls: ls[:2] + ["param b1 1 " + "9" * 4301] + ls[3:], 3,
+                 header_fault("b1", repr("param b1 1 " + "9" * 4301)), id="dim-of-4301-digits"),
+    pytest.param(lambda ls: [""] + ls, 1, header_fault("w1", "''"), id="blank-first"),
+    pytest.param(lambda ls: ls[:6], 7, header_fault("b2", "the end of the file"), id="missing-parameter"),
+    pytest.param(lambda ls: ls[:7], 8, "parameter b2 has no value line", id="missing-value"),
+    pytest.param(lambda ls: ls + [""], 9, "expected the end of the checkpoint, got ''", id="blank-last"),
+    pytest.param(lambda ls: ls + ls[:2], 9, "expected the end of the checkpoint, got 'param w1 2 5 4'",
+                 id="ninth-line"),
+])
+def test_load_params_reads_only_the_layout_save_params_writes(tmp_path, edit, line, message):
+    """Eight lines, in PARAM_NAMES order, and nothing after them: the first
+    line that differs is named."""
+    path = tmp_path / "ckpt.txt"
+    save_params(path, small_params(np.random.default_rng(0)))
+    path.write_text("".join(f"{text}\n" for text in edit(path.read_text(encoding="ascii").splitlines())),
+                    encoding="ascii")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}:{line}: {message}") + "$"):
+        load_params(path)
 
 
 def test_accuracy_basic():
