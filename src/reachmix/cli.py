@@ -339,7 +339,8 @@ def cmd_diagnose(args) -> int:
     fingerprint, so only the first command on a dataset's content runs the
     BFS, and leaves them there. Only ``cka`` and ``pearson`` build the model
     inputs, once, with ``trainer.build_operators``, after checking that the
-    checkpoint's F and C fit the dataset and that its values are finite."""
+    checkpoint's F and C fit the dataset and that its values are finite, and
+    round the checkpoint to the inputs' dtype, refusing a value beyond it."""
     needs_model = args.kind in ("cka", "pearson")
     if needs_model and not args.checkpoint:
         raise UsageError(f"diagnose {args.kind} needs --checkpoint")
@@ -351,9 +352,16 @@ def cmd_diagnose(args) -> int:
             raise ValueError(f"{args.checkpoint}: checkpoint has {params.w1.shape[0]} features and "
                              f"{params.w2.shape[1]} classes, dataset {args.data} has {dataset.num_features} "
                              f"and {dataset.num_classes}")
+        inputs = trainer.build_operators(dataset)
+        dtype = inputs.features.dtype
         for name, arr in params.as_dict().items():  # else the forward pass fails naming no file
             if not np.isfinite(arr).all():
                 raise ValueError(f"{args.checkpoint}: parameter {name} holds a non-finite value")
+            beyond = arr[np.abs(arr) > np.finfo(dtype).max]
+            if beyond.size:
+                raise ValueError(f"{args.checkpoint}: parameter {name} holds {float(beyond[0])!r}, "
+                                 f"beyond the largest {dtype}")
+        params = params.astype(dtype)
     g = from_edges(dataset.num_nodes, dataset.edges)
     labeled = dataset.split.labeled_ids
     cache = (args.data, dataset.fingerprint)
@@ -378,14 +386,14 @@ def cmd_diagnose(args) -> int:
         line = f"avgsp: {report.degrees.size} degree groups"
     elif args.kind == "cka":
         buckets = diagnostics.rc_buckets(diagnostics.reaching_coefficient(g, labeled, cache))
-        report = diagnostics.cka_by_bucket(params, trainer.build_operators(dataset), buckets, args.seed)
+        report = diagnostics.cka_by_bucket(params, inputs, buckets, args.seed)
         values = ["absent" if v is None else v for v in report.values]
         table = {"bucket": list(range(1, len(values) + 1)), "cka": values, "sample_size": report.sample_sizes}
         summary = {"seed": report.seed, "values": report.values, "sample_sizes": report.sample_sizes}
         line = "cka by bucket: " + " ".join(v if isinstance(v, str) else f"{v:.4f}" for v in values)
     else:  # pearson; argparse restricts the choices
         rc = diagnostics.reaching_coefficient(g, labeled, cache)
-        r, scores = diagnostics.pearson_rc_vs_score(params, trainer.build_operators(dataset), rc)
+        r, scores = diagnostics.pearson_rc_vs_score(params, inputs, rc)
         table = {"node": rc.node_ids, "rc": rc.rc, "true_class_score": scores}
         summary = {"pearson_r": float(r), "n": int(scores.size)}
         line = f"pearson r={r:.4f} over {scores.size} unlabeled nodes"
@@ -405,7 +413,8 @@ def cmd_gradcheck(args) -> int:
         labels_per_class=2, valid_per_class=1,
     )
     params = nn.init_params(dataset.num_features, 6, dataset.num_classes, rng)
-    max_rel, checked, skipped = nn.gradient_check(trainer.build_operators(dataset), params, eps=args.eps)
+    inputs = trainer.build_operators(dataset, dtype=np.float64)
+    max_rel, checked, skipped = nn.gradient_check(inputs, params, eps=args.eps)
     ok = max_rel < args.threshold
     status = "PASS" if ok else "FAIL"
     print(f"{status} max_rel_err={max_rel:.3e} checked={checked} skipped={skipped} eps={args.eps:g}")

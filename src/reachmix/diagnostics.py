@@ -91,7 +91,8 @@ def _cached_reach(cache, shape) -> tuple[int, np.ndarray] | None:
 def _labeled_distances(g: csr_array, labeled_ids, cache=None) -> tuple[int, np.ndarray, np.ndarray]:
     """(diameter, unlabeled ids ascending, (|labeled|, |unlabeled|) hop
     distances) with unreachable pairs counted as the diameter; labeled rows
-    in ascending id order.
+    in ascending id order. The distances are integers in [1, D], in the
+    smallest unsigned dtype that holds D, as the cache keeps them.
 
     The distances are one ``bfs_distances`` call, which runs the labeled
     sources 64 at a time. Their rows are the first block of
@@ -124,22 +125,24 @@ def _labeled_distances(g: csr_array, labeled_ids, cache=None) -> tuple[int, np.n
             directory, fingerprint = cache
             graphio.write_cache(os.path.join(directory, REACH_CACHE), _REACH_MAGIC, fingerprint,
                                 (np.array(diameter, dtype=np.int64), d), os.path.join(directory, graphio.EDGES_FILE))
-    return diameter, unlabeled, d.astype(np.float64)
+    return diameter, unlabeled, d
 
 
 def reaching_coefficient(g: csr_array, labeled_ids, cache=None) -> RCReport:
     """RC per unlabeled node (see module docstring); ``cache`` as for
-    ``_labeled_distances``."""
+    ``_labeled_distances``. A distance takes one of D values, so the term
+    1 - log(k) / log(D) is computed once per k and looked up."""
     diameter, unlabeled, d = _labeled_distances(g, labeled_ids, cache)
     if diameter < 2:
         raise ValueError(f"diameter {diameter} < 2: the log-ratio in RC is degenerate")
-    terms = 1.0 - np.log(d) / np.log(float(diameter))
-    rc = terms.mean(axis=0)
+    ks = np.arange(diameter + 1, dtype=np.float64)
+    ks[0] = 1.0  # entry 0 is never read: every distance is at least 1
+    terms = 1.0 - np.log(ks) / np.log(float(diameter))
     return RCReport(
         node_ids=unlabeled,
-        rc=rc,
+        rc=terms[d].mean(axis=0),
         diameter=diameter,
-        min_dist=d.min(axis=0),
+        min_dist=d.min(axis=0).astype(np.float64),
         mean_dist=d.mean(axis=0),
     )
 

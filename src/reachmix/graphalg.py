@@ -65,8 +65,25 @@ def from_edges(num_nodes: int, edges: np.ndarray) -> csr_array:
 
 
 def matmul_dense(g: csr_array, x: np.ndarray) -> np.ndarray:
-    """Sparse-dense product g @ x (row-major accumulation, deterministic)."""
-    return g @ np.asarray(x, dtype=np.float64)
+    """Sparse-dense product g @ x (row-major accumulation, deterministic), in
+    the dtype scipy gives the pair: ``x``'s when both share it."""
+    return g @ x
+
+
+def index_dtype(shape, nnz: int):
+    """The index dtype of a CSR matrix of ``shape`` with ``nnz`` stored
+    entries: int32 where every dimension and the entry count fit, else int64."""
+    return np.int32 if max(*shape, nnz) <= np.iinfo(np.int32).max else np.int64
+
+
+def with_dtype(m: csr_array, dtype) -> csr_array:
+    """``m`` as the model reads an operator: its values rounded to ``dtype``,
+    its indices in ``index_dtype``, canonical (sorted on a copy) and
+    read-only (``_frozen``). The stored pattern is kept, so a value too small
+    for ``dtype`` becomes a stored zero."""
+    index = index_dtype(m.shape, m.nnz)
+    return _frozen(csr_array((m.data.astype(dtype, copy=False), m.indices.astype(index, copy=False),
+                              m.indptr.astype(index, copy=False)), shape=m.shape))
 
 
 def add_self_loops(g: csr_array) -> csr_array:

@@ -96,6 +96,8 @@ from functools import partial
 import numpy as np
 from scipy.sparse import csr_array, issparse
 
+from reachmix.graphalg import index_dtype
+
 EDGES_FILE = "edges.tsv"
 FEATURES_FILE = "features.tsv"
 LABELS_FILE = "labels.tsv"
@@ -163,16 +165,10 @@ def _check_finite(features) -> None:
     raise DatasetRowError("features", node, _non_finite(float(value), node, col))
 
 
-def _index_dtype(shape, nnz: int):
-    """The index dtype of the CSR form of a table of ``shape`` with ``nnz``
-    stored entries: int32 where N, F and the entry count fit, else int64."""
-    return np.int32 if max(*shape, nnz) <= np.iinfo(np.int32).max else np.int64
-
-
 def _csr(values, cols, indptr, shape) -> csr_array:
     """The CSR form of a table's stored entries, none of them +0.0, given in
     row-major order by their values, columns and row pointers."""
-    index = _index_dtype(shape, values.size)
+    index = index_dtype(shape, values.size)
     return csr_array((values, cols.astype(index, copy=False), indptr.astype(index, copy=False)), shape=shape)
 
 
@@ -192,7 +188,7 @@ def csr_features(table) -> csr_array:
         table = csr_array(table, dtype=np.float64, copy=True)
         table.sum_duplicates()
     stored = table.data.view(np.int64) != 0
-    if stored.all() and table.indices.dtype == table.indptr.dtype == _index_dtype(table.shape, table.nnz):
+    if stored.all() and table.indices.dtype == table.indptr.dtype == index_dtype(table.shape, table.nnz):
         return table
     indptr = np.concatenate(([0], np.cumsum(stored)))[table.indptr]
     return _csr(table.data[stored], table.indices[stored], indptr, table.shape)

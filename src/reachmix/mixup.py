@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.sparse import csr_array
 
-from reachmix.graphalg import MixSelector, mix_adjacency, sym_normalize
+from reachmix.graphalg import MixSelector, mix_adjacency, sym_normalize, with_dtype
 from reachmix.graphio import SplitSpec
 from reachmix.nn import ModelParams, backward, gcn_forward, mlp_forward, soft_cross_entropy_with_grad
 
@@ -141,11 +141,11 @@ class TrainInputs:
 
     labels: np.ndarray  # (N,) int64
     split: SplitSpec
-    features: csr_array
+    features: csr_array  # the network's dtype: float32 to train, float64 for the gradient check
     y_hot: np.ndarray  # (N, C)
     labeled_weights: np.ndarray  # (N,): 1 on labeled rows, 0 elsewhere
     adjacency: csr_array  # A + I, unnormalized; a graphalg graph (canonical, read-only)
-    a_norm: csr_array  # D^-1/2 (A + I) D^-1/2, likewise
+    a_norm: csr_array  # D^-1/2 (A + I) D^-1/2, likewise, in the features' dtype
     degrees: np.ndarray  # (N,) structural degrees, self-loops excluded
 
 
@@ -325,10 +325,10 @@ class Term:
     ``features``, propagated over ``adjacency`` (None: the MLP path, no
     propagation), scored against ``targets`` with row ``weights``."""
 
-    features: csr_array
-    adjacency: csr_array | None  # normalized, canonical and read-only
-    targets: np.ndarray  # (rows, C) soft targets
-    weights: np.ndarray  # (rows,)
+    features: csr_array  # canonical, read-only, in the operators' dtype
+    adjacency: csr_array | None  # normalized, canonical and read-only, likewise
+    targets: np.ndarray  # (rows, C) soft targets, float64
+    weights: np.ndarray  # (rows,), float64
 
 
 @dataclass(frozen=True)
@@ -352,6 +352,9 @@ def _branch(inputs: TrainInputs, pairs: PairAssignment, same_class: bool) -> Ter
       rows, and S A S^T of A = ``inputs.adjacency``, normalized once here.
     - different-class, on the MLP path: the k x n pair rows
       (``MixSelector.pair_rows``) times X, the k x C targets, weight 1 each.
+    Each product is taken in float64 and rounded once to the dtype of
+    ``inputs.features`` and ``inputs.a_norm``, with sorted indices as theirs
+    have, so that at lambda = 1 the same-class term holds their bytes.
     """
     branch = "intra" if same_class else "inter"
     targets, partners, partner_labels, lams = (
@@ -370,12 +373,14 @@ def _branch(inputs: TrainInputs, pairs: PairAssignment, same_class: bool) -> Ter
         return None
     lam = sel.lams[:, None]
     mixed = lam * inputs.y_hot[sel.targets] + (1.0 - lam) * one_hot(partner_labels, inputs.y_hot.shape[1])
+    dtype = inputs.features.dtype
     if not same_class:
-        return Term(sel.pair_rows() @ inputs.features, None, mixed, np.ones(len(sel)))
+        return Term(with_dtype(sel.pair_rows() @ inputs.features, dtype), None, mixed, np.ones(len(sel)))
     s = sel.matrix()
     y = inputs.y_hot.copy()
     y[sel.targets] = mixed
-    return Term(s @ inputs.features, sym_normalize(mix_adjacency(inputs.adjacency, s)), y, inputs.labeled_weights)
+    return Term(with_dtype(s @ inputs.features, dtype),
+                with_dtype(sym_normalize(mix_adjacency(inputs.adjacency, s)), dtype), y, inputs.labeled_weights)
 
 
 def build_batches(inputs: TrainInputs, pairs: PairAssignment) -> MixupBatches:
@@ -407,7 +412,9 @@ def loss_and_grads(
     scale 0 is skipped, so with ``batches=None`` (or both branches empty /
     both lambdas zero) this is exactly the baseline supervised loss. Each
     term draws dropout from its own stream (``rngs`` keys: "gnn", "intra",
-    "inter"), so that disabling a branch never perturbs the others.
+    "inter"), so that disabling a branch never perturbs the others. The
+    loss reads each term's logits in float64; its gradient is rounded back
+    to their dtype before ``backward``.
     """
     rngs = rngs or {}
     intra, inter = (None, None) if batches is None else (batches.intra, batches.inter)
@@ -423,6 +430,7 @@ def loss_and_grads(
         else:
             logits, trace = gcn_forward(term.features, term.adjacency, params, dropout, train, rngs.get(stream))
         loss, dlogits = soft_cross_entropy_with_grad(logits, term.targets, term.weights)
+        dlogits = dlogits.astype(logits.dtype, copy=False)
         for name, g in backward(trace, dlogits).items():  # scale times g onto the sum so far
             grads[name] = grads[name] + scale * g if name in grads else g
         losses[i] = loss

@@ -2,14 +2,21 @@
 gradients, masked soft-target cross-entropy, inverted dropout, Adam, gradient
 checking.
 
-Everything runs in float64. The input features are a ``csr_array``, taken as
-it is given (``graphio.csr_features`` makes a dataset's; any other type is
+The network runs in the dtype of its inputs: training hands it float32
+features, A_hat and parameters (``trainer.build_operators``), and the
+gradient check float64 ones. Features, adjacency and parameters must share
+that dtype (a pass refuses a mix, so no product upcasts silently), and the
+dropout masks, activations, gradients and Adam's moments take it too. The
+loss reads the logits widened to float64, and its gradient is narrowed once
+before ``backward``. The input features are a ``csr_array``, taken as it is
+given (``graphio.csr_features`` makes a dataset's; any other type is
 refused), so input dropout, ``X @ W1`` and ``X^T @ dXW`` touch the stored
 entries only. The MLP path is the same network with the propagation step
 omitted; feeding the GCN an identity adjacency produces bit-identical output
 to the MLP. A checkpoint (``save_params``/``load_params``) is ASCII text
 that holds each parameter's float64 bytes in base64, so it reads back bit
-for bit; ``load_params`` reads that one layout and no other.
+for bit (float32 values widen to float64 exactly); ``load_params`` reads
+that one layout and no other.
 """
 
 from __future__ import annotations
@@ -102,9 +109,15 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
 
+    def astype(self, dtype) -> "ModelParams":
+        """A copy with every value rounded to ``dtype``, the dtype of the
+        operators it will run on."""
+        return ModelParams(*(arr.astype(dtype) for arr in self.as_dict().values()))
+
 
 def init_params(num_features: int, hidden: int, num_classes: int, rng: np.random.Generator) -> ModelParams:
-    """Glorot-uniform weights, zero biases."""
+    """Glorot-uniform weights, zero biases, in float64 (``ModelParams.astype``
+    narrows them)."""
 
     def glorot(fan_in, fan_out):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -132,15 +145,17 @@ class ForwardTrace:
 
 
 def _dropout(x, rate: float, train: bool, rng: np.random.Generator | None):
-    """Inverted dropout. On a CSR matrix it draws one uniform per stored entry
-    and scales the stored entries only, so zeros stay zero (the reference
-    GCN's ``sparse_dropout``)."""
+    """Inverted dropout in the dtype of ``x``: one uniform of that dtype per
+    value, and a kept value scaled by 1 / (1 - rate) rounded to it. On a CSR
+    matrix it draws one uniform per stored entry and scales the stored
+    entries only, so zeros stay zero (the reference GCN's
+    ``sparse_dropout``)."""
     if not train or rate == 0.0:
         return x, None
     if rng is None:
         raise ValueError("train-mode dropout needs an rng")
     values = x.data if issparse(x) else x
-    mask = (rng.random(values.shape) >= rate) / (1.0 - rate)
+    mask = np.multiply(rng.random(values.shape, dtype=values.dtype) >= rate, 1.0 / (1.0 - rate), dtype=values.dtype)
     if issparse(x):
         return csr_array((x.data * mask, x.indices, x.indptr), shape=x.shape), mask
     return x * mask, mask
@@ -153,6 +168,9 @@ def _forward(x, adjacency, params, dropout_rate, train, rng):
         raise ValueError(f"input shape {x.shape} does not match w1 {params.w1.shape}")
     if adjacency is not None and adjacency.shape[0] != x.shape[0]:
         raise ValueError("adjacency size does not match feature rows")
+    for name, arr in [("adjacency", adjacency), *params.as_dict().items()]:
+        if arr is not None and arr.dtype != x.dtype:
+            raise ValueError(f"{name} is {arr.dtype} but the features are {x.dtype}")
     if not (0.0 <= dropout_rate < 1.0):
         raise ValueError("dropout_rate must be in [0, 1)")
     x0, _ = _dropout(x, dropout_rate, train, rng)
@@ -207,6 +225,8 @@ def backward(trace: ForwardTrace, dlogits: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, in float64 whatever the logits' dtype."""
+    logits = np.asarray(logits, dtype=np.float64)
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
@@ -319,6 +339,18 @@ def save_params(path, params: ModelParams) -> None:
             fh.write(base64.b64encode(np.ascontiguousarray(arr, "<f8").tobytes()) + b"\n")
 
 
+_QUOTED = 40  # characters of an offending line a message quotes; any header is shorter
+
+
+def _quote(line: str) -> str:
+    """``line`` for a message: its repr, or that of its first ``_QUOTED``
+    characters and its length, so that a value line read as a header does not
+    fill the message."""
+    if len(line) <= _QUOTED:
+        return repr(line)
+    return f"{line[:_QUOTED]!r}... ({len(line)} characters)"
+
+
 def load_params(path) -> ModelParams:
     """Read a ``save_params`` checkpoint, bit for bit: its eight lines, in
     ``PARAM_NAMES`` order, and nothing after them. The first line that
@@ -326,7 +358,8 @@ def load_params(path) -> ModelParams:
     ``<path>:<line>:``: content that is not ASCII, a header other than
     ``param <name> <ndim> <dims...>`` for the parameter due there, a missing
     value line, a value line that is not base64 or whose byte count is not 8
-    per value of the header's shape, and a ninth line. Shapes other than
+    per value of the header's shape, and a ninth line. A message quotes at
+    most the first ``_QUOTED`` characters of a line. Shapes other than
     w1 (F, H), b1 (H,), w2 (H, C), b2 (C,) raise one that starts with
     ``<path>:``."""
     with open(path, "rb") as fh:
@@ -344,7 +377,7 @@ def load_params(path) -> ModelParams:
         head = [] if header is None else header.split(" ")
         # A dim of 19 digits is too large for any array, and int() refuses 4301.
         if not (head[:3] == ["param", name, str(len(head) - 3)] and all(d.isdigit() and len(d) < 19 for d in head[3:])):
-            got = "the end of the file" if header is None else repr(header)
+            got = "the end of the file" if header is None else _quote(header)
             raise ValueError(f"{path}:{2 * k + 1}: expected the header 'param {name} <ndim> <dims...>', got {got}")
         shape = tuple(map(int, head[3:]))
         if value is None:
@@ -360,7 +393,7 @@ def load_params(path) -> ModelParams:
         # astype copies into a writable array of the native float64
         values.append(np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape))
     if len(lines) > size:
-        raise ValueError(f"{path}:{size + 1}: expected the end of the checkpoint, got {lines[size]!r}")
+        raise ValueError(f"{path}:{size + 1}: expected the end of the checkpoint, got {_quote(lines[size])}")
     w1, b1, w2, b2 = (arr.shape for arr in values)
     if not (len(w1) == len(w2) == 2 and b1 == (w1[1],) == w2[:1] and b2 == w2[1:]):
         shapes = ", ".join(f"{n} {arr.shape}" for n, arr in zip(PARAM_NAMES, values))
@@ -374,11 +407,15 @@ def gradient_check(inputs, params: ModelParams, eps: float = 1e-5):
     ``inputs`` is a run's ``TrainInputs`` (``trainer.build_operators``), so
     the loss is the supervised term training minimizes: its features, A_hat,
     one-hot targets and labeled weights. Runs the GCN in eval mode (dropout
-    disabled, double precision) on a small graph. Coordinates whose +/- eps
-    perturbation flips a ReLU pre-activation sign are excluded: the loss is
-    not differentiable there. Returns (max_relative_error, n_checked,
-    n_skipped).
+    disabled) on a small graph, in double precision: ``inputs`` come from
+    ``build_operators(dataset, dtype=np.float64)`` and ``params`` are
+    float64, as ``init_params`` draws them; float32 operators raise
+    ``ValueError``. Coordinates whose +/- eps perturbation flips a ReLU
+    pre-activation sign are excluded: the loss is not differentiable there.
+    Returns (max_relative_error, n_checked, n_skipped).
     """
+    if inputs.features.dtype != np.float64:
+        raise ValueError(f"gradient_check needs float64 operators, got {inputs.features.dtype}")
 
     def loss_and_signs(p):
         logits, trace = gcn_forward(inputs.features, inputs.a_norm, p)

@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from reachmix.graphalg import add_self_loops, from_edges, structural_degrees, sym_normalize
+from reachmix.graphalg import add_self_loops, from_edges, structural_degrees, sym_normalize, with_dtype
 from reachmix.graphio import Dataset, SplitSpec, csr_features
 from reachmix.mixup import (
     MixupConfig,
@@ -135,19 +135,35 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def build_operators(dataset: Dataset) -> TrainInputs:
+def build_operators(dataset: Dataset, dtype=np.float32) -> TrainInputs:
     """The command's one ``TrainInputs``: everything an epoch reads of
     ``dataset``, from the CSR features and one-hot labels to A + I, A_hat and
-    the structural degrees. Read-only, so every seed can share it."""
+    the structural degrees. Read-only, so every seed can share it.
+
+    The features and A_hat, the operators of the network, are rounded to
+    ``dtype``: float32 for training and the diagnostics, float64 for the
+    gradient check. A stored feature whose magnitude ``dtype`` cannot hold
+    raises ``ValueError`` naming its node, column and value. One below
+    ``dtype``'s normal range rounds to a subnormal or to a stored zero,
+    which keeps its place and its dropout draw. Everything else stays
+    float64."""
     a = add_self_loops(from_edges(dataset.num_nodes, dataset.edges))
     features = csr_features(dataset.features)
+    beyond = np.flatnonzero(np.abs(features.data) > np.finfo(dtype).max)
+    if beyond.size:
+        k = beyond[0]
+        node = np.searchsorted(features.indptr, k, side="right") - 1
+        raise ValueError(f"feature {float(features.data[k])!r} of node {node}, column {features.indices[k]} "
+                         f"exceeds the largest {np.dtype(dtype).name} ({np.finfo(dtype).max:.7g})")
+    features = with_dtype(features, dtype)
     y_hot = one_hot(dataset.labels, dataset.num_classes)
     weights = np.zeros(dataset.num_nodes)
     weights[dataset.split.labeled_ids] = 1.0
     degrees = structural_degrees(a)
-    for arr in (features.data, features.indices, features.indptr, y_hot, weights, degrees):
+    for arr in (y_hot, weights, degrees):
         arr.setflags(write=False)
-    return TrainInputs(dataset.labels, dataset.split, features, y_hot, weights, a, sym_normalize(a), degrees)
+    return TrainInputs(dataset.labels, dataset.split, features, y_hot, weights, a,
+                       with_dtype(sym_normalize(a), dtype), degrees)
 
 
 def evaluate(params: ModelParams, inputs: TrainInputs, ids) -> tuple[float, np.ndarray]:
@@ -187,10 +203,12 @@ def train_one(
     refresh. ``on_refresh(epoch, dpl, pairs, batches)`` is invoked after each
     refresh, for inspection hooks. A refresh reads the eval-mode logits of
     the previous epoch's validation pass, which were computed from the same
-    parameters. A split that ``check_split`` refuses raises before any epoch.
+    parameters. The parameters take the dtype of ``inputs``' operators. A
+    split that ``check_split`` refuses raises before any epoch.
     """
     check_split(inputs.split, eval_test)
     params = init_params(inputs.features.shape[1], cfg.hidden, inputs.y_hot.shape[1], substream(seed, "init"))
+    params = params.astype(inputs.features.dtype)
     state = adam_init(params, cfg.lr, weight_decay={"w1": cfg.weight_decay})
     rngs = {
         "gnn": substream(seed, "dropout/gnn"),

@@ -380,10 +380,13 @@ def test_diagnose_bad_checkpoint_names_file_and_line(tmp_path, dataset_dir, trai
 
 
 @pytest.mark.parametrize("kind", ["cka", "pearson"])
-@pytest.mark.parametrize("name, index, value", [("w2", (0, 0), np.nan), ("b1", (1,), np.inf)],
-                         ids=["nan-w2", "inf-b1"])
+@pytest.mark.parametrize("name, index, value, fault", [
+    ("w2", (0, 0), np.nan, "holds a non-finite value"),
+    ("b1", (1,), np.inf, "holds a non-finite value"),
+    ("w1", (2, 1), -1e300, "holds -1e+300, beyond the largest float32"),  # the model runs in float32
+], ids=["nan-w2", "inf-b1", "huge-w1"])
 def test_diagnose_refuses_a_checkpoint_with_a_non_finite_value(tmp_path, dataset_dir, train_run, capsys,
-                                                                kind, name, index, value):
+                                                                kind, name, index, value, fault):
     params = load_params(train_run / "checkpoint_seed0.txt")
     getattr(params, name)[index] = value
     ckpt = tmp_path / "ckpt.txt"
@@ -391,7 +394,7 @@ def test_diagnose_refuses_a_checkpoint_with_a_non_finite_value(tmp_path, dataset
     out = tmp_path / kind
     argv = ["diagnose", kind, "--data", str(dataset_dir), "--checkpoint", str(ckpt), "--out", str(out)]
     assert run_cli(argv) == 1
-    assert capsys.readouterr().err == f"error: {ckpt}: parameter {name} holds a non-finite value\n"
+    assert capsys.readouterr().err == f"error: {ckpt}: parameter {name} {fault}\n"
     assert not out.exists()
 
 
@@ -715,6 +718,30 @@ def test_train_non_finite_feature_exits_one(tmp_path, dataset_dir, monkeypatch, 
     out = tmp_path / "run"
     assert run_cli(["train", "--data", str(data), "--out", str(out)]) == 1
     assert f"features.tsv:3: non-finite feature nan of node {row}, column {col}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep", "cka", "pearson"])
+def test_a_feature_beyond_float32_exits_one_naming_node_column_and_value(tmp_path, dataset_dir, train_run,
+                                                                         monkeypatch, capsys, command):
+    # The model runs in float32, where 1e300 would be inf and the run would
+    # report a divergence instead.
+    monkeypatch.setattr(cli.trainer, "train_one", never_train)
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("edges.tsv", "labels.tsv", "split.json"):
+        (data / name).write_bytes(read_bytes(dataset_dir / name))
+    lines = read_bytes(dataset_dir / "features.tsv").decode().splitlines()
+    row, col, _ = lines[2].split("\t")
+    lines[2] = f"{row}\t{col}\t1e300"
+    (data / "features.tsv").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    argv = {"train": ["train"], "sweep": ["sweep", "--grid", "lr=0.01"],
+            "cka": ["diagnose", "cka", "--checkpoint", str(train_run / "checkpoint_seed0.txt")],
+            "pearson": ["diagnose", "pearson", "--checkpoint", str(train_run / "checkpoint_seed0.txt")]}[command]
+    assert run_cli(argv + ["--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: feature 1e+300 of node {row}, column {col} "
+                                       "exceeds the largest float32 (3.402823e+38)\n")
     assert not out.exists()
 
 

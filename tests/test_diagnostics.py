@@ -199,7 +199,7 @@ def sbm_dataset():
 
 def test_cka_by_bucket_degenerate_labeled_bucket_is_one():
     ds = sbm_dataset()
-    params = init_params(ds.num_features, 8, ds.num_classes, substream(0, "init"))
+    params = init_params(ds.num_features, 8, ds.num_classes, substream(0, "init")).astype(np.float32)
     buckets = [ds.split.labeled_ids] + [np.zeros(0, dtype=np.int64)] * 4
     report = cka_by_bucket(params, build_operators(ds), buckets, sample_seed=0)
     assert report.values[0] == pytest.approx(1.0, abs=1e-10)
@@ -217,7 +217,7 @@ def test_cka_of_two_rows_is_constant_and_of_three_is_not(rng):
 
 def test_cka_by_bucket_two_node_bucket_is_absent_and_draws_no_sample():
     ds = sbm_dataset()
-    params = init_params(ds.num_features, 8, ds.num_classes, substream(0, "init"))
+    params = init_params(ds.num_features, 8, ds.num_classes, substream(0, "init")).astype(np.float32)
     unlabeled = np.setdiff1d(np.arange(ds.num_nodes), ds.split.labeled_ids)
     empty = np.zeros(0, dtype=np.int64)
     small, large = unlabeled[:2], unlabeled[2:20]
@@ -303,6 +303,7 @@ def test_pearson_rc_vs_score_constant_model_errors():
     report = reaching_coefficient(g, ds.split.labeled_ids)
     f = ds.num_features
     zero = ModelParams(np.zeros((f, 4)), np.zeros(4), np.zeros((4, ds.num_classes)), np.zeros(ds.num_classes))
+    zero = zero.astype(np.float32)
     with pytest.raises(ValueError, match="variance"):
         pearson_rc_vs_score(zero, build_operators(ds), report)
 

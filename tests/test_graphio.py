@@ -491,11 +491,15 @@ def test_a_loaded_table_gives_the_model_the_arrays_of_the_dense_one(tmp_path_fac
     and each form saves to the same features.tsv bytes."""
     n, f = features.shape
     every_cell = csr_array((features.ravel(), np.tile(np.arange(f), n), np.arange(n + 1) * f), shape=(n, f))
-    expected = build_operators(features_dataset(features)).features
+
+    def model_features(ds):  # in float64, the dtype of the tables
+        return build_operators(ds, dtype=np.float64).features
+
+    expected = model_features(features_dataset(features))
     assert dense_table(expected).tobytes() == features.tobytes()
     assert (expected.data.view(np.int64) != 0).all()  # no stored +0.0
     assert expected.indices.dtype == expected.indptr.dtype == np.int32
-    forms = {"every-cell": build_operators(features_dataset(every_cell)).features}
+    forms = {"every-cell": model_features(features_dataset(every_cell))}
     texts = set()
     for name, table in (("dense", features), ("every-cell", every_cell)):
         out = tmp_path_factory.mktemp("saved")
@@ -504,7 +508,7 @@ def test_a_loaded_table_gives_the_model_the_arrays_of_the_dense_one(tmp_path_fac
         for load in ("parsed", "cached"):
             loaded = load_dataset(out)
             assert os.path.exists(out / graphio.CACHE_FILE), load
-            forms[f"{name}, {load}"] = build_operators(loaded).features
+            forms[f"{name}, {load}"] = model_features(loaded)
         again = tmp_path_factory.mktemp("saved-again")
         save_dataset(loaded, again)
         texts.add((again / "features.tsv").read_bytes())

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_mix
+from reachmix import mixup
 from reachmix.cli import load_config
-from reachmix.graphalg import MixSelector, add_self_loops, from_edges, sym_normalize
+from reachmix.graphalg import MixSelector, add_self_loops, from_edges
 from reachmix.graphio import Dataset, SplitSpec, generate_sbm
 from reachmix.mixup import (
     MixupConfig,
@@ -23,7 +24,7 @@ from reachmix.mixup import (
     sampling_weights,
     sharpen,
 )
-from reachmix.nn import init_params
+from reachmix.nn import PARAM_NAMES, adam_init, adam_step, backward, init_params
 from reachmix.seeding import substream
 from reachmix.trainer import build_operators
 
@@ -342,9 +343,9 @@ def test_alpha_zero_lambda_is_coin_flip():
     assert seen <= {0.0, 1.0} and len(seen) == 2
 
 
-def sbm_with_pairs(seed=0):
+def sbm_with_pairs(seed=0, dtype=np.float32):
     ds = generate_sbm(3, 20, 0.35, 0.03, 8, 0.6, seed=seed, labels_per_class=4, valid_per_class=4)
-    inputs = build_operators(ds)
+    inputs = build_operators(ds, dtype)
     probs = np.full((ds.num_nodes, 3), 1e-9)
     probs[np.arange(ds.num_nodes), ds.labels] = 1.0 - 2e-9
     dpl = build_pseudo_labels(probs, ds.split.labeled_ids, gamma=0.9)
@@ -365,6 +366,8 @@ def test_build_batches_class_consistency_and_simplex():
 
 
 def test_build_batches_lambda_one_degenerates_to_originals():
+    # At lambda 1 the same-class term holds the supervised term's operators,
+    # byte for byte: S X and the mixed A_hat come back sorted, in their dtype.
     ds, inputs, _, pairs = sbm_with_pairs()
     ones = PairAssignment(
         pairs.intra_targets, pairs.intra_partners, pairs.intra_partner_labels,
@@ -373,10 +376,11 @@ def test_build_batches_lambda_one_degenerates_to_originals():
         np.ones_like(pairs.inter_lams),
     )
     batches = build_batches(inputs, ones)
-    np.testing.assert_array_equal(batches.intra.features.toarray(), ds.features)
+    for got, want in ((batches.intra.features, inputs.features), (batches.intra.adjacency, inputs.a_norm)):
+        for name in ("indices", "indptr", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
     np.testing.assert_array_equal(batches.intra.targets, one_hot(ds.labels, 3))
-    np.testing.assert_array_equal(batches.intra.adjacency.toarray(),
-                                  sym_normalize(inputs.adjacency).toarray())
 
 
 def test_build_batches_identical_rows_fixed_point():
@@ -386,10 +390,10 @@ def test_build_batches_identical_rows_fixed_point():
     features[p] = features[t]
     from dataclasses import replace
 
-    ds2 = replace(ds, features=features)
-    batches = build_batches(build_operators(ds2), pairs)
+    inputs = build_operators(replace(ds, features=features))
+    batches = build_batches(inputs, pairs)
     # lam*x + (1-lam)*x re-rounds each product, so equality holds to ~1 ulp.
-    np.testing.assert_allclose(batches.intra.features.toarray()[t], features[t], rtol=1e-14, atol=0)
+    np.testing.assert_allclose(batches.intra.features.toarray()[t], inputs.features.toarray()[t], rtol=1e-14, atol=0)
 
 
 def test_build_batches_single_pair_matches_dense_oracle():
@@ -492,7 +496,7 @@ def test_loss_zero_lambdas_equals_supervised_bitwise():
     ds, inputs, _, pairs = sbm_with_pairs()
     cfg0 = MixupConfig(lambda_intra=0.0, lambda_inter=0.0)
     batches = build_batches(inputs, pairs)
-    params = init_params(ds.num_features, 8, 3, substream(0, "init"))
+    params = init_params(ds.num_features, 8, 3, substream(0, "init")).astype(np.float32)
     parts, grads = loss_and_grads(params, inputs, batches, cfg0)
     base_parts, base_grads = loss_and_grads(params, inputs, None, cfg0)
     assert parts.total == base_parts.supervised == parts.supervised
@@ -507,7 +511,7 @@ def test_disabling_a_branch_leaves_the_other_terms_bitwise():
 
     ds, inputs, cfg, pairs = sbm_with_pairs()
     batches = build_batches(inputs, pairs)
-    params = init_params(ds.num_features, 8, 3, substream(0, "init"))
+    params = init_params(ds.num_features, 8, 3, substream(0, "init")).astype(np.float32)
 
     def parts(**lambdas):
         rngs = {name: substream(5, f"dropout/{name}") for name in ("gnn", "intra", "inter")}
@@ -522,7 +526,7 @@ def test_disabling_a_branch_leaves_the_other_terms_bitwise():
 
 def test_loss_empty_batches_equals_supervised():
     ds, inputs, cfg, _ = sbm_with_pairs()
-    params = init_params(ds.num_features, 8, 3, substream(0, "init"))
+    params = init_params(ds.num_features, 8, 3, substream(0, "init")).astype(np.float32)
     parts, _ = loss_and_grads(params, inputs, None, cfg)
     assert parts.total == parts.supervised
     assert parts.intra == 0.0 and parts.inter == 0.0
@@ -537,14 +541,14 @@ def test_loss_lambda_one_draws_reproduce_supervised_value():
         np.zeros(0, dtype=np.int64), np.zeros(0),
     )
     batches = build_batches(inputs, ones)
-    params = init_params(ds.num_features, 8, 3, substream(1, "init"))
+    params = init_params(ds.num_features, 8, 3, substream(1, "init")).astype(np.float32)
     parts, _ = loss_and_grads(params, inputs, batches, cfg)
     # Same inputs, same adjacency, same mask: the intra term IS the supervised term.
     assert parts.intra == parts.supervised
 
 
 def test_total_loss_gradient_matches_finite_differences():
-    ds, inputs, cfg, pairs = sbm_with_pairs(seed=4)
+    ds, inputs, cfg, pairs = sbm_with_pairs(seed=4, dtype=np.float64)
     batches = build_batches(inputs, pairs)
     params = init_params(ds.num_features, 5, 3, substream(2, "init"))
     _, grads = loss_and_grads(params, inputs, batches, cfg)
@@ -564,6 +568,34 @@ def test_total_loss_gradient_matches_finite_differences():
             a = grads[name].reshape(-1)[j]
             max_rel = max(max_rel, abs(a - numeric) / max(abs(a), abs(numeric), 1e-6))
     assert max_rel < 1e-5
+
+
+def test_a_mixup_step_stays_in_float32(monkeypatch):
+    """Every large array of a training step is float32: both terms'
+    operators, the gradient fed to backward, the gradients, Adam's moments
+    and the updated parameters. A float64 operand anywhere would upcast
+    every product after it."""
+    ds, inputs, cfg, pairs = sbm_with_pairs()
+    batches = build_batches(inputs, pairs)
+    assert batches.inter.adjacency is None
+    for array in (batches.intra.features, batches.intra.adjacency, batches.inter.features):
+        assert array.dtype == np.float32
+    fed = []
+
+    def recorded(trace, dlogits):
+        fed.append(dlogits.dtype)
+        return backward(trace, dlogits)
+
+    monkeypatch.setattr(mixup, "backward", recorded)
+    params = init_params(ds.num_features, 8, 3, substream(0, "init")).astype(np.float32)
+    state = adam_init(params, 0.01, weight_decay={"w1": 5e-4})
+    rngs = {name: substream(0, f"dropout/{name}") for name in ("gnn", "intra", "inter")}
+    _, grads = loss_and_grads(params, inputs, batches, cfg, dropout=0.5, train=True, rngs=rngs)
+    adam_step(params, grads, state)
+    assert fed == [np.float32] * 3
+    float32 = dict.fromkeys(PARAM_NAMES, np.dtype(np.float32))
+    for arrays in (grads, state.m, state.v, params.as_dict()):
+        assert {name: arr.dtype for name, arr in arrays.items()} == float32
 
 
 def test_mixup_config_validation():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.sparse import coo_array, csr_array, csr_matrix
 
 from reachmix import nn
-from reachmix.graphalg import add_self_loops, from_edges, sym_normalize
+from reachmix.graphalg import add_self_loops, from_edges, sym_normalize, with_dtype
 from reachmix.graphio import csr_features, generate_sbm
 from reachmix.nn import (
     ModelParams,
@@ -54,6 +54,23 @@ def test_gcn_identity_equals_mlp_bitwise(rng):
             assert np.array_equal(gcn_grads[name], mlp_grads[name])
 
 
+def test_gcn_identity_equals_mlp_bitwise_in_float32(rng):
+    # The contract above, in the dtype training runs in: the identity's
+    # entries are exactly 1.0 in float32 too.
+    x = with_dtype(sparse_features(rng), np.float32)
+    params = small_params(np.random.default_rng(0)).astype(np.float32)
+    dlogits = rng.standard_normal((9, 3)).astype(np.float32)
+    identity = with_dtype(sym_normalize(add_self_loops(from_edges(9, np.zeros((0, 2), dtype=np.int64)))), np.float32)
+    for train in (False, True):
+        gcn_logits, gcn_trace = gcn_forward(x, identity, params, 0.5, train, np.random.default_rng(1))
+        mlp_logits, mlp_trace = mlp_forward(x, params, 0.5, train, np.random.default_rng(1))
+        assert gcn_logits.dtype == np.float32 and np.array_equal(gcn_logits, mlp_logits)
+        gcn_grads, mlp_grads = backward(gcn_trace, dlogits), backward(mlp_trace, dlogits)
+        for name in gcn_grads:
+            assert gcn_grads[name].dtype == np.float32
+            assert np.array_equal(gcn_grads[name], mlp_grads[name])
+
+
 @pytest.mark.parametrize("form", [np.asarray, coo_array, csr_matrix])
 def test_gcn_forward_refuses_features_that_are_not_a_csr_array(rng, form):
     # The model takes graphio's one CSR form as it is and converts nothing.
@@ -62,6 +79,20 @@ def test_gcn_forward_refuses_features_that_are_not_a_csr_array(rng, form):
     a = sym_normalize(add_self_loops(from_edges(9, np.array([[0, 1], [1, 2], [3, 4], [5, 8]]))))
     with pytest.raises(ValueError, match=rf"^features must be a scipy csr_array, got {type(x).__name__}$"):
         gcn_forward(x, a, params, 0.5, True, np.random.default_rng(2))
+
+
+def test_operands_of_another_dtype_are_refused(rng):
+    # A float64 operand would silently upcast every product after it.
+    x = with_dtype(sparse_features(rng), np.float32)
+    a = sym_normalize(add_self_loops(from_edges(9, np.array([[0, 1], [1, 2], [3, 4], [5, 8]]))))
+    params = small_params(np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^adjacency is float64 but the features are float32$"):
+        gcn_forward(x, a, params.astype(np.float32))
+    with pytest.raises(ValueError, match="^w1 is float64 but the features are float32$"):
+        mlp_forward(x, params)
+    ds = generate_sbm(2, 4, 0.9, 0.3, 5, 0.5, seed=0, labels_per_class=2, valid_per_class=1)
+    with pytest.raises(ValueError, match="^gradient_check needs float64 operators, got float32$"):
+        gradient_check(build_operators(ds), init_params(5, 6, 2, np.random.default_rng(0)).astype(np.float32))
 
 
 def test_input_dropout_acts_on_stored_entries_only(rng):
@@ -308,7 +339,7 @@ def test_adam_coupled_weight_decay_shrinks_param():
 def test_gradient_check_small_graph():
     ds = generate_sbm(2, 4, 0.9, 0.3, 5, 0.5, seed=0, labels_per_class=2, valid_per_class=1)
     params = init_params(ds.num_features, 6, ds.num_classes, substream(0, "gradcheck"))
-    max_rel, checked, _ = gradient_check(build_operators(ds), params, eps=1e-5)
+    max_rel, checked, _ = gradient_check(build_operators(ds, dtype=np.float64), params, eps=1e-5)
     assert checked > 0
     assert max_rel < 1e-5
 
@@ -321,7 +352,7 @@ def test_gradient_check_sparse_features():
     keep = np.random.default_rng(3).random(ds.features.shape) < 0.3
     ds = replace(ds, features=ds.features * keep)
     params = init_params(ds.num_features, 6, ds.num_classes, substream(0, "gradcheck"))
-    max_rel, checked, _ = gradient_check(build_operators(ds), params, eps=1e-5)
+    max_rel, checked, _ = gradient_check(build_operators(ds, dtype=np.float64), params, eps=1e-5)
     assert checked > 0
     assert max_rel < 1e-5
 
@@ -337,7 +368,7 @@ def test_gradient_check_linear_region_near_floor():
     params = ModelParams(
         np.full((4, 3), 0.4), np.full(3, 0.2), np.full((3, 2), 0.3), np.zeros(2)
     )
-    max_rel, checked, skipped = gradient_check(build_operators(ds), params, eps=1e-5)
+    max_rel, checked, skipped = gradient_check(build_operators(ds, dtype=np.float64), params, eps=1e-5)
     assert skipped == 0
     assert max_rel < 1e-8
 
@@ -352,7 +383,7 @@ def test_gradient_check_excludes_relu_kink():
         SplitSpec([0], [], [1]),
     )
     params = ModelParams(np.array([[1.0]]), np.array([-1.0]), np.array([[1.0, -1.0]]), np.zeros(2))
-    _, _, skipped = gradient_check(build_operators(ds), params, eps=1e-5)
+    _, _, skipped = gradient_check(build_operators(ds, dtype=np.float64), params, eps=1e-5)
     assert skipped >= 1
 
 
@@ -438,7 +469,7 @@ def header_fault(name, got):
     pytest.param(lambda ls: ls[:2] + ["param  b1 1 4"] + ls[3:], 3, header_fault("b1", "'param  b1 1 4'"),
                  id="two-spaces"),
     pytest.param(lambda ls: ls[:2] + ["param b1 1 " + "9" * 4301] + ls[3:], 3,
-                 header_fault("b1", repr("param b1 1 " + "9" * 4301)), id="dim-of-4301-digits"),
+                 header_fault("b1", repr("param b1 1 " + "9" * 29) + "... (4312 characters)"), id="dim-of-4301-digits"),
     pytest.param(lambda ls: [""] + ls, 1, header_fault("w1", "''"), id="blank-first"),
     pytest.param(lambda ls: ls[:6], 7, header_fault("b2", "the end of the file"), id="missing-parameter"),
     pytest.param(lambda ls: ls[:7], 8, "parameter b2 has no value line", id="missing-value"),
@@ -455,6 +486,24 @@ def test_load_params_reads_only_the_layout_save_params_writes(tmp_path, edit, li
                     encoding="ascii")
     with pytest.raises(ValueError, match="^" + re.escape(f"{path}:{line}: {message}") + "$"):
         load_params(path)
+
+
+@pytest.mark.parametrize("edit, line", [
+    pytest.param(lambda ls: ls[1:], 1, id="first-line-cut"),
+    pytest.param(lambda ls: ls + ls[1:2], 9, id="value-line-after-the-end"),
+])
+def test_a_long_line_is_quoted_short(tmp_path, edit, line):
+    # A benchmark-sized w1 (1433 x 64) has a value line of ~978k characters.
+    path = tmp_path / "ckpt.txt"
+    save_params(path, init_params(1433, 64, 7, np.random.default_rng(0)))
+    lines = path.read_text(encoding="ascii").splitlines()
+    path.write_text("".join(f"{text}\n" for text in edit(lines)), encoding="ascii")
+    with pytest.raises(ValueError) as info:
+        load_params(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}:{line}: ")
+    assert message.endswith(f"{lines[1][:40]!r}... ({len(lines[1])} characters)")
+    assert len(message) < len(str(path)) + 150
 
 
 def test_accuracy_basic():

@@ -100,6 +100,7 @@ def test_a_run_without_warmup_refreshes_at_epoch_0_from_the_initial_model(tmp_pa
     inputs = build_operators(small_dataset())
     cfg = quick_cfg(max_epochs=15, patience=15, mixup_enabled=True, mixup=MixupConfig(warmup_epochs=0, gamma=0.34))
     initial = nn.init_params(inputs.features.shape[1], cfg.hidden, inputs.y_hot.shape[1], substream(4, "init"))
+    initial = initial.astype(inputs.features.dtype)
     expected = build_pseudo_labels(nn.softmax(nn.gcn_forward(inputs.features, inputs.a_norm, initial)[0]),
                                    inputs.split.labeled_ids, cfg.mixup.gamma)
     refreshes = []
