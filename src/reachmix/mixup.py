@@ -1,15 +1,16 @@
 """The node-mixup training engine.
 
-Pipeline per refresh: read class probabilities off the eval-mode logits of
-the previous epoch's validation pass (no new prediction), keep confident
-unlabeled nodes as pseudo-labeled candidates, compute each node's
-neighborhood label distribution (NLD), then for every labeled node sample one
-same-class and one different-class partner with probability proportional to a
-weight that favors similar neighbor patterns (same class), dissimilar ones
-(different class), and low-degree candidates in both cases. Same-class pairs
-mix features, labels, and adjacency rows/columns; different-class pairs mix
-features and labels only and are trained through the MLP path (identity
-adjacency), which blocks message passing between them.
+Pipeline per refresh, run as one unit by ``trainer.refresh``: read class
+probabilities off the eval-mode logits of the previous epoch's validation
+pass (no new prediction), keep confident unlabeled nodes as pseudo-labeled
+candidates, compute each node's neighborhood label distribution (NLD), then
+for every labeled node sample one same-class and one different-class partner
+with probability proportional to a weight that favors similar neighbor
+patterns (same class), dissimilar ones (different class), and low-degree
+candidates in both cases. Same-class pairs mix features, labels, and
+adjacency rows/columns; different-class pairs mix features and labels only
+and are trained through the MLP path (identity adjacency), which blocks
+message passing between them.
 
 The combined objective is
     L = L_sup + lambda_intra * L_intra + lambda_inter * L_inter

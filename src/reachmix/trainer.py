@@ -24,7 +24,10 @@ import numpy as np
 from reachmix.graphalg import add_self_loops, from_edges, structural_degrees, sym_normalize, with_dtype
 from reachmix.graphio import Dataset, SplitSpec, csr_features
 from reachmix.mixup import (
+    MixupBatches,
     MixupConfig,
+    PairAssignment,
+    PseudoLabelSet,
     TrainInputs,
     build_batches,
     build_pseudo_labels,
@@ -187,6 +190,30 @@ def _due(epoch: int, warmup: int, every: int) -> bool:
     return epoch >= warmup and (epoch - warmup) % every == 0
 
 
+@dataclass(frozen=True)
+class Refresh:
+    """What one refresh built: the pseudo-labeled set, the pairs drawn from
+    it, and the two mixup terms the epochs up to the next refresh train on."""
+
+    dpl: PseudoLabelSet
+    pairs: PairAssignment
+    batches: MixupBatches
+
+
+def refresh(inputs: TrainInputs, logits: np.ndarray, mix_cfg: MixupConfig,
+            rng_pairs: np.random.Generator, rng_lam: np.random.Generator) -> Refresh:
+    """One refresh of the mixup engine from the eval-mode ``logits`` of every
+    node: pseudo-labels at ``mix_cfg.gamma``, the NLD of the labels with the
+    predictions filled in, pairs drawn from ``rng_pairs`` and ``rng_lam``, and
+    the mixed terms built from them."""
+    probs = softmax(logits)
+    labeled_ids = inputs.split.labeled_ids
+    dpl = build_pseudo_labels(probs, labeled_ids, mix_cfg.gamma)
+    q = compute_nld(inputs.adjacency, prediction_label_matrix(probs, inputs.labels, labeled_ids))
+    pairs = sample_pairs(labeled_ids, inputs.labels, dpl, q, mix_cfg, inputs.degrees, rng_pairs, rng_lam)
+    return Refresh(dpl, pairs, build_batches(inputs, pairs))
+
+
 def train_one(
     inputs: TrainInputs,
     cfg: TrainConfig,
@@ -198,13 +225,14 @@ def train_one(
     returns the best-validation checkpoint and metrics.
 
     With mixup enabled, every ``refresh_every`` epochs after warm-up one
-    refresh runs the whole chain: pseudo-labels, NLD, pair sampling and the
-    mixed batches, which the following epochs train on until the next
-    refresh. ``on_refresh(epoch, dpl, pairs, batches)`` is invoked after each
-    refresh, for inspection hooks. A refresh reads the eval-mode logits of
-    the previous epoch's validation pass, which were computed from the same
-    parameters. The parameters take the dtype of ``inputs``' operators. A
-    split that ``check_split`` refuses raises before any epoch.
+    ``refresh`` runs the whole chain: pseudo-labels, NLD, pair sampling and
+    the mixed batches, which the following epochs train on until the next
+    refresh. ``on_refresh(epoch, refresh)`` is invoked with each ``Refresh``,
+    for inspection hooks. A refresh reads the eval-mode logits of the
+    previous epoch's validation pass, which were computed from the same
+    parameters; a run without warm-up computes them for epoch 0. The
+    parameters take the dtype of ``inputs``' operators. A split that
+    ``check_split`` refuses raises before any epoch.
     """
     check_split(inputs.split, eval_test)
     params = init_params(inputs.features.shape[1], cfg.hidden, inputs.y_hot.shape[1], substream(seed, "init"))
@@ -219,7 +247,6 @@ def train_one(
     rng_lam = substream(seed, "lambda")
 
     mix_cfg = cfg.mixup
-    labeled_ids = inputs.split.labeled_ids
     valid_ids = inputs.split.valid_ids
 
     best_val = -1.0
@@ -227,7 +254,7 @@ def train_one(
     best_params = params.copy()
     since_best = 0
     history: list[EpochRecord] = []
-    batches = None
+    latest: Refresh | None = None
     logits = None  # eval-mode logits of the current params
 
     with one_blas_thread():
@@ -236,15 +263,11 @@ def train_one(
             if cfg.mixup_enabled and _due(epoch, mix_cfg.warmup_epochs, mix_cfg.refresh_every):
                 if logits is None:
                     logits, _ = gcn_forward(inputs.features, inputs.a_norm, params)
-                probs = softmax(logits)
-                dpl = build_pseudo_labels(probs, labeled_ids, mix_cfg.gamma)
-                ybar = prediction_label_matrix(probs, inputs.labels, labeled_ids)
-                q = compute_nld(inputs.adjacency, ybar)
-                pairs = sample_pairs(labeled_ids, inputs.labels, dpl, q, mix_cfg, inputs.degrees, rng_pairs, rng_lam)
-                batches = build_batches(inputs, pairs)
+                latest = refresh(inputs, logits, mix_cfg, rng_pairs, rng_lam)
                 if on_refresh is not None:
-                    on_refresh(epoch, dpl, pairs, batches)
+                    on_refresh(epoch, latest)
 
+            batches = None if latest is None else latest.batches
             try:
                 # A non-finite value anywhere in the step raises here, naming
                 # the seed and epoch, instead of printing a numpy warning.

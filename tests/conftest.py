@@ -35,6 +35,13 @@ def dense_table(features) -> np.ndarray:
     return out
 
 
+def assert_same_csr(got, want, what=""):
+    """Two CSR matrices hold the same arrays, dtype and bytes."""
+    for name in ("indices", "indptr", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), f"{what}.{name}"
+
+
 def random_graph_edges(rng, n, p=0.4):
     mask = np.triu(rng.random((n, n)) < p, k=1)
     rows, cols = np.nonzero(mask)

@@ -29,19 +29,10 @@ from reachmix.diagnostics import (
 )
 from reachmix.graphalg import MixSelector, add_self_loops, from_edges, mix_adjacency, validate
 from reachmix.graphio import generate_sbm, load_dataset, make_split
-from reachmix.mixup import (
-    MixupConfig,
-    PseudoLabelSet,
-    build_batches,
-    build_pseudo_labels,
-    compute_nld,
-    loss_and_grads,
-    one_hot,
-    sample_pairs,
-)
+from reachmix.mixup import MixupConfig, PseudoLabelSet, loss_and_grads, sample_pairs
 from reachmix.nn import gradient_check, init_params
 from reachmix.seeding import substream
-from reachmix.trainer import TrainConfig, build_operators, train_multi, train_one
+from reachmix.trainer import TrainConfig, build_operators, refresh, train_multi, train_one
 
 CORA_DIR = cora_directory()
 requires_cora = pytest.mark.skipif(
@@ -94,12 +85,9 @@ def test_criterion_2_mixup_algebra(capsys):
     inputs = build_operators(ds, dtype=np.float64)
     probs = np.full((ds.num_nodes, 3), 0.05)
     probs[np.arange(ds.num_nodes), ds.labels] = 0.9
-    dpl = build_pseudo_labels(probs, ds.split.labeled_ids, gamma=0.5)
-    q = compute_nld(inputs.adjacency, one_hot(ds.labels, 3))
     cfg0 = MixupConfig(lambda_intra=0.0, lambda_inter=0.0)
     pair_rng = substream(0, "pairs")
-    pairs = sample_pairs(ds.split.labeled_ids, ds.labels, dpl, q, cfg0, inputs.degrees, pair_rng, pair_rng)
-    batches = build_batches(inputs, pairs)
+    batches = refresh(inputs, np.log(probs), cfg0, pair_rng, pair_rng).batches
     params = init_params(ds.num_features, 8, 3, substream(0, "init"))
     parts, grads = loss_and_grads(params, inputs, batches, cfg0)
     base_parts, base_grads = loss_and_grads(params, inputs, None, cfg0)
@@ -344,9 +332,10 @@ def test_criterion_8_synthetic_fallback(capsys):
 
     refreshes = 0
     inactive = 0
-    def hook(epoch, dpl, pairs, batches):
+    def hook(epoch, record):
         nonlocal refreshes, inactive
         refreshes += 1
+        pairs, batches = record.pairs, record.batches
         # build_batches already enforced the structural invariants; re-check
         # the class constraints against the dataset here.
         assert np.all(ds.labels[pairs.intra_targets] == pairs.intra_partner_labels)

@@ -106,7 +106,9 @@ def write_data_and_config(tmp_path):
 def test_tracer_reads_counts_off_a_mixup_run(tmp_path):
     """The tracer's info readers (pair counts, pseudo-label counts, flops)
     read fields of the program's arguments and results; a renamed field
-    fails here instead of in a ``--trace 1`` benchmark run."""
+    fails here instead of in a ``--trace 1`` benchmark run. The refresh
+    chain runs in ``trainer.refresh`` through the traced ``trainer`` names,
+    so its spans, ``build_batches`` among them, read above 0."""
     tracer_module = load_tracer()
     data, config = write_data_and_config(tmp_path)
     tracer = tracer_module.Tracer()
@@ -119,7 +121,7 @@ def test_tracer_reads_counts_off_a_mixup_run(tmp_path):
                  "graphalg.matmul_dense_flops", "graphio.features_bytes", "nn.eval_forward_s",
                  "graphalg.bfs_distances_calls", "nn.mlp_forward_s", "nn.backward_s",
                  "graphalg.mix_adjacency_s", "mixup.loss_and_grads_s", "mixup.compute_nld_s",
-                 "mixup.sample_pairs_s"):
+                 "mixup.sample_pairs_s", "mixup.build_batches_s", "mixup.refresh_s"):
         assert metrics[name] > 0, name
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_mix
+from conftest import assert_same_csr, dense_mix
 from reachmix import mixup
 from reachmix.cli import load_config
 from reachmix.graphalg import MixSelector, add_self_loops, from_edges
@@ -26,7 +26,7 @@ from reachmix.mixup import (
 )
 from reachmix.nn import PARAM_NAMES, adam_init, adam_step, backward, init_params
 from reachmix.seeding import substream
-from reachmix.trainer import build_operators
+from reachmix.trainer import build_operators, refresh
 
 
 def mix(a, b, lam):
@@ -344,15 +344,14 @@ def test_alpha_zero_lambda_is_coin_flip():
 
 
 def sbm_with_pairs(seed=0, dtype=np.float32):
+    """The pairs of one ``trainer.refresh`` under a model that predicts every
+    node's class with confidence 1 - 2e-9."""
     ds = generate_sbm(3, 20, 0.35, 0.03, 8, 0.6, seed=seed, labels_per_class=4, valid_per_class=4)
     inputs = build_operators(ds, dtype)
     probs = np.full((ds.num_nodes, 3), 1e-9)
     probs[np.arange(ds.num_nodes), ds.labels] = 1.0 - 2e-9
-    dpl = build_pseudo_labels(probs, ds.split.labeled_ids, gamma=0.9)
-    q = compute_nld(inputs.adjacency, one_hot(ds.labels, 3))
     cfg = MixupConfig()
-    pairs = sample_pairs(ds.split.labeled_ids, ds.labels, dpl, q, cfg, inputs.degrees,
-                         substream(seed, "pairs"), substream(seed, "lambda"))
+    pairs = refresh(inputs, np.log(probs), cfg, substream(seed, "pairs"), substream(seed, "lambda")).pairs
     return ds, inputs, cfg, pairs
 
 
@@ -376,10 +375,8 @@ def test_build_batches_lambda_one_degenerates_to_originals():
         np.ones_like(pairs.inter_lams),
     )
     batches = build_batches(inputs, ones)
-    for got, want in ((batches.intra.features, inputs.features), (batches.intra.adjacency, inputs.a_norm)):
-        for name in ("indices", "indptr", "data"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+    assert_same_csr(batches.intra.features, inputs.features, "features")
+    assert_same_csr(batches.intra.adjacency, inputs.a_norm, "adjacency")
     np.testing.assert_array_equal(batches.intra.targets, one_hot(ds.labels, 3))
 
 

@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import assert_same_csr
 from reachmix.graphio import generate_sbm, make_split
 from reachmix import nn, trainer
-from reachmix.mixup import MixupConfig, build_pseudo_labels
+from reachmix.mixup import MixupConfig
 from reachmix.seeding import substream
 from reachmix.trainer import (
     TrainConfig,
@@ -79,8 +80,9 @@ def test_mixup_refresh_hook_fires_and_batches_are_valid():
     ds = small_dataset()
     calls = []
 
-    def hook(epoch, dpl, pairs, batches):
+    def hook(epoch, refresh):
         calls.append(epoch)
+        pairs, batches = refresh.pairs, refresh.batches
         assert np.all(ds.labels[pairs.intra_targets] == pairs.intra_partner_labels)
         assert np.all(ds.labels[pairs.inter_targets] != pairs.inter_partner_labels)
         for term, targets in ((batches.intra, pairs.intra_targets), (batches.inter, pairs.inter_targets)):
@@ -96,20 +98,33 @@ def test_mixup_refresh_hook_fires_and_batches_are_valid():
 
 def test_a_run_without_warmup_refreshes_at_epoch_0_from_the_initial_model(tmp_path):
     # No validation pass has run before epoch 0, so its refresh takes the
-    # eval-mode logits of the initial parameters from a forward of its own.
+    # eval-mode logits of the initial parameters from a forward of its own:
+    # the run's first Refresh is ``trainer.refresh`` of those logits on fresh
+    # substreams, down to every pair and every byte of the mixed terms.
     inputs = build_operators(small_dataset())
     cfg = quick_cfg(max_epochs=15, patience=15, mixup_enabled=True, mixup=MixupConfig(warmup_epochs=0, gamma=0.34))
     initial = nn.init_params(inputs.features.shape[1], cfg.hidden, inputs.y_hot.shape[1], substream(4, "init"))
     initial = initial.astype(inputs.features.dtype)
-    expected = build_pseudo_labels(nn.softmax(nn.gcn_forward(inputs.features, inputs.a_norm, initial)[0]),
-                                   inputs.split.labeled_ids, cfg.mixup.gamma)
+    expected = trainer.refresh(inputs, nn.gcn_forward(inputs.features, inputs.a_norm, initial)[0], cfg.mixup,
+                               substream(4, "pairs"), substream(4, "lambda"))
     refreshes = []
-    runs = [train_one(inputs, cfg, seed=4, on_refresh=lambda epoch, dpl, *_: refreshes.append((epoch, dpl)))
+    runs = [train_one(inputs, cfg, seed=4, on_refresh=lambda epoch, refresh: refreshes.append((epoch, refresh)))
             for _ in range(2)]
-    epoch, dpl = refreshes[0]
-    assert epoch == 0 and len(dpl) > 0
-    np.testing.assert_array_equal(dpl.ids, expected.ids)
-    np.testing.assert_array_equal(dpl.labels, expected.labels)
+    epoch, first = refreshes[0]
+    assert epoch == 0 and len(first.dpl) > 0
+    for got, want in ((first.dpl, expected.dpl), (first.pairs, expected.pairs)):  # dpl ids, labels; 8 pair arrays
+        for f in fields(got):
+            np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name), err_msg=f.name)
+    for branch in ("intra", "inter"):
+        got, want = getattr(first.batches, branch), getattr(expected.batches, branch)
+        assert got is not None and want is not None, branch
+        assert_same_csr(got.features, want.features, f"{branch}.features")
+        if branch == "intra":
+            assert_same_csr(got.adjacency, want.adjacency, f"{branch}.adjacency")
+        else:
+            assert got.adjacency is want.adjacency is None
+        np.testing.assert_array_equal(got.targets, want.targets, err_msg=f"{branch}.targets")
+        np.testing.assert_array_equal(got.weights, want.weights, err_msg=f"{branch}.weights")
     np.testing.assert_array_equal(history_matrix(runs[0]), history_matrix(runs[1]))
     for i, run in enumerate(runs):
         nn.save_params(tmp_path / f"checkpoint{i}.txt", run.params)
