@@ -30,7 +30,7 @@ from fnmatch import fnmatch
 import numpy as np
 
 import reachmix
-from reachmix import diagnostics, graphio, nn, trainer
+from reachmix import diagnostics, graphio, mixup, nn, trainer
 from reachmix.graphalg import from_edges
 from reachmix.graphio import dataset_fingerprint, generate_sbm, load_dataset, save_dataset
 from reachmix.seeding import substream
@@ -406,18 +406,16 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    rng = substream(args.seed, "gradcheck")
     dataset = generate_sbm(
         num_classes=2, nodes_per_class=4, p_in=0.9, p_out=0.3,
         feature_dim=5, feature_noise=0.5, seed=args.seed,
         labels_per_class=2, valid_per_class=1,
     )
-    params = nn.init_params(dataset.num_features, 6, dataset.num_classes, rng)
+    params = nn.init_params(dataset.num_features, 6, dataset.num_classes, substream(args.seed, "gradcheck"))
     inputs = trainer.build_operators(dataset, dtype=np.float64)
-    max_rel, checked, skipped = nn.gradient_check(inputs, params, eps=args.eps)
+    max_rel, checked, skipped = mixup.gradient_check(inputs, params, eps=args.eps)
     ok = max_rel < args.threshold
-    status = "PASS" if ok else "FAIL"
-    print(f"{status} max_rel_err={max_rel:.3e} checked={checked} skipped={skipped} eps={args.eps:g}")
+    print(f"{'PASS' if ok else 'FAIL'} max_rel_err={max_rel:.3e} checked={checked} skipped={skipped} eps={args.eps:g}")
     return 0 if ok else 1
 
 
@@ -429,16 +427,25 @@ def _convert_planetoid(raw_dir: str, name: str):
     validation, the test index file as test.
 
     The files are read with ``pickle.load``, which can run code stored in
-    them, so convert only dumps from a source you trust.
+    them, so convert only dumps from a source you trust. A file that does
+    not unpickle, or a graph that is not a dict, raises ``ValueError``
+    naming the file.
     """
     import pickle
 
-    def load_pickle(suffix):
+    def load_pickle(suffix, kind=object):
         path = os.path.join(raw_dir, f"ind.{name}.{suffix}")
         with open(path, "rb") as fh:
-            return pickle.load(fh, encoding="latin1")
+            try:
+                obj = pickle.load(fh, encoding="latin1")
+            except (pickle.UnpicklingError, EOFError, AttributeError, ImportError, IndexError) as exc:
+                raise ValueError(f"{path}: not a readable pickle: {exc}") from None
+        if not isinstance(obj, kind):
+            raise ValueError(f"{path}: expected a {kind.__name__}, got {type(obj).__name__}")
+        return obj
 
-    x, y, tx, ty, allx, ally, graph = (load_pickle(s) for s in ("x", "y", "tx", "ty", "allx", "ally", "graph"))
+    x, y, tx, ty, allx, ally = (load_pickle(s) for s in ("x", "y", "tx", "ty", "allx", "ally"))
+    graph = load_pickle("graph", dict)
     test_idx = np.loadtxt(os.path.join(raw_dir, f"ind.{name}.test.index"), dtype=np.int64)
     test_sorted = np.sort(test_idx)
 
@@ -558,7 +565,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         parser.error(str(exc))  # exits with code 2
-    except (ValueError, RuntimeError, FloatingPointError, OSError) as exc:
+    except (ValueError, RuntimeError, FloatingPointError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

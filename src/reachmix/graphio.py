@@ -198,6 +198,8 @@ def _as_sorted_ids(values, name: str) -> np.ndarray:
     for v in values:  # a bool or a float, Python or numpy, is no id: int() would truncate it
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
             raise ValueError(f"{name} id {v!r} is not an integer")
+        if not -2**63 <= int(v) < 2**63:
+            raise ValueError(f"{name} id {v!r} lies outside int64")
     ids = np.asarray(sorted(values), dtype=np.int64)
     if ids.size != np.unique(ids).size:
         raise ValueError(f"{name} contains duplicate node ids")

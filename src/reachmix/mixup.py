@@ -17,6 +17,8 @@ The combined objective is
 where L_sup is the ordinary masked cross-entropy on labeled nodes. Each is
 a ``Term``, one network pass scored by soft cross-entropy; a refresh builds
 the two mixup terms, and ``loss_and_grads`` runs all three in one loop.
+``gradient_check`` compares that loop's gradient with central differences
+of its loss, so it checks the objective every training step runs.
 """
 
 from __future__ import annotations
@@ -331,6 +333,13 @@ class Term:
     targets: np.ndarray  # (rows, C) soft targets, float64
     weights: np.ndarray  # (rows,), float64
 
+    def forward(self, params: ModelParams, dropout: float = 0.0, train: bool = False, rng=None):
+        """The network's logits and trace on this term: ``gcn_forward`` over
+        ``adjacency``, or ``mlp_forward`` when it is None."""
+        if self.adjacency is None:
+            return mlp_forward(self.features, params, dropout, train, rng)
+        return gcn_forward(self.features, self.adjacency, params, dropout, train, rng)
+
 
 @dataclass(frozen=True)
 class MixupBatches:
@@ -397,6 +406,18 @@ class LossParts:
     inter: float
 
 
+def _terms(inputs: TrainInputs, batches: MixupBatches | None, cfg: MixupConfig) -> list[tuple[str, float, Term]]:
+    """The objective's active terms as (dropout stream, scale, term): the
+    supervised one (the GCN on ``inputs.features`` over ``inputs.a_norm``,
+    weighted to the labeled rows), then ``batches.intra`` and
+    ``batches.inter`` scaled by their lambdas. A term that is None or has
+    scale 0 is left out."""
+    intra, inter = (None, None) if batches is None else (batches.intra, batches.inter)
+    terms = [("gnn", 1.0, Term(inputs.features, inputs.a_norm, inputs.y_hot, inputs.labeled_weights)),
+             ("intra", cfg.lambda_intra, intra), ("inter", cfg.lambda_inter, inter)]
+    return [(stream, scale, term) for stream, scale, term in terms if term is not None and scale != 0.0]
+
+
 def loss_and_grads(
     params: ModelParams,
     inputs: TrainInputs,
@@ -407,37 +428,64 @@ def loss_and_grads(
     rngs: dict | None = None,
 ) -> tuple[LossParts, dict[str, np.ndarray]]:
     """Combined objective and its parameter gradients, in one loop over the
-    terms: the supervised one (the GCN on ``inputs.features`` over
-    ``inputs.a_norm``, weighted to the labeled rows), then ``batches.intra``
-    and ``batches.inter`` scaled by their lambdas. A term that is None or has
-    scale 0 is skipped, so with ``batches=None`` (or both branches empty /
-    both lambdas zero) this is exactly the baseline supervised loss. Each
-    term draws dropout from its own stream (``rngs`` keys: "gnn", "intra",
-    "inter"), so that disabling a branch never perturbs the others. The
-    loss reads each term's logits in float64; its gradient is rounded back
-    to their dtype before ``backward``.
+    active terms (``_terms``), so with ``batches=None`` (or both branches
+    empty / both lambdas zero) this is exactly the baseline supervised loss.
+    Each term draws dropout from its own stream (``rngs`` keys: "gnn",
+    "intra", "inter"), so that disabling a branch never perturbs the others.
+    The loss reads each term's logits in float64; its gradient is rounded
+    back to their dtype before ``backward``.
     """
     rngs = rngs or {}
-    intra, inter = (None, None) if batches is None else (batches.intra, batches.inter)
-    terms = [("gnn", 1.0, Term(inputs.features, inputs.a_norm, inputs.y_hot, inputs.labeled_weights)),
-             ("intra", cfg.lambda_intra, intra), ("inter", cfg.lambda_inter, inter)]
     grads: dict[str, np.ndarray] = {}
-    losses = [0.0, 0.0, 0.0]
-    for i, (stream, scale, term) in enumerate(terms):
-        if term is None or scale == 0.0:
-            continue
-        if term.adjacency is None:
-            logits, trace = mlp_forward(term.features, params, dropout, train, rngs.get(stream))
-        else:
-            logits, trace = gcn_forward(term.features, term.adjacency, params, dropout, train, rngs.get(stream))
+    losses = {"gnn": 0.0, "intra": 0.0, "inter": 0.0}
+    for stream, scale, term in _terms(inputs, batches, cfg):
+        logits, trace = term.forward(params, dropout, train, rngs.get(stream))
         loss, dlogits = soft_cross_entropy_with_grad(logits, term.targets, term.weights)
         dlogits = dlogits.astype(logits.dtype, copy=False)
         for name, g in backward(trace, dlogits).items():  # scale times g onto the sum so far
             grads[name] = grads[name] + scale * g if name in grads else g
-        losses[i] = loss
-    sup, intra_loss, inter_loss = losses
-    total = sup + cfg.lambda_intra * intra_loss + cfg.lambda_inter * inter_loss
-    return LossParts(total, sup, intra_loss, inter_loss), grads
+        losses[stream] = loss
+    total = losses["gnn"] + cfg.lambda_intra * losses["intra"] + cfg.lambda_inter * losses["inter"]
+    return LossParts(total, losses["gnn"], losses["intra"], losses["inter"]), grads
+
+
+def gradient_check(inputs: TrainInputs, params: ModelParams, batches: MixupBatches | None = None,
+                   cfg: MixupConfig = MixupConfig(), eps: float = 1e-5) -> tuple[float, int, int]:
+    """Analytic vs central-difference gradients of the objective, both read
+    off ``loss_and_grads`` in eval mode: the supervised term with
+    ``batches=None``, the whole objective with a refresh's batches. It needs
+    float64 operators (``build_operators(dataset, dtype=np.float64)``, the
+    batches built from them) and parameters; float32 ones raise ValueError.
+    A coordinate whose +/- eps step flips the sign of a ReLU pre-activation
+    of any active term is skipped: the loss has no derivative there.
+    Returns (max_relative_error, n_checked, n_skipped).
+    """
+    if inputs.features.dtype != np.float64:
+        raise ValueError(f"gradient_check needs float64 operators, got {inputs.features.dtype}")
+    terms = _terms(inputs, batches, cfg)
+
+    def signs(p):
+        return [term.forward(p)[1].pre1 > 0.0 for _, _, term in terms]
+
+    base_signs = signs(params)
+    _, analytic = loss_and_grads(params, inputs, batches, cfg)
+    max_rel, checked, skipped = 0.0, 0, 0
+    work = params.copy()
+    for name, arr in work.as_dict().items():
+        flat = arr.reshape(-1)
+        for j, orig in enumerate(arr.reshape(-1).copy()):
+            totals, smooth = [], True
+            for value in (orig + eps, orig - eps):
+                flat[j] = value
+                totals.append(loss_and_grads(work, inputs, batches, cfg)[0].total)
+                smooth = smooth and all(map(np.array_equal, signs(work), base_signs))
+            flat[j] = orig
+            if smooth:
+                numeric = (totals[0] - totals[1]) / (2.0 * eps)
+                a = analytic[name].reshape(-1)[j]
+                max_rel = max(max_rel, abs(a - numeric) / max(abs(a), abs(numeric), 1e-6))
+            checked, skipped = checked + smooth, skipped + (not smooth)
+    return max_rel, checked, skipped
 
 
 def prediction_label_matrix(probs: np.ndarray, labels: np.ndarray, labeled_ids: np.ndarray) -> np.ndarray:

@@ -1,6 +1,5 @@
 """Two-layer GCN in numpy and scipy.sparse: forward, exact reverse-mode
-gradients, masked soft-target cross-entropy, inverted dropout, Adam, gradient
-checking.
+gradients, masked soft-target cross-entropy, inverted dropout, Adam.
 
 The network runs in the dtype of its inputs: training hands it float32
 features, A_hat and parameters (``trainer.build_operators``), and the
@@ -232,7 +231,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _check_targets_weights(logits, targets, weights):
+def soft_cross_entropy_with_grad(logits, targets, weights):
+    """The loss, the weighted mean over rows of
+    -sum_c target_c log softmax(logits)_c, and its gradient w.r.t. the
+    logits (for backprop)."""
+    logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     if targets.shape != logits.shape:
@@ -246,15 +249,6 @@ def _check_targets_weights(logits, targets, weights):
     total = weights.sum()
     if total <= 0:
         raise ValueError("weights must not all be zero")
-    return targets, weights, total
-
-
-def soft_cross_entropy_with_grad(logits, targets, weights):
-    """The loss, the weighted mean over rows of
-    -sum_c target_c log softmax(logits)_c, and its gradient w.r.t. the
-    logits (for backprop)."""
-    logits = np.asarray(logits, dtype=np.float64)
-    targets, weights, total = _check_targets_weights(logits, targets, weights)
     z = logits - logits.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(z).sum(axis=1, keepdims=True))
     log_probs = z - log_norm
@@ -399,51 +393,3 @@ def load_params(path) -> ModelParams:
         shapes = ", ".join(f"{n} {arr.shape}" for n, arr in zip(PARAM_NAMES, values))
         raise ValueError(f"{path}: parameter shapes {shapes} do not fit w1 (F, H), b1 (H,), w2 (H, C), b2 (C,)")
     return ModelParams(*values)
-
-
-def gradient_check(inputs, params: ModelParams, eps: float = 1e-5):
-    """Analytic vs central-difference gradients of the supervised loss.
-
-    ``inputs`` is a run's ``TrainInputs`` (``trainer.build_operators``), so
-    the loss is the supervised term training minimizes: its features, A_hat,
-    one-hot targets and labeled weights. Runs the GCN in eval mode (dropout
-    disabled) on a small graph, in double precision: ``inputs`` come from
-    ``build_operators(dataset, dtype=np.float64)`` and ``params`` are
-    float64, as ``init_params`` draws them; float32 operators raise
-    ``ValueError``. Coordinates whose +/- eps perturbation flips a ReLU
-    pre-activation sign are excluded: the loss is not differentiable there.
-    Returns (max_relative_error, n_checked, n_skipped).
-    """
-    if inputs.features.dtype != np.float64:
-        raise ValueError(f"gradient_check needs float64 operators, got {inputs.features.dtype}")
-
-    def loss_and_signs(p):
-        logits, trace = gcn_forward(inputs.features, inputs.a_norm, p)
-        return soft_cross_entropy_with_grad(logits, inputs.y_hot, inputs.labeled_weights)[0], trace.pre1 > 0.0
-
-    _, base_signs = loss_and_signs(params)
-    logits, trace = gcn_forward(inputs.features, inputs.a_norm, params)
-    _, dlogits = soft_cross_entropy_with_grad(logits, inputs.y_hot, inputs.labeled_weights)
-    analytic = backward(trace, dlogits)
-
-    max_rel = 0.0
-    checked = skipped = 0
-    work = params.copy()
-    for name, arr in work.as_dict().items():
-        flat = arr.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + eps
-            lo_plus, signs_plus = loss_and_signs(work)
-            flat[j] = orig - eps
-            lo_minus, signs_minus = loss_and_signs(work)
-            flat[j] = orig
-            if not (np.array_equal(signs_plus, base_signs) and np.array_equal(signs_minus, base_signs)):
-                skipped += 1
-                continue
-            numeric = (lo_plus - lo_minus) / (2.0 * eps)
-            a = analytic[name].reshape(-1)[j]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
-            max_rel = max(max_rel, rel)
-            checked += 1
-    return max_rel, checked, skipped

@@ -238,11 +238,7 @@ def train_one(
     params = init_params(inputs.features.shape[1], cfg.hidden, inputs.y_hot.shape[1], substream(seed, "init"))
     params = params.astype(inputs.features.dtype)
     state = adam_init(params, cfg.lr, weight_decay={"w1": cfg.weight_decay})
-    rngs = {
-        "gnn": substream(seed, "dropout/gnn"),
-        "intra": substream(seed, "dropout/intra"),
-        "inter": substream(seed, "dropout/inter"),
-    }
+    rngs = {stream: substream(seed, f"dropout/{stream}") for stream in ("gnn", "intra", "inter")}
     rng_pairs = substream(seed, "pairs")
     rng_lam = substream(seed, "lambda")
 

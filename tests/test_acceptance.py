@@ -29,8 +29,8 @@ from reachmix.diagnostics import (
 )
 from reachmix.graphalg import MixSelector, add_self_loops, from_edges, mix_adjacency, validate
 from reachmix.graphio import generate_sbm, load_dataset, make_split
-from reachmix.mixup import MixupConfig, PseudoLabelSet, loss_and_grads, sample_pairs
-from reachmix.nn import gradient_check, init_params
+from reachmix.mixup import MixupConfig, PseudoLabelSet, gradient_check, loss_and_grads, sample_pairs
+from reachmix.nn import init_params
 from reachmix.seeding import substream
 from reachmix.trainer import TrainConfig, build_operators, refresh, train_multi, train_one
 

@@ -3,7 +3,9 @@ import hashlib
 import io
 import json
 import os
+import pickle
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -67,6 +69,19 @@ def test_each_command_takes_its_flags():
     for name, parser in commands.items():
         flags = {f for action in parser._actions for f in action.option_strings} - {"-h", "--help"}
         assert flags == COMMAND_FLAGS[name], name
+
+
+def test_each_readme_command_parses():
+    """Every ``reachmix`` line of README's bash blocks, continuations joined
+    and comments dropped, is one the parser takes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```bash\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = [shlex.split(line, comments=True) for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["reachmix"]]
+    assert len(commands) >= 9  # the examples were found
+    parser = cli.build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
@@ -983,8 +998,6 @@ def make_planetoid_dump(tmp_path, name="cora"):
     test.index, with one id gap (node 603) to exercise the isolated-node
     path.
     """
-    import pickle
-
     import scipy.sparse as sp
 
     rng = np.random.default_rng(0)
@@ -1040,8 +1053,6 @@ def test_convert_planetoid_dump_round_trip(tmp_path):
 
 
 def test_convert_non_finite_feature_exits_one(tmp_path, capsys):
-    import pickle
-
     import scipy.sparse as sp
 
     raw, _, _, tx, *_ = make_planetoid_dump(tmp_path)
@@ -1052,6 +1063,20 @@ def test_convert_non_finite_feature_exits_one(tmp_path, capsys):
     out = tmp_path / "converted"
     assert run_cli(["convert-cora", "--raw", str(raw), "--out", str(out), "--no-row-normalize"]) == 1
     assert "non-finite feature nan of node 600, column 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("suffix, damage, message", [
+    ("x", lambda data: data[:len(data) // 2], "not a readable pickle: pickle data was truncated"),
+    ("graph", lambda data: pickle.dumps([[1], [0]]), "expected a dict, got list"),
+], ids=["truncated-x", "graph-list"])
+def test_convert_damaged_pickle_exits_one_naming_it(tmp_path, capsys, suffix, damage, message):
+    raw, *_ = make_planetoid_dump(tmp_path)
+    path = raw / f"ind.cora.{suffix}"
+    path.write_bytes(damage(path.read_bytes()))
+    out = tmp_path / "converted"
+    assert run_cli(["convert-cora", "--raw", str(raw), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
     assert not out.exists()
 
 
@@ -1157,6 +1182,23 @@ def test_sweep_divergence_names_grid_point(tmp_path, dataset_dir, quick_config):
     assert not (tmp_path / "s").exists()  # so the corrected sweep needs no --force
     argv[argv.index("lr=0.01,1e200")] = "lr=0.01"
     assert run_cli(argv) == 0
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_a_model_too_large_to_allocate_exits_one_before_out(tmp_path, dataset_dir, monkeypatch, capsys, command):
+    message = "Unable to allocate 116. TiB for an array with shape (16, 1000000000000) and data type float64"
+
+    def unallocatable(*args, **kwargs):  # what init_params raises for such a hidden width
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli.trainer, "init_params", unallocatable)
+    out = tmp_path / "run"
+    argv = [command, "--data", str(dataset_dir), "--seeds", "0", "--max-epochs", "2", "--out", str(out)]
+    if command == "sweep":
+        argv += ["--grid", "lr=0.01"]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])

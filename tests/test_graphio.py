@@ -664,7 +664,10 @@ def test_split_spec_requires_labeled():
     ([np.float64(3.0)], [], "labeled_ids id np.float64(3.0) is not an integer"),
     ([0], [True], "valid_ids id True is not an integer"),
     ([0], np.array([False]), "valid_ids id np.False_ is not an integer"),
-], ids=["float", "numpy-float", "bool", "numpy-bool"])
+    ([2**63], [], "labeled_ids id 9223372036854775808 lies outside int64"),
+    ([0], [np.uint64(2**63)], "valid_ids id np.uint64(9223372036854775808) lies outside int64"),
+    ([-2**63 - 1], [], "labeled_ids id -9223372036854775809 lies outside int64"),
+], ids=["float", "numpy-float", "bool", "numpy-bool", "beyond-int64", "numpy-beyond-int64", "below-int64"])
 def test_split_spec_refuses_an_id_that_is_not_an_integer(labeled, valid, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         SplitSpec(labeled, valid, [])

@@ -17,6 +17,7 @@ from reachmix.mixup import (
     build_batches,
     build_pseudo_labels,
     compute_nld,
+    gradient_check,
     loss_and_grads,
     nld_similarity,
     one_hot,
@@ -544,26 +545,17 @@ def test_loss_lambda_one_draws_reproduce_supervised_value():
     assert parts.intra == parts.supervised
 
 
-def test_total_loss_gradient_matches_finite_differences():
-    ds, inputs, cfg, pairs = sbm_with_pairs(seed=4, dtype=np.float64)
+@pytest.mark.parametrize("lambda_intra,lambda_inter", [(1.0, 1.0), (0.5, 1.5), (0.0, 1.0), (1.0, 0.0)])
+def test_total_loss_gradient_matches_finite_differences(lambda_intra, lambda_inter):
+    from dataclasses import replace
+
+    _, inputs, cfg, pairs = sbm_with_pairs(seed=4, dtype=np.float64)
     batches = build_batches(inputs, pairs)
-    params = init_params(ds.num_features, 5, 3, substream(2, "init"))
-    _, grads = loss_and_grads(params, inputs, batches, cfg)
-    eps = 1e-6
-    max_rel = 0.0
-    for name, arr in params.as_dict().items():
-        flat = arr.reshape(-1)
-        idx = np.linspace(0, flat.size - 1, min(10, flat.size), dtype=int)
-        for j in idx:
-            orig = flat[j]
-            flat[j] = orig + eps
-            up, _ = loss_and_grads(params, inputs, batches, cfg)
-            flat[j] = orig - eps
-            down, _ = loss_and_grads(params, inputs, batches, cfg)
-            flat[j] = orig
-            numeric = (up.total - down.total) / (2 * eps)
-            a = grads[name].reshape(-1)[j]
-            max_rel = max(max_rel, abs(a - numeric) / max(abs(a), abs(numeric), 1e-6))
+    assert batches.intra is not None and batches.inter is not None
+    cfg = replace(cfg, lambda_intra=lambda_intra, lambda_inter=lambda_inter)
+    max_rel, checked, skipped = gradient_check(inputs, init_params(8, 5, 3, substream(2, "init")), batches, cfg,
+                                               eps=1e-6)
+    assert (checked, skipped) == (8 * 5 + 5 + 5 * 3 + 3, 0)
     assert max_rel < 1e-5
 
 

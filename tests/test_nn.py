@@ -10,6 +10,7 @@ from scipy.sparse import coo_array, csr_array, csr_matrix
 from reachmix import nn
 from reachmix.graphalg import add_self_loops, from_edges, sym_normalize, with_dtype
 from reachmix.graphio import csr_features, generate_sbm
+from reachmix.mixup import gradient_check
 from reachmix.nn import (
     ModelParams,
     accuracy,
@@ -17,7 +18,6 @@ from reachmix.nn import (
     adam_step,
     backward,
     gcn_forward,
-    gradient_check,
     init_params,
     load_params,
     mlp_forward,
