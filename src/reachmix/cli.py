@@ -428,40 +428,51 @@ def _convert_planetoid(raw_dir: str, name: str):
 
     The files are read with ``pickle.load``, which can run code stored in
     them, so convert only dumps from a source you trust. A file that does
-    not unpickle, or a graph that is not a dict, raises ``ValueError``
-    naming the file.
+    not unpickle, a feature block (x, tx, allx) that is not a scipy sparse
+    matrix, a label block (y, ty, ally) that is not a numpy array, a graph
+    that is not a dict, and a test index that is not one distinct
+    non-negative node id per row of tx raise ``ValueError`` naming the file.
     """
     import pickle
 
-    def load_pickle(suffix, kind=object):
+    from scipy.sparse import issparse
+
+    def load_pickle(suffix, accepts, wanted):
         path = os.path.join(raw_dir, f"ind.{name}.{suffix}")
         with open(path, "rb") as fh:
             try:
                 obj = pickle.load(fh, encoding="latin1")
             except (pickle.UnpicklingError, EOFError, AttributeError, ImportError, IndexError) as exc:
                 raise ValueError(f"{path}: not a readable pickle: {exc}") from None
-        if not isinstance(obj, kind):
-            raise ValueError(f"{path}: expected a {kind.__name__}, got {type(obj).__name__}")
+        if not accepts(obj):
+            raise ValueError(f"{path}: expected {wanted}, got {type(obj).__name__}")
         return obj
 
-    x, y, tx, ty, allx, ally = (load_pickle(s) for s in ("x", "y", "tx", "ty", "allx", "ally"))
-    graph = load_pickle("graph", dict)
-    test_idx = np.loadtxt(os.path.join(raw_dir, f"ind.{name}.test.index"), dtype=np.int64)
-    test_sorted = np.sort(test_idx)
+    sparse, dense = (issparse, "a scipy sparse matrix"), (lambda obj: isinstance(obj, np.ndarray), "a numpy array")
+    x, y, tx, ty, allx, ally, graph = (load_pickle(suffix, *kind) for suffix, kind in (
+        ("x", sparse), ("y", dense), ("tx", sparse), ("ty", dense), ("allx", sparse), ("ally", dense),
+        ("graph", (lambda obj: isinstance(obj, dict), "a dict"))))
+    index_path = os.path.join(raw_dir, f"ind.{name}.test.index")
+    with open(index_path, encoding="utf-8") as fh:
+        try:
+            test_idx = np.array(fh.read().split(), dtype=np.int64)
+        except (ValueError, OverflowError) as exc:  # not UTF-8 text, or a word that is no int64
+            raise ValueError(f"{index_path}: {exc}") from None
+    if (test_idx.shape != tx.shape[:1] or not test_idx.size or test_idx.min() < 0
+            or np.unique(test_idx).size < test_idx.size):
+        raise ValueError(f"{index_path}: expected {tx.shape[0]} distinct non-negative node ids, "
+                         f"one per row of ind.{name}.tx")
 
     num_nodes = int(max(allx.shape[0] + tx.shape[0], test_idx.max() + 1, len(graph)))
     features = np.zeros((num_nodes, allx.shape[1]))
     features[: allx.shape[0]] = np.asarray(allx.todense())
-    # tx row j belongs to the j-th line of test.index. Route rows through the
-    # sorted positions first, then permute into file order; ids absent from
-    # the dump (isolated nodes in some graphs) keep zero rows.
-    features[test_sorted] = np.asarray(tx.todense())
-    features[test_idx] = features[test_sorted]
+    # tx row j belongs to the j-th line of test.index; ids absent from the
+    # dump (isolated nodes in some graphs) keep zero rows.
+    features[test_idx] = np.asarray(tx.todense())
 
     labels_hot = np.zeros((num_nodes, ally.shape[1]))
     labels_hot[: ally.shape[0]] = ally
-    labels_hot[test_sorted] = ty
-    labels_hot[test_idx] = labels_hot[test_sorted]
+    labels_hot[test_idx] = ty
     labels = np.argmax(labels_hot, axis=1)
 
     edges = []
@@ -475,7 +486,7 @@ def _convert_planetoid(raw_dir: str, name: str):
     split = graphio.SplitSpec(
         labeled_ids=np.arange(n_train),
         valid_ids=np.arange(n_train, n_train + 500),
-        test_ids=test_sorted,
+        test_ids=np.sort(test_idx),
     )
     return features, labels, edges, split
 

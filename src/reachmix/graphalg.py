@@ -1,6 +1,5 @@
 """Graph operators on ``scipy.sparse`` CSR: self-loops, symmetric
-normalization, hop distances, diameter, and the pairwise adjacency-mixing
-operator.
+normalization, hop distances, diameter, and pair mixing (``MixSelector``).
 
 A graph is a plain ``scipy.sparse.csr_array``: square, symmetric, weights
 finite and > 0, column indices sorted and distinct within each row
@@ -12,7 +11,8 @@ missing. Every hop distance comes from one kernel, ``bfs_distances``: a
 bit-parallel BFS that runs 64 sources per pass over the edges (MS-BFS, Then
 et al., VLDB 2014). The exact diameter runs it on blocks of 64 nodes chosen
 by eccentricity bounds, and can take rows a caller already has as its first
-block.
+block. Pair mixing has one primitive, ``MixSelector.apply``, which replaces
+k target rows, and ``mix_adjacency`` is two of them.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_array, csr_array
+from scipy.sparse import coo_array, csr_array, vstack
 from scipy.sparse import csgraph
 
 
@@ -265,6 +265,7 @@ class MixSelector:
     node t becomes lam * t + (1 - lam) * partner for every (t, partner, lam).
     The one place pair ids are checked: equal lengths, lambda in [0, 1],
     distinct targets, no partner that is also a target, ids in [0, n).
+
     """
 
     num_nodes: int
@@ -291,34 +292,42 @@ class MixSelector:
     def __len__(self) -> int:
         return int(self.targets.size)
 
-    def matrix(self) -> csr_array:
-        """The n x n selector S: the identity with row t replaced by
-        lam * e_t + (1 - lam) * e_p for every (t, p, lam)."""
-        n = self.num_nodes
-        diag = np.ones(n)
-        diag[self.targets] = self.lams
-        rows = np.concatenate([np.arange(n), self.targets])
-        cols = np.concatenate([np.arange(n), self.partners])
-        vals = np.concatenate([diag, 1.0 - self.lams])
-        return coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
-
     def pair_rows(self) -> csr_array:
-        """The k x n matrix of the mixes alone, row i = row targets[i] of S,
-        built from the 2k pair entries (0 x n for an empty batch)."""
-        rows = np.tile(np.arange(len(self)), 2)
-        cols = np.concatenate([self.targets, self.partners])
-        vals = np.concatenate([self.lams, 1.0 - self.lams])
-        return coo_array((vals, (rows, cols)), shape=(len(self), self.num_nodes)).tocsr()
+        """The k x n matrix of the mixes alone: row i holds lams[i] at column
+        targets[i] and 1 - lams[i] at column partners[i], in column order."""
+        swap = self.partners < self.targets
+        cols = np.where(swap, [self.partners, self.targets], [self.targets, self.partners]).T
+        vals = np.where(swap, [1.0 - self.lams, self.lams], [self.lams, 1.0 - self.lams]).T
+        indptr = np.arange(0, 2 * len(self) + 1, 2)
+        return csr_array((vals.ravel(), cols.ravel(), indptr), shape=(len(self), self.num_nodes))
+
+    def mixed_rows(self, m: csr_array) -> csr_array:
+        """``pair_rows() @ m`` for a CSR ``m`` with one row per node, summed
+        in float64 (a zero sum is not stored) and rounded once to ``m``'s
+        dtype by ``with_dtype``."""
+        rows = self.pair_rows() @ m
+        rows.sort_indices()  # in place, so that with_dtype has no copy to sort
+        return with_dtype(rows, m.dtype)
+
+    def apply(self, m: csr_array) -> csr_array:
+        """S m for the n x n selector S, the identity with row t replaced by
+        lam * e_t + (1 - lam) * e_p, without building S: a canonical CSR ``m``
+        with one row per node, its target rows replaced by ``mixed_rows(m)``,
+        in ``with_dtype``'s form. The other rows keep their entries, order and bits."""
+        order = np.arange(self.num_nodes)
+        order[self.targets] = self.num_nodes + np.arange(len(self))
+        return with_dtype(vstack([m, self.mixed_rows(m)], format="csr")[order], m.dtype)
 
 
-def mix_adjacency(a: csr_array, s: csr_array) -> csr_array:
-    """S A S^T for a selector matrix ``s`` (``MixSelector.matrix``), averaged
-    with its transpose.
+def mix_adjacency(a: csr_array, sel: MixSelector) -> csr_array:
+    """S A S^T for the selector ``sel``, averaged with its transpose.
 
-    All pairs apply at once to the original A: order-independent, and for a
-    single pair the same as mixing row i then column i. For a symmetric ``a``
-    (with the self-loops to mix) the average is exactly symmetric, as float
-    addition commutes; sparse products store no zeros, so weights stay > 0.
+    m = S (S A)^T = (S A S^T)^T takes two ``sel.apply``; each mixed entry
+    sums the same two float64 products as the n x n product. All pairs
+    apply at once to the original A: order-independent, and for a single
+    pair the same as mixing row i then column i. For a symmetric ``a`` (with
+    the self-loops to mix) the average is exactly symmetric, as float
+    addition commutes; mixed rows store no zeros, so weights stay > 0.
     """
-    m = s @ a @ s.T
-    return _frozen((m + m.T) * 0.5)  # scipy leaves the sum's indices unsorted
+    m = sel.apply(sel.apply(a).T.tocsr())
+    return _frozen((m + m.T) * 0.5)

@@ -357,14 +357,15 @@ def _branch(inputs: TrainInputs, pairs: PairAssignment, same_class: bool) -> Ter
     ``MixSelector`` checks the pair ids; this adds the checks it cannot
     make: labeled targets, unlabeled partners, and class agreement
     (same-class branch) or disagreement (different-class branch).
-    - same-class: the n x n selector S (``MixSelector.matrix``) gives S X,
-      the one-hot labels with the target rows mixed, weighted to the labeled
-      rows, and S A S^T of A = ``inputs.adjacency``, normalized once here.
-    - different-class, on the MLP path: the k x n pair rows
-      (``MixSelector.pair_rows``) times X, the k x C targets, weight 1 each.
-    Each product is taken in float64 and rounded once to the dtype of
-    ``inputs.features`` and ``inputs.a_norm``, with sorted indices as theirs
-    have, so that at lambda = 1 the same-class term holds their bytes.
+    - same-class: S X (``MixSelector.apply``), the one-hot labels with the
+      target rows mixed, weighted to the labeled rows, and S A S^T of
+      A = ``inputs.adjacency``, normalized once here.
+    - different-class, on the MLP path: the k mixed rows of X
+      (``MixSelector.mixed_rows``), the k x C targets, weight 1 each.
+    Rows of S X that are not targets are X's own, stored zeros included, so
+    input dropout draws over the supervised term's pattern there. At
+    lambda = 1 a mixed row is X's row less its stored zeros, and the mixed
+    A_hat holds the bytes of ``inputs.a_norm``.
     """
     branch = "intra" if same_class else "inter"
     targets, partners, partner_labels, lams = (
@@ -383,14 +384,12 @@ def _branch(inputs: TrainInputs, pairs: PairAssignment, same_class: bool) -> Ter
         return None
     lam = sel.lams[:, None]
     mixed = lam * inputs.y_hot[sel.targets] + (1.0 - lam) * one_hot(partner_labels, inputs.y_hot.shape[1])
-    dtype = inputs.features.dtype
     if not same_class:
-        return Term(with_dtype(sel.pair_rows() @ inputs.features, dtype), None, mixed, np.ones(len(sel)))
-    s = sel.matrix()
+        return Term(sel.mixed_rows(inputs.features), None, mixed, np.ones(len(sel)))
     y = inputs.y_hot.copy()
     y[sel.targets] = mixed
-    return Term(with_dtype(s @ inputs.features, dtype),
-                with_dtype(sym_normalize(mix_adjacency(inputs.adjacency, s)), dtype), y, inputs.labeled_weights)
+    a_norm = with_dtype(sym_normalize(mix_adjacency(inputs.adjacency, sel)), inputs.features.dtype)
+    return Term(sel.apply(inputs.features), a_norm, y, inputs.labeled_weights)
 
 
 def build_batches(inputs: TrainInputs, pairs: PairAssignment) -> MixupBatches:

@@ -65,14 +65,20 @@ def dense_bfs(dense: np.ndarray, sources) -> np.ndarray:
     return dist
 
 
-def dense_mix(dense: np.ndarray, targets, partners, lams) -> np.ndarray:
-    """Brute-force S A S^T with an explicit dense S."""
-    n = dense.shape[0]
+def dense_selector(n, targets, partners, lams) -> np.ndarray:
+    """The n x n selector S as a dense table: the identity with row t
+    replaced by lam * e_t + (1 - lam) * e_p for every (t, p, lam)."""
     s = np.eye(n)
     for t, p, lam in zip(targets, partners, lams):
         s[t] = 0.0
         s[t, t] = lam
         s[t, p] = 1.0 - lam
+    return s
+
+
+def dense_mix(dense: np.ndarray, targets, partners, lams) -> np.ndarray:
+    """Brute-force S A S^T with an explicit dense S."""
+    s = dense_selector(dense.shape[0], targets, partners, lams)
     return s @ dense @ s.T
 
 

@@ -65,8 +65,8 @@ def test_criterion_1_gradient_correctness(capsys):
 
 def test_criterion_2_mixup_algebra(capsys):
     def mix(z, lam, target=0, partner=1):
-        # The production mix: row ``target`` of S Z for a one-pair selector.
-        return (MixSelector(z.shape[0], [target], [partner], [lam]).matrix() @ z)[target]
+        # The production mix: the pair row of a one-pair selector times Z.
+        return (MixSelector(z.shape[0], [target], [partner], [lam]).pair_rows() @ z)[0]
 
     rng = np.random.default_rng(0)
     ok = True
@@ -114,7 +114,7 @@ def test_criterion_3_adjacency_mixing_oracle(capsys):
         if partners.size < k:
             continue
         lams = rng.random(k)
-        mixed = mix_adjacency(g, MixSelector(n, targets, partners, lams).matrix())
+        mixed = mix_adjacency(g, MixSelector(n, targets, partners, lams))
         expected = dense_mix(g.toarray(), targets, partners, lams)
         worst = max(worst, float(np.max(np.abs(mixed.toarray() - expected))))
         try:

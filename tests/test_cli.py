@@ -1069,11 +1069,33 @@ def test_convert_non_finite_feature_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize("suffix, damage, message", [
     ("x", lambda data: data[:len(data) // 2], "not a readable pickle: pickle data was truncated"),
     ("graph", lambda data: pickle.dumps([[1], [0]]), "expected a dict, got list"),
-], ids=["truncated-x", "graph-list"])
+    ("tx", lambda data: pickle.dumps([[1.0]]), "expected a scipy sparse matrix, got list"),
+    ("ally", lambda data: pickle.dumps([[1.0]]), "expected a numpy array, got list"),
+], ids=["truncated-x", "graph-list", "tx-list", "ally-list"])
 def test_convert_damaged_pickle_exits_one_naming_it(tmp_path, capsys, suffix, damage, message):
     raw, *_ = make_planetoid_dump(tmp_path)
     path = raw / f"ind.cora.{suffix}"
     path.write_bytes(damage(path.read_bytes()))
+    out = tmp_path / "converted"
+    assert run_cli(["convert-cora", "--raw", str(raw), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not out.exists()
+
+
+WRONG_TEST_IDS = "expected 4 distinct non-negative node ids, one per row of ind.cora.tx"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", WRONG_TEST_IDS),
+    ("601\nx\n604\n602\n", "invalid literal for int() with base 10: 'x'"),
+    ("601\n-1\n604\n602\n", WRONG_TEST_IDS),
+    ("601\n601\n604\n602\n", WRONG_TEST_IDS),
+    ("601\n600\n604\n", WRONG_TEST_IDS),
+], ids=["empty", "not-an-integer", "negative", "repeated", "too-few"])
+def test_convert_bad_test_index_exits_one_naming_it(tmp_path, capsys, text, message):
+    raw, *_ = make_planetoid_dump(tmp_path)
+    path = raw / "ind.cora.test.index"
+    path.write_text(text)
     out = tmp_path / "converted"
     assert run_cli(["convert-cora", "--raw", str(raw), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {path}: {message}\n"

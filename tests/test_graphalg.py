@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csgraph, csr_array
 
-from conftest import dense_bfs, dense_mix, random_graph_edges
+from conftest import dense_bfs, dense_mix, dense_selector, dense_table, random_graph_edges
 from reachmix import graphalg
 from reachmix.graphalg import (
     MixSelector,
@@ -392,30 +392,39 @@ def test_mix_selector_validation():
         MixSelector(3, [-1], [1], [0.5])
 
 
-def test_mix_selector_pair_rows_are_the_target_rows_of_matrix(rng):
-    for _ in range(20):
-        n = int(rng.integers(2, 30))
-        k = int(rng.integers(0, n // 2 + 1))
-        perm = rng.permutation(n)
-        lams = rng.random(k)
-        lams[: k // 3] = 1.0  # a zero partner weight stays a stored entry in both
-        sel = MixSelector(n, perm[:k], perm[k:2 * k], lams)
-        rows, full = sel.pair_rows(), sel.matrix()[sel.targets]
-        assert rows.shape == (k, n)
-        for attr in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(getattr(rows, attr), getattr(full, attr))
+def test_mix_selector_apply_is_the_dense_selector_product(rng):
+    # Each entry of S m sums at most two nonzero products, and adding an
+    # exact zero never rounds, so the elementwise oracle has S m's bits; + 0.0
+    # turns a -0.0 sum into the +0.0 that an unstored entry reads as.
+    for dtype in (np.float64, np.float32):
+        for _ in range(20):
+            n, f = int(rng.integers(2, 30)), int(rng.integers(1, 8))
+            k = int(rng.integers(0, n // 2 + 1))
+            perm = rng.permutation(n)
+            lams = rng.random(k)
+            lams[: k // 3] = 1.0
+            lams[k // 3: 2 * (k // 3)] = 0.0
+            sel = MixSelector(n, perm[:k], perm[k:2 * k], lams)
+            table = np.where(rng.random((n, f)) < 0.4, rng.standard_normal((n, f)), 0.0)
+            m = csr_array(table.astype(dtype))
+            s = dense_selector(n, sel.targets, sel.partners, sel.lams)
+            want = ((s[:, :, None] * m.toarray().astype(np.float64)[None]).sum(axis=1) + 0.0).astype(dtype)
+            got = sel.apply(m)
+            assert got.dtype == dtype and got.has_canonical_format
+            assert got.nnz == np.count_nonzero(want)  # no stored zero
+            assert dense_table(got).astype(dtype).tobytes() == want.tobytes()
 
 
 def test_mix_adjacency_empty_selector_is_input():
     g = add_self_loops(from_edges(3, np.array([[0, 1], [1, 2]])))
     sel = MixSelector(3, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
-    np.testing.assert_array_equal(mix_adjacency(g, sel.matrix()).toarray(), g.toarray())
+    np.testing.assert_array_equal(mix_adjacency(g, sel).toarray(), g.toarray())
 
 
 def test_mix_adjacency_lambda_one_is_identity_transform():
     g = add_self_loops(from_edges(4, np.array([[0, 1], [1, 2], [2, 3]])))
     sel = MixSelector(4, [0, 1], [3, 2], [1.0, 1.0])
-    mixed = mix_adjacency(g, sel.matrix())
+    mixed = mix_adjacency(g, sel)
     np.testing.assert_array_equal(mixed.toarray(), g.toarray())
     validate(mixed)  # the zero-weight partner terms leave no stored zeros
 
@@ -424,7 +433,7 @@ def test_mix_adjacency_hand_case_three_node_path():
     # Path 0-1-2 with self-loops, mix target 0 with partner 2 at lambda 0.5.
     g = add_self_loops(from_edges(3, np.array([[0, 1], [1, 2]])))
     sel = MixSelector(3, [0], [2], [0.5])
-    mixed = mix_adjacency(g, sel.matrix())
+    mixed = mix_adjacency(g, sel)
     expected = dense_mix(g.toarray(), [0], [2], [0.5])
     np.testing.assert_allclose(mixed.toarray(), expected, atol=1e-15)
 
@@ -442,7 +451,7 @@ def test_mix_adjacency_matches_dense_oracle(rng):
         if partners.size < k:
             continue
         lams = rng.random(k)
-        mixed = mix_adjacency(g, MixSelector(n, targets, partners, lams).matrix())
+        mixed = mix_adjacency(g, MixSelector(n, targets, partners, lams))
         expected = dense_mix(g.toarray(), targets, partners, lams)
         np.testing.assert_allclose(mixed.toarray(), expected, atol=1e-12)
         validate(mixed)  # compares A with A^T entry by entry
@@ -451,7 +460,7 @@ def test_mix_adjacency_matches_dense_oracle(rng):
 def test_mix_adjacency_rejects_out_of_range():
     g = add_self_loops(from_edges(3, np.array([[0, 1], [1, 2]])))
     with pytest.raises(ValueError, match="outside"):
-        mix_adjacency(g, MixSelector(g.shape[0], [0], [5], [0.5]).matrix())
+        mix_adjacency(g, MixSelector(g.shape[0], [0], [5], [0.5]))
 
 
 @settings(max_examples=50, deadline=None)
@@ -493,9 +502,8 @@ PATH3 = np.array([[0, 1], [1, 2]])
 
 
 def path3_mix_selector():
-    """Target 0 mixed with partner 2 on the path 0-1-2: scipy returns the
-    (S A S^T + its transpose) sum of this mix with unsorted indices."""
-    return MixSelector(3, [0], [2], [0.5]).matrix()
+    """Target 0 mixed with partner 2 on the path 0-1-2."""
+    return MixSelector(3, [0], [2], [0.5])
 
 
 GRAPH_BUILDERS = {
@@ -518,13 +526,3 @@ def test_operators_return_canonical_read_only_csr(name):
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[0]
-
-
-def test_mix_adjacency_case_is_unsorted_before_canonicalisation():
-    # The mix_adjacency case above tests the sort only while scipy's own sum is unsorted.
-    g = add_self_loops(from_edges(3, PATH3))
-    s = path3_mix_selector()
-    m = s @ g @ s.T
-    raw = (m + m.T) * 0.5
-    assert not raw.has_canonical_format
-    np.testing.assert_array_equal(raw.toarray(), mix_adjacency(g, s).toarray())

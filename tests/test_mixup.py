@@ -32,9 +32,10 @@ from reachmix.trainer import build_operators, refresh
 
 def mix(a, b, lam):
     """Row 0 of S Z for the selector that mixes node 0 with partner node 1,
-    where Z stacks the rows a and b: the production mix of ``build_batches``."""
+    where Z stacks the rows a and b: the pair rows that ``build_batches``
+    mixes with."""
     z = np.stack([np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)])
-    return (MixSelector(2, [0], [1], [lam]).matrix() @ z)[0]
+    return (MixSelector(2, [0], [1], [lam]).pair_rows() @ z)[0]
 
 
 def test_mix_lambda_one_returns_a_bitwise():
@@ -418,23 +419,26 @@ def test_build_batches_single_pair_matches_dense_oracle():
 
 @pytest.mark.parametrize("empty", [None, "intra", "inter"])
 def test_build_batches_builds_each_selector_once(monkeypatch, empty):
-    """One refresh builds the n x n selector once, and only for a same-class
-    branch with pairs; the different-class branch builds its k pair rows
-    alone, and only when it has pairs. A branch without pairs has no term."""
+    """All mixing goes through ``MixSelector.mixed_rows``, and only for a
+    branch with pairs: the same-class branch through three ``apply`` calls
+    (S X, then S A and S (S A)^T in ``mix_adjacency``), the different-class
+    branch through one ``mixed_rows`` of its k pair rows. A branch without
+    pairs mixes nothing and has no term."""
     from dataclasses import replace
 
     ds, inputs, _, pairs = sbm_with_pairs()
     if empty:
         names = [f"{empty}_{f}" for f in ("targets", "partners", "partner_labels", "lams")]
         pairs = replace(pairs, **{name: getattr(pairs, name)[:0] for name in names})
-    built = {"matrix": 0, "pair_rows": 0}
-    for name in built:
-        def counted(self, build=getattr(MixSelector, name), name=name):
-            built[name] += 1
-            return build(self)
+    calls = {"apply": 0, "mixed_rows": 0}
+    for name in calls:
+        def counted(self, m, mix=getattr(MixSelector, name), name=name):
+            calls[name] += 1
+            return mix(self, m)
         monkeypatch.setattr(MixSelector, name, counted)
     batches = build_batches(inputs, pairs)
-    assert built == {"matrix": int(empty != "intra"), "pair_rows": int(empty != "inter")}
+    intra, inter = int(empty != "intra"), int(empty != "inter")
+    assert calls == {"apply": 3 * intra, "mixed_rows": 3 * intra + inter}
     assert (batches.intra is None) == (empty == "intra")
     assert (batches.inter is None) == (empty == "inter")
     if batches.intra is not None:
@@ -444,6 +448,31 @@ def test_build_batches_builds_each_selector_once(monkeypatch, empty):
         k = pairs.inter_targets.size
         assert batches.inter.features.shape == (k, ds.num_features) and batches.inter.adjacency is None
         np.testing.assert_array_equal(batches.inter.weights, np.ones(k))
+
+
+def test_same_class_features_keep_every_non_target_row_of_x():
+    # A stored -0.0 and a feature that rounds to a float32 zero, both in rows
+    # that are not targets: S X keeps them where the supervised term has them,
+    # so input dropout draws over the same pattern there.
+    ds = generate_sbm(3, 4, 0.6, 0.1, 4, 0.5, seed=0, labels_per_class=1, valid_per_class=1)
+    labeled = set(ds.split.labeled_ids)
+    t = int(ds.split.labeled_ids[0])
+    p = next(i for i in range(ds.num_nodes) if i not in labeled and ds.labels[i] == ds.labels[t])
+    q = next(i for i in range(ds.num_nodes) if i not in labeled and i != p)
+    features = ds.features.copy()
+    features[p, 0], features[q, 1] = -0.0, 1e-50
+    from dataclasses import replace
+
+    inputs = build_operators(replace(ds, features=features))
+    assert inputs.features.nnz == ds.num_nodes * ds.num_features  # both zeros stored
+    none = np.zeros(0, dtype=np.int64)
+    pairs = PairAssignment(np.array([t]), np.array([p]), ds.labels[[t]], np.array([0.25]),
+                           none, none, none, np.zeros(0))
+    got, want = build_batches(inputs, pairs).intra.features, inputs.features
+    for i in sorted(set(range(ds.num_nodes)) - {t}):
+        for name in ("indices", "data"):
+            a, b = (getattr(x, name)[x.indptr[i]:x.indptr[i + 1]] for x in (got, want))
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), f"row {i} {name}"
 
 
 def test_build_batches_rejects_mismatched_intra_pair():
